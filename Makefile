@@ -40,6 +40,9 @@
 #   make benchdiff    compare the working-tree BENCH documents against HEAD's
 #                     committed generation (markdown trend tables; exits
 #                     nonzero past tolerance). Run after a full regeneration.
+#   make host-bench   the host-time benchmark (benchmark/README.md): every
+#                     workload of BENCHMARK.json end to end, two sets, compared
+#                     against the bounds. Minutes of wall time; not part of ci.
 #   make mtscale      full sweep, regenerates BENCH_mtscale.json in place.
 #   make topo         full sweep, regenerates BENCH_topo.json in place.
 #   make chaos        full sweep, regenerates BENCH_chaos.json in place.
@@ -47,7 +50,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race mtscale-smoke bench-smoke critpath-smoke topo-smoke chaos-smoke net-smoke telemetry-smoke benchdiff mtscale topo chaos net
+.PHONY: ci vet build test race mtscale-smoke bench-smoke critpath-smoke topo-smoke chaos-smoke net-smoke telemetry-smoke benchdiff host-bench mtscale topo chaos net
 
 ci: vet build test race mtscale-smoke critpath-smoke topo-smoke chaos-smoke net-smoke telemetry-smoke
 
@@ -106,6 +109,9 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff /tmp/benchdiff_old_topo.json BENCH_topo.json
 	$(GO) run ./cmd/benchdiff /tmp/benchdiff_old_chaos.json BENCH_chaos.json
 	$(GO) run ./cmd/benchdiff /tmp/benchdiff_old_net.json BENCH_net.json
+
+host-bench:
+	$(GO) run ./benchmark -sets 2
 
 mtscale:
 	$(GO) run ./cmd/mtbench -mtscale -out BENCH_mtscale.json

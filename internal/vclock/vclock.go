@@ -1,10 +1,26 @@
 // Package vclock implements a deterministic virtual-time execution kernel.
 //
 // Simulated entities (MPI ranks, application threads, offload threads, NICs)
-// run as cooperative tasks. Each task is backed by a goroutine, but the
-// kernel runs exactly one task at a time and hands control back and forth
-// through channels, so execution is sequential and fully deterministic:
-// the event heap is ordered by (virtual time, spawn sequence).
+// run as cooperative tasks. Each task is backed by a goroutine, but exactly
+// one goroutine at a time holds the baton — the right to touch kernel state —
+// so execution is sequential and fully deterministic: events fire in
+// (virtual time, scheduling sequence) order.
+//
+// There is no scheduler goroutine. A task that yields (Sleep, Wait, Acquire)
+// or returns keeps the baton and pops the event heap itself: After callbacks
+// run inline on that goroutine; if the next task event is the yielder's own
+// it simply returns, with no goroutine switch; otherwise it wakes the event's
+// task on that task's wake channel and parks on its own — one goroutine
+// handoff per task switch. The channel send/receive is the happens-before
+// edge that orders every access to kernel state, so nothing but the live
+// Stats counters is atomic or locked. Because callbacks run on whichever task
+// goroutine happened to yield, pprof goroutine labels attribute callback
+// time to the yielder, not to the task that scheduled the callback.
+//
+// The goroutine that called Run starts the baton and is woken only when the
+// simulation is over: every non-daemon task has finished, a task or callback
+// panicked, or live tasks remain with an empty heap (deadlock). It then
+// tears down every remaining task goroutine and returns or re-panics.
 //
 // Virtual time is in integer nanoseconds. Tasks advance time explicitly
 // with Sleep, or block on Events and Resources; nothing else consumes
@@ -12,9 +28,9 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -23,8 +39,8 @@ import (
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time = int64
 
-// killed is the sentinel panic value used to unwind task goroutines when the
-// kernel shuts down while they are still blocked.
+// killedPanic is the sentinel panic value used to unwind task goroutines when
+// the kernel shuts down while they are still blocked.
 type killedPanic struct{}
 
 // Kernel is a deterministic cooperative scheduler over virtual time.
@@ -32,19 +48,17 @@ type killedPanic struct{}
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
-	sched   chan struct{} // task -> scheduler handoff
-	current *Task
-	tasks   []*Task // all spawned tasks (live and dead)
-	live    int     // live non-daemon tasks
-	blocked int     // tasks blocked on events/resources (not in heap)
+	events  []event       // binary min-heap on (at, seq)
+	done    chan struct{} // baton holder -> Run: simulation over, or killed task gone
+	tasks   []*Task       // all spawned tasks (live and dead)
+	live    int           // live non-daemon tasks
 	stopped bool
 	running bool
-	failure any // panic value captured from a task, re-raised by Run
+	failure any // first panic value from a task or callback, re-raised by Run
 
 	// Self-profiling counters, readable from other goroutines while Run
 	// executes (the telemetry endpoint samples them live). Everything else
-	// in the kernel is single-goroutine; only these are atomics.
+	// in the kernel belongs to the baton holder; only these are atomics.
 	statEvents    atomic.Int64 // events popped from the heap
 	statVNow      atomic.Int64 // mirror of now for cross-goroutine reads
 	statWallStart atomic.Int64 // wall-clock ns at Run entry (0 before Run)
@@ -53,25 +67,24 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{sched: make(chan struct{})}
+	return &Kernel{done: make(chan struct{}, 1)}
 }
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
 // Task is a cooperative thread of execution in virtual time. All Task
-// methods must be called from within the task's own function; they yield to
-// the scheduler and resume when the kernel re-schedules the task.
+// methods must be called from within the task's own function; they yield the
+// baton and resume when the kernel re-schedules the task.
 type Task struct {
 	k       *Kernel
 	Name    string
-	id      uint64
-	wake    chan struct{}
+	wake    chan struct{} // capacity 1: the waker never waits for the task to park
 	daemon  bool
 	dead    bool
-	killedF bool
 	granted bool // used by Resource FIFO handoff
-	where   string
+	// What the task is blocked in and on, for the deadlock report.
+	waitKind, waitOn string
 }
 
 type event struct {
@@ -81,34 +94,73 @@ type event struct {
 	fn   func() // timer callback (mutually exclusive with task)
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (k *Kernel) push(t *Task, at Time) {
-	k.seq++
-	heap.Push(&k.events, event{at: at, seq: k.seq, task: t})
+	return e.seq < o.seq
 }
 
-// After schedules fn to run at virtual time now+d on the scheduler itself.
-// fn must not block or sleep; it may signal events, acquire nothing, and
-// schedule further callbacks. Callbacks model asynchronous hardware agents
-// (NIC packet delivery, DMA completion) that consume no simulated CPU.
-// Pending callbacks do not keep the simulation alive.
+// push inserts e into the heap, stamping it with the next sequence number.
+func (k *Kernel) push(e event) {
+	k.seq++
+	e.seq = k.seq
+	h := append(k.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	k.events = h
+}
+
+// pop removes and returns the earliest event. The heap must not be empty.
+func (k *Kernel) pop() event {
+	h := k.events
+	top := h[0]
+	n := len(h) - 1
+	e := h[n]
+	h[n] = event{} // drop the task and closure references
+	h = h[:n]
+	k.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+	return top
+}
+
+// After schedules fn to run at virtual time now+d, inline on whichever
+// goroutine holds the baton then. fn must not block or sleep; it may signal
+// events, acquire nothing, and schedule further callbacks. Callbacks model
+// asynchronous hardware agents (NIC packet delivery, DMA completion) that
+// consume no simulated CPU. Pending callbacks do not keep the simulation
+// alive. A panic in fn ends the simulation like a panic in a task.
 func (k *Kernel) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	k.seq++
-	heap.Push(&k.events, event{at: k.now + d, seq: k.seq, fn: fn})
+	k.push(event{at: k.now + d, fn: fn})
 }
 
 // AfterF is After with a float64 nanosecond delay, rounded to nearest.
@@ -136,65 +188,77 @@ func (k *Kernel) spawn(name string, daemon bool, fn func(t *Task)) *Task {
 	if k.stopped {
 		panic("vclock: spawn on stopped kernel")
 	}
-	k.seq++
-	t := &Task{k: k, Name: name, id: k.seq, wake: make(chan struct{})}
-	t.daemon = daemon
+	t := &Task{k: k, Name: name, daemon: daemon, wake: make(chan struct{}, 1)}
 	k.tasks = append(k.tasks, t)
 	if !daemon {
 		k.live++
 	}
-	go func() {
-		<-t.wake // wait for first scheduling
-		if t.killedF {
-			t.finish()
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedPanic); ok {
-					t.finish()
-					return
-				}
-				// Hand the failure to the scheduler goroutine; Run
-				// re-raises it so callers (and tests) can recover it.
-				k.failure = r
-				t.finish()
-				return
-			}
-		}()
-		fn(t)
-		t.dead = true
-		if !t.daemon {
-			k.live--
-		}
-		k.sched <- struct{}{} // return control to scheduler
-	}()
-	k.push(t, k.now)
+	go t.main(fn)
+	k.push(event{at: k.now, task: t})
 	return t
 }
 
-// finish tears down a killed task goroutine without touching kernel state
-// (the kernel is already shutting down).
-func (t *Task) finish() {
+// main is the body of the task's goroutine.
+func (t *Task) main(fn func(t *Task)) {
+	k := t.k
+	<-t.wake // first scheduling, or shutdown before it ever ran
+	if !k.stopped {
+		t.call(fn)
+	}
 	t.dead = true
-	t.k.sched <- struct{}{}
+	if k.stopped {
+		k.done <- struct{}{} // shutdown is waiting for this goroutine to unwind
+		return
+	}
+	if !t.daemon {
+		k.live--
+	}
+	k.dispatch(nil)
 }
 
-// Run executes the simulation until all non-daemon tasks have finished.
-// It returns the final virtual time. Run panics with a diagnostic if the
-// simulation deadlocks (live tasks remain but no events are scheduled).
-func (k *Kernel) Run() Time {
-	if k.running || k.stopped {
-		panic("vclock: Run called twice")
+// call runs fn, recording a panic in it as the simulation's failure.
+func (t *Task) call(fn func(t *Task)) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killedPanic); !ok {
+				t.k.fail(r)
+			}
+		}
+	}()
+	fn(t)
+}
+
+// fail records the first failure; Run re-raises it after shutdown.
+func (k *Kernel) fail(r any) {
+	if k.failure == nil {
+		k.failure = r
 	}
-	k.running = true
-	k.statWallStart.Store(time.Now().UnixNano())
-	defer func() { k.statWallEnd.Store(time.Now().UnixNano()) }()
-	for k.live > 0 {
+}
+
+// dispatch runs the event loop on the calling goroutine, which holds the
+// baton: it pops events, running callbacks inline, until one belongs to a
+// task. If that task is self, dispatch reports true and the caller carries
+// on. Otherwise the baton has been passed — to the event's task, or to Run
+// when the simulation is over — and the caller must not touch kernel state
+// again until it is woken.
+func (k *Kernel) dispatch(self *Task) (resumed bool) {
+	defer func() {
+		// A callback panicked (or the kernel itself did, below): end the
+		// simulation the way a task panic does, and report false.
+		if r := recover(); r != nil {
+			k.fail(r)
+			k.done <- struct{}{}
+		}
+	}()
+	for {
+		if k.failure != nil || k.live == 0 {
+			k.done <- struct{}{}
+			return false
+		}
 		if len(k.events) == 0 {
 			panic("vclock: deadlock: " + k.blockedReport())
 		}
-		e := heap.Pop(&k.events).(event)
+		e := k.pop()
 		if e.at < k.now {
 			panic("vclock: time went backwards")
 		}
@@ -209,24 +273,40 @@ func (k *Kernel) Run() Time {
 			continue
 		}
 		k.now = e.at
-		k.resume(e.task)
-		if k.failure != nil {
-			f := k.failure
-			k.failure = nil
-			k.shutdown()
-			panic(f)
+		if e.task == self {
+			return true
 		}
+		e.task.wake <- struct{}{}
+		return false
 	}
+}
+
+// Run executes the simulation until all non-daemon tasks have finished.
+// It returns the final virtual time. Run panics with a diagnostic if the
+// simulation deadlocks (live tasks remain but no events are scheduled), and
+// re-raises the first panic of a task or callback; in every case all task
+// goroutines have exited by then.
+func (k *Kernel) Run() Time {
+	if k.running || k.stopped {
+		panic("vclock: Run called twice")
+	}
+	k.running = true
+	k.statWallStart.Store(time.Now().UnixNano())
+	defer func() { k.statWallEnd.Store(time.Now().UnixNano()) }()
+	k.dispatch(nil)
+	<-k.done
 	k.shutdown()
+	if k.failure != nil {
+		panic(k.failure)
+	}
 	return k.now
 }
 
-// resume hands control to t and waits for it to yield back.
-func (k *Kernel) resume(t *Task) {
-	k.current = t
+// kill unwinds t's goroutine, which is parked on its wake channel, and waits
+// for it to exit.
+func (k *Kernel) kill(t *Task) {
 	t.wake <- struct{}{}
-	<-k.sched
-	k.current = nil
+	<-k.done
 }
 
 // shutdown kills every remaining task goroutine (daemons and tasks blocked
@@ -235,17 +315,15 @@ func (k *Kernel) shutdown() {
 	k.stopped = true
 	// Kill tasks still in the heap.
 	for len(k.events) > 0 {
-		e := heap.Pop(&k.events).(event)
+		e := k.pop()
 		if e.task != nil && !e.task.dead {
-			e.task.killedF = true
-			k.resume(e.task)
+			k.kill(e.task)
 		}
 	}
 	// Kill tasks blocked on events/resources.
 	for _, t := range k.tasks {
 		if !t.dead {
-			t.killedF = true
-			k.resume(t)
+			k.kill(t)
 		}
 	}
 }
@@ -254,19 +332,26 @@ func (k *Kernel) blockedReport() string {
 	var names []string
 	for _, t := range k.tasks {
 		if !t.dead && !t.daemon {
-			names = append(names, fmt.Sprintf("%s@%s", t.Name, t.where))
+			where := t.waitKind
+			if t.waitOn != "" {
+				where += ":" + t.waitOn
+			}
+			names = append(names, fmt.Sprintf("%s@%s", t.Name, where))
 		}
 	}
 	sort.Strings(names)
 	return fmt.Sprintf("%d task(s) blocked: %v", len(names), names)
 }
 
-// yield returns control to the scheduler and blocks until rescheduled.
-func (t *Task) yield(where string) {
-	t.where = where
-	t.k.sched <- struct{}{}
+// yield gives up the baton and returns once the kernel re-schedules the
+// task. kind and on say what the task is blocked in and on.
+func (t *Task) yield(kind, on string) {
+	t.waitKind, t.waitOn = kind, on
+	if t.k.dispatch(t) {
+		return
+	}
 	<-t.wake
-	if t.killedF {
+	if t.k.stopped {
 		panic(killedPanic{})
 	}
 }
@@ -286,8 +371,8 @@ func (t *Task) Sleep(d Time) {
 	if t.k.now > math.MaxInt64-d {
 		panic("vclock: time overflow")
 	}
-	t.k.push(t, t.k.now+d)
-	t.yield("sleep")
+	t.k.push(event{at: t.k.now + d, task: t})
+	t.yield("sleep", "")
 }
 
 // SleepF advances virtual time by a float64 nanosecond duration, rounding
@@ -315,7 +400,7 @@ func NewEvent(name string) *Event { return &Event{name: name} }
 // Wait blocks the task until the event is next signalled.
 func (t *Task) Wait(e *Event) {
 	e.waiters = append(e.waiters, t)
-	t.yield("wait:" + e.name)
+	t.yield("wait", e.name)
 }
 
 // Broadcast wakes all current waiters; they become runnable at the current
@@ -323,7 +408,7 @@ func (t *Task) Wait(e *Event) {
 func (e *Event) Broadcast(k *Kernel) {
 	for _, w := range e.waiters {
 		if !w.dead {
-			k.push(w, k.now)
+			k.push(event{at: k.now, task: w})
 		}
 	}
 	e.waiters = e.waiters[:0]
@@ -332,10 +417,12 @@ func (e *Event) Broadcast(k *Kernel) {
 // Signal wakes the longest-waiting waiter, if any.
 func (e *Event) Signal(k *Kernel) {
 	for len(e.waiters) > 0 {
+		// Pop by copy-down: waiters[1:] would walk off the backing array and
+		// force a reallocation every few wakes, and queues are a handful long.
 		w := e.waiters[0]
-		e.waiters = e.waiters[1:]
+		e.waiters = slices.Delete(e.waiters, 0, 1)
 		if !w.dead {
-			k.push(w, k.now)
+			k.push(event{at: k.now, task: w})
 			return
 		}
 	}
@@ -371,7 +458,7 @@ func (t *Task) Acquire(r *Resource) {
 	r.waiters = append(r.waiters, t)
 	t.granted = false
 	for !t.granted {
-		t.yield("acquire:" + r.name)
+		t.yield("acquire", r.name)
 	}
 }
 
@@ -392,13 +479,13 @@ func (t *Task) Release(r *Resource) {
 	}
 	for len(r.waiters) > 0 {
 		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
+		r.waiters = slices.Delete(r.waiters, 0, 1) // copy-down, as in Signal
 		if w.dead {
 			continue
 		}
 		// Ownership transfers directly: inUse stays constant.
 		w.granted = true
-		t.k.push(w, t.k.now)
+		t.k.push(event{at: t.k.now, task: w})
 		return
 	}
 	r.inUse--

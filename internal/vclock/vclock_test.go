@@ -217,19 +217,6 @@ func TestDaemonDoesNotKeepKernelAlive(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetection(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected deadlock panic")
-		}
-	}()
-	k := NewKernel()
-	ev := NewEvent("never")
-	k.Go("stuck", func(tk *Task) { tk.Wait(ev) })
-	k.Run()
-}
-
 func TestSpawnFromRunningTask(t *testing.T) {
 	k := NewKernel()
 	var childTime Time
@@ -288,13 +275,61 @@ func TestReleaseIdlePanics(t *testing.T) {
 	k.Run()
 }
 
-func BenchmarkSchedulerHandoff(b *testing.B) {
+// One task sleeping: every wake is the sleeper's own, so no goroutine switch.
+func BenchmarkSelfResume(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	k.Go("spinner", func(tk *Task) {
 		for i := 0; i < b.N; i++ {
 			tk.Sleep(1)
 		}
 	})
+	b.ResetTimer()
+	k.Run()
+}
+
+// Two tasks alternating: every event is a task switch, one goroutine handoff.
+func BenchmarkTwoTaskPingPong(b *testing.B) {
+	benchSleepers(b, 2)
+}
+
+// 1024 sleepers: the heap depth of the 256-node Dslash run.
+func BenchmarkManyTasks1024(b *testing.B) {
+	benchSleepers(b, 1024)
+}
+
+// benchSleepers times b.N Sleep(1) events spread round-robin over n tasks.
+func benchSleepers(b *testing.B, n int) {
+	b.ReportAllocs()
+	k := NewKernel()
+	for i := 0; i < n; i++ {
+		sleeps := b.N / n
+		if i < b.N%n {
+			sleeps++
+		}
+		k.Go("sleeper", func(tk *Task) {
+			for ; sleeps > 0; sleeps-- {
+				tk.Sleep(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	k.Run()
+}
+
+// Callbacks only: heap push and pop, no task switch.
+func BenchmarkAfter(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel()
+	left := b.N
+	var tick func()
+	tick = func() {
+		if left--; left > 0 {
+			k.After(1, tick)
+		}
+	}
+	k.After(1, tick)
+	k.Go("anchor", func(tk *Task) { tk.Sleep(Time(b.N) + 1) })
 	b.ResetTimer()
 	k.Run()
 }
