@@ -9,6 +9,7 @@ package bench
 import (
 	"mpioffload/internal/model"
 	"mpioffload/internal/obs"
+	"mpioffload/internal/vclock"
 	"mpioffload/mpi"
 	"mpioffload/sim"
 )
@@ -25,6 +26,19 @@ func interNode(cfg sim.Config) sim.Config {
 	c.RanksPerNode = 1
 	cfg.Profile = &c
 	return cfg
+}
+
+// sweep runs program once per point of a sweep axis (message sizes,
+// collective kinds) on `ranks` ranks, each on its own node; the program
+// fills in the point's result on rank 0.
+func sweep[P, R any](cfg sim.Config, ranks int, axis []P, program func(env *Env, p P, out *R)) []R {
+	cfg = interNode(cfg)
+	cfg.Ranks = ranks
+	out := make([]R, len(axis))
+	for i, p := range axis {
+		Run(cfg, func(env *Env) { program(env, p, &out[i]) })
+	}
+	return out
 }
 
 // DefaultSizes is the message-size sweep used by the paper's
@@ -46,16 +60,9 @@ type OverlapResult struct {
 // inserts computation equal to the measured communication time between the
 // Isend and the first Wait. Overlap is the reduction in wait time.
 func OverlapP2P(cfg sim.Config, sizes []int, iters int) []OverlapResult {
-	cfg = interNode(cfg)
-	cfg.Ranks = 2
-	out := make([]OverlapResult, 0, len(sizes))
-	for _, size := range sizes {
-		size := size
-		var res OverlapResult
-		run(cfg, func(env *Env) { overlapOne(env, size, iters, &res) })
-		out = append(out, res)
-	}
-	return out
+	return sweep(cfg, 2, sizes, func(env *Env, size int, res *OverlapResult) {
+		overlapOne(env, size, iters, res)
+	})
 }
 
 // Env is re-exported for benchmark closures.
@@ -142,79 +149,65 @@ type PostTimeResult struct {
 // IsendPostTime measures the Isend call time in an OSU-style ping-pong
 // with nonblocking calls (paper §4.2, Fig 4).
 func IsendPostTime(cfg sim.Config, sizes []int, iters int) []PostTimeResult {
-	cfg = interNode(cfg)
-	cfg.Ranks = 2
-	out := make([]PostTimeResult, 0, len(sizes))
-	for _, size := range sizes {
-		size := size
-		var post float64
-		run(cfg, func(env *Env) {
-			c := env.World
-			peer := 1 - env.Rank()
-			sbuf := make([]byte, size)
-			rbuf := make([]byte, size)
-			sum, n := 0.0, 0
-			for i := 0; i < iters+2; i++ {
-				rr := c.Irecv(rbuf, peer, i)
-				t0 := env.Now()
-				rs := c.Isend(sbuf, peer, i)
-				dt := float64(env.Now() - t0)
-				c.Waitall(&rr, &rs)
-				c.Barrier()
-				if i >= 2 { // skip warmup
-					sum += dt
-					n++
-				}
+	return sweep(cfg, 2, sizes, func(env *Env, size int, res *PostTimeResult) {
+		c := env.World
+		peer := 1 - env.Rank()
+		sbuf := make([]byte, size)
+		rbuf := make([]byte, size)
+		sum, n := 0.0, 0
+		for i := 0; i < iters+2; i++ {
+			rr := c.Irecv(rbuf, peer, i)
+			t0 := env.Now()
+			rs := c.Isend(sbuf, peer, i)
+			dt := float64(env.Now() - t0)
+			c.Waitall(&rr, &rs)
+			c.Barrier()
+			if i >= 2 { // skip warmup
+				sum += dt
+				n++
 			}
-			if env.Rank() == 0 {
-				post = sum / float64(n)
-			}
-		})
-		out = append(out, PostTimeResult{Size: size, PostNs: post})
-	}
-	return out
+		}
+		if env.Rank() == 0 {
+			*res = PostTimeResult{Size: size, PostNs: sum / float64(n)}
+		}
+	})
 }
 
-// LatencyResult is one row of Fig 7a/8a: OSU one-way latency.
+// LatencyResult is one row of Fig 6, 7a or 8a: OSU one-way latency.
 type LatencyResult struct {
 	Size      int
 	LatencyNs float64
 }
 
+// pingPong is the OSU latency loop both latency tests share: iters timed
+// blocking round trips (after two warm-up ones) between ranks 0 and 1 on
+// tags tagBase+i; it returns the mean one-way latency.
+func pingPong(c *mpi.Comm, rank int, now func() vclock.Time, buf []byte, tagBase, iters int) float64 {
+	start := now()
+	for i := 0; i < iters+2; i++ {
+		if i == 2 {
+			start = now()
+		}
+		if rank == 0 {
+			c.Send(buf, 1, tagBase+i)
+			c.Recv(buf, 1, tagBase+i)
+		} else {
+			c.Recv(buf, 0, tagBase+i)
+			c.Send(buf, 0, tagBase+i)
+		}
+	}
+	return float64(now()-start) / float64(iters) / 2
+}
+
 // OSULatency runs the standard OSU ping-pong latency test with blocking
 // Send/Recv and reports one-way latency (§4.5).
 func OSULatency(cfg sim.Config, sizes []int, iters int) []LatencyResult {
-	cfg = interNode(cfg)
-	cfg.Ranks = 2
-	out := make([]LatencyResult, 0, len(sizes))
-	for _, size := range sizes {
-		size := size
-		var lat float64
-		run(cfg, func(env *Env) {
-			c := env.World
-			buf := make([]byte, size)
-			start := env.Now()
-			total := 0.0
-			for i := 0; i < iters+2; i++ {
-				if i == 2 {
-					start = env.Now()
-				}
-				if env.Rank() == 0 {
-					c.Send(buf, 1, i)
-					c.Recv(buf, 1, i)
-				} else {
-					c.Recv(buf, 0, i)
-					c.Send(buf, 0, i)
-				}
-			}
-			total = float64(env.Now() - start)
-			if env.Rank() == 0 {
-				lat = total / float64(iters) / 2
-			}
-		})
-		out = append(out, LatencyResult{Size: size, LatencyNs: lat})
-	}
-	return out
+	return sweep(cfg, 2, sizes, func(env *Env, size int, res *LatencyResult) {
+		lat := pingPong(env.World, env.Rank(), env.Now, make([]byte, size), 0, iters)
+		if env.Rank() == 0 {
+			*res = LatencyResult{Size: size, LatencyNs: lat}
+		}
+	})
 }
 
 // BandwidthResult is one row of Fig 7b/8b: OSU unidirectional bandwidth.
@@ -226,99 +219,63 @@ type BandwidthResult struct {
 // OSUBandwidth runs the OSU unidirectional bandwidth test: windows of
 // nonblocking sends answered by a single ack (§4.5).
 func OSUBandwidth(cfg sim.Config, sizes []int, window, windows int) []BandwidthResult {
-	cfg = interNode(cfg)
-	cfg.Ranks = 2
-	out := make([]BandwidthResult, 0, len(sizes))
-	for _, size := range sizes {
-		size := size
-		var bw float64
-		run(cfg, func(env *Env) {
-			c := env.World
-			bufs := make([][]byte, window)
-			for i := range bufs {
-				bufs[i] = make([]byte, size)
-			}
-			ack := make([]byte, 4)
-			start := env.Now()
-			for w := 0; w < windows; w++ {
-				reqs := make([]*mpi.Request, window)
-				if env.Rank() == 0 {
-					for i := 0; i < window; i++ {
-						r := c.Isend(bufs[i], 1, w)
-						reqs[i] = &r
-					}
-					c.Waitall(reqs...)
-					c.Recv(ack, 1, 1_000_000+w)
-				} else {
-					for i := 0; i < window; i++ {
-						r := c.Irecv(bufs[i], 0, w)
-						reqs[i] = &r
-					}
-					c.Waitall(reqs...)
-					c.Send(ack, 0, 1_000_000+w)
-				}
-			}
+	return sweep(cfg, 2, sizes, func(env *Env, size int, res *BandwidthResult) {
+		c := env.World
+		bufs := make([][]byte, window)
+		for i := range bufs {
+			bufs[i] = make([]byte, size)
+		}
+		ack := make([]byte, 4)
+		start := env.Now()
+		for w := 0; w < windows; w++ {
+			reqs := make([]*mpi.Request, window)
 			if env.Rank() == 0 {
-				elapsed := float64(env.Now() - start)
-				bw = float64(size*window*windows) / elapsed
+				for i := 0; i < window; i++ {
+					r := c.Isend(bufs[i], 1, w)
+					reqs[i] = &r
+				}
+				c.Waitall(reqs...)
+				c.Recv(ack, 1, 1_000_000+w)
+			} else {
+				for i := 0; i < window; i++ {
+					r := c.Irecv(bufs[i], 0, w)
+					reqs[i] = &r
+				}
+				c.Waitall(reqs...)
+				c.Send(ack, 0, 1_000_000+w)
 			}
-		})
-		out = append(out, BandwidthResult{Size: size, GBps: bw})
-	}
-	return out
+		}
+		if env.Rank() == 0 {
+			elapsed := float64(env.Now() - start)
+			*res = BandwidthResult{Size: size, GBps: float64(size*window*windows) / elapsed}
+		}
+	})
 }
 
-// MTLatencyResult is one row of Fig 6: multithreaded OSU latency with a
-// given number of concurrently communicating thread pairs.
-type MTLatencyResult struct {
-	Size      int
-	LatencyNs float64
+// mean averages per-thread samples.
+func mean(xs []float64) float64 {
+	total := 0.0
+	for _, x := range xs {
+		total += x
+	}
+	return total / float64(len(xs))
 }
 
 // OSUMultithreadedLatency runs the OSU multithreaded latency benchmark
 // (§4.4, Fig 6): `threads` pairs of threads (one per rank) ping-pong in
 // parallel under MPI_THREAD_MULTIPLE; the mean one-way latency is
 // reported.
-func OSUMultithreadedLatency(cfg sim.Config, threads int, sizes []int, iters int) []MTLatencyResult {
-	cfg = interNode(cfg)
-	cfg.Ranks = 2
+func OSUMultithreadedLatency(cfg sim.Config, threads int, sizes []int, iters int) []LatencyResult {
 	cfg.ThreadLevel = sim.Multiple
-	out := make([]MTLatencyResult, 0, len(sizes))
-	for _, size := range sizes {
-		size := size
-		var lat float64
-		run(cfg, func(env *Env) {
-			sum := make([]float64, threads)
-			env.ParallelN(threads, func(th *sim.Thread) {
-				c := th.Comm
-				buf := make([]byte, size)
-				tagBase := 10_000 * (th.ID + 1)
-				start := th.Now()
-				for i := 0; i < iters+2; i++ {
-					if i == 2 {
-						start = th.Now()
-					}
-					if env.Rank() == 0 {
-						c.Send(buf, 1, tagBase+i)
-						c.Recv(buf, 1, tagBase+i)
-					} else {
-						c.Recv(buf, 0, tagBase+i)
-						c.Send(buf, 0, tagBase+i)
-					}
-				}
-				sum[th.ID] = float64(th.Now()-start) / float64(iters) / 2
-			})
-			if env.Rank() == 0 {
-				total := 0.0
-				for _, s := range sum {
-					total += s
-				}
-				lat = total / float64(threads)
-			}
+	return sweep(cfg, 2, sizes, func(env *Env, size int, res *LatencyResult) {
+		lat := make([]float64, threads)
+		env.ParallelN(threads, func(th *sim.Thread) {
+			lat[th.ID] = pingPong(th.Comm, env.Rank(), th.Now, make([]byte, size), 10_000*(th.ID+1), iters)
 		})
-		out = append(out, MTLatencyResult{Size: size, LatencyNs: lat})
-	}
-	return out
+		if env.Rank() == 0 {
+			*res = LatencyResult{Size: size, LatencyNs: mean(lat)}
+		}
+	})
 }
 
 // MTScaleResult is one row of the enqueue-scaling sweep: the mean
@@ -332,6 +289,50 @@ type MTScaleResult struct {
 	MeanBatch float64 `json:"mean_batch"`
 }
 
+// mtPosts is the workload of both scaling sweeps: on two ranks under
+// MPI_THREAD_MULTIPLE, `threads` threads of rank 0 each post `iters`
+// 64-byte Isends against matching Irecvs on rank 1 — waiting for each
+// before the next, or (batched) posting all back-to-back and waiting at
+// the end, so the offload agents rather than slot recycling are the
+// bottleneck. It returns the mean time inside Isend and the run.
+func mtPosts(cfg sim.Config, threads, iters int, batched bool) (post float64, res sim.Result) {
+	// A trace recorder activates the offload thread's duty-cycle
+	// accounting, which is where MeanBatch and the duty split come from.
+	cfg.Trace = obs.NewTrace(obs.Options{})
+	res = Run(cfg, func(env *Env) {
+		perThread := make([]float64, threads)
+		env.ParallelN(threads, func(th *sim.Thread) {
+			c := th.Comm
+			buf := make([]byte, 64)
+			tagBase := 10_000 * (th.ID + 1)
+			reqs := make([]mpi.Request, iters)
+			sum := 0.0
+			for i := range reqs {
+				if env.Rank() == 0 {
+					t0 := th.Now()
+					reqs[i] = c.Isend(buf, 1, tagBase+i)
+					sum += float64(th.Now() - t0)
+				} else {
+					reqs[i] = c.Irecv(buf, 0, tagBase+i)
+				}
+				if !batched {
+					c.Wait(&reqs[i])
+				}
+			}
+			if batched {
+				for i := range reqs {
+					c.Wait(&reqs[i])
+				}
+			}
+			perThread[th.ID] = sum
+		})
+		if env.Rank() == 0 {
+			post = mean(perThread) / float64(iters)
+		}
+	})
+	return post, res
+}
+
 // MTPostScaling measures the mean Isend post time as the submitting
 // thread count grows (the enqueue half of Fig 6's contention story).
 // MeanBatch reports the offload thread's mean drain batch size, which
@@ -342,43 +343,7 @@ func MTPostScaling(cfg sim.Config, threadCounts []int, iters int) []MTScaleResul
 	cfg.ThreadLevel = sim.Multiple
 	out := make([]MTScaleResult, 0, len(threadCounts))
 	for _, threads := range threadCounts {
-		threads := threads
-		var post float64
-		// A trace recorder activates the offload thread's duty-cycle
-		// accounting, which is where MeanBatch comes from.
-		cfg.Trace = obs.NewTrace(obs.Options{})
-		res := run(cfg, func(env *Env) {
-			sum := make([]float64, threads)
-			cnt := make([]int, threads)
-			env.ParallelN(threads, func(th *sim.Thread) {
-				c := th.Comm
-				buf := make([]byte, 64)
-				tagBase := 10_000 * (th.ID + 1)
-				if env.Rank() == 0 {
-					for i := 0; i < iters; i++ {
-						t0 := th.Now()
-						r := c.Isend(buf, 1, tagBase+i)
-						sum[th.ID] += float64(th.Now() - t0)
-						cnt[th.ID]++
-						c.Wait(&r)
-					}
-				} else {
-					rbuf := make([]byte, 64)
-					for i := 0; i < iters; i++ {
-						r := c.Irecv(rbuf, 0, tagBase+i)
-						c.Wait(&r)
-					}
-				}
-			})
-			if env.Rank() == 0 {
-				s, n := 0.0, 0
-				for i := range sum {
-					s += sum[i]
-					n += cnt[i]
-				}
-				post = s / float64(n)
-			}
-		})
+		post, res := mtPosts(cfg, threads, iters, false)
 		out = append(out, MTScaleResult{Threads: threads, PostNs: post, MeanBatch: res.Metrics.MeanBatch()})
 	}
 	return out
@@ -403,11 +368,9 @@ type MTAgentCell struct {
 	PostsPerMs         float64 `json:"posts_per_ms"`
 }
 
-// MTAgentScaling runs the threads × agents grid: every thread posts
-// `iters` nonblocking sends back-to-back (waits batched at the end, so the
-// offload agents — not slot recycling — are the bottleneck) against
-// matching receives on the peer rank. Cells are emitted in (threads,
-// agents) ascending order, the order the validator requires.
+// MTAgentScaling runs the threads × agents grid with batched posts (see
+// mtPosts). Cells are emitted in (threads, agents) ascending order, the
+// order the validator requires.
 func MTAgentScaling(cfg sim.Config, threadCounts, agentCounts []int, iters int) []MTAgentCell {
 	cfg = interNode(cfg)
 	cfg.Ranks = 2
@@ -416,46 +379,10 @@ func MTAgentScaling(cfg sim.Config, threadCounts, agentCounts []int, iters int) 
 	out := make([]MTAgentCell, 0, len(threadCounts)*len(agentCounts))
 	for _, threads := range threadCounts {
 		for _, agents := range agentCounts {
-			threads, agents := threads, agents
 			p := *base
 			p.Agents = agents
 			cfg.Profile = &p
-			cfg.Trace = obs.NewTrace(obs.Options{})
-			var post float64
-			res := run(cfg, func(env *Env) {
-				sum := make([]float64, threads)
-				cnt := make([]int, threads)
-				env.ParallelN(threads, func(th *sim.Thread) {
-					c := th.Comm
-					tagBase := 10_000 * (th.ID + 1)
-					reqs := make([]mpi.Request, iters)
-					if env.Rank() == 0 {
-						buf := make([]byte, 64)
-						for i := 0; i < iters; i++ {
-							t0 := th.Now()
-							reqs[i] = c.Isend(buf, 1, tagBase+i)
-							sum[th.ID] += float64(th.Now() - t0)
-							cnt[th.ID]++
-						}
-					} else {
-						rbuf := make([]byte, 64)
-						for i := 0; i < iters; i++ {
-							reqs[i] = c.Irecv(rbuf, 0, tagBase+i)
-						}
-					}
-					for i := range reqs {
-						c.Wait(&reqs[i])
-					}
-				})
-				if env.Rank() == 0 {
-					s, n := 0.0, 0
-					for i := range sum {
-						s += sum[i]
-						n += cnt[i]
-					}
-					post = s / float64(n)
-				}
-			})
+			post, res := mtPosts(cfg, threads, iters, true)
 			di, dp, dl := res.Metrics.DutyCycle()
 			cell := MTAgentCell{
 				Threads:            threads,

@@ -12,8 +12,9 @@ import (
 )
 
 // ChaosSpec is one cell of the chaos sweep: a fault plan against one
-// topology and approach, plus the recovery behaviour the plan is expected
-// to provoke (an expectation that fails becomes a violation in the result).
+// topology and approach. What each plan must provoke (retransmissions,
+// rerouting, stalls, detection) is the document validator's business
+// (ChaosReport.Validate), keyed by Plan.
 type ChaosSpec struct {
 	Topo string // axis label, e.g. "fattree:arity=4,oversub=2,trunks=2"
 	Plan string // "drop" | "trunkdown" | "flap" | "crash"
@@ -21,10 +22,6 @@ type ChaosSpec struct {
 	Fault   *fault.Plan
 	FaultAt float64 // virtual time of the injected failure (0 = from start)
 	Crash   bool    // the plan kills the last rank: survivors must shrink
-
-	ExpectRetransmits bool // the plan must provoke retransmissions
-	ExpectReroute     bool // traffic must steer around a dead link
-	ExpectLinkStalls  bool // a transient outage must stall packets
 }
 
 // ChaosLinkDrops is one link's count of packets lost while it was failed.
@@ -36,8 +33,7 @@ type ChaosLinkDrops struct {
 // ChaosCellResult is one cell's outcome. Violations is empty when every
 // run invariant held: all operations completed or carried an error, the
 // exactly-once stream arrived intact, the post-fault reduction was correct
-// (over the shrunk group for crash cells), and the plan provoked the
-// recovery machinery it was expected to.
+// (over the shrunk group for crash cells).
 type ChaosCellResult struct {
 	Topo     string `json:"topo"`
 	Plan     string `json:"plan"`
@@ -97,7 +93,7 @@ func ChaosCell(cfg sim.Config, ranks int, spec ChaosSpec) ChaosCellResult {
 		detect[i] = -1
 	}
 
-	res := run(cfg, func(env *sim.Env) {
+	res := Run(cfg, func(env *sim.Env) {
 		c := env.World
 		me, n := env.Rank(), env.Size()
 		victim := n - 1
@@ -236,16 +232,6 @@ func ChaosCell(cfg sim.Config, ranks int, spec ChaosSpec) ChaosCellResult {
 			}
 		}
 		out.RecoverNs = max - spec.FaultAt
-	}
-
-	if spec.ExpectRetransmits && out.Retransmits == 0 {
-		bad("plan %s provoked no retransmissions", spec.Plan)
-	}
-	if spec.ExpectReroute && out.Rerouted == 0 {
-		bad("plan %s rerouted no traffic around the dead link", spec.Plan)
-	}
-	if spec.ExpectLinkStalls && out.LinkStalls == 0 {
-		bad("plan %s stalled no packets in the outage window", spec.Plan)
 	}
 	return out
 }

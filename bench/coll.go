@@ -41,76 +41,57 @@ type CollOverlapResult struct {
 	OverlapPct float64
 }
 
+// collBufs sizes one collective's buffers: at least 8 bytes per rank, and
+// an n-fold buffer for the gather/scatter/all-to-all family.
+func collBufs(c *mpi.Comm, size int) (sz int, buf, big []byte) {
+	sz = max(size, 8)
+	return sz, make([]byte, sz), make([]byte, sz*c.Size())
+}
+
 // OverlapColl measures compute-communication overlap for nonblocking
 // collectives with the IMB-NBC methodology (§4.1, Fig 3): the pure
 // collective time is measured first, then the collective is re-run with an
 // equal amount of computation between the call and the Wait.
 func OverlapColl(cfg sim.Config, ranks int, kinds []string, size, iters int) []CollOverlapResult {
-	cfg = interNode(cfg)
-	cfg.Ranks = ranks
-	out := make([]CollOverlapResult, 0, len(kinds))
-	for _, kind := range kinds {
-		kind := kind
-		var res CollOverlapResult
-		run(cfg, func(env *Env) {
-			c := env.World
-			n := c.Size()
-			sz := size
-			if sz < 8 {
-				sz = 8
+	return sweep(cfg, ranks, kinds, func(env *Env, kind string, res *CollOverlapResult) {
+		c := env.World
+		sz, buf, big := collBufs(c, size)
+		// run times one collective with `compute` ns of computation between
+		// the call and the Wait; it returns the total and the
+		// communication share (total minus the computation).
+		run := func(compute float64) (total, comm float64) {
+			start := env.Now()
+			r := startColl(kind, c, sz, buf, big)
+			if compute > 0 {
+				env.ComputeWithProgress(compute, compute/16)
 			}
-			buf := make([]byte, sz)
-			big := make([]byte, sz*n)
-
-			run := func(compute float64) float64 {
-				start := env.Now()
-				r := startColl(kind, c, sz, buf, big)
-				if compute > 0 {
-					env.ComputeWithProgress(compute, compute/16)
-				}
-				c.Wait(&r)
-				total := float64(env.Now()-start) - compute
-				c.Barrier()
-				return total
-			}
-			for i := 0; i < 2; i++ {
-				run(0)
-			}
-			pure := 0.0
-			for i := 0; i < iters; i++ {
-				pure += run(0)
-			}
-			pure /= float64(iters)
-			ovrl := 0.0
-			for i := 0; i < iters; i++ {
-				start := env.Now()
-				r := startColl(kind, c, sz, buf, big)
-				env.ComputeWithProgress(pure, pure/16)
-				c.Wait(&r)
-				ovrl += float64(env.Now() - start)
-				c.Barrier()
-			}
-			ovrl /= float64(iters)
-			if env.Rank() == 0 {
-				// IMB-NBC: overlap = (t_pure + t_CPU - t_ovrl) / t_pure,
-				// with t_CPU = t_pure.
-				frac := (2*pure - ovrl) / pure
-				res = CollOverlapResult{Coll: kind, Size: sz, PureNs: pure, OverlapPct: 100 * clamp01(frac)}
-			}
-		})
-		out = append(out, res)
-	}
-	return out
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
+			c.Wait(&r)
+			total = float64(env.Now() - start)
+			c.Barrier()
+			return total, total - compute
+		}
+		for i := 0; i < 2; i++ {
+			run(0)
+		}
+		pure := 0.0
+		for i := 0; i < iters; i++ {
+			_, comm := run(0)
+			pure += comm
+		}
+		pure /= float64(iters)
+		ovrl := 0.0
+		for i := 0; i < iters; i++ {
+			total, _ := run(pure)
+			ovrl += total
+		}
+		ovrl /= float64(iters)
+		if env.Rank() == 0 {
+			// IMB-NBC: overlap = (t_pure + t_CPU - t_ovrl) / t_pure,
+			// with t_CPU = t_pure.
+			frac := (2*pure - ovrl) / pure
+			*res = CollOverlapResult{Coll: kind, Size: sz, PureNs: pure, OverlapPct: 100 * min(max(frac, 0), 1)}
+		}
+	})
 }
 
 // CollPostResult is one bar of Fig 5: the application-thread time spent
@@ -124,38 +105,23 @@ type CollPostResult struct {
 // CollPostTime measures the call-issue time of nonblocking collectives on
 // `ranks` ranks (§4.2, Fig 5).
 func CollPostTime(cfg sim.Config, ranks int, kinds []string, size, iters int) []CollPostResult {
-	cfg = interNode(cfg)
-	cfg.Ranks = ranks
-	out := make([]CollPostResult, 0, len(kinds))
-	for _, kind := range kinds {
-		kind := kind
-		var res CollPostResult
-		run(cfg, func(env *Env) {
-			c := env.World
-			n := c.Size()
-			sz := size
-			if sz < 8 {
-				sz = 8
+	return sweep(cfg, ranks, kinds, func(env *Env, kind string, res *CollPostResult) {
+		c := env.World
+		sz, buf, big := collBufs(c, size)
+		sum, cnt := 0.0, 0
+		for i := 0; i < iters+2; i++ {
+			t0 := env.Now()
+			r := startColl(kind, c, sz, buf, big)
+			dt := float64(env.Now() - t0)
+			c.Wait(&r)
+			c.Barrier()
+			if i >= 2 {
+				sum += dt
+				cnt++
 			}
-			buf := make([]byte, sz)
-			big := make([]byte, sz*n)
-			sum, cnt := 0.0, 0
-			for i := 0; i < iters+2; i++ {
-				t0 := env.Now()
-				r := startColl(kind, c, sz, buf, big)
-				dt := float64(env.Now() - t0)
-				c.Wait(&r)
-				c.Barrier()
-				if i >= 2 {
-					sum += dt
-					cnt++
-				}
-			}
-			if env.Rank() == 0 {
-				res = CollPostResult{Coll: kind, Size: sz, PostNs: sum / float64(cnt)}
-			}
-		})
-		out = append(out, res)
-	}
-	return out
+		}
+		if env.Rank() == 0 {
+			*res = CollPostResult{Coll: kind, Size: sz, PostNs: sum / float64(cnt)}
+		}
+	})
 }

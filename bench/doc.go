@@ -1,0 +1,617 @@
+package bench
+
+// The BENCH_*.json document model. Every committed benchmark document is
+// one of the report types below; each knows how to validate itself
+// (structure plus the gates its sweep carries) and how to flatten itself
+// into the named metrics cmd/benchdiff compares across generations. The
+// Docs registry, keyed by the "schema" tag, is the only place that maps a
+// tag to a type: LoadDoc and WriteDoc are the one way in and the one way
+// out, so the generators (cmd/paper), the -validate gate and the differ
+// cannot drift apart.
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"sort"
+	"strings"
+)
+
+// Class selects a metric's tolerance band and gating rule in a diff.
+type Class string
+
+const (
+	Virtual Class = "virtual" // deterministic virtual-time result; tight band
+	Wall    Class = "wall"    // wall-clock measurement; wide band
+	Hard    Class = "hard"    // correctness tripwire; any growth past zero regresses
+	Info    Class = "info"    // reported, never gates (duty fractions, batch sizes)
+)
+
+// Direction says which way is an improvement.
+type Direction int
+
+const (
+	LowerBetter Direction = iota
+	HigherBetter
+)
+
+// Metric is one named measurement of a document.
+type Metric struct {
+	Key   string
+	Val   float64
+	Class Class
+	Dir   Direction
+}
+
+// Doc is a benchmark document: a report that names its schema, checks
+// its own structure and gates, and flattens to metrics.
+type Doc interface {
+	Tag() string
+	Validate() error
+	Metrics() []Metric
+}
+
+// DocKind is one registry entry: a schema tag, the committed file that
+// carries the full-size sweep, and a constructor for decoding.
+type DocKind struct {
+	Schema string
+	File   string
+	New    func() Doc
+}
+
+// Docs is the schema registry, in the order the documents are generated.
+var Docs = []DocKind{
+	{MTScaleSchema, "BENCH_mtscale.json", func() Doc { return new(MTScaleReport) }},
+	{TopoSchema, "BENCH_topo.json", func() Doc { return new(TopoReport) }},
+	{ChaosSchema, "BENCH_chaos.json", func() Doc { return new(ChaosReport) }},
+	{NetSchema, "BENCH_net.json", func() Doc { return new(NetReport) }},
+}
+
+// LoadDoc reads a benchmark document, decoding it into the report type
+// its schema tag names. It does not validate (a differ must be able to
+// load a regressed generation to say what regressed) beyond refusing a
+// document that flattens to no metrics at all.
+func LoadDoc(path string) (Doc, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var head struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	var known []string
+	for _, k := range Docs {
+		if k.Schema == head.Schema {
+			d := k.New()
+			if err := json.Unmarshal(data, d); err != nil {
+				return nil, fmt.Errorf("%s: %w", path, err)
+			}
+			if len(d.Metrics()) == 0 {
+				return nil, fmt.Errorf("%s: no metrics in document", path)
+			}
+			return d, nil
+		}
+		known = append(known, k.Schema)
+	}
+	return nil, fmt.Errorf("%s: unknown schema %q (want one of %s)", path, head.Schema, strings.Join(known, ", "))
+}
+
+// WriteDoc validates a document and writes it as indented JSON with a
+// trailing newline — the byte format of the committed files.
+func WriteDoc(path string, d Doc) error {
+	if err := d.Validate(); err != nil {
+		return fmt.Errorf("generated report failed validation: %w", err)
+	}
+	data, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// metricList accumulates a document's flattened metrics.
+type metricList []Metric
+
+func (l *metricList) add(class Class, dir Direction, val float64, format string, args ...any) {
+	*l = append(*l, Metric{Key: fmt.Sprintf(format, args...), Val: val, Class: class, Dir: dir})
+}
+
+// GateThreads is the thread count whose rows carry the wall-clock perf
+// gates of mtscale/v2 and net/v1: the saturated end of the sweep.
+// Documents without such rows (quick sweeps) get structural validation
+// only.
+const GateThreads = 16
+
+// ---- mtscale/v2 ----
+
+// MTScaleSchema versions BENCH_mtscale.json; bump on incompatible change.
+// v2 adds the threads × agents sweep (post cost, duty cycle, polling
+// efficiency, completion throughput per cell) and the perf gates the
+// validator applies to full-size documents.
+const MTScaleSchema = "mtscale/v2"
+
+// agentSpeedupMin is the perf gate on the saturated cell: with every
+// submission thread flooding a 16-thread workload, two agents must deliver
+// at least this much more completion throughput than one.
+const agentSpeedupMin = 1.2
+
+// RTScaleRow is one thread count of the wall-clock sweep: mean ns an
+// application goroutine spends inside Isend, posting through a private
+// shard (RegisterThread) versus through the shared MPMC overflow (plain
+// Rank calls — the pre-sharding command queue).
+type RTScaleRow struct {
+	Threads          int     `json:"threads"`
+	ShardedNsPerPost float64 `json:"sharded_ns_per_post"`
+	SharedNsPerPost  float64 `json:"shared_ns_per_post"`
+}
+
+// MTScaleReport is the BENCH_mtscale.json document.
+type MTScaleReport struct {
+	Schema  string          `json:"schema"`
+	Profile string          `json:"profile"`
+	Sim     []MTScaleResult `json:"sim"`
+	RT      []RTScaleRow    `json:"rt"`
+	Agents  []MTAgentCell   `json:"agents"`
+}
+
+func (r *MTScaleReport) Tag() string { return r.Schema }
+
+// Validate checks the report's structure — schema tag, non-empty sweeps,
+// ascending axes, positive measurements — and, on documents that reach
+// the saturated GateThreads cell, the two perf gates: the sharded
+// wall-clock post must not be slower than the shared-MPMC post, and two
+// agents must beat one by agentSpeedupMin on completion throughput.
+func (r *MTScaleReport) Validate() error {
+	if r.Schema != MTScaleSchema {
+		return fmt.Errorf("schema %q, want %q", r.Schema, MTScaleSchema)
+	}
+	if r.Profile == "" {
+		return fmt.Errorf("missing profile")
+	}
+	if len(r.Sim) == 0 || len(r.RT) == 0 || len(r.Agents) == 0 {
+		return fmt.Errorf("empty sweep: %d sim rows, %d rt rows, %d agent cells",
+			len(r.Sim), len(r.RT), len(r.Agents))
+	}
+	if !sort.SliceIsSorted(r.Sim, func(i, j int) bool { return r.Sim[i].Threads < r.Sim[j].Threads }) {
+		return fmt.Errorf("sim thread counts not ascending")
+	}
+	if !sort.SliceIsSorted(r.RT, func(i, j int) bool { return r.RT[i].Threads < r.RT[j].Threads }) {
+		return fmt.Errorf("rt thread counts not ascending")
+	}
+	if !sort.SliceIsSorted(r.Agents, func(i, j int) bool {
+		a, b := r.Agents[i], r.Agents[j]
+		if a.Threads != b.Threads {
+			return a.Threads < b.Threads
+		}
+		return a.Agents < b.Agents
+	}) {
+		return fmt.Errorf("agent cells not in (threads, agents) ascending order")
+	}
+	for _, s := range r.Sim {
+		if s.Threads < 1 || s.PostNs <= 0 || s.MeanBatch < 1 {
+			return fmt.Errorf("bad sim row %+v", s)
+		}
+	}
+	for _, w := range r.RT {
+		if w.Threads < 1 || w.ShardedNsPerPost <= 0 || w.SharedNsPerPost <= 0 {
+			return fmt.Errorf("bad rt row %+v", w)
+		}
+		if w.Threads == GateThreads && w.ShardedNsPerPost > w.SharedNsPerPost {
+			return fmt.Errorf("perf gate: sharded post %.0f ns > shared %.0f ns at %d threads",
+				w.ShardedNsPerPost, w.SharedNsPerPost, GateThreads)
+		}
+	}
+	var one, two float64 // saturated-row throughput with 1 and 2 agents
+	for _, c := range r.Agents {
+		// PollsPerCompletion may legitimately be zero: a saturated eager
+		// workload completes every command inline at issue, so the agents
+		// never reach a Testany round.
+		if c.Threads < 1 || c.Agents < 1 || c.PostNs <= 0 || c.MeanBatch < 1 ||
+			c.PollsPerCompletion < 0 || c.PostsPerMs <= 0 {
+			return fmt.Errorf("bad agent cell %+v", c)
+		}
+		for _, d := range []float64{c.DutyIssue, c.DutyProgress, c.DutyIdle} {
+			if d < 0 || d > 1 {
+				return fmt.Errorf("duty fraction out of range in %+v", c)
+			}
+		}
+		if c.Threads == GateThreads && c.Agents == 1 {
+			one = c.PostsPerMs
+		}
+		if c.Threads == GateThreads && c.Agents == 2 {
+			two = c.PostsPerMs
+		}
+	}
+	if one > 0 || two > 0 {
+		if one <= 0 || two <= 0 {
+			return fmt.Errorf("perf gate: %d-thread row needs both 1- and 2-agent cells", GateThreads)
+		}
+		if speedup := two / one; speedup < agentSpeedupMin {
+			return fmt.Errorf("perf gate: 2 agents give %.2fx throughput at %d threads, want ≥ %.1fx",
+				speedup, GateThreads, agentSpeedupMin)
+		}
+	}
+	return nil
+}
+
+func (r *MTScaleReport) Metrics() []Metric {
+	var l metricList
+	for _, s := range r.Sim {
+		l.add(Virtual, LowerBetter, s.PostNs, "sim.post_ns{threads=%d}", s.Threads)
+		l.add(Info, HigherBetter, s.MeanBatch, "sim.mean_batch{threads=%d}", s.Threads)
+	}
+	for _, w := range r.RT {
+		l.add(Wall, LowerBetter, w.ShardedNsPerPost, "rt.sharded_ns_per_post{threads=%d}", w.Threads)
+		l.add(Wall, LowerBetter, w.SharedNsPerPost, "rt.shared_ns_per_post{threads=%d}", w.Threads)
+	}
+	for _, c := range r.Agents {
+		l.add(Virtual, LowerBetter, c.PostNs, "agents.post_ns{threads=%d,agents=%d}", c.Threads, c.Agents)
+		l.add(Virtual, HigherBetter, c.PostsPerMs, "agents.posts_per_ms{threads=%d,agents=%d}", c.Threads, c.Agents)
+		l.add(Info, HigherBetter, c.DutyIssue+c.DutyProgress, "agents.duty{threads=%d,agents=%d}", c.Threads, c.Agents)
+	}
+	return l
+}
+
+// ---- topo/v1 ----
+
+// TopoSchema versions BENCH_topo.json; bump on incompatible change.
+const TopoSchema = "topo/v1"
+
+// TopoReport is the BENCH_topo.json document: one row per
+// (topology, algorithm, size) cell of the sweep.
+type TopoReport struct {
+	Schema       string           `json:"schema"`
+	Profile      string           `json:"profile"`
+	Nodes        int              `json:"nodes"`
+	RanksPerNode int              `json:"ranks_per_node"`
+	Rows         []TopoCollResult `json:"rows"`
+}
+
+func (r *TopoReport) Tag() string { return r.Schema }
+
+// Validate checks the report's structure and its headline claim. The
+// structural checks are machine-independent; the performance assertion
+// (hier beats ring for >= 1 MiB on any >= 2:1-oversubscribed fat-tree) is
+// safe to enforce because virtual time is deterministic.
+func (r *TopoReport) Validate() error {
+	if r.Schema != TopoSchema {
+		return fmt.Errorf("schema %q, want %q", r.Schema, TopoSchema)
+	}
+	if r.Profile == "" {
+		return fmt.Errorf("missing profile")
+	}
+	if r.Nodes < 2 || r.RanksPerNode < 1 {
+		return fmt.Errorf("bad cluster shape: %d nodes x %d ranks", r.Nodes, r.RanksPerNode)
+	}
+	if len(r.Rows) == 0 {
+		return fmt.Errorf("empty sweep")
+	}
+	mean := make(map[string]float64) // "topo|algo|bytes" → MeanNs
+	for _, row := range r.Rows {
+		if row.Topo == "" || row.Bytes <= 0 || row.MeanNs <= 0 {
+			return fmt.Errorf("bad row %+v", row)
+		}
+		switch row.Algo {
+		case "ring", "hier", "auto":
+		default:
+			return fmt.Errorf("unknown algorithm %q", row.Algo)
+		}
+		if row.Topo == "flat" && (row.MaxLinkUtil != 0 || row.MaxLinkWaitNs != 0 || row.MaxQueue != 0) {
+			return fmt.Errorf("flat row carries link contention: %+v", row)
+		}
+		mean[fmt.Sprintf("%s|%s|%d", row.Topo, row.Algo, row.Bytes)] = row.MeanNs
+	}
+	// Headline claim: on every swept fat-tree oversubscribed >= 2:1, the
+	// hierarchical allreduce must beat the flat ring at >= 1 MiB.
+	checked := 0
+	for _, row := range r.Rows {
+		if row.Algo != "hier" || row.Bytes < 1<<20 || !oversubscribedFatTree(row.Topo) {
+			continue
+		}
+		ring, ok := mean[fmt.Sprintf("%s|ring|%d", row.Topo, row.Bytes)]
+		if !ok {
+			return fmt.Errorf("no ring row to compare against %+v", row)
+		}
+		if row.MeanNs >= ring {
+			return fmt.Errorf("hier (%.0f ns) not faster than ring (%.0f ns) on %s at %d bytes",
+				row.MeanNs, ring, row.Topo, row.Bytes)
+		}
+		checked++
+	}
+	if checked == 0 {
+		return fmt.Errorf("sweep has no >= 1 MiB hier rows on an oversubscribed fat-tree")
+	}
+	return nil
+}
+
+// oversubscribedFatTree reports whether a topology-axis string names a
+// fat-tree with oversubscription factor >= 2.
+func oversubscribedFatTree(s string) bool {
+	if !strings.HasPrefix(s, "fattree") {
+		return false
+	}
+	i := strings.Index(s, "oversub=")
+	if i < 0 {
+		return false
+	}
+	var f float64
+	if _, err := fmt.Sscanf(s[i+len("oversub="):], "%g", &f); err != nil {
+		return false
+	}
+	return f >= 2
+}
+
+func (r *TopoReport) Metrics() []Metric {
+	var l metricList
+	for _, row := range r.Rows {
+		l.add(Virtual, LowerBetter, row.MeanNs, "topo.mean_ns{topo=%s,algo=%s,bytes=%d}", row.Topo, row.Algo, row.Bytes)
+		l.add(Info, LowerBetter, row.MaxLinkUtil, "topo.max_link_util{topo=%s,algo=%s,bytes=%d}", row.Topo, row.Algo, row.Bytes)
+	}
+	return l
+}
+
+// ---- chaos/v1 ----
+
+// ChaosSchema versions BENCH_chaos.json; bump on incompatible change.
+const ChaosSchema = "chaos/v1"
+
+// ChaosReport is the BENCH_chaos.json document: one cell per
+// (topology, plan, approach) of the sweep.
+type ChaosReport struct {
+	Schema     string            `json:"schema"`
+	Profile    string            `json:"profile"`
+	Ranks      int               `json:"ranks"`
+	Seed       int64             `json:"seed"`
+	WatchdogNs float64           `json:"watchdog_ns"`
+	Cells      []ChaosCellResult `json:"cells"`
+}
+
+func (r *ChaosReport) Tag() string { return r.Schema }
+
+// Validate checks the report's structure and the sweep's headline claims.
+// Virtual time is deterministic, so the behavioural assertions (rerouting
+// happened, crashes were detected, the offload path detects no later than
+// the baseline) are safe to enforce on any machine.
+func (r *ChaosReport) Validate() error {
+	if r.Schema != ChaosSchema {
+		return fmt.Errorf("schema %q, want %q", r.Schema, ChaosSchema)
+	}
+	if r.Profile == "" {
+		return fmt.Errorf("missing profile")
+	}
+	if r.Ranks < 4 {
+		return fmt.Errorf("sweep needs >= 4 ranks, has %d", r.Ranks)
+	}
+	if len(r.Cells) < 12 {
+		return fmt.Errorf("sweep has %d cells, want >= 12", len(r.Cells))
+	}
+
+	detect := make(map[string]float64) // "topo|approach" → crash DetectNs
+	var recoveryAttributed bool
+	for _, c := range r.Cells {
+		id := fmt.Sprintf("%s/%s/%s", c.Topo, c.Plan, c.Approach)
+		if len(c.Violations) != 0 {
+			return fmt.Errorf("%s: %d invariant violations, first: %s", id, len(c.Violations), c.Violations[0])
+		}
+		if c.ElapsedNs <= 0 {
+			return fmt.Errorf("%s: empty cell", id)
+		}
+		// A chaos cell that wraps the observability ring has silently lost
+		// the events its own violations analysis depends on — the trace no
+		// longer shows what happened around the fault.
+		if c.TraceDrops != 0 {
+			return fmt.Errorf("%s: obs ring dropped %d events; the post-fault trace is incomplete (raise obs RingCap)", id, c.TraceDrops)
+		}
+		switch c.Plan {
+		case "drop":
+			if c.Retransmits == 0 {
+				return fmt.Errorf("%s: lossy cell recovered nothing", id)
+			}
+		case "trunkdown":
+			if c.Rerouted == 0 {
+				return fmt.Errorf("%s: dead link was never rerouted around", id)
+			}
+			if len(c.FailDropLinks) == 0 && c.LinkDrops > 0 {
+				return fmt.Errorf("%s: link drops unattributed to a link", id)
+			}
+		case "flap":
+			if c.LinkStalls == 0 {
+				return fmt.Errorf("%s: flap window stalled no packets", id)
+			}
+		case "crash":
+			if c.DetectNs <= 0 {
+				return fmt.Errorf("%s: crash never detected", id)
+			}
+			if c.RecoverNs < c.DetectNs {
+				return fmt.Errorf("%s: recovered (%f) before detecting (%f)", id, c.RecoverNs, c.DetectNs)
+			}
+			detect[c.Topo+"|"+c.Approach] = c.DetectNs
+		default:
+			return fmt.Errorf("%s: unknown plan", id)
+		}
+		if c.RecoveryPathNs > 0 {
+			recoveryAttributed = true
+		}
+	}
+
+	// Headline: offloading the communication must not delay failure
+	// detection — the offload thread's watchdog fires no later than the
+	// baseline's (small slack for schedule skew around the deadline).
+	checked := 0
+	for key, off := range detect {
+		topo, isOffload := strings.CutSuffix(key, "|offload")
+		if !isOffload {
+			continue
+		}
+		base, ok := detect[topo+"|baseline"]
+		if !ok {
+			return fmt.Errorf("crash cell %s has no baseline counterpart", key)
+		}
+		if off > base*1.10+50_000 {
+			return fmt.Errorf("offload detected the crash in %.0f ns, baseline in %.0f ns — offloading delayed detection", off, base)
+		}
+		checked++
+	}
+	if checked == 0 {
+		return fmt.Errorf("sweep has no offload/baseline crash pair to compare")
+	}
+	if !recoveryAttributed {
+		return fmt.Errorf("no cell attributed critical-path time to recovery")
+	}
+	return nil
+}
+
+func (r *ChaosReport) Metrics() []Metric {
+	var l metricList
+	for _, c := range r.Cells {
+		cell := fmt.Sprintf("{topo=%s,plan=%s,approach=%s}", c.Topo, c.Plan, c.Approach)
+		l.add(Virtual, LowerBetter, float64(c.ElapsedNs), "chaos.elapsed_ns%s", cell)
+		l.add(Virtual, LowerBetter, c.RecoverNs, "chaos.recover_ns%s", cell)
+		if c.Plan == "crash" {
+			l.add(Virtual, LowerBetter, c.DetectNs, "chaos.detect_ns%s", cell)
+		}
+		l.add(Hard, LowerBetter, float64(len(c.Violations)), "chaos.violations%s", cell)
+		l.add(Hard, LowerBetter, float64(c.TraceDrops), "chaos.trace_drops%s", cell)
+		l.add(Info, LowerBetter, float64(c.Retransmits), "chaos.retransmits%s", cell)
+		l.add(Info, LowerBetter, float64(c.WatchdogTrips), "chaos.watchdog_trips%s", cell)
+	}
+	return l
+}
+
+// ---- net/v1 ----
+
+// NetSchema versions BENCH_net.json; bump on incompatible change. v1
+// records, per transport backend, the wall-clock ping-pong latency sweep
+// and the multithreaded message-rate sweep (Direct global-lock baseline
+// vs Offload), plus the sim-vs-real residual rows that anchor the
+// simulator's virtual-time predictions against real sockets.
+const NetSchema = "net/v1"
+
+// PingPongRow is one message size of a backend's latency sweep: mean
+// one-way wall-clock latency of a single-threaded blocking ping-pong.
+type PingPongRow struct {
+	Size      int     `json:"size"`
+	LatencyNs float64 `json:"latency_ns"`
+}
+
+// RateRow is one thread count of a backend's message-rate sweep: total
+// 64-byte messages per second moved by `threads` flooding submitters,
+// under the Direct (global lock, MPI_THREAD_MULTIPLE) and Offload
+// (command queue + agent) modes.
+type RateRow struct {
+	Threads        int     `json:"threads"`
+	DirectMsgsSec  float64 `json:"direct_msgs_per_sec"`
+	OffloadMsgsSec float64 `json:"offload_msgs_per_sec"`
+}
+
+// NetBackend is one transport backend's measurements.
+type NetBackend struct {
+	Backend  string        `json:"backend"` // loopback | unix | tcp
+	PingPong []PingPongRow `json:"pingpong"`
+	Rate     []RateRow     `json:"rate"`
+}
+
+// NetResidual compares one microbenchmark across the simulator (virtual
+// ns on the modeled Endeavor fabric) and a real backend (wall-clock ns on
+// this host's sockets). Ratio = real/sim: the residual between what the
+// model predicts for its hardware and what the localhost wire delivers.
+type NetResidual struct {
+	Bench   string  `json:"bench"`
+	Backend string  `json:"backend"`
+	SimNs   float64 `json:"sim_ns"`
+	RealNs  float64 `json:"real_ns"`
+	Ratio   float64 `json:"ratio"`
+}
+
+// NetReport is the BENCH_net.json document.
+type NetReport struct {
+	Schema    string        `json:"schema"`
+	Backends  []NetBackend  `json:"backends"`
+	Residuals []NetResidual `json:"residuals"`
+}
+
+func (r *NetReport) Tag() string { return r.Schema }
+
+// Validate checks the report's structure — schema tag, non-empty sweeps,
+// ascending axes, positive measurements — and, on documents that reach
+// the saturated GateThreads rows, the perf gate: offload throughput must
+// not fall below the global-lock baseline.
+func (r *NetReport) Validate() error {
+	if r.Schema != NetSchema {
+		return fmt.Errorf("schema %q, want %q", r.Schema, NetSchema)
+	}
+	if len(r.Backends) == 0 {
+		return fmt.Errorf("no backends")
+	}
+	gated := false
+	for _, b := range r.Backends {
+		if b.Backend == "" {
+			return fmt.Errorf("backend with empty name")
+		}
+		if len(b.PingPong) == 0 || len(b.Rate) == 0 {
+			return fmt.Errorf("%s: empty sweep: %d pingpong rows, %d rate rows",
+				b.Backend, len(b.PingPong), len(b.Rate))
+		}
+		if !sort.SliceIsSorted(b.PingPong, func(i, j int) bool { return b.PingPong[i].Size < b.PingPong[j].Size }) {
+			return fmt.Errorf("%s: pingpong sizes not ascending", b.Backend)
+		}
+		if !sort.SliceIsSorted(b.Rate, func(i, j int) bool { return b.Rate[i].Threads < b.Rate[j].Threads }) {
+			return fmt.Errorf("%s: rate thread counts not ascending", b.Backend)
+		}
+		for _, p := range b.PingPong {
+			if p.Size < 1 || p.LatencyNs <= 0 {
+				return fmt.Errorf("%s: bad pingpong row %+v", b.Backend, p)
+			}
+		}
+		for _, w := range b.Rate {
+			if w.Threads < 1 || w.DirectMsgsSec <= 0 || w.OffloadMsgsSec <= 0 {
+				return fmt.Errorf("%s: bad rate row %+v", b.Backend, w)
+			}
+			if w.Threads == GateThreads {
+				gated = true
+				if w.OffloadMsgsSec < w.DirectMsgsSec {
+					return fmt.Errorf("perf gate: %s offload %.0f msgs/s < direct %.0f at %d threads",
+						b.Backend, w.OffloadMsgsSec, w.DirectMsgsSec, GateThreads)
+				}
+			}
+		}
+	}
+	if gated && len(r.Residuals) == 0 {
+		return fmt.Errorf("full-size document has no sim-vs-real residuals")
+	}
+	for _, res := range r.Residuals {
+		if res.Bench == "" || res.Backend == "" || res.SimNs <= 0 || res.RealNs <= 0 || res.Ratio <= 0 {
+			return fmt.Errorf("bad residual row %+v", res)
+		}
+		if math.Abs(res.Ratio-res.RealNs/res.SimNs) > 1e-6*res.Ratio {
+			return fmt.Errorf("residual %s/%s: ratio %.4f != real/sim %.4f",
+				res.Bench, res.Backend, res.Ratio, res.RealNs/res.SimNs)
+		}
+	}
+	return nil
+}
+
+// Metrics: everything in a net/v1 document is wall clock from real
+// sockets, so all gating rows use the wide band; the sim-vs-real residual
+// ratios are informational — they document the gap between modeled and
+// local hardware, not a quantity with a "right" direction.
+func (r *NetReport) Metrics() []Metric {
+	var l metricList
+	for _, b := range r.Backends {
+		for _, p := range b.PingPong {
+			l.add(Wall, LowerBetter, p.LatencyNs, "net.pingpong_ns{backend=%s,size=%d}", b.Backend, p.Size)
+		}
+		for _, w := range b.Rate {
+			l.add(Wall, HigherBetter, w.DirectMsgsSec, "net.direct_msgs_per_sec{backend=%s,threads=%d}", b.Backend, w.Threads)
+			l.add(Wall, HigherBetter, w.OffloadMsgsSec, "net.offload_msgs_per_sec{backend=%s,threads=%d}", b.Backend, w.Threads)
+		}
+	}
+	for _, res := range r.Residuals {
+		l.add(Info, LowerBetter, res.Ratio, "net.residual_ratio{bench=%s,backend=%s}", res.Bench, res.Backend)
+	}
+	return l
+}

@@ -1,0 +1,297 @@
+package bench
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// docCase is one schema's test input: a minimal report that validates and
+// the ways of damaging it the validator must catch — structural damage,
+// surviving violations, regressed headline claims and perf gates.
+type docCase struct {
+	good    func() Doc
+	corrupt map[string]func(Doc)
+}
+
+// on adapts a mutation of one concrete report type to the Doc-level table.
+func on[T Doc](f func(T)) func(Doc) { return func(d Doc) { f(d.(T)) } }
+
+var docCases = map[string]docCase{
+	MTScaleSchema: {goodMTScale, map[string]func(Doc){
+		"wrong schema":    on(func(r *MTScaleReport) { r.Schema = "mtscale/v1" }),
+		"missing profile": on(func(r *MTScaleReport) { r.Profile = "" }),
+		"empty sim":       on(func(r *MTScaleReport) { r.Sim = nil }),
+		"empty rt":        on(func(r *MTScaleReport) { r.RT = nil }),
+		"empty agents":    on(func(r *MTScaleReport) { r.Agents = nil }),
+		"zero post":       on(func(r *MTScaleReport) { r.Sim[0].PostNs = 0 }),
+		"zero batch":      on(func(r *MTScaleReport) { r.Sim[0].MeanBatch = 0 }),
+		"negative rt":     on(func(r *MTScaleReport) { r.RT[0].ShardedNsPerPost = -1 }),
+		"descending threads": on(func(r *MTScaleReport) {
+			r.Sim = append(r.Sim, MTScaleResult{Threads: 1, PostNs: 140, MeanBatch: 1})
+			r.Sim[0].Threads = 2
+		}),
+		"agent cells out of order": on(func(r *MTScaleReport) {
+			r.Agents[1], r.Agents[2] = r.Agents[2], r.Agents[1]
+		}),
+		"duty fraction out of range": on(func(r *MTScaleReport) { r.Agents[0].DutyIdle = 1.5 }),
+		"zero throughput":            on(func(r *MTScaleReport) { r.Agents[0].PostsPerMs = 0 }),
+		"perf gate: sharded slower than shared at 16": on(func(r *MTScaleReport) {
+			r.RT[1].ShardedNsPerPost = r.RT[1].SharedNsPerPost + 1
+		}),
+		"perf gate: agent speedup below 1.2x": on(func(r *MTScaleReport) {
+			r.Agents[2].PostsPerMs = r.Agents[1].PostsPerMs * 1.1
+		}),
+		"perf gate: missing 1-agent cell at 16": on(func(r *MTScaleReport) {
+			r.Agents = []MTAgentCell{agentCell(16, 2, 150)}
+		}),
+	}},
+	TopoSchema: {goodTopo, map[string]func(Doc){
+		"wrong schema":     on(func(r *TopoReport) { r.Schema = "topo/v0" }),
+		"missing profile":  on(func(r *TopoReport) { r.Profile = "" }),
+		"bad shape":        on(func(r *TopoReport) { r.Nodes = 1 }),
+		"empty sweep":      on(func(r *TopoReport) { r.Rows = nil }),
+		"zero mean":        on(func(r *TopoReport) { r.Rows[0].MeanNs = 0 }),
+		"unknown algo":     on(func(r *TopoReport) { r.Rows[0].Algo = "bcast" }),
+		"flat contention":  on(func(r *TopoReport) { r.Rows[0].MaxLinkUtil = 0.3 }),
+		"hier regression":  on(func(r *TopoReport) { r.Rows[2].MeanNs = 700_000 }),
+		"ring row missing": on(func(r *TopoReport) { r.Rows = r.Rows[2:] }),
+		"no hier evidence": on(func(r *TopoReport) { r.Rows = r.Rows[:2] }),
+	}},
+	ChaosSchema: {goodChaos, map[string]func(Doc){
+		"wrong schema":      on(func(r *ChaosReport) { r.Schema = "chaos/v0" }),
+		"missing profile":   on(func(r *ChaosReport) { r.Profile = "" }),
+		"too few cells":     on(func(r *ChaosReport) { r.Cells = r.Cells[:8] }),
+		"violation":         on(func(r *ChaosReport) { r.Cells[0].Violations = []string{"boom"} }),
+		"trace drops":       on(func(r *ChaosReport) { r.Cells[0].TraceDrops = 3 }),
+		"no retransmits":    on(func(r *ChaosReport) { r.Cells[0].Retransmits = 0 }),
+		"no reroute":        on(func(r *ChaosReport) { r.Cells[2].Rerouted = 0 }),
+		"unattributed drop": on(func(r *ChaosReport) { r.Cells[2].FailDropLinks = nil }),
+		"no stalls":         on(func(r *ChaosReport) { r.Cells[4].LinkStalls = 0 }),
+		"undetected crash":  on(func(r *ChaosReport) { r.Cells[6].DetectNs = 0 }),
+		"slow offload detection": on(func(r *ChaosReport) {
+			for i := range r.Cells {
+				if r.Cells[i].Plan == "crash" && r.Cells[i].Approach == "offload" {
+					r.Cells[i].DetectNs = 2_000_000
+				}
+			}
+		}),
+		"no recovery attribution": on(func(r *ChaosReport) {
+			for i := range r.Cells {
+				r.Cells[i].RecoveryPathNs = 0
+			}
+		}),
+	}},
+	NetSchema: {goodNet, map[string]func(Doc){
+		"wrong schema":       on(func(r *NetReport) { r.Schema = "net/v0" }),
+		"no backends":        on(func(r *NetReport) { r.Backends = nil }),
+		"unnamed backend":    on(func(r *NetReport) { r.Backends[0].Backend = "" }),
+		"empty pingpong":     on(func(r *NetReport) { r.Backends[0].PingPong = nil }),
+		"descending threads": on(func(r *NetReport) { r.Backends[0].Rate[0].Threads = 32 }),
+		"zero latency":       on(func(r *NetReport) { r.Backends[0].PingPong[0].LatencyNs = 0 }),
+		"perf gate: offload below direct at 16": on(func(r *NetReport) {
+			r.Backends[0].Rate[1].OffloadMsgsSec = r.Backends[0].Rate[1].DirectMsgsSec - 1
+		}),
+		"full size without residuals": on(func(r *NetReport) { r.Residuals = nil }),
+		"inconsistent ratio":          on(func(r *NetReport) { r.Residuals[0].Ratio *= 2 }),
+	}},
+}
+
+func agentCell(threads, agents int, postsPerMs float64) MTAgentCell {
+	return MTAgentCell{
+		Threads: threads, Agents: agents, PostNs: 140, MeanBatch: 1,
+		DutyIssue: 0.3, DutyProgress: 0.3, DutyIdle: 0.4,
+		PollsPerCompletion: 2, PostsPerMs: postsPerMs,
+	}
+}
+
+func goodMTScale() Doc {
+	return &MTScaleReport{
+		Schema:  MTScaleSchema,
+		Profile: "endeavor-xeon",
+		Sim:     []MTScaleResult{{Threads: 1, PostNs: 140, MeanBatch: 1}},
+		RT: []RTScaleRow{
+			{Threads: 1, ShardedNsPerPost: 100, SharedNsPerPost: 110},
+			{Threads: 16, ShardedNsPerPost: 120, SharedNsPerPost: 400},
+		},
+		Agents: []MTAgentCell{agentCell(1, 1, 50), agentCell(16, 1, 100), agentCell(16, 2, 150)},
+	}
+}
+
+func goodTopo() Doc {
+	const ft2 = "fattree:arity=4,oversub=2"
+	return &TopoReport{
+		Schema: TopoSchema, Profile: "endeavor-xeon", Nodes: 16, RanksPerNode: 2,
+		Rows: []TopoCollResult{
+			{Topo: "flat", Algo: "ring", Bytes: 1 << 20, MeanNs: 700_000},
+			{Topo: ft2, Algo: "ring", Bytes: 1 << 20, MeanNs: 660_000, MaxLinkUtil: 0.4, MaxQueue: 3},
+			{Topo: ft2, Algo: "hier", Bytes: 1 << 20, MeanNs: 560_000, MaxLinkUtil: 0.5, MaxQueue: 4},
+		},
+	}
+}
+
+func goodChaos() Doc {
+	rep := &ChaosReport{Schema: ChaosSchema, Profile: "endeavor-xeon", Ranks: 8, Seed: 1, WatchdogNs: 600_000}
+	for _, ts := range []string{"fattree:arity=4,oversub=2,trunks=2", "dragonfly:group=2"} {
+		for _, plan := range []string{"drop", "trunkdown", "flap", "crash"} {
+			for _, a := range []string{"baseline", "offload"} {
+				c := ChaosCellResult{Topo: ts, Plan: plan, Approach: a, Ranks: 8, ElapsedNs: 1_000_000}
+				switch plan {
+				case "drop":
+					c.Retransmits = 10
+					c.RecoveryPathNs = 5000
+				case "trunkdown":
+					c.Rerouted = 40
+					c.LinkDrops = 3
+					c.FailDropLinks = []ChaosLinkDrops{{Link: "leaf0.up0", Drops: 3}}
+				case "flap":
+					c.LinkStalls = 20
+				case "crash":
+					c.DetectNs = 650_000
+					c.RecoverNs = 730_000
+					if a == "offload" {
+						c.DetectNs = 655_000
+					}
+				}
+				rep.Cells = append(rep.Cells, c)
+			}
+		}
+	}
+	return rep
+}
+
+func goodNet() Doc {
+	return &NetReport{
+		Schema: NetSchema,
+		Backends: []NetBackend{{
+			Backend:  "unix",
+			PingPong: []PingPongRow{{Size: 8, LatencyNs: 21_000}},
+			Rate: []RateRow{
+				{Threads: 1, DirectMsgsSec: 250_000, OffloadMsgsSec: 240_000},
+				{Threads: 16, DirectMsgsSec: 300_000, OffloadMsgsSec: 330_000},
+			},
+		}},
+		Residuals: []NetResidual{{Bench: "pingpong/8", Backend: "unix", SimNs: 1200, RealNs: 21_000, Ratio: 17.5}},
+	}
+}
+
+// goldenKeys reads testdata/metric_keys.golden: per committed file, the
+// "key class" pairs of cmd/benchdiff's trend table, in order. A key or a
+// class that changes breaks every comparison against older generations.
+func goldenKeys(t *testing.T) map[string][]string {
+	data, err := os.ReadFile(filepath.Join("testdata", "metric_keys.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string][]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		f := strings.Split(line, "\t")
+		keys[f[0]] = append(keys[f[0]], f[1]+" "+f[2])
+	}
+	return keys
+}
+
+// TestDocRegistry is the one test of the one document model, table-driven
+// over the registry. For every schema: the committed document loads,
+// validates (structure and gates), flattens to exactly the metric keys and
+// classes benchdiff has always printed, and round-trips through WriteDoc
+// to the committed bytes; the minimal good report validates and every
+// corruption of it is rejected — by Validate and therefore by WriteDoc.
+func TestDocRegistry(t *testing.T) {
+	golden := goldenKeys(t)
+	if len(docCases) != len(Docs) {
+		t.Fatalf("%d schemas registered, %d have test cases", len(Docs), len(docCases))
+	}
+	for _, k := range Docs {
+		t.Run(k.Schema, func(t *testing.T) {
+			committed := filepath.Join("..", k.File)
+			d, err := LoadDoc(committed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Tag() != k.Schema {
+				t.Fatalf("%s carries schema %q, registry says %q", k.File, d.Tag(), k.Schema)
+			}
+			if err := d.Validate(); err != nil {
+				t.Fatalf("committed %s fails its gates: %v", k.File, err)
+			}
+			var got []string
+			for _, m := range d.Metrics() {
+				got = append(got, fmt.Sprintf("%s %s", m.Key, m.Class))
+			}
+			if want := golden[k.File]; strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("%s flattens to %d metrics, golden has %d; first difference: %s",
+					k.File, len(got), len(want), firstDiff(got, want))
+			}
+			out := filepath.Join(t.TempDir(), k.File)
+			if err := WriteDoc(out, d); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := os.ReadFile(committed)
+			if written, _ := os.ReadFile(out); !bytes.Equal(written, want) {
+				t.Errorf("WriteDoc does not reproduce the committed bytes of %s", k.File)
+			}
+
+			tc := docCases[k.Schema]
+			if err := tc.good().Validate(); err != nil {
+				t.Fatalf("baseline report should validate: %v", err)
+			}
+			for name, corrupt := range tc.corrupt {
+				bad := tc.good()
+				corrupt(bad)
+				if err := bad.Validate(); err == nil {
+					t.Errorf("%s: validator accepted a corrupt report", name)
+				}
+				if err := WriteDoc(filepath.Join(t.TempDir(), "bad.json"), bad); err == nil {
+					t.Errorf("%s: WriteDoc wrote a corrupt report", name)
+				}
+			}
+		})
+	}
+}
+
+func firstDiff(got, want []string) string {
+	for i := range got {
+		if i >= len(want) || got[i] != want[i] {
+			return fmt.Sprintf("line %d: got %q", i+1, got[i])
+		}
+	}
+	return fmt.Sprintf("line %d missing", len(got)+1)
+}
+
+// TestLoadDocRejects: unknown tags and documents that flatten to nothing
+// are not benchmark documents.
+func TestLoadDocRejects(t *testing.T) {
+	for name, body := range map[string]string{
+		"unknown schema": `{"schema":"mystery/v9"}`,
+		"empty document": `{"schema":"topo/v1","rows":[]}`,
+		"not json":       `schema: topo/v1`,
+	} {
+		p := filepath.Join(t.TempDir(), "doc.json")
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadDoc(p); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestOversubscribedFatTree pins the topology-axis string matcher.
+func TestOversubscribedFatTree(t *testing.T) {
+	for s, want := range map[string]bool{
+		"fattree:arity=4,oversub=2":   true,
+		"fattree:arity=8,oversub=2.5": true,
+		"fattree:arity=4,oversub=1":   false,
+		"fattree":                     false,
+		"flat":                        false,
+		"dragonfly:group=4":           false,
+	} {
+		if got := oversubscribedFatTree(s); got != want {
+			t.Errorf("oversubscribedFatTree(%q) = %v, want %v", s, got, want)
+		}
+	}
+}

@@ -8,11 +8,10 @@ import (
 )
 
 // The benchmarks also accumulate each run's per-layer observability
-// counters so drivers can print one metrics summary for a whole sweep
-// (run() in fault.go folds them in) — both as a grand total and keyed by
-// approach, so latency decompositions can be compared across approaches.
+// counters, keyed by approach, so drivers can print one metrics summary
+// per approach for a whole sweep (Run in fault.go folds them in) and
+// latency decompositions can be compared across approaches.
 var (
-	met         sim.Metrics
 	metByApp    map[sim.Approach]*sim.Metrics
 	metAppOrder []sim.Approach
 )
@@ -23,16 +22,6 @@ type ApproachMetrics struct {
 	M        sim.Metrics
 }
 
-// TakeMetrics returns the metrics accumulated since the last call and
-// resets the accumulator (including the per-approach breakdown).
-func TakeMetrics() sim.Metrics {
-	m := met
-	met = sim.Metrics{}
-	metByApp = nil
-	metAppOrder = nil
-	return m
-}
-
 // TakeMetricsPerApproach returns the per-approach metrics accumulated since
 // the last call, in first-run order, and resets the accumulators.
 func TakeMetricsPerApproach() []ApproachMetrics {
@@ -40,14 +29,12 @@ func TakeMetricsPerApproach() []ApproachMetrics {
 	for _, a := range metAppOrder {
 		out = append(out, ApproachMetrics{Approach: a, M: *metByApp[a]})
 	}
-	met = sim.Metrics{}
 	metByApp = nil
 	metAppOrder = nil
 	return out
 }
 
 func accumulateMetrics(a sim.Approach, m sim.Metrics) {
-	met.Add(m)
 	if metByApp == nil {
 		metByApp = make(map[sim.Approach]*sim.Metrics)
 	}
@@ -69,15 +56,9 @@ func histRow(h obs.Hist) string {
 		h.P50(), h.P90(), h.P99(), h.Max, h.Count)
 }
 
-// MetricsTable renders the per-layer offload metrics for a driver to print
-// alongside its results.
-func MetricsTable(m sim.Metrics) *Table {
-	return MetricsTableTitled("offload metrics", m)
-}
-
-// MetricsTableTitled renders the metrics table under a custom title
-// (drivers print one per approach).
-func MetricsTableTitled(title string, m sim.Metrics) *Table {
+// MetricsTable renders the per-layer offload metrics under the given
+// title (drivers print one per approach alongside their results).
+func MetricsTable(title string, m sim.Metrics) *Table {
 	t := NewTable(title, "counter", "value")
 	t.Add("commands submitted", m.Submitted)
 	t.Add("commands issued", m.Issued)

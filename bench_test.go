@@ -76,7 +76,7 @@ func BenchmarkFig5_CollPostTime(b *testing.B) {
 func BenchmarkFig6_MultithreadedLatency(b *testing.B) {
 	for _, a := range []sim.Approach{sim.Baseline, sim.CommSelf, sim.Offload} {
 		b.Run(a.String(), func(b *testing.B) {
-			var last []bench.MTLatencyResult
+			var last []bench.LatencyResult
 			for i := 0; i < b.N; i++ {
 				last = bench.OSUMultithreadedLatency(sim.Config{Approach: a}, 8, []int{8}, 5)
 			}

@@ -9,7 +9,8 @@
 //	benchdiff [-tol-virtual F] [-tol-wall F] OLD.json NEW.json
 //
 // The schema is detected from the documents' "schema" field (both files
-// must agree). Metrics fall into three classes:
+// must agree); package bench owns the document model and says which
+// metrics a document flattens to. Metrics fall into three gating classes:
 //
 //   - virtual: simulator results; deterministic given the code, so the
 //     band (default 10%) only absorbs legitimate model drift between
@@ -28,6 +29,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+
+	"mpioffload/bench"
 )
 
 func main() {
@@ -40,24 +43,24 @@ func main() {
 	}
 	oldPath, newPath := flag.Arg(0), flag.Arg(1)
 
-	oldDoc, err := loadDoc(oldPath)
+	oldDoc, err := bench.LoadDoc(oldPath)
 	if err != nil {
 		log.Fatalf("benchdiff: %v", err)
 	}
-	newDoc, err := loadDoc(newPath)
+	newDoc, err := bench.LoadDoc(newPath)
 	if err != nil {
 		log.Fatalf("benchdiff: %v", err)
 	}
-	if oldDoc.schema != newDoc.schema {
+	if oldDoc.Tag() != newDoc.Tag() {
 		log.Fatalf("benchdiff: schema mismatch: %s is %q, %s is %q",
-			oldPath, oldDoc.schema, newPath, newDoc.schema)
+			oldPath, oldDoc.Tag(), newPath, newDoc.Tag())
 	}
 
-	rows := diffMetrics(oldDoc.metrics, newDoc.metrics, tolerances{
+	rows := diffMetrics(oldDoc.Metrics(), newDoc.Metrics(), tolerances{
 		virtual: *tolVirtual,
 		wall:    *tolWall,
 	})
-	regressions := writeTable(os.Stdout, oldDoc.schema, oldPath, newPath, rows)
+	regressions := writeTable(os.Stdout, oldDoc.Tag(), oldPath, newPath, rows)
 	if regressions > 0 {
 		fmt.Printf("\n%d metric(s) regressed past tolerance\n", regressions)
 		os.Exit(1)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mpioffload/bench"
 )
 
 var oldMTScale = []byte(`{
@@ -45,15 +47,15 @@ func writeTemp(t *testing.T, name string, data []byte) string {
 }
 
 func TestSyntheticRegression(t *testing.T) {
-	oldDoc, err := loadDoc(writeTemp(t, "old.json", oldMTScale))
+	oldDoc, err := bench.LoadDoc(writeTemp(t, "old.json", oldMTScale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	newDoc, err := loadDoc(writeTemp(t, "new.json", newMTScaleRegressed))
+	newDoc, err := bench.LoadDoc(writeTemp(t, "new.json", newMTScaleRegressed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := diffMetrics(oldDoc.metrics, newDoc.metrics, tolerances{virtual: 0.10, wall: 0.35})
+	rows := diffMetrics(oldDoc.Metrics(), newDoc.Metrics(), tolerances{virtual: 0.10, wall: 0.35})
 	var buf bytes.Buffer
 	regressions := writeTable(&buf, "mtscale/v2", "old", "new", rows)
 	if regressions != 3 {
@@ -84,12 +86,12 @@ func TestSyntheticRegression(t *testing.T) {
 
 func TestSelfDiffIsClean(t *testing.T) {
 	p := writeTemp(t, "doc.json", oldMTScale)
-	d1, err := loadDoc(p)
+	d1, err := bench.LoadDoc(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _ := loadDoc(p)
-	for _, r := range diffMetrics(d1.metrics, d2.metrics, tolerances{virtual: 0.10, wall: 0.35}) {
+	d2, _ := bench.LoadDoc(p)
+	for _, r := range diffMetrics(d1.Metrics(), d2.Metrics(), tolerances{virtual: 0.10, wall: 0.35}) {
 		if r.verdict == vRegression {
 			t.Errorf("self-diff flags %s as regression", r.key)
 		}
@@ -99,18 +101,14 @@ func TestSelfDiffIsClean(t *testing.T) {
 // TestCommittedBaselinesSelfDiff runs the exact comparison the ci target
 // performs: every committed BENCH document self-diffs clean.
 func TestCommittedBaselinesSelfDiff(t *testing.T) {
-	for _, name := range []string{"BENCH_mtscale.json", "BENCH_topo.json", "BENCH_chaos.json", "BENCH_net.json"} {
-		p := filepath.Join("..", "..", name)
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("committed baseline %s missing: %v", name, err)
-		}
-		d, err := loadDoc(p)
+	for _, k := range bench.Docs {
+		d, err := bench.LoadDoc(filepath.Join("..", "..", k.File))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("committed baseline: %v", err)
 		}
-		for _, r := range diffMetrics(d.metrics, d.metrics, tolerances{virtual: 0.10, wall: 0.35}) {
+		for _, r := range diffMetrics(d.Metrics(), d.Metrics(), tolerances{virtual: 0.10, wall: 0.35}) {
 			if r.verdict == vRegression {
-				t.Errorf("%s: self-diff flags %s", name, r.key)
+				t.Errorf("%s: self-diff flags %s", k.File, r.key)
 			}
 		}
 	}
@@ -119,10 +117,10 @@ func TestCommittedBaselinesSelfDiff(t *testing.T) {
 // TestChaosHardGates: violations and trace drops regress on ANY growth,
 // even within a 10% band; improvements count as better.
 func TestChaosHardGates(t *testing.T) {
-	mk := func(drops int) []metric {
-		return []metric{
-			{key: "chaos.violations{x}", val: 0, class: classHard, dir: lowerBetter},
-			{key: "chaos.trace_drops{x}", val: float64(drops), class: classHard, dir: lowerBetter},
+	mk := func(drops int) []bench.Metric {
+		return []bench.Metric{
+			{Key: "chaos.violations{x}", Val: 0, Class: bench.Hard},
+			{Key: "chaos.trace_drops{x}", Val: float64(drops), Class: bench.Hard},
 		}
 	}
 	rows := diffMetrics(mk(0), mk(3), tolerances{virtual: 0.10, wall: 0.35})
@@ -148,8 +146,8 @@ func TestChaosHardGates(t *testing.T) {
 // TestSweepPointChurn: metrics present in only one generation are reported
 // but never gate.
 func TestSweepPointChurn(t *testing.T) {
-	olds := []metric{{key: "a", val: 1, class: classVirtual}, {key: "gone", val: 2, class: classVirtual}}
-	news := []metric{{key: "a", val: 1, class: classVirtual}, {key: "fresh", val: 3, class: classVirtual}}
+	olds := []bench.Metric{{Key: "a", Val: 1, Class: bench.Virtual}, {Key: "gone", Val: 2, Class: bench.Virtual}}
+	news := []bench.Metric{{Key: "a", Val: 1, Class: bench.Virtual}, {Key: "fresh", Val: 3, Class: bench.Virtual}}
 	rows := diffMetrics(olds, news, tolerances{virtual: 0.10})
 	var buf bytes.Buffer
 	if n := writeTable(&buf, "s", "o", "n", rows); n != 0 {
@@ -187,17 +185,17 @@ func TestNetSchema(t *testing.T) {
                  "sim_ns": 1200, "real_ns": 21000, "ratio": ` + num(ratio) + `}]
 }`)
 	}
-	oldDoc, err := loadDoc(writeTemp(t, "old.json", mk(330000, 17.5)))
+	oldDoc, err := bench.LoadDoc(writeTemp(t, "old.json", mk(330000, 17.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Offload rate halves (past the 35% wall band, higher-better) while the
 	// residual ratio triples (info class, must not gate).
-	newDoc, err := loadDoc(writeTemp(t, "new.json", mk(165000, 52.5)))
+	newDoc, err := bench.LoadDoc(writeTemp(t, "new.json", mk(165000, 52.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := diffMetrics(oldDoc.metrics, newDoc.metrics, tolerances{virtual: 0.10, wall: 0.35})
+	rows := diffMetrics(oldDoc.Metrics(), newDoc.Metrics(), tolerances{virtual: 0.10, wall: 0.35})
 	var buf bytes.Buffer
 	if n := writeTable(&buf, "net/v1", "old", "new", rows); n != 1 {
 		t.Fatalf("net diff found %d regressions, want 1:\n%s", n, buf.String())
@@ -214,14 +212,5 @@ func TestNetSchema(t *testing.T) {
 	}
 	if v := verdicts["net.pingpong_ns{backend=unix,size=8}"]; v != vOK {
 		t.Errorf("unchanged latency got verdict %s, want ok", v)
-	}
-}
-
-func TestSchemaMismatchAndUnknown(t *testing.T) {
-	if _, err := loadDoc(writeTemp(t, "bad.json", []byte(`{"schema":"mystery/v9"}`))); err == nil {
-		t.Error("unknown schema accepted")
-	}
-	if _, err := loadDoc(writeTemp(t, "empty.json", []byte(`{"schema":"topo/v1","rows":[]}`))); err == nil {
-		t.Error("empty document accepted")
 	}
 }

@@ -25,13 +25,10 @@
 // agent owns a disjoint group of submission shards, its own request-pool
 // partition and its own in-flight set — agents share no hot-path state, so
 // going from one agent to N adds no locks anywhere. Submitting threads are
-// assigned to agents round-robin and stay put (per-thread FIFO lives in
-// one agent's shard); an optional model.AgentPolicy scales the active
-// agent count between bounds on a fixed virtual-time cadence, re-homing a
-// thread only once it has no un-issued commands (so MPI's non-overtaking
-// rule is never at risk), and can let saturated submitters steal a
-// progress round themselves. The default — one agent, no policy — behaves
-// bit-identically to the original single-thread design.
+// assigned to agents round-robin and stay put: per-thread FIFO lives in
+// one agent's shard, so MPI's non-overtaking rule is never at risk. The
+// agent count is fixed for the run (Profile.Agents); the default — one
+// agent — behaves bit-identically to the original single-thread design.
 //
 // Blocking application calls are converted to their nonblocking
 // equivalents plus a done-flag wait (§3.3), so one thread's blocking call
@@ -69,9 +66,8 @@ type Cmd struct {
 	// Issue performs the real MPI call on the offload thread and returns
 	// the request to track, or nil if the operation completed inline.
 	Issue func(t *vclock.Task) proto.Req
-	id    int64         // submission sequence number (trace span id)
-	un    *atomic.Int64 // owning thread's un-issued count (nil in bare tests)
-	enqTS int64         // virtual ns at enqueue (stamped before insertion: the
+	id    int64 // submission sequence number (trace span id)
+	enqTS int64 // virtual ns at enqueue (stamped before insertion: the
 	// consumer may dequeue the command the moment it lands, so the stamp
 	// must already be there for the queue-wait histogram)
 }
@@ -94,21 +90,12 @@ type agentState struct {
 	pool     *reqpool.Pool
 	inflight []inflightEntry
 	slotEv   map[int]*vclock.Event // parked waiters by slot
-	// winBusy accumulates the agent's issue+progress virtual ns in the
-	// current policy window; agent 0 swaps it to zero at each evaluation.
-	winBusy atomic.Int64
 }
 
-// threadState is the per-submitting-thread assignment record.
+// threadState is the per-submitting-thread assignment record: the owning
+// agent and the thread's private shard in that agent's command queue.
 type threadState struct {
-	agent  int         // owning agent index
-	gen    int         // assignment generation last reconciled
-	shards map[int]int // agent index → registered shard id there
-	// unissued counts commands submitted but not yet issued to MPI by the
-	// owning agent. A thread may be re-homed to another agent only at
-	// zero: all its prior calls have entered the library in order, so the
-	// non-overtaking rule cannot be violated by the move.
-	unissued atomic.Int64
+	agent, shard int
 }
 
 // Offloader owns one rank's offload agents, command queues and request
@@ -121,16 +108,9 @@ type Offloader struct {
 	poolSize int
 	batchMax int
 
-	// Agent policy state (all owned by cooperative contexts; nil pol means
-	// the agent count is fixed).
-	pol       *model.AgentPolicy
-	active    int  // agents currently accepting new thread assignments
-	saturated bool // last window: every active agent above ScaleUpDuty at max
-	assignGen int  // bumped by every scale event; threads reconcile lazily
-	assignRR  int  // round-robin cursor for thread→agent assignment
-	lastEval  vclock.Time
-	nextEval  vclock.Time
-	threads   map[string]*threadState // submitting thread name → assignment
+	// Thread→agent assignment (owned by cooperative contexts).
+	assignRR int                     // round-robin cursor
+	threads  map[string]*threadState // submitting thread name → assignment
 
 	// Stats are atomic: they are incremented from application-thread
 	// (Submit) and offload-thread (run) contexts, which the cooperative
@@ -142,10 +122,6 @@ type Offloader struct {
 	Failed     atomic.Int64 // completions carrying a watchdog error
 	IdleWaits  atomic.Int64
 	QueueFullN atomic.Int64
-	// Adaptive-agent counters (zero in fixed single-agent runs).
-	ScaleUps   atomic.Int64
-	ScaleDowns atomic.Int64
-	Steals     atomic.Int64 // app-thread steal-progress rounds
 
 	// Depth distributions, fed by every queue's consumer-side depth sampler
 	// and every pool's occupancy sampler. Atomic: the pool sampler runs on
@@ -157,9 +133,7 @@ type Offloader struct {
 // New creates the offloader for eng's rank and spawns its offload agents
 // as daemon tasks (they live for the lifetime of the simulation, §3.4: the
 // threads are spawned at MPI_Init). Profile.Agents selects the agent
-// count (default 1 — the paper's configuration); Profile.Policy enables
-// adaptive scaling, in which case agents up to the policy's MaxAgents are
-// created and dormant ones park until a scale-up assigns them work.
+// count (default 1 — the paper's configuration).
 func New(k *vclock.Kernel, eng *proto.Engine) *Offloader {
 	p := eng.P
 	shards := p.ShardCount
@@ -179,25 +153,9 @@ func New(k *vclock.Kernel, eng *proto.Engine) *Offloader {
 		P:        p,
 		poolSize: p.RequestPoolSize,
 		batchMax: batch,
-		active:   agents,
 		threads:  make(map[string]*threadState),
 	}
-	maxAgents := agents
-	if p.Policy != nil {
-		pol := p.Policy.Norm(agents, batch)
-		o.pol = &pol
-		if pol.MaxAgents > maxAgents {
-			maxAgents = pol.MaxAgents
-		}
-		if o.active < pol.MinAgents {
-			o.active = pol.MinAgents
-		}
-		if o.active > pol.MaxAgents {
-			o.active = pol.MaxAgents
-		}
-		o.nextEval = vclock.Time(pol.EvalWindow)
-	}
-	for i := 0; i < maxAgents; i++ {
+	for i := 0; i < agents; i++ {
 		ag := &agentState{
 			idx:    i,
 			cq:     queue.NewSharded[*Cmd](shards, p.CommandQueueCap, p.CommandQueueCap),
@@ -225,45 +183,27 @@ func (o *Offloader) decode(h Handle) (*agentState, int) {
 }
 
 // threadStateFor returns the submitting thread's assignment record,
-// creating it (round-robin over the active agents) on first submission.
-// Records are keyed by task name: fork-join thread teams reuse names
-// across waves (rankN.thrM), so a bounded thread population keeps its
-// private shards across Parallel regions instead of leaking one shard per
-// wave. After a scale event (generation bump) the thread re-homes lazily —
-// only once it has no un-issued commands. Only cooperative
-// (kernel-scheduled) contexts call this, so the map needs no lock.
+// creating it (round-robin over the agents) on first submission. Records
+// are keyed by task name: fork-join thread teams reuse names across waves
+// (rankN.thrM), so a bounded thread population keeps its private shards
+// across Parallel regions instead of leaking one shard per wave. Only
+// cooperative (kernel-scheduled) contexts call this, so the map needs no
+// lock.
 func (o *Offloader) threadStateFor(t *vclock.Task) *threadState {
 	ts := o.threads[t.Name]
 	if ts == nil {
-		ts = &threadState{agent: o.pickAgent(), gen: o.assignGen, shards: make(map[int]int)}
+		agent := o.assignRR % len(o.agents)
+		o.assignRR++
+		ts = &threadState{agent: agent, shard: o.agents[agent].cq.Register()}
 		o.threads[t.Name] = ts
-	} else if ts.gen != o.assignGen {
-		if ts.unissued.Load() == 0 {
-			ts.agent = o.pickAgent()
-			ts.gen = o.assignGen
-		}
-		// else: commands still queued at the old agent — keep submitting
-		// there (per-thread FIFO) and retry the move next time.
-	}
-	if _, ok := ts.shards[ts.agent]; !ok {
-		ts.shards[ts.agent] = o.agents[ts.agent].cq.Register()
 	}
 	return ts
-}
-
-func (o *Offloader) pickAgent() int {
-	a := o.assignRR % o.active
-	o.assignRR++
-	return a
 }
 
 // run is one offload agent's main loop.
 func (o *Offloader) run(t *vclock.Task, ag *agentState) {
 	batch := make([]*Cmd, o.batchMax)
 	for {
-		if o.pol != nil && ag.idx == 0 && t.Now() >= o.nextEval {
-			o.evalPolicy(t)
-		}
 		seq := o.Eng.Seq()
 		rec := o.Eng.Obs
 
@@ -279,9 +219,6 @@ func (o *Offloader) run(t *vclock.Task, ag *agentState) {
 				t.SleepF(o.P.DequeueCost)
 				req := cmd.Issue(t)
 				o.Issued.Add(1)
-				if cmd.un != nil {
-					cmd.un.Add(-1)
-				}
 				if req == nil || req.Done() {
 					o.noteFailed(req)
 					o.complete(ag, cmd.Slot, cmd.id, flowOf(req), t.Now()-deq)
@@ -289,9 +226,7 @@ func (o *Offloader) run(t *vclock.Task, ag *agentState) {
 					ag.inflight = append(ag.inflight, inflightEntry{cmd.Slot, cmd.id, deq, req})
 				}
 			}
-			busy := t.Now() - t0
-			rec.DutyIssueBatch(busy, n)
-			ag.winBusy.Add(busy)
+			rec.DutyIssueBatch(t.Now()-t0, n)
 			continue
 		}
 
@@ -315,9 +250,7 @@ func (o *Offloader) run(t *vclock.Task, ag *agentState) {
 				}
 			}
 			ag.inflight = kept
-			busy := t.Now() - t0
-			rec.DutyProgress(busy)
-			ag.winBusy.Add(busy)
+			rec.DutyProgress(t.Now() - t0)
 			if completed || !ag.cq.Empty() {
 				continue
 			}
@@ -337,51 +270,6 @@ func (o *Offloader) run(t *vclock.Task, ag *agentState) {
 			t.SleepF(o.P.PollGap)
 		}
 	}
-}
-
-// evalPolicy is the adaptive-agent controller, run by agent 0 on a fixed
-// virtual-time cadence so scaling decisions are a pure function of the
-// simulated timeline (deterministic for a given configuration). It reads
-// each agent's duty share over the closing window and the total
-// command-queue backlog — the metrics the engine already collects.
-func (o *Offloader) evalPolicy(t *vclock.Task) {
-	now := t.Now()
-	span := now - o.lastEval
-	o.lastEval = now
-	for now >= o.nextEval {
-		o.nextEval += vclock.Time(o.pol.EvalWindow)
-	}
-	if span <= 0 {
-		return
-	}
-	minDuty, maxDuty := 1.0, 0.0
-	backlog := 0
-	for i, ag := range o.agents {
-		duty := float64(ag.winBusy.Swap(0)) / float64(span)
-		backlog += ag.cq.Len()
-		if i < o.active {
-			if duty < minDuty {
-				minDuty = duty
-			}
-			if duty > maxDuty {
-				maxDuty = duty
-			}
-		}
-	}
-	switch {
-	case maxDuty >= o.pol.ScaleUpDuty && backlog > o.pol.ScaleUpDepth && o.active < o.pol.MaxAgents:
-		o.active++
-		o.assignGen++
-		o.ScaleUps.Add(1)
-		o.Eng.Obs.AgentScaled(int64(now), o.active, +1)
-		o.Eng.Bump() // wake the dormant agent (and submitters, to re-home)
-	case maxDuty < o.pol.ScaleDownIdle && o.active > o.pol.MinAgents:
-		o.active--
-		o.assignGen++
-		o.ScaleDowns.Add(1)
-		o.Eng.Obs.AgentScaled(int64(now), o.active, -1)
-	}
-	o.saturated = o.active >= o.pol.MaxAgents && minDuty >= o.pol.ScaleUpDuty
 }
 
 // noteFailed counts completions the watchdog forced with an error — the
@@ -427,15 +315,13 @@ func (o *Offloader) Submit(t *vclock.Task, issue func(t *vclock.Task) proto.Req)
 		o.Eng.AwaitChange(t, seq)
 		slot = ag.pool.Get()
 	}
-	cmd := &Cmd{Slot: slot, Issue: issue, id: o.Submitted.Add(1), un: &ts.unissued}
-	ts.unissued.Add(1)
-	shard := ts.shards[ts.agent]
+	cmd := &Cmd{Slot: slot, Issue: issue, id: o.Submitted.Add(1)}
 	// Stamp the enqueue time before insertion and record the event before
 	// yielding: the offload thread may dequeue the command the moment it
 	// lands, and the trace must stay chronological (enqueue before dequeue)
 	// with a non-negative queue wait.
 	cmd.enqTS = t.Now()
-	for !ag.cq.TryEnqueue(shard, cmd) {
+	for !ag.cq.TryEnqueue(ts.shard, cmd) {
 		o.QueueFullN.Add(1)
 		seq := o.Eng.Seq()
 		o.Eng.AwaitChange(t, seq)
@@ -443,14 +329,6 @@ func (o *Offloader) Submit(t *vclock.Task, issue func(t *vclock.Task) proto.Req)
 	}
 	o.Eng.Obs.CmdEnqueued(cmd.enqTS, obs.TaskClass(t.Name), cmd.id, ag.cq.Len())
 	t.SleepF(o.P.EnqueueCost)
-	if o.pol != nil && o.pol.StealProgress && o.saturated && ag.cq.Len() > o.pol.ScaleUpDepth {
-		// Every agent is saturated and this one has a backlog: the policy
-		// lets the submitting thread drive one progress round itself
-		// instead of waiting for an agent wakeup.
-		o.Steals.Add(1)
-		o.Eng.Obs.StoleProgress()
-		o.Eng.Progress(t)
-	}
 	o.Eng.Bump() // doorbell
 	return Handle(ts.agent*o.poolSize + slot)
 }
@@ -509,14 +387,8 @@ func (o *Offloader) WaitAll(t *vclock.Task, hs ...Handle) {
 	}
 }
 
-// Agents reports the number of offload agents created (the policy's
-// MaxAgents when adaptive, else Profile.Agents).
+// Agents reports the number of offload agents (Profile.Agents).
 func (o *Offloader) Agents() int { return len(o.agents) }
-
-// ActiveAgents reports how many agents currently accept new thread
-// assignments (the adaptive policy moves this between its bounds; fixed
-// configurations keep it at the configured count).
-func (o *Offloader) ActiveAgents() int { return o.active }
 
 // InFlight reports the number of requests the agents are tracking.
 func (o *Offloader) InFlight() int {
@@ -557,16 +429,6 @@ func (o *Offloader) RegisteredThreads() int {
 	n := 0
 	for _, ag := range o.agents {
 		n += ag.cq.Registered()
-	}
-	return n
-}
-
-// PoolInUse reports the number of request-pool slots currently allocated
-// across all agents.
-func (o *Offloader) PoolInUse() int {
-	n := 0
-	for _, ag := range o.agents {
-		n += ag.pool.InUse()
 	}
 	return n
 }

@@ -95,13 +95,8 @@ type Profile struct {
 	// per rank. Each agent owns a disjoint group of submission shards, its
 	// own request-pool partition and its own in-flight set, so agents never
 	// share a hot-path line. 0 or 1 selects the paper's single-agent
-	// configuration (bit-identical traces). With a Policy the count adapts
-	// between the policy bounds and Agents is the starting point.
+	// configuration (bit-identical traces). The count is fixed for the run.
 	Agents int
-	// Policy, when non-nil, enables adaptive agent scaling between
-	// MinAgents and MaxAgents driven by the duty-cycle and queue-depth
-	// metrics the engine already collects. Nil keeps the agent count fixed.
-	Policy *AgentPolicy
 
 	// ---- comm-self progress thread model (paper §2.2) ----
 
@@ -176,69 +171,6 @@ type Profile struct {
 	// progress in the kernel interrupt path, less efficiently than a
 	// dedicated user-level thread).
 	CoreSpecQuantum float64
-}
-
-// AgentPolicy governs adaptive offload-agent scaling. Agent 0 evaluates it
-// on a fixed virtual-time cadence (EvalWindow), so decisions are a pure
-// function of the simulated timeline and runs stay deterministic.
-//
-// Scale-up fires when the window's issue+progress duty share exceeds
-// ScaleUpDuty *and* the command-queue depth sampled at window end exceeds
-// ScaleUpDepth — a busy agent with no backlog needs no help. Scale-down
-// fires when duty falls below ScaleDownIdle. A retired agent only stops
-// accepting *new* thread registrations; threads already assigned to it
-// keep their shards (reassigning them would break per-thread FIFO), so it
-// drains to idle naturally.
-type AgentPolicy struct {
-	// MinAgents and MaxAgents bound the active agent count. Zero values
-	// default to 1 and Agents respectively.
-	MinAgents int
-	MaxAgents int
-	// ScaleUpDuty is the issue+progress duty share (0..1) above which the
-	// engine is considered saturated. 0 defaults to 0.9.
-	ScaleUpDuty float64
-	// ScaleUpDepth is the command-queue backlog that, together with the
-	// duty trigger, forces a scale-up. 0 defaults to 2× CmdBatchMax.
-	ScaleUpDepth int
-	// ScaleDownIdle is the duty share below which the newest agent is
-	// retired. 0 defaults to 0.2.
-	ScaleDownIdle float64
-	// EvalWindow is the policy evaluation period in virtual ns. 0 defaults
-	// to 100 µs.
-	EvalWindow float64
-	// StealProgress lets a submitting application thread drive one progress
-	// round itself when every active agent is saturated (duty above
-	// ScaleUpDuty and the count already at MaxAgents) — the paper's
-	// dedicated-agent design with a cooperative escape hatch.
-	StealProgress bool
-}
-
-// Norm returns the policy with zero fields replaced by their defaults,
-// bounded for an engine starting at `agents` with batch size `batch`.
-func (ap *AgentPolicy) Norm(agents, batch int) AgentPolicy {
-	p := *ap
-	if p.MinAgents <= 0 {
-		p.MinAgents = 1
-	}
-	if p.MaxAgents <= 0 {
-		p.MaxAgents = agents
-	}
-	if p.MaxAgents < p.MinAgents {
-		p.MaxAgents = p.MinAgents
-	}
-	if p.ScaleUpDuty <= 0 {
-		p.ScaleUpDuty = 0.9
-	}
-	if p.ScaleUpDepth <= 0 {
-		p.ScaleUpDepth = 2 * batch
-	}
-	if p.ScaleDownIdle <= 0 {
-		p.ScaleDownIdle = 0.2
-	}
-	if p.EvalWindow <= 0 {
-		p.EvalWindow = 100_000
-	}
-	return p
 }
 
 // Endeavor models the dual-socket Xeon E5-2697v3 / InfiniBand FDR cluster.

@@ -44,7 +44,7 @@ const (
 	EvDeliver                     // A=bytes, B=src (flow-stamped packet hit the NIC)
 	EvEagerLand                   // A=bytes, B=src (eager payload landed in a recv)
 	EvRdvStart                    // A=bytes, B=peer (sender processed CTS, RDMA starts)
-	EvAgentScale                  // A=active agents after the change, B=+1/-1 (policy scale event)
+	EvAgentScale                  // A=active agents after the change, B=+1/-1 (agent start/stop)
 )
 
 // String names the kind as it appears in exported traces.
@@ -176,10 +176,6 @@ type RankMetrics struct {
 	// TestanyPolls counts offload-thread progress rounds taken with
 	// requests in flight; with CmdDone it yields polls-per-completion.
 	TestanyPolls int64
-	// Adaptive-agent accounting: policy scale events and application-thread
-	// steal-progress rounds (all zero in the fixed single-agent
-	// configuration, so existing outputs are unchanged).
-	AgentScaleUps, AgentScaleDowns, StolenProgress int64
 
 	// Per-thread-class attribution of MPI activity.
 	IssuesByTID   [NumTID]int64 // Isend/Irecv posts entering the engine
@@ -219,9 +215,6 @@ func (m *RankMetrics) Add(o RankMetrics) {
 	m.DrainBatches += o.DrainBatches
 	m.BatchedCmds += o.BatchedCmds
 	m.TestanyPolls += o.TestanyPolls
-	m.AgentScaleUps += o.AgentScaleUps
-	m.AgentScaleDowns += o.AgentScaleDowns
-	m.StolenProgress += o.StolenProgress
 	for i := range m.IssuesByTID {
 		m.IssuesByTID[i] += o.IssuesByTID[i]
 	}
@@ -505,29 +498,15 @@ func (r *Recorder) DutyIdle(ns int64) {
 	r.M.IdleNs += ns
 }
 
-// AgentScaled records the agent policy changing the active agent count:
-// delta is +1 (scale-up) or -1 (scale-down), active the count after the
-// change. Never emitted in a fixed single-agent run, so existing traces
-// are untouched.
+// AgentScaled records the active agent count changing: delta is +1 (an
+// agent started) or -1 (an agent stopped), active the count after the
+// change. The simulator's agent count is fixed, so only the rt flight
+// dump emits these.
 func (r *Recorder) AgentScaled(ts int64, active, delta int) {
 	if !r.Enabled() {
 		return
 	}
-	if delta > 0 {
-		r.M.AgentScaleUps++
-	} else {
-		r.M.AgentScaleDowns++
-	}
 	r.push(Event{TS: ts, Kind: EvAgentScale, TID: TAgent, A: int64(active), B: int64(delta)})
-}
-
-// StoleProgress counts an application thread driving one progress round
-// itself because every agent was saturated (policy steal-progress).
-func (r *Recorder) StoleProgress() {
-	if !r.Enabled() {
-		return
-	}
-	r.M.StolenProgress++
 }
 
 // Issued records an Isend/Irecv entering the protocol engine. kind must be

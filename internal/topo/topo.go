@@ -238,11 +238,11 @@ type Graph struct {
 	nodes    int
 	numSw    int // leaf-switch / group / custom-switch count
 	links    []Link
-	nodeUp   []int   // per node: node→switch link id
-	nodeDown []int   // per node: switch→node link id
-	swOf     []int   // node → leaf switch / group / custom switch
-	swUp     [][]int // per switch: trunk-to-core link ids (fat-tree, custom)
-	swDown   [][]int // per switch: core-to-switch link ids
+	nodeUp   []int          // per node: node→switch link id
+	nodeDown []int          // per node: switch→node link id
+	swOf     []int          // node → leaf switch / group / custom switch
+	swUp     [][]int        // per switch: trunk-to-core link ids (fat-tree, custom)
+	swDown   [][]int        // per switch: core-to-switch link ids
 	glob     map[[2]int]int // dragonfly: ordered group pair → global link id
 	byName   map[string]int // link name → id
 }
@@ -375,9 +375,6 @@ func (g *Graph) LinkID(name string) (int, bool) {
 	id, ok := g.byName[name]
 	return id, ok
 }
-
-// SwitchOf reports the leaf switch / group hosting a node.
-func (g *Graph) SwitchOf(node int) int { return g.swOf[node] }
 
 // SwitchLinks resolves a switch name to every link incident to it: the
 // member nodes' up/down links plus the switch's trunks (fat-tree and

@@ -101,6 +101,9 @@ type flightSlot struct {
 	meta atomic.Uint64
 }
 
+// flightRingCap is the per-rank flight-recorder capacity in records.
+const flightRingCap = 1 << 12
+
 // flightRing is one rank's bounded record ring (power-of-two capacity).
 type flightRing struct {
 	seq  atomic.Uint64

@@ -23,8 +23,9 @@ import (
 // contains the command lifecycle plus the watchdog instant.
 func TestFlightDumpOnKillRank(t *testing.T) {
 	dump := filepath.Join(t.TempDir(), "flight.json")
-	c := NewClusterOpts(2, Offload, Options{FlightDump: dump})
+	c := NewCluster(2, Offload)
 	defer c.Close()
+	c.SetFlightDump(dump)
 	c.SetWatchdog(30 * time.Millisecond)
 
 	// Some completed traffic first, so the dump has full spans.
@@ -132,9 +133,9 @@ func TestFlightDumpOnKillRank(t *testing.T) {
 // plus a reader snapshotting mid-burst must be race-clean and produce a
 // parsable dump.
 func TestFlightDumpConcurrent(t *testing.T) {
-	c := NewClusterOpts(2, Offload, Options{FlightRingCap: 256, Agents: 2})
+	c := NewClusterOpts(2, Offload, Options{Agents: 2})
 	defer c.Close()
-	const msgs = 400
+	const msgs = 2000 // several records per message: well past flightRingCap
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -165,6 +166,11 @@ func TestFlightDumpConcurrent(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	for i := 0; i < 2; i++ {
+		if n := c.Rank(i).flightR.recorded(); n <= flightRingCap {
+			t.Errorf("rank %d recorded %d events, want more than the ring's %d (no wraparound exercised)", i, n, flightRingCap)
+		}
+	}
 }
 
 // TestFlightRingWraps verifies the ring is bounded: far more events than
@@ -191,8 +197,8 @@ func TestFlightRingWraps(t *testing.T) {
 
 func TestFlightMetaPacking(t *testing.T) {
 	cases := []struct {
-		kind              flightKind
-		agent, peer, tag  int
+		kind             flightKind
+		agent, peer, tag int
 	}{
 		{fkSubmitSend, 0, 1, 0},
 		{fkIssueRecv, 3, 1023, 77},
@@ -213,12 +219,14 @@ func TestFlightMetaPacking(t *testing.T) {
 	}
 }
 
-// TestServeTelemetryLive scrapes the cluster's endpoint during traffic: the
+// TestTelemetryLive scrapes the cluster's endpoint during traffic: the
 // ISSUE's curl-able acceptance criterion, minus the shell.
-func TestServeTelemetryLive(t *testing.T) {
+func TestTelemetryLive(t *testing.T) {
 	c := NewClusterOpts(2, Offload, Options{Agents: 2})
 	defer c.Close()
-	srv, _, err := c.ServeTelemetry("127.0.0.1:0")
+	reg := telemetry.New()
+	c.AttachTelemetry(reg)
+	srv, err := reg.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,13 +227,6 @@ type Options struct {
 	// hash(peer, tag) partition of the rank's matching engine. Direct mode
 	// ignores it (the global lock is the whole point there).
 	Agents int
-	// FlightRingCap is the per-rank flight-recorder capacity in records,
-	// rounded up to a power of two (default 4096).
-	FlightRingCap int
-	// FlightDump, when non-empty, is the file an automatic flight-recorder
-	// post-mortem is written to on the first watchdog trip (equivalent to
-	// calling SetFlightDump). Empty disables the automatic dump.
-	FlightDump string
 	// Transport selects the wire backend for an in-process cluster: nil
 	// runs the default Loopback (direct in-process delivery, the
 	// historical behavior); a socket mesh (transport.NewSocketMesh) moves
@@ -379,9 +372,6 @@ func newCluster(size int, mode Mode, o Options) *Cluster {
 	}
 	c := &Cluster{size: size, mode: mode, batchMax: batch, peerDown: make([]atomic.Bool, size)}
 	c.flightOn.Store(true)
-	if o.FlightDump != "" {
-		c.SetFlightDump(o.FlightDump)
-	}
 	return c
 }
 
@@ -396,10 +386,6 @@ func (c *Cluster) addRank(id int, ep transport.Endpoint, o Options) {
 	if agents <= 0 || c.mode != Offload {
 		agents = 1
 	}
-	flightCap := o.FlightRingCap
-	if flightCap <= 0 {
-		flightCap = 1 << 12
-	}
 	r := &Rank{
 		id:       id,
 		cluster:  c,
@@ -410,7 +396,7 @@ func (c *Cluster) addRank(id int, ep transport.Endpoint, o Options) {
 		mu:       make(chan struct{}, 1),
 		ep:       ep,
 		doneBell: make(chan struct{}, 1),
-		flightR:  newFlightRing(flightCap),
+		flightR:  newFlightRing(flightRingCap),
 		opGen:    make([]atomic.Int64, 1<<12),
 	}
 	for a := 0; a < agents; a++ {

@@ -100,17 +100,3 @@ func (c *Cluster) AttachTelemetry(reg *telemetry.Registry) {
 		}
 	}
 }
-
-// ServeTelemetry builds a fresh registry, attaches the cluster's metrics
-// and serves them over HTTP on addr (":9090", "127.0.0.1:0", ...):
-// /metrics is Prometheus text format, /vars expvar-style JSON. Returns the
-// running server (query Addr for the bound port; Close to stop).
-func (c *Cluster) ServeTelemetry(addr string) (*telemetry.Server, *telemetry.Registry, error) {
-	reg := telemetry.New()
-	c.AttachTelemetry(reg)
-	srv, err := reg.Serve(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, reg, nil
-}

@@ -51,10 +51,6 @@ func TestMultiAgentFixedCount(t *testing.T) {
 		t.Fatalf("submitted=%d completed=%d, want equal and nonzero",
 			r.Metrics.Submitted, r.Metrics.Completed)
 	}
-	if r.Metrics.AgentScaleUps != 0 || r.Metrics.AgentScaleDowns != 0 {
-		t.Fatalf("fixed configuration scaled: ups=%d downs=%d",
-			r.Metrics.AgentScaleUps, r.Metrics.AgentScaleDowns)
-	}
 }
 
 // TestMultiAgentDrainFairness: with a deliberately skewed load — one thread
@@ -91,102 +87,6 @@ func TestMultiAgentDrainFairness(t *testing.T) {
 	}
 	if r.Metrics.Completed != r.Metrics.Submitted {
 		t.Fatalf("completed %d of %d submitted", r.Metrics.Completed, r.Metrics.Submitted)
-	}
-}
-
-// scalingRun floods a 2-rank cluster from many threads under an adaptive
-// agent policy tuned to trip quickly, and returns the run result.
-func scalingRun() Result {
-	p := model.Endeavor()
-	p.Agents = 1
-	p.Policy = &model.AgentPolicy{
-		MinAgents:     1,
-		MaxAgents:     3,
-		ScaleUpDuty:   0.05,
-		ScaleUpDepth:  1,
-		ScaleDownIdle: 0.01,
-		EvalWindow:    25_000,
-		StealProgress: false,
-	}
-	const threads = 8
-	return Run(Config{Ranks: 2, Approach: Offload, Profile: p}, func(env *Env) {
-		env.ParallelN(threads, func(th *Thread) {
-			peer := 1 - env.Rank()
-			buf := make([]byte, 64)
-			for i := 0; i < 40; i++ {
-				rr := th.Comm.Irecv(buf, peer, 300+th.ID)
-				rs := th.Comm.Isend(buf, peer, 300+th.ID)
-				th.Comm.Waitall(&rr, &rs)
-			}
-		})
-	})
-}
-
-// TestAgentScaleUpDeterminism: the adaptive policy must actually scale up
-// under a saturating load, and — because it is evaluated on a virtual-time
-// cadence from metrics the deterministic kernel produces — two identical
-// runs must make bit-identical decisions.
-func TestAgentScaleUpDeterminism(t *testing.T) {
-	a, b := scalingRun(), scalingRun()
-	if a.Metrics.AgentScaleUps == 0 {
-		t.Fatalf("policy never scaled up under saturating load (active=%d)",
-			a.Metrics.ActiveAgents)
-	}
-	if a.Metrics.ActiveAgents < 2 {
-		t.Fatalf("ActiveAgents = %d after scale-up, want ≥ 2", a.Metrics.ActiveAgents)
-	}
-	if a.Elapsed != b.Elapsed {
-		t.Fatalf("nondeterministic elapsed: %d vs %d", a.Elapsed, b.Elapsed)
-	}
-	if a.Metrics.AgentScaleUps != b.Metrics.AgentScaleUps ||
-		a.Metrics.AgentScaleDowns != b.Metrics.AgentScaleDowns ||
-		a.Metrics.ActiveAgents != b.Metrics.ActiveAgents ||
-		a.Metrics.StolenProgress != b.Metrics.StolenProgress {
-		t.Fatalf("nondeterministic scaling: %+v vs %+v", a.Metrics, b.Metrics)
-	}
-	if a.Metrics.Completed != a.Metrics.Submitted {
-		t.Fatalf("completed %d of %d submitted", a.Metrics.Completed, a.Metrics.Submitted)
-	}
-}
-
-// TestStealProgressUnderSaturation: with the policy pinned at MaxAgents = 1
-// and StealProgress on, a saturated backlog must let submitting threads
-// drive progress rounds themselves — and the count must be deterministic.
-func TestStealProgressUnderSaturation(t *testing.T) {
-	run := func() Result {
-		p := model.Endeavor()
-		p.Agents = 1
-		p.Policy = &model.AgentPolicy{
-			MinAgents:     1,
-			MaxAgents:     1,
-			ScaleUpDuty:   0.05,
-			ScaleUpDepth:  1,
-			ScaleDownIdle: 0.01,
-			EvalWindow:    25_000,
-			StealProgress: true,
-		}
-		const threads = 8
-		return Run(Config{Ranks: 2, Approach: Offload, Profile: p}, func(env *Env) {
-			env.ParallelN(threads, func(th *Thread) {
-				peer := 1 - env.Rank()
-				buf := make([]byte, 64)
-				for i := 0; i < 40; i++ {
-					rr := th.Comm.Irecv(buf, peer, 400+th.ID)
-					rs := th.Comm.Isend(buf, peer, 400+th.ID)
-					th.Comm.Waitall(&rr, &rs)
-				}
-			})
-		})
-	}
-	a, b := run(), run()
-	if a.Metrics.StolenProgress == 0 {
-		t.Fatalf("no progress stolen under a saturated single-agent policy")
-	}
-	if a.Metrics.AgentScaleUps != 0 {
-		t.Fatalf("scaled up despite MaxAgents=1: %d", a.Metrics.AgentScaleUps)
-	}
-	if a.Metrics.StolenProgress != b.Metrics.StolenProgress || a.Elapsed != b.Elapsed {
-		t.Fatalf("nondeterministic steal count: %d vs %d", a.Metrics.StolenProgress, b.Metrics.StolenProgress)
 	}
 }
 

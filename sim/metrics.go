@@ -26,15 +26,9 @@ type Metrics struct {
 	// TestanyPolls counts offload-thread progress rounds; with Completed
 	// it yields PollsPerCompletion.
 	TestanyPolls int64
-	// Multi-agent engine accounting (all zero in the paper's fixed
-	// single-agent configuration): ActiveAgents is the peak count of
-	// offload agents accepting work on any rank at run end, the scale
-	// counters sum the adaptive policy's decisions, and StolenProgress
-	// counts progress rounds saturated application threads drove
-	// themselves.
-	ActiveAgents                   int64
-	AgentScaleUps, AgentScaleDowns int64
-	StolenProgress                 int64
+	// ActiveAgents is the number of offload agents per rank (the maximum
+	// over ranks; zero when the approach has no offload engine).
+	ActiveAgents int64
 	// Batched draining (§3.3 under contention): DrainBatches counts
 	// offload-thread wakeups that issued commands, BatchedCmds the commands
 	// they drained; MeanBatch derives the mean drain batch size.
@@ -132,9 +126,6 @@ func (m *Metrics) Add(o Metrics) {
 	if o.ActiveAgents > m.ActiveAgents {
 		m.ActiveAgents = o.ActiveAgents
 	}
-	m.AgentScaleUps += o.AgentScaleUps
-	m.AgentScaleDowns += o.AgentScaleDowns
-	m.StolenProgress += o.StolenProgress
 	m.DrainBatches += o.DrainBatches
 	m.BatchedCmds += o.BatchedCmds
 	m.IssuesApp += o.IssuesApp
@@ -216,10 +207,7 @@ func rankMetricsOf(eng *proto.Engine, off *core.Offloader) Metrics {
 		m.ReqPoolHWM = int64(off.PoolHighWater())
 		m.CmdQDepthH = off.QDepthH.Snapshot()
 		m.PoolOccH = off.PoolOccH.Snapshot()
-		m.ActiveAgents = int64(off.ActiveAgents())
-		m.AgentScaleUps = off.ScaleUps.Load()
-		m.AgentScaleDowns = off.ScaleDowns.Load()
-		m.StolenProgress = off.Steals.Load()
+		m.ActiveAgents = int64(off.Agents())
 	}
 	rm := eng.Obs.Metrics() // zero when no recorder is attached
 	m.IssueNs = rm.IssueNs

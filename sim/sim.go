@@ -63,9 +63,6 @@ func (a Approach) String() string {
 	return fmt.Sprintf("approach(%d)", int(a))
 }
 
-// Approaches lists all approaches in presentation order.
-var Approaches = []Approach{Baseline, Iprobe, CommSelf, Offload}
-
 // ThreadLevel is the application's requested MPI threading level.
 type ThreadLevel int
 
