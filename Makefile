@@ -1,6 +1,6 @@
 # Tier-1 gate: everything `make ci` runs must stay green. Nothing here is
-# started in the background: every recipe line runs to completion, and
-# `pgrep -f 'hostbench|paper|mpirun'` is empty afterwards.
+# started in the background: every recipe line runs to completion, and ci's
+# last step (leak-check) fails if a process of anything it ran survives.
 #
 #   make ci           vet + build + full test suite + race subset + every smoke
 #   make vet          go vet ./...
@@ -26,6 +26,10 @@
 #                     workload, one HTTP scrape, Prometheus-format validation).
 #   make mpirun-smoke a two-process cmd/mpirun ping-pong over real Unix sockets
 #                     with cmd/paper as the worker.
+#   make leak-check   the last step of ci: fails, and lists them, if any process
+#                     of a binary ci builds or runs is still alive
+#                     (/tmp/mpirun_smoke, /tmp/paper_smoke, `go run`'s
+#                     exe/paper, .bench_build/hostbench).
 #   make benchdiff    compare the working-tree BENCH documents against HEAD's
 #                     committed generation (markdown trend tables; exits
 #                     nonzero past tolerance). Run after a full regeneration.
@@ -42,9 +46,10 @@ GO ?= go
 DOCS := mtscale topo chaos net
 PAPER := $(GO) run ./cmd/paper
 
-.PHONY: ci vet build test race smoke $(DOCS:%=%-smoke) critpath-smoke telemetry-smoke mpirun-smoke benchdiff host-bench $(DOCS) results loc
+.PHONY: ci vet build test race smoke $(DOCS:%=%-smoke) critpath-smoke telemetry-smoke mpirun-smoke leak-check benchdiff host-bench $(DOCS) results loc
 
 ci: vet build test race smoke critpath-smoke telemetry-smoke mpirun-smoke
+	$(MAKE) leak-check
 
 vet:
 	$(GO) vet ./...
@@ -77,6 +82,14 @@ mpirun-smoke:
 	$(GO) build -o /tmp/mpirun_smoke ./cmd/mpirun
 	$(GO) build -o /tmp/paper_smoke ./cmd/paper
 	/tmp/mpirun_smoke -n 2 /tmp/paper_smoke
+
+# The pattern matches the program path (argv[0]) only, so a shell or editor
+# whose command line merely mentions one of these paths is not a leak; the
+# bracketed letters also keep it from matching the shell that runs pgrep.
+LEAKED := '^(/tmp/[m]pirun_smoke|/tmp/[p]aper_smoke|[^ ]*/exe/[p]aper|[^ ]*\.bench_build/[h]ostbench)( |$$)'
+
+leak-check:
+	@if pgrep -fa $(LEAKED); then echo "leak-check: the processes above are still running" >&2; exit 1; fi
 
 benchdiff:
 	for d in $(DOCS); do \

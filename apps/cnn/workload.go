@@ -64,7 +64,7 @@ func RunHybrid(env *sim.Env, cfg HybridConfig, warm, iters int) float64 {
 	c := env.World
 	p := env.Profile()
 	imgs := float64(cfg.Minibatch) / float64(c.Size())
-	rate := p.ThreadFlops * effThreads(env) * CNNEff
+	rate := p.ThreadFlops * env.EffectiveThreads() * CNNEff
 	layers := len(cfg.ConvGradBytes)
 	totalGrad := 0
 	for _, b := range cfg.ConvGradBytes {
@@ -76,7 +76,7 @@ func RunHybrid(env *sim.Env, cfg HybridConfig, warm, iters int) float64 {
 		// Weight update: wait for last iteration's gradient exchanges.
 		c.Waitall(pending...)
 		pending = pending[:0]
-		env.ComputeTime(float64(totalGrad) / (p.MemcpyBW * effThreads(env)))
+		env.ComputeTime(float64(totalGrad) / (p.MemcpyBW * env.EffectiveThreads()))
 
 		// Forward through the convolutional stack.
 		fw := imgs * cfg.ConvFlopsPerImage * fwdFrac / rate
@@ -117,19 +117,6 @@ func RunHybrid(env *sim.Env, cfg HybridConfig, warm, iters int) float64 {
 	// Drain the final exchanges so the simulation ends cleanly.
 	c.Waitall(pending...)
 	return sum / float64(iters)
-}
-
-func effThreads(env *sim.Env) float64 {
-	p := env.Profile()
-	eff := float64(p.ThreadsPerRank)
-	switch env.Approach() {
-	case sim.Offload, sim.CommSelf, sim.CoreSpec:
-		eff -= p.OffloadThreadCost
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
 }
 
 // ImagesPerSec converts an iteration time to training throughput.

@@ -56,7 +56,7 @@ func RunPipelined(env *sim.Env, points, segments, warm, iters int) Split {
 		if blockBytes < 1 {
 			blockBytes = 1
 		}
-		rate := p.ThreadFlops * effThreads(env) * FFTEff
+		rate := p.ThreadFlops * env.EffectiveThreads() * FFTEff
 
 		reqs := make([]*mpi.Request, 0, segments)
 		for s := 0; s < segments; s++ {
@@ -109,19 +109,6 @@ func RunPipelined(env *sim.Env, points, segments, warm, iters int) Split {
 		Internal: sum.Internal / f, Post: sum.Post / f, Wait: sum.Wait / f,
 		Misc: sum.Misc / f, Total: sum.Total / f,
 	}
-}
-
-func effThreads(env *sim.Env) float64 {
-	p := env.Profile()
-	eff := float64(p.ThreadsPerRank)
-	switch env.Approach() {
-	case sim.Offload, sim.CommSelf, sim.CoreSpec:
-		eff -= p.OffloadThreadCost
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
 }
 
 // Gflops converts a per-iteration time into delivered GFLOP/s for the

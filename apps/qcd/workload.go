@@ -98,24 +98,10 @@ func (w *Workload) MaxFaceBytes() int {
 }
 
 // computeTime converts a flop count into the duration the rank's thread
-// team needs at the Dslash efficiency (mirrors Env.Compute's accounting,
-// including the fractional thread lost to a communication thread).
+// team needs at the Dslash efficiency (Env.Compute's accounting, including
+// the share lost to dedicated communication threads).
 func computeTime(env *sim.Env, flops float64) float64 {
-	return flops / (env.Profile().ThreadFlops * envEffThreads(env) * DslashEff)
-}
-
-// envEffThreads recovers the effective thread count Env.Compute uses.
-func envEffThreads(env *sim.Env) float64 {
-	p := env.Profile()
-	eff := float64(p.ThreadsPerRank)
-	switch env.Approach() {
-	case sim.Offload, sim.CommSelf, sim.CoreSpec:
-		eff -= p.OffloadThreadCost
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
+	return flops / (env.Profile().ThreadFlops * env.EffectiveThreads() * DslashEff)
 }
 
 // Iteration runs one modelled Dslash iteration and returns its time split.
@@ -126,7 +112,7 @@ func (w *Workload) Iteration(env *sim.Env) TimeSplit {
 	start := env.Now()
 
 	// Boundary pack (threaded memcpy) — misc.
-	packBW := p.MemcpyBW * envEffThreads(env) * packEff
+	packBW := p.MemcpyBW * env.EffectiveThreads() * packEff
 	env.ComputeTime(float64(w.FaceBytesTotal()) / packBW)
 	t0 := env.Now()
 	ts.Misc += float64(t0 - start)
@@ -214,7 +200,7 @@ func SolverIteration(env *sim.Env, w *Workload) float64 {
 	// BLAS-1: ~6 vector ops of 24 floats/site, memory-bound.
 	p := env.Profile()
 	bytes := float64(w.G.Volume()) * SpinorBytes * 6
-	env.ComputeTime(bytes / (p.MemcpyBW * envEffThreads(env)))
+	env.ComputeTime(bytes / (p.MemcpyBW * env.EffectiveThreads()))
 	// Three global reductions (α, β, |r|²) of one complex/real scalar.
 	for i := 0; i < 3; i++ {
 		v := []float64{1, 2}
@@ -270,7 +256,7 @@ func RunDslashThreadGroups(env *sim.Env, L [Nd]int, groups, warm, iters int) flo
 		// pipelining the thread-groups library enables (§5.1, Fig 12).
 		interior := float64(w.G.Volume()-w.BoundarySites()) * SiteFlops
 		perGroup := computeTime(env, interior) // flops/g on threads/g
-		groupBW := p.MemcpyBW * envEffThreads(env) * packEff / gf
+		groupBW := p.MemcpyBW * env.EffectiveThreads() * packEff / gf
 		boundarySpan := computeTime(env, float64(w.BoundarySites())*SiteFlops)
 		totalBytes := float64(w.FaceBytesTotal())
 		owner := assignDirs(w.dirs, groups)

@@ -2,6 +2,7 @@ package qcd
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"mpioffload/internal/model"
@@ -153,6 +154,25 @@ func TestThreadGroupsProduceSaneTimes(t *testing.T) {
 			t.Errorf("thread-group iteration time %v", d)
 		}
 	})
+}
+
+// TestComputeTimeMatchesEnvCompute: the Dslash model charges compute at the
+// rate Env.Compute uses, including when the offload engine runs two agents
+// and so gives up two threads' share.
+func TestComputeTimeMatchesEnvCompute(t *testing.T) {
+	p := model.Endeavor()
+	p.Agents = 2
+	for _, a := range []sim.Approach{sim.Baseline, sim.CommSelf, sim.Offload} {
+		sim.Run(sim.Config{Ranks: 1, Approach: a, Profile: p}, func(env *sim.Env) {
+			const flops = 1e10
+			start := env.Now()
+			env.Compute(flops / DslashEff)
+			got := float64(env.Now() - start)
+			if want := computeTime(env, flops); math.Abs(got-want) > 1 {
+				t.Errorf("%s: computeTime = %.0f ns, Env.Compute took %.0f ns", a, want, got)
+			}
+		})
+	}
 }
 
 func ExampleChooseGrid() {

@@ -127,22 +127,15 @@ func (e *Engine) Accumulate(t *vclock.Task, w *Win, local []byte, target, off in
 	return op
 }
 
-// WaitOutstanding completes every origin-side operation issued on w since
-// the last call (the local half of a fence).
-func (e *Engine) WaitOutstanding(t *vclock.Task, w *Win, locked bool) {
+// TakeOutstanding returns every origin-side operation issued on w since the
+// last call, for the local half of a fence to wait on.
+func (w *Win) TakeOutstanding() []Req {
 	reqs := make([]Req, len(w.outstanding))
 	for i, op := range w.outstanding {
 		reqs[i] = op
 	}
 	w.outstanding = w.outstanding[:0]
-	if len(reqs) == 0 {
-		return
-	}
-	if locked {
-		e.WaitAllLocked(t, reqs...)
-	} else {
-		e.WaitAll(t, reqs...)
-	}
+	return reqs
 }
 
 // handleRMA processes one-sided packets; it returns (cost, true) if the

@@ -1,0 +1,127 @@
+package mpi
+
+import (
+	"mpioffload/internal/core"
+	"mpioffload/internal/obs"
+	"mpioffload/internal/proto"
+	"mpioffload/internal/vclock"
+)
+
+// Backend carries a communicator's calls into the rank's protocol engine.
+// Its methods are unexported, so the two implementations below are the only
+// ones: Direct (the calling thread enters the engine) and Offload (one
+// offload thread enters it on every application thread's behalf).
+type Backend interface {
+	// post issues one operation and returns its request. A nil operation
+	// means the issue completed inline.
+	post(t *vclock.Task, issue func(*vclock.Task) proto.Req) Request
+	// call runs fn to completion on the thread that drives the engine and
+	// returns when it has finished. fn receives that thread and its direct
+	// path into the engine, through which it may issue or wait.
+	call(t *vclock.Task, fn func(*vclock.Task, *direct))
+	// wait blocks until every request in rs has completed.
+	wait(t *vclock.Task, rs []*Request)
+	// test reports whether r has completed.
+	test(t *vclock.Task, r *Request) bool
+	// blocking notes that a blocking point-to-point call is about to run
+	// as post + wait.
+	blocking(t *vclock.Task)
+}
+
+// direct is the backend of the approaches without an offload thread: the
+// calling thread runs the engine itself. With locked set every entry takes
+// the implementation's global lock (MPI_THREAD_MULTIPLE), paying its
+// acquisition and contention costs; otherwise calls enter the engine
+// unguarded (MPI_THREAD_FUNNELED).
+type direct struct {
+	eng    *proto.Engine
+	locked bool
+}
+
+// Direct returns the backend in which each calling thread drives eng.
+func Direct(eng *proto.Engine, locked bool) Backend { return &direct{eng: eng, locked: locked} }
+
+func (d *direct) post(t *vclock.Task, issue func(*vclock.Task) proto.Req) Request {
+	if d.locked {
+		d.eng.EnterLock(t)
+		defer d.eng.ExitLock(t)
+	}
+	if req := issue(t); req != nil {
+		return Request{req: &req}
+	}
+	return Request{}
+}
+
+func (d *direct) call(t *vclock.Task, fn func(*vclock.Task, *direct)) { fn(t, d) }
+
+func (d *direct) wait(t *vclock.Task, rs []*Request) {
+	reqs := make([]proto.Req, len(rs))
+	for i, r := range rs {
+		reqs[i] = *r.req
+	}
+	d.await(t, reqs)
+}
+
+// await drives progress until every one of reqs has completed.
+func (d *direct) await(t *vclock.Task, reqs []proto.Req) {
+	switch {
+	case len(reqs) == 0:
+	case d.locked:
+		d.eng.WaitAllLocked(t, reqs...)
+	default:
+		d.eng.WaitAll(t, reqs...)
+	}
+}
+
+func (d *direct) test(t *vclock.Task, r *Request) bool {
+	if d.locked {
+		d.eng.EnterLock(t)
+		defer d.eng.ExitLock(t)
+	}
+	return d.eng.Test(t, *r.req)
+}
+
+func (d *direct) blocking(*vclock.Task) {}
+
+// offload is the paper's backend (§3): every call is serialized into the
+// lock-free command queue of the rank's offload thread, which drives the
+// engine through its own unlocked direct path. The caller pays only the
+// enqueue cost, and blocking calls become post + done-flag wait.
+type offload struct {
+	off   *core.Offloader
+	agent direct
+}
+
+// Offload returns the backend that routes every call through off.
+func Offload(off *core.Offloader) Backend { return &offload{off: off, agent: direct{eng: off.Eng}} }
+
+func (o *offload) post(t *vclock.Task, issue func(*vclock.Task) proto.Req) Request {
+	req := new(proto.Req)
+	h := o.off.Submit(t, func(ot *vclock.Task) proto.Req {
+		*req = issue(ot)
+		return *req
+	})
+	return Request{h: h, req: req}
+}
+
+func (o *offload) call(t *vclock.Task, fn func(*vclock.Task, *direct)) {
+	h := o.off.Submit(t, func(ot *vclock.Task) proto.Req {
+		fn(ot, &o.agent)
+		return nil
+	})
+	o.off.Wait(t, h)
+}
+
+func (o *offload) wait(t *vclock.Task, rs []*Request) {
+	for _, r := range rs {
+		o.off.Wait(t, r.h)
+	}
+}
+
+func (o *offload) test(t *vclock.Task, r *Request) bool { return o.off.Test(t, r.h) }
+
+func (o *offload) blocking(t *vclock.Task) {
+	if o.agent.eng.Obs.Enabled() {
+		o.agent.eng.Obs.Converted(t.Now(), obs.TaskClass(t.Name))
+	}
+}

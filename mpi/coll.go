@@ -10,27 +10,9 @@ import (
 // typed operators in this package (SumFloat64, MaxFloat64, SumInt64, ...).
 type ReduceOp = coll.Combine
 
-// icoll routes a collective-schedule constructor through the configured
-// path (direct, locked, or offloaded) and wraps it as a Request. The
-// offload path keeps a reference to the issued schedule so Wait can
-// surface its Failed() state through Status.Err.
-func (c *Comm) icoll(mk func(t *vclock.Task) proto.Req) Request {
-	st := c.st
-	if st.off != nil {
-		ref := new(proto.Req)
-		h := st.off.Submit(c.t, func(t *vclock.Task) proto.Req {
-			r := mk(t)
-			*ref = r
-			return r
-		})
-		return Request{off: st.off, h: h, collRef: ref}
-	}
-	if st.locked {
-		st.eng.EnterLock(c.t)
-		defer st.eng.ExitLock(c.t)
-	}
-	return Request{direct: mk(c.t)}
-}
+// icoll posts a collective-schedule constructor through the backend; Wait
+// surfaces the schedule's Failed() state through Status.Err.
+func (c *Comm) icoll(mk func(t *vclock.Task) proto.Req) Request { return c.st.b.post(c.t, mk) }
 
 // Ibarrier starts a nonblocking barrier.
 func (c *Comm) Ibarrier() Request {

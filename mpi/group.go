@@ -15,9 +15,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	all := make([]int64, 2*n)
 	c.Allgather(Int64Bytes(mine), Int64Bytes(all))
 
-	st := c.st
-	st.dups++
-	baseID := st.id*1024 + st.dups
+	baseID := c.nextID()
 	if color < 0 {
 		return nil
 	}
@@ -36,24 +34,13 @@ func (c *Comm) Split(color, key int) *Comm {
 	})
 	ranks := make([]int, len(members))
 	me := -1
-	nodes := map[int]bool{}
 	for i, m := range members {
-		ranks[i] = st.ranks[m.oldRank]
-		if m.oldRank == st.me {
+		ranks[i] = c.st.ranks[m.oldRank]
+		if m.oldRank == c.st.me {
 			me = i
 		}
 	}
-	// Node count for the congestion model: conservatively one node per
-	// RanksPerNode block of the global ranks.
-	rpn := c.st.eng.P.RanksPerNode
-	for _, gr := range ranks {
-		nodes[gr/rpn] = true
-	}
-	ns := &commState{
-		eng: st.eng, off: st.off, locked: st.locked,
-		id: baseID + color + 1, ranks: ranks, me: me, nodes: len(nodes),
-	}
-	return &Comm{st: ns, t: c.t}
+	return c.derive(baseID+color+1, ranks, me)
 }
 
 // CartComm is a Cartesian topology over a communicator (MPI_Cart_create

@@ -3,19 +3,22 @@
 // A Comm is a communicator handle bound to one application thread of one
 // rank (threads obtain their own bound handles; see package sim). The API
 // mirrors the MPI operations the paper's applications use: nonblocking and
-// blocking point-to-point, Wait/Test/Iprobe, and the common collectives in
-// blocking and nonblocking form.
+// blocking point-to-point, Wait/Test/Iprobe, the common collectives in
+// blocking and nonblocking form, and one-sided windows.
 //
-// Every call is routed according to how the rank was configured:
+// The API sits on a Backend, chosen when the rank is built, and never asks
+// which one it has: every entry point posts an issue closure, runs a
+// synchronous closure, or waits/tests a request through it. There are two
+// backends:
 //
-//   - direct, funneled    — calls enter the protocol engine directly with
-//     no locking (MPI_THREAD_FUNNELED); progress happens only inside calls.
-//   - direct, locked      — every call takes the implementation's global
-//     lock (MPI_THREAD_MULTIPLE), paying acquisition and contention costs.
-//   - offloaded           — calls are serialized into the lock-free command
-//     queue of the rank's offload thread (paper §3); the caller pays only
-//     the enqueue cost, and blocking calls become nonblocking + done-flag
-//     wait.
+//   - Direct — the calling thread enters the protocol engine itself, with
+//     no locking (MPI_THREAD_FUNNELED) or under the implementation's global
+//     lock (MPI_THREAD_MULTIPLE); progress happens inside the calls unless
+//     a progress driver beside the rank makes it (package sim).
+//   - Offload — calls are serialized into the lock-free command queue of
+//     the rank's offload thread (paper §3), which drives the engine on
+//     their behalf; the caller pays only the enqueue cost, and blocking
+//     calls become nonblocking + done-flag wait.
 package mpi
 
 import (
@@ -23,7 +26,6 @@ import (
 
 	"mpioffload/internal/coll"
 	"mpioffload/internal/core"
-	"mpioffload/internal/obs"
 	"mpioffload/internal/proto"
 	"mpioffload/internal/vclock"
 )
@@ -59,30 +61,26 @@ type Status struct {
 // Request is a pending nonblocking operation. The zero value is a null
 // request (ignored by Wait/Test).
 type Request struct {
-	direct  proto.Req
-	off     *core.Offloader
-	h       core.Handle
-	opRef   **proto.Op // offload path: set by the offload thread at issue
-	collRef *proto.Req // offload path: collective schedule, set at issue
-	waited  bool
+	h      core.Handle // the offload backend's command slot
+	req    *proto.Req  // the issued operation, set by the issuing thread
+	waited bool
 }
 
 // IsNull reports whether the request is the null request.
-func (r *Request) IsNull() bool { return r.direct == nil && r.off == nil }
+func (r *Request) IsNull() bool { return r.req == nil }
 
 // commState is the per-rank state of one communicator, shared by all
 // thread-bound Comm handles of that rank.
 type commState struct {
-	eng    *proto.Engine
-	off    *core.Offloader // non-nil => offload routing
-	locked bool            // true => THREAD_MULTIPLE global locking
-	id     int
-	ranks  []int       // group: global rank of each group rank
-	me     int         // my group rank
-	nodes  int         // distinct nodes spanned by the group
-	colls  int         // collective sequence number (tag space)
-	dups   int         // communicator-derivation counter
-	errh   func(error) // communicator error handler (nil = errors-return)
+	eng   *proto.Engine
+	b     Backend
+	id    int
+	ranks []int       // group: global rank of each group rank
+	me    int         // my group rank
+	nodes int         // distinct nodes spanned by the group
+	colls int         // collective sequence number (tag space)
+	dups  int         // communicator-derivation counter
+	errh  func(error) // communicator error handler (nil = errors-return)
 }
 
 // Comm is a communicator handle bound to the calling thread.
@@ -94,9 +92,9 @@ type Comm struct {
 // NewComm assembles a communicator handle. It is the bridge used by the
 // sim package when constructing clusters; applications receive ready-made
 // Comms and never call this.
-func NewComm(t *vclock.Task, eng *proto.Engine, off *core.Offloader, locked bool, id int, ranks []int, me, nodes int) *Comm {
+func NewComm(t *vclock.Task, eng *proto.Engine, b Backend, id int, ranks []int, me, nodes int) *Comm {
 	return &Comm{
-		st: &commState{eng: eng, off: off, locked: locked, id: id, ranks: ranks, me: me, nodes: nodes},
+		st: &commState{eng: eng, b: b, id: id, ranks: ranks, me: me, nodes: nodes},
 		t:  t,
 	}
 }
@@ -118,10 +116,6 @@ func (c *Comm) Nodes() int { return c.st.nodes }
 
 // GlobalRank translates a communicator rank to a global (world) rank.
 func (c *Comm) GlobalRank(r int) int { return c.st.ranks[r] }
-
-// Offloaded reports whether this communicator routes through an offload
-// thread.
-func (c *Comm) Offloaded() bool { return c.st.off != nil }
 
 // SetErrhandler installs an error handler on the communicator (shared by
 // all thread-bound handles, like MPI_Comm_set_errhandler). When a request
@@ -150,72 +144,51 @@ func (c *Comm) nextCollTag() int {
 	return c.st.colls
 }
 
+// global translates a source rank (or AnySource) to a global rank.
+func (c *Comm) global(src int) int {
+	if src == AnySource {
+		return src
+	}
+	return c.st.ranks[src]
+}
+
+// run executes fn inside the library as one call, serialized with every
+// other, and returns when it has finished.
+func (c *Comm) run(fn func(*vclock.Task)) {
+	r := c.st.b.post(c.t, func(t *vclock.Task) proto.Req {
+		fn(t)
+		return nil
+	})
+	c.Wait(&r)
+}
+
 // ---- point-to-point ----
 
 // Isend starts a nonblocking send of buf to dst with tag.
 func (c *Comm) Isend(buf []byte, dst, tag int) Request {
-	st := c.st
-	gdst := st.ranks[dst]
-	if st.off != nil {
-		ref := new(*proto.Op)
-		h := st.off.Submit(c.t, func(ot *vclock.Task) proto.Req {
-			op := st.eng.Isend(ot, buf, gdst, tag, st.id)
-			*ref = op
-			return op
-		})
-		return Request{off: st.off, h: h, opRef: ref}
-	}
-	if st.locked {
-		st.eng.EnterLock(c.t)
-		defer st.eng.ExitLock(c.t)
-	}
-	return Request{direct: st.eng.Isend(c.t, buf, gdst, tag, st.id)}
+	st, gdst := c.st, c.st.ranks[dst]
+	return st.b.post(c.t, func(t *vclock.Task) proto.Req { return st.eng.Isend(t, buf, gdst, tag, st.id) })
 }
 
 // Irecv starts a nonblocking receive into buf from src (or AnySource).
 func (c *Comm) Irecv(buf []byte, src, tag int) Request {
-	st := c.st
-	gsrc := src
-	if src != AnySource {
-		gsrc = st.ranks[src]
-	}
-	if st.off != nil {
-		ref := new(*proto.Op)
-		h := st.off.Submit(c.t, func(ot *vclock.Task) proto.Req {
-			op := st.eng.Irecv(ot, buf, gsrc, tag, st.id)
-			*ref = op
-			return op
-		})
-		return Request{off: st.off, h: h, opRef: ref}
-	}
-	if st.locked {
-		st.eng.EnterLock(c.t)
-		defer st.eng.ExitLock(c.t)
-	}
-	return Request{direct: st.eng.Irecv(c.t, buf, gsrc, tag, st.id)}
+	st, gsrc := c.st, c.global(src)
+	return st.b.post(c.t, func(t *vclock.Task) proto.Req { return st.eng.Irecv(t, buf, gsrc, tag, st.id) })
 }
 
-// Send is the blocking send: Isend + Wait. Through the offload path this is
-// the paper's §3.3 blocking→nonblocking conversion.
+// Send is the blocking send: Isend + Wait. Through the offload backend this
+// is the paper's §3.3 blocking→nonblocking conversion.
 func (c *Comm) Send(buf []byte, dst, tag int) {
-	c.noteConvert()
+	c.st.b.blocking(c.t)
 	r := c.Isend(buf, dst, tag)
 	c.Wait(&r)
 }
 
 // Recv is the blocking receive; it returns the completion status.
 func (c *Comm) Recv(buf []byte, src, tag int) Status {
-	c.noteConvert()
+	c.st.b.blocking(c.t)
 	r := c.Irecv(buf, src, tag)
 	return c.Wait(&r)
-}
-
-// noteConvert records a blocking point-to-point call taking the offload
-// path, where it runs as nonblocking + done-flag wait (§3.3).
-func (c *Comm) noteConvert() {
-	if st := c.st; st.off != nil && st.eng.Obs.Enabled() {
-		st.eng.Obs.Converted(c.t.Now(), obs.TaskClass(c.t.Name))
-	}
 }
 
 // Wait blocks until the request completes and returns the receive status
@@ -224,72 +197,36 @@ func (c *Comm) Wait(r *Request) Status {
 	if r.IsNull() || r.waited {
 		return Status{}
 	}
-	st := c.st
-	switch {
-	case r.off != nil:
-		r.off.Wait(c.t, r.h)
-	case st.locked:
-		st.eng.WaitAllLocked(c.t, r.direct)
-	default:
-		st.eng.WaitAll(c.t, r.direct)
-	}
 	r.waited = true
+	c.st.b.wait(c.t, []*Request{r})
 	return c.raise(r.status())
 }
 
 func (r *Request) status() Status {
-	op, ok := r.direct.(*proto.Op)
-	if !ok && r.opRef != nil {
-		op = *r.opRef
-	}
-	if op != nil {
-		return Status{Source: op.Stat.Source, Tag: op.Stat.Tag, Count: op.Stat.Count, Err: op.Err}
-	}
-	// Collectives: a schedule whose point-to-point operations were failed
-	// by the watchdog reports the first such error instead of pretending
-	// the (incomplete) result is clean.
-	req := r.direct
-	if req == nil && r.collRef != nil {
-		req = *r.collRef
-	}
-	if f, ok := req.(interface{ Failed() error }); ok {
-		if err := f.Failed(); err != nil {
-			return Status{Err: err}
-		}
+	switch req := (*r.req).(type) {
+	case *proto.Op:
+		return Status{Source: req.Stat.Source, Tag: req.Stat.Tag, Count: req.Stat.Count, Err: req.Err}
+	case interface{ Failed() error }:
+		// Collectives: a schedule whose point-to-point operations were
+		// failed by the watchdog reports the first such error instead of
+		// pretending the (incomplete) result is clean.
+		return Status{Err: req.Failed()}
 	}
 	return Status{}
 }
 
 // Waitall completes a set of requests.
 func (c *Comm) Waitall(rs ...*Request) {
-	st := c.st
-	if st.off == nil {
-		var reqs []proto.Req
-		var done []*Request
-		for _, r := range rs {
-			if !r.IsNull() && !r.waited {
-				reqs = append(reqs, r.direct)
-				done = append(done, r)
-				r.waited = true
-			}
-		}
-		if len(reqs) == 0 {
-			return
-		}
-		if st.locked {
-			st.eng.WaitAllLocked(c.t, reqs...)
-		} else {
-			st.eng.WaitAll(c.t, reqs...)
-		}
-		for _, r := range done {
-			c.raise(r.status())
-		}
-		return
-	}
-	// Offload path: each wait is a done-flag check (§3.2 — Waitall is
-	// cheap because the offload thread tracks completion).
+	var live []*Request
 	for _, r := range rs {
-		c.Wait(r)
+		if !r.IsNull() && !r.waited {
+			r.waited = true
+			live = append(live, r)
+		}
+	}
+	c.st.b.wait(c.t, live)
+	for _, r := range live {
+		c.raise(r.status())
 	}
 }
 
@@ -335,19 +272,7 @@ func (c *Comm) Test(r *Request) (bool, Status) {
 	if r.IsNull() || r.waited {
 		return true, Status{}
 	}
-	st := c.st
-	var done bool
-	switch {
-	case r.off != nil:
-		done = r.off.Test(c.t, r.h)
-	case st.locked:
-		st.eng.EnterLock(c.t)
-		done = st.eng.Test(c.t, r.direct)
-		st.eng.ExitLock(c.t)
-	default:
-		done = st.eng.Test(c.t, r.direct)
-	}
-	if !done {
+	if !c.st.b.test(c.t, r) {
 		return false, Status{}
 	}
 	r.waited = true
@@ -355,35 +280,13 @@ func (c *Comm) Test(r *Request) (bool, Status) {
 }
 
 // Iprobe checks for a matching incoming message without receiving it.
-// In the funneled approaches this doubles as the application-driven
+// Without an offload thread this doubles as the application-driven
 // progress knob (the paper's iprobe approach, §2.1).
 func (c *Comm) Iprobe(src, tag int) (bool, Status) {
-	st := c.st
-	gsrc := src
-	if src != AnySource {
-		gsrc = st.ranks[src]
-	}
-	probe := func(t *vclock.Task) (bool, proto.Status) {
-		return st.eng.Iprobe(t, gsrc, tag, st.id)
-	}
+	st, gsrc := c.st, c.global(src)
 	var ok bool
 	var ps proto.Status
-	switch {
-	case st.off != nil:
-		// Probes route through the offload thread like everything else;
-		// the command completes inline, so this is enqueue + done-flag.
-		h := st.off.Submit(c.t, func(ot *vclock.Task) proto.Req {
-			ok, ps = probe(ot)
-			return nil
-		})
-		st.off.Wait(c.t, h)
-	case st.locked:
-		st.eng.EnterLock(c.t)
-		ok, ps = probe(c.t)
-		st.eng.ExitLock(c.t)
-	default:
-		ok, ps = probe(c.t)
-	}
+	c.run(func(t *vclock.Task) { ok, ps = st.eng.Iprobe(t, gsrc, tag, st.id) })
 	return ok, Status{Source: ps.Source, Tag: ps.Tag, Count: ps.Count}
 }
 
@@ -399,18 +302,33 @@ func (c *Comm) Compute(flops float64) {
 // Dup in the same order (MPI semantics), which keeps the derived ids in
 // agreement.
 func (c *Comm) Dup() *Comm {
+	nc := c.derive(c.nextID(), c.st.ranks, c.st.me)
+	nc.st.errh = c.st.errh
+	return nc
+}
+
+// nextID advances the derivation counter and returns the id space of the
+// next communicator derived from c.
+func (c *Comm) nextID() int {
 	st := c.st
 	st.dups++
 	id := st.id*1024 + st.dups
 	if id <= st.id {
-		panic(fmt.Sprintf("mpi: communicator id overflow duplicating %d", st.id))
+		panic(fmt.Sprintf("mpi: communicator id overflow deriving from %d", st.id))
 	}
-	ns := &commState{
-		eng: st.eng, off: st.off, locked: st.locked,
-		id: id, ranks: st.ranks, me: st.me, nodes: st.nodes,
-		errh: st.errh,
+	return id
+}
+
+// derive builds a communicator over the global ranks (in group order) on
+// the same engine and backend as c; me is this rank's position in ranks.
+func (c *Comm) derive(id int, ranks []int, me int) *Comm {
+	// Node count for the congestion model: one node per RanksPerNode block
+	// of the global ranks.
+	nodes := map[int]bool{}
+	for _, gr := range ranks {
+		nodes[gr/c.st.eng.P.RanksPerNode] = true
 	}
-	return &Comm{st: ns, t: c.t}
+	return NewComm(c.t, c.st.eng, c.st.b, id, ranks, me, len(nodes))
 }
 
 // ---- phantom (size-only) operations ------------------------------------
@@ -421,40 +339,12 @@ func (c *Comm) Dup() *Comm {
 
 // IsendBytes starts a phantom nonblocking send of n wire bytes.
 func (c *Comm) IsendBytes(n, dst, tag int) Request {
-	st := c.st
-	gdst := st.ranks[dst]
-	if st.off != nil {
-		ref := new(*proto.Op)
-		h := st.off.Submit(c.t, func(ot *vclock.Task) proto.Req {
-			op := st.eng.IsendN(ot, nil, n, gdst, tag, st.id, 1)
-			*ref = op
-			return op
-		})
-		return Request{off: st.off, h: h, opRef: ref}
-	}
-	if st.locked {
-		st.eng.EnterLock(c.t)
-		defer st.eng.ExitLock(c.t)
-	}
-	return Request{direct: st.eng.IsendN(c.t, nil, n, gdst, tag, st.id, 1)}
+	st, gdst := c.st, c.st.ranks[dst]
+	return st.b.post(c.t, func(t *vclock.Task) proto.Req { return st.eng.IsendN(t, nil, n, gdst, tag, st.id, 1) })
 }
 
 // IrecvBytes starts a phantom nonblocking receive of up to n wire bytes.
 func (c *Comm) IrecvBytes(n, src, tag int) Request {
-	st := c.st
-	gsrc := src
-	if src != AnySource {
-		gsrc = st.ranks[src]
-	}
-	if st.off != nil {
-		h := st.off.Submit(c.t, func(ot *vclock.Task) proto.Req {
-			return st.eng.IrecvN(ot, nil, n, gsrc, tag, st.id)
-		})
-		return Request{off: st.off, h: h}
-	}
-	if st.locked {
-		st.eng.EnterLock(c.t)
-		defer st.eng.ExitLock(c.t)
-	}
-	return Request{direct: st.eng.IrecvN(c.t, nil, n, gsrc, tag, st.id)}
+	st, gsrc := c.st, c.global(src)
+	return st.b.post(c.t, func(t *vclock.Task) proto.Req { return st.eng.IrecvN(t, nil, n, gsrc, tag, st.id) })
 }

@@ -7,9 +7,9 @@ import (
 
 // Win is a one-sided communication window over a byte buffer, created
 // collectively on a communicator. The paper lists RMA as future work for
-// the offload infrastructure (§7); here Put/Get/Accumulate route through
-// the configured path like every other call, so the offload thread gives
-// Accumulate the asynchronous target-side progress it needs.
+// the offload infrastructure (§7); here Put/Get/Accumulate go through the
+// backend like every other call, so the offload thread gives Accumulate the
+// asynchronous target-side progress it needs.
 type Win struct {
 	c  *Comm
 	pw *proto.Win
@@ -22,15 +22,7 @@ func (c *Comm) WinCreate(buf []byte) *Win {
 	st.colls++
 	id := st.id<<16 | st.colls | 1<<28 // window id space, distinct per comm
 	var pw *proto.Win
-	if st.off != nil {
-		h := st.off.Submit(c.t, func(ot *vclock.Task) proto.Req {
-			pw = st.eng.NewWin(id, buf)
-			return nil
-		})
-		st.off.Wait(c.t, h)
-	} else {
-		pw = st.eng.NewWin(id, buf)
-	}
+	st.b.call(c.t, func(*vclock.Task, *direct) { pw = st.eng.NewWin(id, buf) })
 	w := &Win{c: c, pw: pw}
 	c.Barrier() // everyone must have registered before any access
 	return w
@@ -42,9 +34,7 @@ func (c *Comm) WinCreate(buf []byte) *Win {
 func (w *Win) Put(local []byte, target, off int) {
 	st := w.c.st
 	gt := st.ranks[target]
-	w.rma(func(t *vclock.Task) proto.Req {
-		return st.eng.Put(t, w.pw, local, gt, off)
-	})
+	w.c.run(func(t *vclock.Task) { st.eng.Put(t, w.pw, local, gt, off) })
 }
 
 // Get reads len(local) bytes from target's window at offset off into
@@ -52,9 +42,7 @@ func (w *Win) Put(local []byte, target, off int) {
 func (w *Win) Get(local []byte, target, off int) {
 	st := w.c.st
 	gt := st.ranks[target]
-	w.rma(func(t *vclock.Task) proto.Req {
-		return st.eng.Get(t, w.pw, local, gt, off)
-	})
+	w.c.run(func(t *vclock.Task) { st.eng.Get(t, w.pw, local, gt, off) })
 }
 
 // Accumulate reduces local into target's window at offset off using op.
@@ -64,68 +52,22 @@ func (w *Win) Get(local []byte, target, off int) {
 func (w *Win) Accumulate(local []byte, target, off int, op ReduceOp) {
 	st := w.c.st
 	gt := st.ranks[target]
-	w.rma(func(t *vclock.Task) proto.Req {
-		return st.eng.Accumulate(t, w.pw, local, gt, off, op)
-	})
-}
-
-func (w *Win) rma(issue func(t *vclock.Task) proto.Req) {
-	st := w.c.st
-	if st.off != nil {
-		h := st.off.Submit(w.c.t, func(ot *vclock.Task) proto.Req {
-			issue(ot)
-			return nil // origin tracking is per-window; fence completes it
-		})
-		st.off.Wait(w.c.t, h)
-		return
-	}
-	if st.locked {
-		st.eng.EnterLock(w.c.t)
-		defer st.eng.ExitLock(w.c.t)
-	}
-	issue(w.c.t)
+	w.c.run(func(t *vclock.Task) { st.eng.Accumulate(t, w.pw, local, gt, off, op) })
 }
 
 // Fence closes the current access epoch: all locally issued operations
 // complete, and every pre-fence Put/Accumulate from any rank is visible in
 // the local window afterwards.
 func (w *Win) Fence() {
-	st := w.c.st
 	// Local completion of our outstanding origin-side operations.
-	if st.off != nil {
-		h := st.off.Submit(w.c.t, func(ot *vclock.Task) proto.Req {
-			st.eng.WaitOutstanding(ot, w.pw, false)
-			return nil
-		})
-		st.off.Wait(w.c.t, h)
-	} else {
-		st.eng.WaitOutstanding(w.c.t, w.pw, st.locked)
-	}
+	w.c.st.b.call(w.c.t, func(t *vclock.Task, d *direct) { d.await(t, w.pw.TakeOutstanding()) })
 	// Global ordering: the barrier's messages cannot overtake earlier RMA
 	// traffic (FIFO per pair), so after it every pre-fence operation has
 	// arrived; one final progress drain applies pending accumulates.
 	w.c.Barrier()
-	w.c.drainInbox()
-}
-
-// drainInbox runs progress until no arrivals are pending (fence epilogue).
-func (c *Comm) drainInbox() {
-	st := c.st
-	if st.off != nil {
-		h := st.off.Submit(c.t, func(ot *vclock.Task) proto.Req {
-			for st.eng.PendingInbox() > 0 {
-				st.eng.Progress(ot)
-			}
-			return nil
-		})
-		st.off.Wait(c.t, h)
-		return
-	}
-	if st.locked {
-		st.eng.EnterLock(c.t)
-		defer st.eng.ExitLock(c.t)
-	}
-	for st.eng.PendingInbox() > 0 {
-		st.eng.Progress(c.t)
-	}
+	w.c.run(func(t *vclock.Task) {
+		for w.c.st.eng.PendingInbox() > 0 {
+			w.c.st.eng.Progress(t)
+		}
+	})
 }

@@ -48,12 +48,7 @@ func (c *Comm) Shrink() *Comm {
 	}
 
 	for {
-		st.dups++
-		id := st.id*1024 + st.dups
-		if id <= st.id {
-			panic("mpi: communicator id space exhausted")
-		}
-
+		id := c.nextID()
 		var ranks []int
 		me := -1
 		for r := 0; r < n; r++ {
@@ -69,18 +64,7 @@ func (c *Comm) Shrink() *Comm {
 			return nil // this rank is (marked) failed: it gets no shrunk comm
 		}
 
-		// Node count for the congestion model, as in Split: one node per
-		// RanksPerNode block of the global ranks.
-		nodes := map[int]bool{}
-		rpn := st.eng.P.RanksPerNode
-		for _, gr := range ranks {
-			nodes[gr/rpn] = true
-		}
-		ns := &commState{
-			eng: st.eng, off: st.off, locked: st.locked,
-			id: id, ranks: ranks, me: me, nodes: len(nodes),
-		}
-		nc := &Comm{st: ns, t: c.t}
+		nc := c.derive(id, ranks, me)
 
 		// Agreement round on the candidate: OR everyone's failed bitmap.
 		// The error handler is attached only after agreement so recovery
@@ -102,7 +86,7 @@ func (c *Comm) Shrink() *Comm {
 			}
 		}
 		if same && stat.Err == nil {
-			ns.errh = st.errh
+			nc.st.errh = st.errh
 			return nc
 		}
 		failed = agreed

@@ -232,6 +232,41 @@ func TestOrphanWaitTimesOut(t *testing.T) {
 	}
 }
 
+// TestPhantomReceiveStatusUnderEveryApproach: a matched phantom receive
+// reports its source, tag and count, and an orphaned one fails with
+// ErrTimeout and reaches the error handler — whichever backend carries the
+// request.
+func TestPhantomReceiveStatusUnderEveryApproach(t *testing.T) {
+	for _, a := range []Approach{Baseline, Iprobe, CommSelf, Offload, CoreSpec} {
+		t.Run(a.String(), func(t *testing.T) {
+			var matched, orphan mpi.Status
+			var handled []error
+			Run(Config{Ranks: 2, Approach: a, Watchdog: 1e6}, func(env *Env) {
+				c := env.World
+				if env.Rank() == 0 {
+					r := c.IsendBytes(4096, 1, 7)
+					c.Wait(&r)
+					return
+				}
+				c.SetErrhandler(func(err error) { handled = append(handled, err) })
+				r := c.IrecvBytes(4096, 0, 7)
+				matched = c.Wait(&r)
+				o := c.IrecvBytes(4096, 0, 8)
+				orphan = c.Wait(&o)
+			})
+			if want := (mpi.Status{Source: 0, Tag: 7, Count: 4096}); matched != want {
+				t.Errorf("matched status = %+v, want %+v", matched, want)
+			}
+			if !errors.Is(orphan.Err, mpi.ErrTimeout) {
+				t.Errorf("orphan Status.Err = %v, want ErrTimeout", orphan.Err)
+			}
+			if len(handled) != 1 || !errors.Is(handled[0], mpi.ErrTimeout) {
+				t.Errorf("error handler saw %v, want one ErrTimeout", handled)
+			}
+		})
+	}
+}
+
 // TestResilienceEnvAccessor: counters are queryable mid-run from the Env.
 func TestResilienceEnvAccessor(t *testing.T) {
 	var mid Resilience

@@ -1,19 +1,29 @@
 // Package sim builds and runs simulated MPI clusters.
 //
 // A cluster is a set of ranks on a virtual-time kernel, connected by the
-// modelled interconnect, each with a protocol engine and — depending on the
-// configured approach — a dedicated communication thread:
+// modelled interconnect, each with a protocol engine. An approach is a
+// choice of two things per rank: the mpi.Backend under the rank's
+// communicators (Direct — the calling thread drives the engine, under the
+// global lock at MPI_THREAD_MULTIPLE — or Offload) and the progress driver
+// beside it (who makes progress when the application is not in MPI):
 //
-//	Baseline — MPI_THREAD_FUNNELED; the master thread makes all MPI calls
-//	           and progress happens only inside them (paper §2).
-//	Iprobe   — Baseline plus application-driven MPI_Iprobe progress calls
-//	           (the Env.Progress hook; paper §2.1).
-//	CommSelf — a progress thread sits in MPI on a dup of MPI_COMM_SELF,
-//	           forcing MPI_THREAD_MULTIPLE and its global lock (§2.2).
-//	Offload  — the paper's contribution (§3): a dedicated offload thread,
-//	           lock-free command queue and request pool.
-//	CoreSpec — a platform progress agent à la Cray core specialization
-//	           (compared in Fig 9b; only meaningful on the Edison profile).
+//	Baseline — Direct, no driver: MPI_THREAD_FUNNELED, progress happens
+//	           only inside MPI calls (paper §2).
+//	Iprobe   — Direct, driven by the application's MPI_Iprobe calls (the
+//	           Env.Progress hook; paper §2.1).
+//	CommSelf — Direct, driven by a progress thread sitting in MPI on a dup
+//	           of MPI_COMM_SELF, which forces MPI_THREAD_MULTIPLE and its
+//	           global lock (§2.2).
+//	Offload  — the paper's contribution (§3): the Offload backend, whose
+//	           dedicated thread (fed by a lock-free command queue and request
+//	           pool) both carries the calls and makes the progress.
+//	CoreSpec — Direct, driven by a platform progress agent à la Cray core
+//	           specialization (compared in Fig 9b; only meaningful on the
+//	           Edison profile).
+//
+// The approaches table below is the one place that turns an Approach into a
+// backend, a driver, the lock decision and the hardware threads the driver
+// consumes.
 //
 // Application programs are functions of an Env; they run once per rank as
 // the rank's master thread and can fork thread teams (Env.Parallel) whose
@@ -46,22 +56,39 @@ const (
 	CoreSpec
 )
 
-// String returns the paper's name for the approach.
-func (a Approach) String() string {
-	switch a {
-	case Baseline:
-		return "baseline"
-	case Iprobe:
-		return "iprobe"
-	case CommSelf:
-		return "comm-self"
-	case Offload:
-		return "offload"
-	case CoreSpec:
-		return "core-spec"
-	}
-	return fmt.Sprintf("approach(%d)", int(a))
+// approach is how one Approach is built.
+type approach struct {
+	name    string
+	offload bool // the Offload backend; otherwise Direct
+	// multiple forces MPI_THREAD_MULTIPLE whatever the application asks.
+	multiple bool
+	// probes makes Env.Progress issue an MPI_Iprobe.
+	probes bool
+	// agent, when set, spawns the rank's progress daemon, which occupies
+	// one hardware thread.
+	agent func(k *vclock.Kernel, eng *proto.Engine, p *model.Profile, rank int)
 }
+
+// approaches is indexed by Approach.
+var approaches = [...]approach{
+	Baseline: {name: "baseline"},
+	Iprobe:   {name: "iprobe", probes: true},
+	CommSelf: {name: "comm-self", multiple: true, agent: spawnCommSelf},
+	Offload:  {name: "offload", offload: true},
+	CoreSpec: {name: "core-spec", agent: spawnCoreSpec},
+}
+
+// spec returns a's row of the approaches table (an unknown value builds as
+// Baseline).
+func (a Approach) spec() approach {
+	if a >= 0 && int(a) < len(approaches) {
+		return approaches[a]
+	}
+	return approach{name: fmt.Sprintf("approach(%d)", int(a))}
+}
+
+// String returns the paper's name for the approach.
+func (a Approach) String() string { return a.spec().name }
 
 // ThreadLevel is the application's requested MPI threading level.
 type ThreadLevel int
@@ -207,6 +234,7 @@ type Env struct {
 	fab      *fabric.Fabric
 	prof     *model.Profile
 	approach Approach
+	probes   bool // Env.Progress issues an MPI_Iprobe
 	rank     int
 	size     int
 	hwThr    int     // integer application threads available
@@ -225,6 +253,12 @@ func (e *Env) Nodes() int { return (e.size + e.prof.RanksPerNode - 1) / e.prof.R
 // Threads returns the number of application threads available to this rank
 // (one less than the core count when a communication thread is dedicated).
 func (e *Env) Threads() int { return e.hwThr }
+
+// EffectiveThreads returns the thread count aggregate compute runs at: the
+// core count less each dedicated communication thread's share
+// (Profile.OffloadThreadCost), never below one. Env.Compute uses it, and
+// workload models that charge compute at their own efficiency should too.
+func (e *Env) EffectiveThreads() float64 { return e.effThr }
 
 // Approach returns the rank's configured approach.
 func (e *Env) Approach() Approach { return e.approach }
@@ -261,11 +295,9 @@ func (e *Env) ComputeTime(ns float64) { e.t.SleepF(ns) }
 // Listing 1 inner loops with PROGRESS statements. Under approaches other
 // than Iprobe the hook is free, so this degenerates to ComputeTime.
 func (e *Env) ComputeWithProgress(total, chunk float64) {
-	if e.approach != Iprobe || chunk <= 0 || chunk >= total {
+	if !e.probes || chunk <= 0 || chunk >= total {
 		e.ComputeTime(total)
-		if e.approach == Iprobe {
-			e.Progress()
-		}
+		e.Progress()
 		return
 	}
 	done := 0.0
@@ -284,7 +316,7 @@ func (e *Env) ComputeWithProgress(total, chunk float64) {
 // approach it issues an MPI_Iprobe (paper §2.1, Listing 1's PROGRESS);
 // under every other approach it is a no-op.
 func (e *Env) Progress() {
-	if e.approach == Iprobe {
+	if e.probes {
 		e.World.Iprobe(mpi.AnySource, mpi.AnyTag)
 	}
 }
@@ -353,11 +385,10 @@ func Run(cfg Config, program func(env *Env)) Result {
 	if prof == nil {
 		prof = model.Endeavor()
 	}
-	level := cfg.ThreadLevel
-	if cfg.Approach == CommSelf {
-		level = Multiple // comm-self requires MPI_THREAD_MULTIPLE (§2.2)
-	}
-	locked := level == Multiple && cfg.Approach != Offload
+	ap := cfg.Approach.spec()
+	// The global lock guards a Direct engine that several threads enter;
+	// the offload thread is the only one that enters its engine.
+	locked := !ap.offload && (ap.multiple || cfg.ThreadLevel == Multiple)
 
 	k := vclock.NewKernel()
 	if cfg.Telemetry != nil {
@@ -400,42 +431,32 @@ func Run(cfg Config, program func(env *Env)) Result {
 			eng.Obs = runTrace.Ranks[r]
 		}
 		engs = append(engs, eng)
-		var off *core.Offloader
-		hw := prof.ThreadsPerRank
-		eff := float64(prof.ThreadsPerRank)
-		switch cfg.Approach {
-		case Offload:
-			off = core.New(k, eng)
-			// Every offload agent occupies one hardware thread and costs
-			// its share of effective compute (one agent — the paper's
-			// configuration — reproduces the historical accounting).
-			hw -= off.Agents()
-			eff -= float64(off.Agents()) * prof.OffloadThreadCost
-		case CommSelf:
+		// Every dedicated communication thread — an offload agent or a
+		// progress daemon — occupies one hardware thread and costs its
+		// share of effective compute.
+		var backend mpi.Backend
+		dedicated := 0
+		if ap.offload {
+			offs[r] = core.New(k, eng)
+			backend, dedicated = mpi.Offload(offs[r]), offs[r].Agents()
+		} else {
+			backend = mpi.Direct(eng, locked)
+		}
+		if ap.agent != nil {
 			eng.HasAgent = true
-			spawnCommSelf(k, eng, prof, r)
-			hw--
-			eff -= prof.OffloadThreadCost
-		case CoreSpec:
-			eng.HasAgent = true
-			spawnCoreSpec(k, eng, prof, r)
-			hw--
-			eff -= prof.OffloadThreadCost
+			ap.agent(k, eng, prof, r)
+			dedicated = 1
 		}
-		offs[r] = off
-		if hw < 1 {
-			hw = 1
-		}
-		if eff < 1 {
-			eff = 1
-		}
+		off := offs[r]
+		hw := max(prof.ThreadsPerRank-dedicated, 1)
+		eff := max(float64(prof.ThreadsPerRank)-float64(dedicated)*prof.OffloadThreadCost, 1)
 		k.Go(fmt.Sprintf("rank%d", r), func(t *vclock.Task) {
 			env := &Env{
 				k: k, t: t, eng: eng, off: off, fab: fab, prof: prof,
-				approach: cfg.Approach, rank: r, size: n,
+				approach: cfg.Approach, probes: ap.probes, rank: r, size: n,
 				hwThr: hw, effThr: eff,
 			}
-			env.World = mpi.NewComm(t, eng, off, locked, 0, ranks, r, nodes)
+			env.World = mpi.NewComm(t, eng, backend, 0, ranks, r, nodes)
 			program(env)
 			res.RankElapsed[r] = t.Now()
 		})

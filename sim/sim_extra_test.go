@@ -90,13 +90,14 @@ func TestEnvAccessors(t *testing.T) {
 		if env.Nodes() != 2 { // Phi: 1 rank per node
 			t.Errorf("nodes = %d", env.Nodes())
 		}
-		if !env.World.Offloaded() {
-			t.Error("world should report offloaded routing")
-		}
 		if env.World.GlobalRank(1) != 1 {
 			t.Error("global rank translation")
 		}
 		env.World.Barrier()
+		if m := env.Metrics(); m.Submitted == 0 || m.Completed != m.Submitted {
+			t.Errorf("world should route through the offload thread: %d submitted, %d completed",
+				m.Submitted, m.Completed)
+		}
 	})
 }
 
