@@ -3,7 +3,7 @@
 # last step (leak-check) fails if a process of anything it ran survives.
 #
 #   make ci           vet + build + full test suite + race subset + every smoke
-#   make vet          go vet ./...
+#   make vet          gofmt -l . (fails on any output) and go vet ./...
 #   make build        go build ./...
 #   make test         go test ./...
 #   make race         race detector on every internal package plus the sim and
@@ -52,6 +52,7 @@ ci: vet build test race smoke critpath-smoke telemetry-smoke mpirun-smoke
 	$(MAKE) leak-check
 
 vet:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 
 build:

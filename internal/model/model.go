@@ -78,9 +78,13 @@ type Profile struct {
 	PollGap float64
 	// CommandQueueCap is the capacity of each offload command-queue shard
 	// (every registered thread's private SPSC ring, and the shared MPMC
-	// overflow shard, each hold this many commands).
+	// overflow shard, each hold this many commands). It is a bound: a full
+	// shard means retry. A ring's memory is committed when its thread
+	// registers (the overflow ring on the first overflow submission).
 	CommandQueueCap int
-	// RequestPoolSize is the size of the preallocated MPI_Request pool.
+	// RequestPoolSize is the size of the MPI_Request pool, a bound: an
+	// exhausted pool means wait for a completion. Slots are committed, a
+	// small chunk at a time, when first handed out.
 	RequestPoolSize int
 	// ShardCount is the number of private command-queue shards — one per
 	// registered application thread; threads beyond it share the overflow

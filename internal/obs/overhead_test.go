@@ -3,6 +3,7 @@
 package obs
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -16,7 +17,8 @@ var hookSink *Recorder
 // one atomic load. Every hook family is measured, including the flow and
 // histogram hooks, since each added argument rides the same early-out.
 // Measured by hand (not testing.Benchmark) so the whole check runs in
-// milliseconds; the minimum over several rounds discards scheduler noise.
+// milliseconds; the minimum over several rounds discards scheduler noise,
+// and up to three attempts discard a neighbour that held the CPU.
 // Excluded under -race, whose instrumentation multiplies the cost of every
 // atomic op.
 func TestDisabledHookOverhead(t *testing.T) {
@@ -38,22 +40,41 @@ func TestDisabledHookOverhead(t *testing.T) {
 		{"EagerLanded", func() { hookSink.EagerLanded(1, TApp, 8, 1, 42) }},
 		{"RdvStarted", func() { hookSink.RdvStarted(1, TApp, 8, 1, 42, 5) }},
 	}
-	const iters = 2_000_000
-	for _, h := range hooks {
-		best := time.Duration(1 << 62)
-		for round := 0; round < 5; round++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				h.call()
+	// A hook fails only if it is over the bound in every attempt: a package
+	// running in parallel can hold the other core through one whole
+	// attempt, which says nothing about the hook.
+	const iters, attempts = 2_000_000, 3
+	nsPerOp := make([]float64, len(hooks)) // latest measurement of each hook
+	passed := make([]bool, len(hooks))
+	for attempt := 0; attempt < attempts; attempt++ {
+		runtime.Gosched()
+		all := true
+		for i, h := range hooks {
+			if passed[i] {
+				continue
 			}
-			if d := time.Since(start); d < best {
-				best = d
+			best := time.Duration(1 << 62)
+			for round := 0; round < 5; round++ {
+				start := time.Now()
+				for n := 0; n < iters; n++ {
+					h.call()
+				}
+				if d := time.Since(start); d < best {
+					best = d
+				}
 			}
+			nsPerOp[i] = float64(best.Nanoseconds()) / iters
+			passed[i] = nsPerOp[i] < 5
+			all = all && passed[i]
+			t.Logf("attempt %d: disabled %s: %.2f ns/op", attempt, h.name, nsPerOp[i])
 		}
-		nsPerOp := float64(best.Nanoseconds()) / iters
-		t.Logf("disabled %s: %.2f ns/op", h.name, nsPerOp)
-		if nsPerOp >= 5 {
-			t.Errorf("disabled %s costs %.2f ns/op, want < 5", h.name, nsPerOp)
+		if all {
+			break
+		}
+	}
+	for i, h := range hooks {
+		if !passed[i] {
+			t.Errorf("disabled %s costs %.2f ns/op in all %d attempts, want < 5", h.name, nsPerOp[i], attempts)
 		}
 	}
 	if got := len(rec.Events()); got != 0 {

@@ -139,16 +139,16 @@ func (q *MPMC[T]) Empty() bool { return q.Len() == 0 }
 // only when the ring looks empty — so a steady-state enqueue or dequeue
 // reads no cache line the other core is writing.
 type SPSC[T any] struct {
-	mask uint64
-	buf  []T
-	_    pad
+	mask       uint64
+	buf        []T
+	_          pad
 	head       atomic.Uint64 // next read index (consumer-owned)
 	cachedTail uint64        // consumer's last view of tail (consumer-owned)
 	_          pad
 	tail       atomic.Uint64 // next write index (producer-owned)
 	cachedHead uint64        // producer's last view of head (producer-owned)
 	_          pad
-	hwm atomic.Uint64 // observed depth high-water mark (producer-written)
+	hwm        atomic.Uint64 // observed depth high-water mark (producer-written)
 }
 
 // NewSPSC returns a ring with capacity rounded up to the next power of two

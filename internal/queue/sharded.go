@@ -51,44 +51,67 @@ const Overflow = -1
 // interleaving either leaves the bit set or has the producer's set follow
 // the consumer's clear, so a non-empty ring always has its bit restored.
 //
+// Memory is committed on use: NewSharded allocates only the shard table and
+// the doorbell mask. Register allocates the caller's ring before returning
+// its id, and the overflow ring is installed (by CAS, since unregistered
+// producers race there) on the first overflow enqueue. The bit protocol
+// also publishes the rings: a producer stores its ring pointer before it
+// first sets its bit, and the consumer dereferences shards[s] only for a
+// set bit, so the bit's atomic store and load order the two.
+//
 // Concurrency contract: Register and TryEnqueue may be called from any
 // number of goroutines (a registered shard id must be used by its owning
 // producer only); TryDequeue and DequeueBatch must be called from a single
 // consumer.
 type Sharded[T any] struct {
-	shards   []*SPSC[T]
-	overflow *MPMC[T]
-	occ      []atomic.Uint64 // doorbell mask: bit s = shard s may be non-empty
-	_        pad
-	nextReg  atomic.Int64 // registration cursor
-	_        pad
-	pending  atomic.Int64 // doorbell: elements enqueued and not yet dequeued
-	_        pad
-	hwm      atomic.Int64 // pending high-water mark, sampled by the consumer
-	cursor   int          // consumer rotation position (consumer-owned)
-	depthFn  func(int64)  // optional consumer-side depth sampler
+	shards      []*SPSC[T]              // nil until Register claims the id
+	overflow    atomic.Pointer[MPMC[T]] // nil until the first overflow enqueue
+	occ         []atomic.Uint64         // doorbell mask: bit s = shard s may be non-empty
+	_           pad
+	nextReg     atomic.Int64 // registration cursor
+	_           pad
+	pending     atomic.Int64 // doorbell: elements enqueued and not yet dequeued
+	_           pad
+	hwm         atomic.Int64 // pending high-water mark, sampled by the consumer
+	cursor      int          // consumer rotation position (consumer-owned)
+	depthFn     func(int64)  // optional consumer-side depth sampler
+	shardCap    int          // ring sizes, read only when a ring is allocated
+	overflowCap int
 }
 
-// NewSharded returns a queue with shardCount private SPSC shards of
+// NewSharded returns a queue with up to shardCount private SPSC shards of
 // shardCap elements each plus an MPMC overflow shard of overflowCap
 // (capacities round up to powers of two, minimum 2; shardCount minimum 1).
+// The capacities are bounds, not allocations: a shard's ring is allocated
+// when Register claims it, the overflow ring on the first overflow
+// enqueue, so an unused queue costs O(shardCount) words.
 func NewSharded[T any](shardCount, shardCap, overflowCap int) *Sharded[T] {
 	if shardCount < 1 {
 		shardCount = 1
 	}
-	q := &Sharded[T]{
-		shards:   make([]*SPSC[T], shardCount),
-		overflow: NewMPMC[T](overflowCap),
-		occ:      make([]atomic.Uint64, (shardCount+1+63)/64),
+	return &Sharded[T]{
+		shards:      make([]*SPSC[T], shardCount),
+		shardCap:    shardCap,
+		overflowCap: overflowCap,
+		occ:         make([]atomic.Uint64, (shardCount+1+63)/64),
 	}
+}
+
+// overflowRing returns the overflow ring, installing it first if no
+// producer has yet. Racing installers all end up with the CAS winner's ring.
+func (q *Sharded[T]) overflowRing() *MPMC[T] {
+	if r := q.overflow.Load(); r != nil {
+		return r
+	}
+	r := NewMPMC[T](q.overflowCap)
 	// Depth accounting lives in q.pending/q.hwm; the embedded ring keeping
 	// its own CAS-max high-water would double-count every overflow-resident
 	// element and put a second contended line on the overflow hot path.
-	q.overflow.hwmOff = true
-	for i := range q.shards {
-		q.shards[i] = NewSPSC[T](shardCap)
+	r.hwmOff = true
+	if q.overflow.CompareAndSwap(nil, r) {
+		return r
 	}
-	return q
+	return q.overflow.Load()
 }
 
 // orBit sets bit i in the mask. CAS loop rather than atomic.Uint64.Or to
@@ -153,15 +176,17 @@ func (q *Sharded[T]) nextOccupied(from int) int {
 	return -1
 }
 
-// Register claims a private shard for the calling producer, returning its
-// shard id, or Overflow when every shard is already owned. Register before
-// the first enqueue: a producer that mixes overflow and shard submissions
-// loses its FIFO guarantee across the switch.
+// Register claims a private shard for the calling producer, allocating its
+// ring of shardCap elements, and returns its shard id, or Overflow when
+// every shard is already owned. Register before the first enqueue: a
+// producer that mixes overflow and shard submissions loses its FIFO
+// guarantee across the switch.
 func (q *Sharded[T]) Register() int {
 	id := q.nextReg.Add(1) - 1
 	if id >= int64(len(q.shards)) {
 		return Overflow
 	}
+	q.shards[id] = NewSPSC[T](q.shardCap)
 	return int(id)
 }
 
@@ -189,7 +214,7 @@ func (q *Sharded[T]) TryEnqueue(shard int, v T) bool {
 		ok = q.shards[shard].TryEnqueue(v)
 		bit = shard
 	} else {
-		ok = q.overflow.TryEnqueue(v)
+		ok = q.overflowRing().TryEnqueue(v)
 	}
 	if ok {
 		q.pending.Add(1) // ring the doorbell
@@ -199,11 +224,13 @@ func (q *Sharded[T]) TryEnqueue(shard int, v T) bool {
 }
 
 // shardEmpty reports whether rotation position s holds no visible element.
+// Consumer only, and only for a position whose bit was seen set, so its
+// ring exists.
 func (q *Sharded[T]) shardEmpty(s int) bool {
 	if s < len(q.shards) {
 		return q.shards[s].Empty()
 	}
-	return q.overflow.Empty()
+	return q.overflow.Load().Empty()
 }
 
 // TryDequeue removes one element, resuming the occupancy scan from the
@@ -258,7 +285,7 @@ func (q *Sharded[T]) DequeueBatch(dst []T) int {
 		if s < len(q.shards) {
 			v, ok = q.shards[s].TryDequeue()
 		} else {
-			v, ok = q.overflow.TryDequeue()
+			v, ok = q.overflow.Load().TryDequeue()
 		}
 		if !ok {
 			// Stale bit: clear it, then re-check the ring — a producer may
@@ -314,7 +341,12 @@ func (q *Sharded[T]) HighWater() int { return int(q.hwm.Load()) }
 // OverflowHighWater reports the embedded overflow ring's private
 // high-water mark. It must stay zero — overflow elements are accounted in
 // HighWater — and exists so tests can pin the no-double-count contract.
-func (q *Sharded[T]) OverflowHighWater() int { return q.overflow.HighWater() }
+func (q *Sharded[T]) OverflowHighWater() int {
+	if r := q.overflow.Load(); r != nil {
+		return r.HighWater()
+	}
+	return 0
+}
 
 // SetDepthSampler installs a consumer-side depth sampler, invoked with the
 // pending count at each non-empty drain (the same point the high-water

@@ -1,8 +1,11 @@
 package queue
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestShardedRegister(t *testing.T) {
@@ -280,41 +283,57 @@ func TestShardedDoorbellMask(t *testing.T) {
 // is lost or duplicated and per-producer FIFO holds. Runs under -race in
 // the Makefile race target.
 func TestShardedConcurrent(t *testing.T) {
-	const (
-		regProducers = 3
-		ovfProducers = 2
-		perProducer  = 2000
-	)
+	const regProducers, ovfProducers = 3, 2
 	q := NewSharded[int](regProducers, 64, 64)
-	total := (regProducers + ovfProducers) * perProducer
-	var wg sync.WaitGroup
-	for p := 0; p < regProducers+ovfProducers; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			shard := Overflow
-			if p < regProducers {
-				shard = q.Register()
-			}
-			for i := 0; i < perProducer; i++ {
-				for !q.TryEnqueue(shard, p<<16|i) {
-				}
-			}
-		}()
+	runProducers(t, q, regProducers, ovfProducers, 2000, nil)
+}
+
+// TestShardedRegisterWhileDraining: producers Register — allocating their
+// rings — and start enqueuing only after the consumer is already draining,
+// so the consumer's first look at each ring races its publication.
+func TestShardedRegisterWhileDraining(t *testing.T) {
+	q := NewSharded[int](4, 16, 16)
+	draining := make(chan struct{})
+	runProducers(t, q, 4, 0, 1000, draining)
+}
+
+// TestShardedOverflowInstallRace: several unregistered producers race to
+// install the overflow ring on a queue whose consumer is already draining.
+// Exactly one ring may win: an element left in a losing ring would never
+// be consumed.
+func TestShardedOverflowInstallRace(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		q := NewSharded[int](1, 16, 1<<12)
+		draining := make(chan struct{})
+		runProducers(t, q, 0, 4, 200, draining)
 	}
-	lastSeq := make([]int, regProducers+ovfProducers)
+}
+
+// runProducers runs reg registered and ovf overflow producers of per
+// values each against one consumer and checks that every value arrives
+// exactly once, in its producer's order. The producers leave a spin
+// barrier together, so their first Register or overflow enqueue race each
+// other. With draining non-nil they start only once the consumer has seen
+// the queue empty.
+func runProducers(t *testing.T, q *Sharded[int], reg, ovf, per int, draining chan struct{}) {
+	t.Helper()
+	producers := reg + ovf
+	total := producers * per
+	lastSeq := make([]int, producers)
 	for i := range lastSeq {
 		lastSeq[i] = -1
 	}
 	seen := make(map[int]bool, total)
 	done := make(chan struct{})
-	go func() {
+	go func(empty chan struct{}) {
 		defer close(done)
 		batch := make([]int, 8)
-		got := 0
-		for got < total {
+		for got := 0; got < total; {
 			n := q.DequeueBatch(batch)
+			if n == 0 && empty != nil {
+				close(empty)
+				empty = nil
+			}
 			for _, v := range batch[:n] {
 				if seen[v] {
 					t.Errorf("value %#x consumed twice", v)
@@ -330,9 +349,37 @@ func TestShardedConcurrent(t *testing.T) {
 			}
 			got += n
 		}
-	}()
+	}(draining)
+	if draining != nil {
+		<-draining
+	}
+	var arrived atomic.Int32
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		p := p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for arrived.Add(1); arrived.Load() < int32(producers); {
+				runtime.Gosched()
+			}
+			shard := Overflow
+			if p < reg {
+				shard = q.Register()
+			}
+			for i := 0; i < per; i++ {
+				for !q.TryEnqueue(shard, p<<16|i) {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
 	wg.Wait()
-	<-done
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("consumer stuck with %d of %d values pending", q.Len(), total)
+	}
 	if len(seen) != total {
 		t.Fatalf("consumed %d values, produced %d", len(seen), total)
 	}

@@ -81,18 +81,23 @@ func FuzzPoolInterleaving(f *testing.F) {
 // FuzzPoolConcurrent exercises Get/Put from real goroutines (sized by the
 // fuzz input) with an ownership array that detects double allocation the
 // instant it happens. Run under -race in CI, it also probes the Treiber
-// free list's ABA defenses.
+// free list's ABA defenses and the fresh-index path: the workers start
+// together, so their first Gets race to advance the never-used counter and
+// to commit its chunks, and every slot it passed must have been handed out.
 func FuzzPoolConcurrent(f *testing.F) {
 	f.Add(uint8(4), uint16(500), uint8(8))
 	f.Add(uint8(2), uint16(1000), uint8(2))
 	f.Add(uint8(8), uint16(200), uint8(16))
+	f.Add(uint8(7), uint16(300), uint8(255)) // 8 workers over 256 slots: fresh-heavy
 	f.Fuzz(func(t *testing.T, nw uint8, per uint16, sizeSel uint8) {
 		workers := int(nw%8) + 1
 		iters := int(per%2048) + 1
-		size := int(sizeSel%32) + 1
+		size := int(sizeSel) + 1
 		p := New(size)
 
 		owner := make([]int32, size)
+		used := make([]atomic.Bool, size) // slots handed out at least once
+		start := make(chan struct{})
 		var mu sync.Mutex // guards only the failure report
 		var failure string
 		var wg sync.WaitGroup
@@ -100,9 +105,11 @@ func FuzzPoolConcurrent(f *testing.F) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				<-start
 				held := make([]int, 0, 4)
 				for i := 0; i < iters; i++ {
 					if idx := p.Get(); idx != None {
+						used[idx].Store(true)
 						if !casOwner(owner, idx, 0, 1) {
 							mu.Lock()
 							failure = "double allocation detected"
@@ -129,9 +136,19 @@ func FuzzPoolConcurrent(f *testing.F) {
 				}
 			}()
 		}
+		close(start)
 		wg.Wait()
 		if failure != "" {
 			t.Fatal(failure)
+		}
+		fresh := int(p.fresh.Load())
+		if fresh < 1 || fresh > size {
+			t.Fatalf("fresh index %d outside [1, %d]", fresh, size)
+		}
+		for idx := range used {
+			if used[idx].Load() != (idx < fresh) {
+				t.Fatalf("slot %d handed out = %v with fresh index %d", idx, used[idx].Load(), fresh)
+			}
 		}
 		if got := p.FreeCount(); got != size {
 			t.Fatalf("FreeCount() = %d after full release, want %d", got, size)

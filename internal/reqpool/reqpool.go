@@ -12,6 +12,13 @@
 // lock-free and safe for concurrent use by any number of threads (§3.3
 // converts the pool to lock-free so MPI_THREAD_MULTIPLE callers scale).
 //
+// The array is committed as it is used rather than chained up front: slots
+// live in fixed-size chunks installed on first hand-out, and slots never
+// handed out are counted by a bump index instead of sitting on the free
+// list. Get pops the free list first and only then takes the next fresh
+// index, which is exactly the order a fully pre-chained list (0, 1, …, n-1,
+// with Put pushing on top) would give, so handles are the same either way.
+//
 // Each slot carries a done flag (paper §3.2): the offload thread sets it
 // when the underlying MPI operation completes, and application Wait/Test
 // calls merely observe it.
@@ -24,20 +31,36 @@ import (
 // None is the index returned by Get when the pool is exhausted.
 const None = -1
 
-const idxBits = 32
+const (
+	idxBits   = 32
+	chunkBits = 6 // 64 slots (512 bytes) are committed at a time
+	chunkLen  = 1 << chunkBits
+)
+
+// chunk holds chunkLen slots. The links and the done flags are separate
+// arrays so that a waiter spinning on a done flag shares its cache line
+// only with other done flags, not with the free-list links that every Get
+// and Put write.
+type chunk struct {
+	next [chunkLen]atomic.Int32 // free-list links: index+1, 0 terminates
+	done [chunkLen]atomic.Uint32
+}
 
 // Pool is a fixed-size lock-free pool of request slots, addressed by index.
 type Pool struct {
-	head  atomic.Uint64  // generation<<32 | (index+1); 0 means empty
-	next  []atomic.Int64 // free-list links: index+1, 0 terminates
-	done  []atomic.Uint32
-	size  int
-	inUse atomic.Int64 // slots currently allocated
-	hwm   atomic.Int64 // occupancy high-water mark
-	occFn func(int64)  // optional occupancy sampler, invoked on each Get
+	head   atomic.Uint64           // generation<<32 | (index+1); 0 means empty
+	fresh  atomic.Int64            // slots [fresh, size) have never been handed out
+	chunks []atomic.Pointer[chunk] // nil until a slot in the chunk is first handed out
+	size   int
+	occFn  func(int64)  // optional occupancy sampler, invoked on each Get
+	_      uint64       // inUse sits 64 bytes past head: Get and Put hit both
+	inUse  atomic.Int64 // slots currently allocated
+	hwm    atomic.Int64 // occupancy high-water mark
 }
 
-// New returns a pool with n slots, all free.
+// New returns a pool of n slots, all free. n is a bound, not an
+// allocation: New writes nothing per slot, and a slot's memory is
+// committed, a chunk at a time, when it is first handed out.
 func New(n int) *Pool {
 	if n < 1 {
 		panic("reqpool: size < 1")
@@ -45,18 +68,27 @@ func New(n int) *Pool {
 	if n >= 1<<(idxBits-1) {
 		panic("reqpool: size too large")
 	}
-	p := &Pool{
-		next: make([]atomic.Int64, n),
-		done: make([]atomic.Uint32, n),
-		size: n,
+	return &Pool{
+		chunks: make([]atomic.Pointer[chunk], (n+chunkLen-1)/chunkLen),
+		size:   n,
 	}
-	// Chain 0 -> 1 -> ... -> n-1.
-	for i := 0; i < n-1; i++ {
-		p.next[i].Store(int64(i + 2)) // stored as index+1
+}
+
+// chunk returns the chunk holding slot idx, which must have been handed
+// out at least once, and idx's position in it.
+func (p *Pool) chunk(idx int) (*chunk, int) {
+	return p.chunks[idx>>chunkBits].Load(), idx & (chunkLen - 1)
+}
+
+// commit returns the chunk holding the fresh slot idx, installing it first
+// if no slot in it was handed out before, and idx's position in it.
+// Getters racing on the same chunk all end up with the CAS winner's.
+func (p *Pool) commit(idx int) (*chunk, int) {
+	c := &p.chunks[idx>>chunkBits]
+	if c.Load() == nil {
+		c.CompareAndSwap(nil, new(chunk))
 	}
-	p.next[n-1].Store(0)
-	p.head.Store(pack(0, 1)) // head of the free list is slot 0
-	return p
+	return c.Load(), idx & (chunkLen - 1)
 }
 
 func pack(gen uint32, idxPlus1 int64) uint64 {
@@ -70,30 +102,55 @@ func unpack(w uint64) (gen uint32, idxPlus1 int64) {
 // Size reports the total number of slots.
 func (p *Pool) Size() int { return p.size }
 
-// Get pops a free slot index, or returns None if the pool is exhausted.
+// Get returns a free slot index: the most recently Put one if any, else
+// the lowest never-used one, or None if all size slots are handed out.
 // The slot's done flag is reset before it is returned.
 func (p *Pool) Get() int {
+	idx, c, i := p.take()
+	if c == nil {
+		return None
+	}
+	c.done[i].Store(0)
+	n := p.inUse.Add(1)
+	for {
+		h := p.hwm.Load()
+		if n <= h || p.hwm.CompareAndSwap(h, n) {
+			break
+		}
+	}
+	if p.occFn != nil {
+		p.occFn(n)
+	}
+	return idx
+}
+
+// take claims a slot from the free list, then from the fresh range,
+// returning it with its chunk and position, or a nil chunk when both are
+// exhausted.
+func (p *Pool) take() (int, *chunk, int) {
 	for {
 		old := p.head.Load()
 		gen, ip1 := unpack(old)
-		if ip1 == 0 {
-			return None
+		if ip1 != 0 {
+			idx := int(ip1 - 1)
+			c, i := p.chunk(idx)
+			if p.head.CompareAndSwap(old, pack(gen+1, int64(c.next[i].Load()))) {
+				return idx, c, i
+			}
+			continue
 		}
-		idx := int(ip1 - 1)
-		next := p.next[idx].Load()
-		if p.head.CompareAndSwap(old, pack(gen+1, next)) {
-			p.done[idx].Store(0)
-			n := p.inUse.Add(1)
-			for {
-				h := p.hwm.Load()
-				if n <= h || p.hwm.CompareAndSwap(h, n) {
-					break
-				}
+		f := p.fresh.Load()
+		if f >= int64(p.size) {
+			// Exhausted only if no Put landed since the empty head was
+			// read: every Put bumps the generation.
+			if p.head.Load() == old {
+				return None, nil, 0
 			}
-			if p.occFn != nil {
-				p.occFn(n)
-			}
-			return idx
+			continue
+		}
+		if p.fresh.CompareAndSwap(f, f+1) {
+			c, i := p.commit(int(f))
+			return int(f), c, i
 		}
 	}
 }
@@ -104,10 +161,11 @@ func (p *Pool) Put(idx int) {
 	if idx < 0 || idx >= p.size {
 		panic("reqpool: Put of invalid index")
 	}
+	c, i := p.chunk(idx)
 	for {
 		old := p.head.Load()
 		gen, ip1 := unpack(old)
-		p.next[idx].Store(ip1)
+		c.next[i].Store(int32(ip1))
 		if p.head.CompareAndSwap(old, pack(gen+1, int64(idx)+1)) {
 			p.inUse.Add(-1)
 			return
@@ -129,22 +187,30 @@ func (p *Pool) HighWater() int { return int(p.hwm.Load()) }
 func (p *Pool) SetOccupancySampler(fn func(inUse int64)) { p.occFn = fn }
 
 // SetDone marks the slot's operation complete (offload-thread side).
-func (p *Pool) SetDone(idx int) { p.done[idx].Store(1) }
+func (p *Pool) SetDone(idx int) {
+	c, i := p.chunk(idx)
+	c.done[i].Store(1)
+}
 
 // Done reports whether the slot's operation has completed (caller side).
-func (p *Pool) Done(idx int) bool { return p.done[idx].Load() != 0 }
+func (p *Pool) Done(idx int) bool {
+	c, i := p.chunk(idx)
+	return c.done[i].Load() != 0
+}
 
-// FreeCount walks the free list and reports its length. It is intended for
-// tests and diagnostics on a quiescent pool; it is not thread-safe.
+// FreeCount reports the free slots: the free list's length plus the slots
+// never handed out. It is intended for tests and diagnostics on a
+// quiescent pool; it is not thread-safe.
 func (p *Pool) FreeCount() int {
 	_, ip1 := unpack(p.head.Load())
-	n := 0
+	n := p.size - int(p.fresh.Load())
 	for ip1 != 0 {
 		n++
 		if n > p.size {
 			panic("reqpool: free-list cycle")
 		}
-		ip1 = p.next[ip1-1].Load()
+		c, i := p.chunk(int(ip1 - 1))
+		ip1 = int64(c.next[i].Load())
 	}
 	return n
 }

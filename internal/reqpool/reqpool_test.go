@@ -1,6 +1,7 @@
 package reqpool
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -164,6 +165,54 @@ func TestQuickGetPutConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandOutMatchesPrechainedList pins handle identity: over seeded random
+// Get/Put sequences the pool hands out exactly the slots a free list
+// chained 0 -> 1 -> ... -> n-1 at construction would, with Put pushing on
+// top, including None at exactly size outstanding. Sizes span several
+// chunks so fresh hand-outs cross chunk boundaries.
+func TestHandOutMatchesPrechainedList(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		size := 1 + rng.Intn(3*chunkLen)
+		p := New(size)
+		model := make([]int, size) // the old free list, top at the end
+		for i := range model {
+			model[i] = size - 1 - i
+		}
+		var held []int
+		exhausted := 0
+		for step := 0; step < 4*size+50; step++ {
+			if len(held) == 0 || rng.Intn(5) < 4 {
+				want := None
+				if n := len(model); n > 0 {
+					want, model = model[n-1], model[:n-1]
+				}
+				if got := p.Get(); got != want {
+					t.Fatalf("seed %d size %d step %d: Get = %d, want %d (%d held)",
+						seed, size, step, got, want, len(held))
+				}
+				if want == None {
+					exhausted++
+				} else {
+					held = append(held, want)
+				}
+				continue
+			}
+			i := rng.Intn(len(held))
+			idx := held[i]
+			held = append(held[:i], held[i+1:]...)
+			p.Put(idx)
+			model = append(model, idx)
+		}
+		if got := p.FreeCount(); got != len(model) {
+			t.Fatalf("seed %d: FreeCount = %d, want %d", seed, got, len(model))
+		}
+		if exhausted == 0 {
+			t.Fatalf("seed %d: the sequence never exhausted the pool", seed)
+		}
 	}
 }
 
