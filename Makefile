@@ -22,8 +22,6 @@
 #   make critpath-smoke  tiny traced Fig 7a run piped through cmd/tracetool
 #                     -check: fails unless every run's critical-path
 #                     attribution sums exactly to its elapsed virtual time.
-#   make telemetry-smoke  self-contained live-telemetry check (tiny sim + rt
-#                     workload, one HTTP scrape, Prometheus-format validation).
 #   make mpirun-smoke a two-process cmd/mpirun ping-pong over real Unix sockets
 #                     with cmd/paper as the worker.
 #   make leak-check   the last step of ci: fails, and lists them, if any process
@@ -46,9 +44,9 @@ GO ?= go
 DOCS := mtscale topo chaos net
 PAPER := $(GO) run ./cmd/paper
 
-.PHONY: ci vet build test race smoke $(DOCS:%=%-smoke) critpath-smoke telemetry-smoke mpirun-smoke leak-check benchdiff host-bench $(DOCS) results loc
+.PHONY: ci vet build test race smoke $(DOCS:%=%-smoke) critpath-smoke mpirun-smoke leak-check benchdiff host-bench $(DOCS) results loc
 
-ci: vet build test race smoke critpath-smoke telemetry-smoke mpirun-smoke
+ci: vet build test race smoke critpath-smoke mpirun-smoke
 	$(MAKE) leak-check
 
 vet:
@@ -75,9 +73,6 @@ $(DOCS:%=%-smoke): %-smoke:
 critpath-smoke:
 	$(PAPER) -exp=fig7a -iters 2 -approaches offload -trace /tmp/critpath_smoke.json > /dev/null
 	$(GO) run ./cmd/tracetool -check /tmp/critpath_smoke.json
-
-telemetry-smoke:
-	$(PAPER) -exp=telemetry-smoke
 
 mpirun-smoke:
 	$(GO) build -o /tmp/mpirun_smoke ./cmd/mpirun

@@ -9,14 +9,10 @@ package main
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
-	"sync"
 
 	"mpioffload/bench"
 	"mpioffload/internal/fault"
-	"mpioffload/internal/obs/telemetry"
 	"mpioffload/internal/topo"
 	"mpioffload/rt"
 	"mpioffload/sim"
@@ -42,7 +38,7 @@ func mtscale(c *ctx) error {
 		Schema:  bench.MTScaleSchema,
 		Profile: p.Name,
 		Sim:     bench.MTPostScaling(c.cfg(sim.Offload, p), threads, iters),
-		RT:      rtPostScaling(c, threads, rtIters),
+		RT:      rtPostScaling(threads, rtIters),
 		Agents:  bench.MTAgentScaling(c.cfg(sim.Offload, p), threads, agents, iters),
 	}
 	t := bench.NewTable(
@@ -294,95 +290,4 @@ func residuals(c *ctx, rep *bench.NetReport, sizes []int, ppIters int) ([]bench.
 		})
 	}
 	return rows, nil
-}
-
-// telemetrySmoke is the self-contained live-telemetry check: serve on an
-// ephemeral port, run a tiny sim and a tiny rt burst, scrape the endpoint
-// once, validate the Prometheus text format and the presence of both
-// metric families.
-func telemetrySmoke(c *ctx) error {
-	reg := telemetry.New()
-	srv, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-
-	// A small sim run binds the kernel self-profile...
-	cfg := c.cfg(sim.Offload, c.prof("endeavor"))
-	cfg.Telemetry = reg
-	res := sim.Run(cfg, func(env *sim.Env) {
-		buf := make([]byte, 64)
-		for i := 0; i < 50; i++ {
-			if env.Rank() == 0 {
-				env.World.Send(buf, 1, i)
-			} else {
-				env.World.Recv(buf, 0, i)
-			}
-		}
-	})
-	if res.Elapsed <= 0 {
-		return fmt.Errorf("telemetry smoke: sim run did not advance virtual time")
-	}
-
-	// ...and a small rt burst binds the wall-clock cluster metrics.
-	cl := rt.NewClusterOpts(2, rt.Offload, rt.Options{Agents: 2})
-	defer cl.Close()
-	cl.AttachTelemetry(reg)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, 64)
-		for i := 0; i < 100; i++ {
-			cl.Rank(1).Recv(buf, 0, i%4)
-		}
-	}()
-	msg := make([]byte, 64)
-	for i := 0; i < 100; i++ {
-		cl.Rank(0).Send(msg, 1, i%4)
-	}
-	wg.Wait()
-
-	get := func(path string) (string, string, error) {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			return "", "", fmt.Errorf("telemetry smoke: scrape: %w", err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		return string(body), resp.Header.Get("Content-Type"), err
-	}
-	body, ct, err := get("/metrics")
-	if err != nil {
-		return err
-	}
-	if !strings.HasPrefix(ct, "text/plain") {
-		return fmt.Errorf("telemetry smoke: content-type %q", ct)
-	}
-	if err := telemetry.ValidatePrometheus([]byte(body)); err != nil {
-		return fmt.Errorf("telemetry smoke: invalid exposition: %w", err)
-	}
-	for _, want := range []string{
-		`sim_kernel_events_total`,
-		`sim_events_per_sec`,
-		`rt_sends_total{rank="0"} 100`,
-		`rt_agent_duty{rank="0",agent="1"}`,
-		`rt_cmdq_depth{rank="1",agent="0"}`,
-	} {
-		if !strings.Contains(body, want) {
-			return fmt.Errorf("telemetry smoke: scrape missing %q", want)
-		}
-	}
-	// The JSON endpoint must serve the same registry.
-	vars, _, err := get("/vars")
-	if err != nil {
-		return err
-	}
-	if !strings.Contains(vars, "sim_kernel_events_total") {
-		return fmt.Errorf("telemetry smoke: /vars missing sim metrics")
-	}
-	fmt.Fprintf(c.w, "telemetry smoke: ok (%d bytes of exposition, %d sim commands completed)\n",
-		len(body), res.Metrics.Completed)
-	return nil
 }

@@ -58,7 +58,6 @@ var experiments = []experiment{
 	{"topo", "Topology sweep (BENCH_topo.json)", topoSweep},
 	{"chaos", "Chaos sweep (BENCH_chaos.json)", chaosSweep},
 	{"net", "Real-wire sweep (BENCH_net.json)", netSweep},
-	{"telemetry-smoke", "Telemetry smoke (live registry scrape)", telemetrySmoke},
 }
 
 func lookup(name string) *experiment {

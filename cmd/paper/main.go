@@ -18,8 +18,7 @@
 // trace_event JSON of every simulated run (chrome://tracing or Perfetto;
 // cmd/tracetool re-derives the critical path from the file alone),
 // -critpath prints each traced run's attribution, -metrics one per-layer
-// offload metrics table per approach, -telemetry=ADDR serves live
-// Prometheus/JSON metrics while the experiments run.
+// offload metrics table per approach.
 //
 // The document experiments (mtscale, topo, chaos, net) write the committed
 // BENCH_*.json name only at full size with no sweep-shaping flag; a
@@ -44,14 +43,13 @@ import (
 	"mpioffload/internal/model"
 	"mpioffload/internal/obs"
 	"mpioffload/internal/obs/critpath"
-	"mpioffload/internal/obs/telemetry"
 	"mpioffload/internal/topo"
 	"mpioffload/internal/transport"
 	"mpioffload/sim"
 )
 
 // ctx is what every experiment runs against: where to print, the flag
-// overrides, and the shared trace/telemetry/fault wiring.
+// overrides, and the shared trace and fault wiring.
 type ctx struct {
 	w io.Writer
 
@@ -72,7 +70,6 @@ type ctx struct {
 	fault     *fault.Plan
 	trace     *obs.Trace
 	traceFile string
-	telem     *telemetry.Registry
 }
 
 // newCtx returns a context with the flag defaults.
@@ -107,12 +104,11 @@ func main() {
 	flag.StringVar(&c.traceFile, "trace", "", "write a Chrome trace_event JSON of the simulated runs to FILE")
 	flag.BoolVar(&c.metrics, "metrics", false, "print the per-layer offload metrics table per approach")
 	flag.BoolVar(&c.critPath, "critpath", false, "print each traced run's critical-path attribution (needs -trace)")
-	telemAddr := flag.String("telemetry", "", "serve live telemetry on ADDR (e.g. :9090) while the experiments run")
 	flag.Parse()
 
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "exp", "csv", "out", "trace", "metrics", "critpath", "telemetry":
+		case "exp", "csv", "out", "trace", "metrics", "critpath":
 		default: // everything else, -quick included, shapes the sweep
 			c.reduced = true
 		}
@@ -123,15 +119,14 @@ func main() {
 	if c.traceFile != "" {
 		c.trace = obs.NewTrace(obs.Options{})
 	}
-	if err := c.drive(*exp, *validate, *approaches, *topoFlag, *telemAddr); err != nil {
+	if err := c.drive(*exp, *validate, *approaches, *topoFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "paper:", err)
 		os.Exit(1)
 	}
 }
 
-// drive resolves the flags into the context and runs what was asked. Every
-// exit path returns through here, so the telemetry server is always closed.
-func (c *ctx) drive(exp, validate, approaches, topoSpec, telemAddr string) error {
+// drive resolves the flags into the context and runs what was asked.
+func (c *ctx) drive(exp, validate, approaches, topoSpec string) error {
 	if validate != "" {
 		return validateDoc(c.w, validate)
 	}
@@ -148,15 +143,6 @@ func (c *ctx) drive(exp, validate, approaches, topoSpec, telemAddr string) error
 		if c.topo, err = topo.Parse(topoSpec); err != nil {
 			return err
 		}
-	}
-	if telemAddr != "" {
-		c.telem = telemetry.New()
-		srv, err := c.telem.Serve(telemAddr)
-		if err != nil {
-			return fmt.Errorf("-telemetry: %w", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(c.w, "telemetry: serving http://%s/metrics (Prometheus) and /vars (JSON)\n", srv.Addr())
 	}
 
 	switch exp {
@@ -309,13 +295,13 @@ func (c *ctx) apps(defaults ...sim.Approach) []sim.Approach {
 	return defaults
 }
 
-// cfg builds a simulation config carrying the shared fault, watchdog,
-// trace and telemetry wiring.
+// cfg builds a simulation config carrying the shared fault, watchdog and
+// trace wiring.
 func (c *ctx) cfg(a sim.Approach, p *model.Profile) sim.Config {
 	return sim.Config{
 		Approach: a, Profile: p,
 		Fault: c.fault, Watchdog: c.watchdogUs * 1000,
-		Trace: c.trace, Telemetry: c.telem,
+		Trace: c.trace,
 	}
 }
 

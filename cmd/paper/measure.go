@@ -40,7 +40,7 @@ const (
 	rtBurst   = 8
 )
 
-func rtPostScaling(c *ctx, threadCounts []int, iters int) []bench.RTScaleRow {
+func rtPostScaling(threadCounts []int, iters int) []bench.RTScaleRow {
 	out := make([]bench.RTScaleRow, 0, len(threadCounts))
 	for _, threads := range threadCounts {
 		row := bench.RTScaleRow{Threads: threads}
@@ -53,8 +53,8 @@ func rtPostScaling(c *ctx, threadCounts []int, iters int) []bench.RTScaleRow {
 		// still shows after that and fails the validator's perf gate).
 		for rep := 0; rep < rtReps ||
 			(row.ShardedNsPerPost > row.SharedNsPerPost && rep < rtRepsMax); rep++ {
-			shared := rtMeasurePost(c, threads, iters, false)
-			sharded := rtMeasurePost(c, threads, iters, true)
+			shared := rtMeasurePost(threads, iters, false)
+			sharded := rtMeasurePost(threads, iters, true)
 			if rep == 0 || shared < row.SharedNsPerPost {
 				row.SharedNsPerPost = shared
 			}
@@ -67,14 +67,9 @@ func rtPostScaling(c *ctx, threadCounts []int, iters int) []bench.RTScaleRow {
 	return out
 }
 
-func rtMeasurePost(c *ctx, threads, iters int, sharded bool) float64 {
+func rtMeasurePost(threads, iters int, sharded bool) float64 {
 	cl := rt.NewClusterOpts(2, rt.Offload, rt.Options{ShardCount: threads})
 	defer cl.Close()
-	if c.telem != nil {
-		// Rebind the rt_* metric names to this (ephemeral) measurement
-		// cluster so a live scraper follows the sweep.
-		cl.AttachTelemetry(c.telem)
-	}
 	iters = max(iters/rtBurst, 1) * rtBurst // whole bursts only; receivers must agree
 	perThread := make([][]int64, threads)
 	var wg sync.WaitGroup

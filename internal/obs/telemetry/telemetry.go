@@ -1,242 +1,46 @@
-// Package telemetry is the live half of the observability layer: a
-// lock-cheap registry of named counters, gauges and histograms that can be
-// snapshotted while the system runs, exported as Prometheus text format and
-// as expvar-style JSON over an opt-in HTTP endpoint.
+// Package telemetry is a registry of named counters that a run registers
+// and a driver reads back once the run is over, as expvar-style JSON.
 //
-// Where internal/obs records what happened (post-hoc traces, per-run
-// metrics), telemetry answers "what is happening right now": the rt layer
-// registers per-agent duty cycles and queue depths, the sim layer registers
-// the virtual-time kernel's events/sec — all sampled live by a scraper
-// without stopping the system.
+// A counter is a sampler func that reads a number the instrumented code
+// already keeps, so the instrumented hot path pays nothing; WriteJSON calls
+// every sampler on its caller's goroutine. The sim layer registers
+// sim_kernel_events_total for the kernel it builds, valid once sim.Run has
+// returned.
 //
-// Cost discipline matches internal/obs: instrument hot paths with *Func
-// metrics that read counters the code already maintains (the hot path pays
-// nothing at all — sampling happens at scrape time on the scraper's
-// goroutine), or with Counter/Gauge/Histogram cells (one atomic op per
-// update, no locks). The registry mutex is taken only at registration and
-// scrape time, never on a metric update.
+// Registering a name that already exists replaces its sampler, so a driver
+// that sweeps many short runs through one registry reads the newest run
+// instead of keeping one series per run.
 //
-// Metric names follow Prometheus conventions and may carry inline labels:
-//
-//	reg.GaugeFunc(`rt_agent_duty{rank="0",agent="1"}`, "...", fn)
-//
-// Registering a name that already exists returns the existing cell
-// (Counter/Gauge/Histogram) or replaces the sampler (*Func variants) — so
-// successive runs can rebind "current kernel" samplers and the newest run
-// wins, instead of leaking one metric family per run.
+// Nothing here serves or scrapes: the reproduction opens no listener (see
+// the root package's socket guard test).
 package telemetry
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"net"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-
-	"mpioffload/internal/obs"
 )
 
-// Counter is a monotonically increasing metric cell (one atomic per update).
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n (n < 0 is ignored: counters only rise).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable float64 metric cell (one atomic per update).
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram is a concurrent log2-bucketed histogram cell (see obs.Hist for
-// the bucket semantics).
-type Histogram struct{ h obs.AtomicHist }
-
-// Observe records one sample (nanoseconds by convention).
-func (h *Histogram) Observe(v int64) { h.h.Observe(v) }
-
-// Snapshot returns the histogram's current value.
-func (h *Histogram) Snapshot() obs.Hist { return h.h.Snapshot() }
-
-// kind discriminates registered metrics for the Prometheus TYPE header.
-type kind uint8
-
-const (
-	kindCounter kind = iota
-	kindGauge
-	kindHistogram
-)
-
-func (k kind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindHistogram:
-		return "histogram"
-	}
-	return "gauge"
-}
-
-// entry is one registered metric. Exactly one of counter/gauge/hist/fn/hfn
-// is set; fn and hfn are swappable (atomic pointers) so re-registration can
-// rebind a sampler without touching the registry map.
-type entry struct {
-	name string // full name, possibly with inline {labels}
-	base string // name up to the label block (HELP/TYPE header key)
-	help string
-	typ  kind
-
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      atomic.Pointer[func() float64]
-	hfn     atomic.Pointer[func() obs.Hist]
-}
-
-// value samples the entry's scalar value (histogram entries use snapshot).
-func (e *entry) value() float64 {
-	switch {
-	case e.counter != nil:
-		return float64(e.counter.Value())
-	case e.gauge != nil:
-		return e.gauge.Value()
-	default:
-		if f := e.fn.Load(); f != nil {
-			return (*f)()
-		}
-	}
-	return 0
-}
-
-// snapshot samples a histogram entry.
-func (e *entry) snapshot() obs.Hist {
-	if e.hist != nil {
-		return e.hist.Snapshot()
-	}
-	if f := e.hfn.Load(); f != nil {
-		return (*f)()
-	}
-	return obs.Hist{}
-}
-
-// Registry holds named metrics. The zero value is not usable; call New.
+// Registry holds named counters. The zero value is not usable; call New.
 type Registry struct {
 	mu      sync.Mutex
-	metrics map[string]*entry
+	metrics map[string]func() float64
 }
 
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{metrics: make(map[string]*entry)}
+	return &Registry{metrics: make(map[string]func() float64)}
 }
 
-// baseName strips an inline label block: `a_total{rank="0"}` → `a_total`.
-func baseName(name string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i]
-	}
-	return name
-}
-
-// register returns the entry for name, creating it with the given kind. An
-// existing entry of the same kind is returned as-is (help is first-writer-
-// wins); a kind mismatch — including mixing a cell with a *Func sampler
-// under one name — panics, as it is always a programming error.
-func (r *Registry) register(name, help string, typ kind, cell bool) *entry {
+// CounterFunc registers (or rebinds) the counter name, sampled by fn when
+// WriteJSON runs.
+func (r *Registry) CounterFunc(name string, fn func() float64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.metrics[name]
-	if !ok {
-		e = &entry{name: name, base: baseName(name), help: help, typ: typ}
-		r.metrics[name] = e
-	} else if e.typ != typ {
-		panic(fmt.Sprintf("telemetry: metric %q re-registered as %s, was %s", name, typ, e.typ))
-	}
-	if cell {
-		if e.fn.Load() != nil || e.hfn.Load() != nil {
-			panic(fmt.Sprintf("telemetry: metric %q re-registered as a cell, was a sampler func", name))
-		}
-		switch typ {
-		case kindCounter:
-			if e.counter == nil {
-				e.counter = &Counter{}
-			}
-		case kindGauge:
-			if e.gauge == nil {
-				e.gauge = &Gauge{}
-			}
-		case kindHistogram:
-			if e.hist == nil {
-				e.hist = &Histogram{}
-			}
-		}
-	} else if e.counter != nil || e.gauge != nil || e.hist != nil {
-		panic(fmt.Sprintf("telemetry: metric %q re-registered as a sampler func, was a cell", name))
-	}
-	return e
-}
-
-// Counter returns (creating if needed) the named counter cell.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.register(name, help, kindCounter, true).counter
-}
-
-// Gauge returns (creating if needed) the named gauge cell.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, kindGauge, true).gauge
-}
-
-// Histogram returns (creating if needed) the named histogram cell.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	return r.register(name, help, kindHistogram, true).hist
-}
-
-// CounterFunc registers (or rebinds) a counter sampled by fn at scrape
-// time. fn must be safe to call from any goroutine and should read counters
-// the instrumented code already maintains — the hot path pays nothing.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(name, help, kindCounter, false).fn.Store(&fn)
-}
-
-// GaugeFunc registers (or rebinds) a gauge sampled by fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, kindGauge, false).fn.Store(&fn)
-}
-
-// HistogramFunc registers (or rebinds) a histogram sampled by fn at scrape
-// time (typically an obs.AtomicHist the code already feeds).
-func (r *Registry) HistogramFunc(name, help string, fn func() obs.Hist) {
-	r.register(name, help, kindHistogram, false).hfn.Store(&fn)
-}
-
-// sorted returns the entries in deterministic (name-sorted) order. Labeled
-// series of one family sort adjacently because the base is their prefix.
-func (r *Registry) sorted() []*entry {
-	r.mu.Lock()
-	out := make([]*entry, 0, len(r.metrics))
-	for _, e := range r.metrics {
-		out = append(out, e)
-	}
+	r.metrics[name] = fn
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
 }
 
 // formatValue renders a float without trailing noise (integers stay bare).
@@ -247,202 +51,25 @@ func formatValue(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// splitLabels separates a full series name into (series-without-suffix
-// injection point). For histogram series we must inject _bucket/_sum/_count
-// before the label block: `h{rank="0"}` → `h_bucket{rank="0",le="…"}`.
-func splitLabels(name string) (base, labels string) {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i], strings.TrimSuffix(name[i+1:], "}")
-	}
-	return name, ""
-}
-
-// WritePrometheus writes every metric in Prometheus text exposition format
-// (version 0.0.4), deterministically ordered by series name.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	var sb strings.Builder
-	lastBase := ""
-	for _, e := range r.sorted() {
-		if e.base != lastBase {
-			if e.help != "" {
-				fmt.Fprintf(&sb, "# HELP %s %s\n", e.base, e.help)
-			}
-			fmt.Fprintf(&sb, "# TYPE %s %s\n", e.base, e.typ)
-			lastBase = e.base
-		}
-		if e.typ == kindHistogram {
-			writePromHist(&sb, e.name, e.snapshot())
-			continue
-		}
-		fmt.Fprintf(&sb, "%s %s\n", e.name, formatValue(e.value()))
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// writePromHist renders one histogram series: cumulative le buckets at the
-// log2 boundaries up to the populated range, then +Inf, _sum and _count.
-func writePromHist(sb *strings.Builder, name string, h obs.Hist) {
-	series, labels := splitLabels(name)
-	emit := func(suffix, extraLabel string, v int64) {
-		all := labels
-		if extraLabel != "" {
-			if all != "" {
-				all += ","
-			}
-			all += extraLabel
-		}
-		if all != "" {
-			fmt.Fprintf(sb, "%s%s{%s} %d\n", series, suffix, all, v)
-		} else {
-			fmt.Fprintf(sb, "%s%s %d\n", series, suffix, v)
-		}
-	}
-	// Highest populated bucket bounds the emitted range (empty → none).
-	top := -1
-	for i := obs.NumBuckets - 1; i >= 0; i-- {
-		if h.Buckets[i] > 0 {
-			top = i
-			break
-		}
-	}
-	cum := int64(0)
-	for i := 0; i <= top; i++ {
-		cum += h.Buckets[i]
-		upper := int64(0)
-		if i > 0 {
-			upper = int64(1)<<uint(i) - 1
-		}
-		emit("_bucket", fmt.Sprintf(`le="%d"`, upper), cum)
-	}
-	emit("_bucket", `le="+Inf"`, h.Count)
-	emit("_sum", "", h.Sum)
-	emit("_count", "", h.Count)
-}
-
-// WriteJSON writes every metric as one expvar-style JSON object, keyed by
-// the full series name, deterministically ordered. Histograms render as
-// {count,sum,max,p50,p90,p99}.
+// WriteJSON writes every counter as one expvar-style JSON object keyed by
+// name, in name order.
 func (r *Registry) WriteJSON(w io.Writer) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := make([]string, 0, len(r.metrics))
+	for name := range r.metrics {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var sb strings.Builder
 	sb.WriteString("{")
-	for i, e := range r.sorted() {
+	for i, name := range names {
 		if i > 0 {
 			sb.WriteString(",")
 		}
-		fmt.Fprintf(&sb, "\n  %q: ", e.name)
-		if e.typ == kindHistogram {
-			h := e.snapshot()
-			fmt.Fprintf(&sb, `{"count":%d,"sum":%d,"max":%d,"p50":%d,"p90":%d,"p99":%d}`,
-				h.Count, h.Sum, h.Max, h.P50(), h.P90(), h.P99())
-			continue
-		}
-		sb.WriteString(formatValue(e.value()))
+		fmt.Fprintf(&sb, "\n  %q: %s", name, formatValue(r.metrics[name]()))
 	}
 	sb.WriteString("\n}\n")
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// Handler returns the registry's HTTP handler: /metrics serves Prometheus
-// text format, /vars the expvar-style JSON, / a tiny index.
-func (r *Registry) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
-	mux.HandleFunc("/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		r.WriteJSON(w)
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != "/" {
-			http.NotFound(w, req)
-			return
-		}
-		io.WriteString(w, "mpioffload telemetry\n  /metrics  Prometheus text format\n  /vars     expvar-style JSON\n")
-	})
-	return mux
-}
-
-// Server is a running telemetry endpoint (see Registry.Serve).
-type Server struct {
-	lis net.Listener
-	srv *http.Server
-}
-
-// Addr reports the bound address (useful with ":0").
-func (s *Server) Addr() string { return s.lis.Addr().String() }
-
-// Close stops the endpoint.
-func (s *Server) Close() error { return s.srv.Close() }
-
-// Serve starts an HTTP endpoint for the registry on addr (e.g. ":9090" or
-// "127.0.0.1:0") and returns immediately; scraping runs on background
-// goroutines and never touches instrumented hot paths beyond the atomic
-// reads the *Func samplers perform.
-func (r *Registry) Serve(addr string) (*Server, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: r.Handler()}
-	go srv.Serve(lis)
-	return &Server{lis: lis, srv: srv}, nil
-}
-
-// ValidatePrometheus checks that b parses as Prometheus text exposition
-// format (comments, blank lines, and `name[{labels}] value` samples) and
-// contains at least one sample. The telemetry-smoke CI target scrapes the
-// live endpoint once and feeds the body through this.
-func ValidatePrometheus(b []byte) error {
-	samples := 0
-	for ln, line := range strings.Split(string(b), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			return fmt.Errorf("line %d: no value separator: %q", ln+1, line)
-		}
-		name, val := line[:sp], line[sp+1:]
-		if err := validateSeriesName(name); err != nil {
-			return fmt.Errorf("line %d: %w", ln+1, err)
-		}
-		if _, err := parseFloat(val); err != nil {
-			return fmt.Errorf("line %d: bad value %q", ln+1, val)
-		}
-		samples++
-	}
-	if samples == 0 {
-		return fmt.Errorf("no samples in exposition")
-	}
-	return nil
-}
-
-func parseFloat(s string) (float64, error) {
-	var v float64
-	_, err := fmt.Sscanf(s, "%g", &v)
-	return v, err
-}
-
-func validateSeriesName(s string) error {
-	base, _ := splitLabels(s)
-	if base == "" {
-		return fmt.Errorf("empty metric name in %q", s)
-	}
-	for i, c := range base {
-		ok := c == '_' || c == ':' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return fmt.Errorf("bad metric name %q", base)
-		}
-	}
-	if strings.ContainsRune(s, '{') && !strings.HasSuffix(s, "}") {
-		return fmt.Errorf("unbalanced label block in %q", s)
-	}
-	return nil
 }

@@ -3,127 +3,27 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"io"
-	"net/http"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
-
-	"mpioffload/internal/obs"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// fill registers a deterministic mix of every metric kind.
-func fill(r *Registry) {
-	r.Counter("app_requests_total", "requests served").Add(42)
-	r.Gauge("app_temperature", "current temperature").Set(36.6)
-	r.Gauge(`rt_agent_duty{rank="0",agent="0"}`, "busy fraction of agent wall time").Set(0.75)
-	r.Gauge(`rt_agent_duty{rank="0",agent="1"}`, "busy fraction of agent wall time").Set(0.25)
-	r.CounterFunc("sim_kernel_events_total", "events executed by the kernel", func() float64 { return 12345 })
-	r.GaugeFunc("sim_events_per_sec", "kernel event rate", func() float64 { return 2.5e6 })
-	h := r.Histogram("rt_qwait_ns", "command queue wait")
-	h.Observe(1)
-	h.Observe(100)
-	h.Observe(1000)
-	r.HistogramFunc(`rt_service_ns{rank="1"}`, "offload service time", func() obs.Hist {
-		var s obs.Hist
-		s.Observe(8)
-		s.Observe(9)
-		return s
-	})
-}
-
-func TestPrometheusGolden(t *testing.T) {
-	r := New()
-	fill(r)
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "prom.golden")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to regenerate): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("Prometheus output drifted from golden file.\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
-	}
-	if err := ValidatePrometheus(buf.Bytes()); err != nil {
-		t.Errorf("golden output fails ValidatePrometheus: %v", err)
-	}
-}
 
 func TestJSONExport(t *testing.T) {
 	r := New()
-	fill(r)
+	r.CounterFunc("sim_kernel_events_total", func() float64 { return 12345 })
+	r.CounterFunc("app_ratio", func() float64 { return 2.5 })
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	want := "{\n  \"app_ratio\": 2.5,\n  \"sim_kernel_events_total\": 12345\n}\n"
+	if buf.String() != want {
+		t.Errorf("WriteJSON = %q, want %q", buf.String(), want)
 	}
 	var m map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatalf("WriteJSON produced invalid JSON: %v\n%s", err, buf.Bytes())
 	}
-	if got := m["app_requests_total"]; got != 42.0 {
-		t.Errorf("app_requests_total = %v, want 42", got)
-	}
-	hist, ok := m["rt_qwait_ns"].(map[string]any)
-	if !ok {
-		t.Fatalf("rt_qwait_ns is %T, want histogram object", m["rt_qwait_ns"])
-	}
-	if hist["count"] != 3.0 || hist["sum"] != 1101.0 {
-		t.Errorf("rt_qwait_ns = %v, want count=3 sum=1101", hist)
-	}
-}
-
-func TestServeScrape(t *testing.T) {
-	r := New()
-	fill(r)
-	srv, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) (string, []byte) {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return resp.Header.Get("Content-Type"), body
-	}
-
-	ct, body := get("/metrics")
-	if !strings.Contains(ct, "text/plain") {
-		t.Errorf("/metrics content-type %q", ct)
-	}
-	if err := ValidatePrometheus(body); err != nil {
-		t.Errorf("/metrics body invalid: %v", err)
-	}
-	if !strings.Contains(string(body), `rt_agent_duty{rank="0",agent="0"} 0.75`) {
-		t.Errorf("/metrics missing live duty sample:\n%s", body)
-	}
-
-	ct, body = get("/vars")
-	if !strings.Contains(ct, "application/json") {
-		t.Errorf("/vars content-type %q", ct)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Errorf("/vars invalid JSON: %v", err)
+	if got := m["sim_kernel_events_total"]; got != 12345.0 {
+		t.Errorf("sim_kernel_events_total = %v, want 12345", got)
 	}
 }
 
@@ -131,42 +31,13 @@ func TestServeScrape(t *testing.T) {
 // same metric name and the newest sampler wins (no leak, no stale reads).
 func TestFuncRebind(t *testing.T) {
 	r := New()
-	r.GaugeFunc("x", "h", func() float64 { return 1 })
-	r.GaugeFunc("x", "h", func() float64 { return 2 })
+	r.CounterFunc("x", func() float64 { return 1 })
+	r.CounterFunc("x", func() float64 { return 2 })
 	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), "x 2\n") {
-		t.Errorf("rebind did not take: %s", buf.String())
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestKindMismatchPanics(t *testing.T) {
-	r := New()
-	r.Counter("m", "h")
-	defer func() {
-		if recover() == nil {
-			t.Error("registering counter name as gauge did not panic")
-		}
-	}()
-	r.Gauge("m", "h")
-}
-
-func TestValidatePrometheusRejects(t *testing.T) {
-	bad := [][]byte{
-		[]byte(""),                       // no samples
-		[]byte("# only a comment\n"),     // no samples
-		[]byte("metric_name\n"),          // no value
-		[]byte("9bad_name 1\n"),          // name starts with digit
-		[]byte("name notanumber\n"),      // bad value
-		[]byte(`name{rank="0" 1` + "\n"), // unbalanced labels
-	}
-	for _, b := range bad {
-		if err := ValidatePrometheus(b); err == nil {
-			t.Errorf("ValidatePrometheus(%q) = nil, want error", b)
-		}
-	}
-	good := []byte("# HELP a b\n# TYPE a counter\na 1\na_total{x=\"y\"} 2.5\n")
-	if err := ValidatePrometheus(good); err != nil {
-		t.Errorf("ValidatePrometheus(good) = %v", err)
+	if want := "{\n  \"x\": 2\n}\n"; buf.String() != want {
+		t.Errorf("rebind did not take: %q", buf.String())
 	}
 }

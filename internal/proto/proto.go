@@ -251,9 +251,9 @@ type Engine struct {
 	// Watchdog: requests in flight longer than Deadline ns are failed with
 	// ErrTimeout/ErrRankFailed instead of hanging (0 disables). Set before
 	// traffic flows.
-	Deadline float64
-	watch    []*Op
-	wdArmed  bool
+	Deadline   float64
+	watch      []*Op
+	watchArmed bool
 }
 
 // NewEngine creates the engine for one rank and binds it to the fabric.

@@ -235,8 +235,8 @@ func (e *Engine) watchOp(op *Op) {
 	}
 	op.expires = float64(e.K.Now()) + e.Deadline
 	e.watch = append(e.watch, op)
-	if !e.wdArmed {
-		e.wdArmed = true
+	if !e.watchArmed {
+		e.watchArmed = true
 		e.K.AfterF(e.Deadline, e.watchdogFire)
 	}
 }
@@ -244,7 +244,7 @@ func (e *Engine) watchOp(op *Op) {
 // watchdogFire sweeps the watch list (timer context), failing expired
 // requests and re-arming for the earliest survivor.
 func (e *Engine) watchdogFire() {
-	e.wdArmed = false
+	e.watchArmed = false
 	now := float64(e.K.Now())
 	next := math.Inf(1)
 	keep := e.watch[:0]
@@ -271,7 +271,7 @@ func (e *Engine) watchdogFire() {
 	}
 	e.watch = keep
 	if len(keep) > 0 {
-		e.wdArmed = true
+		e.watchArmed = true
 		e.K.AfterF(next-now, e.watchdogFire)
 	}
 }

@@ -12,10 +12,11 @@
 // it simply returns, with no goroutine switch; otherwise it wakes the event's
 // task on that task's wake channel and parks on its own — one goroutine
 // handoff per task switch. The channel send/receive is the happens-before
-// edge that orders every access to kernel state, so nothing but the live
-// Stats counters is atomic or locked. Because callbacks run on whichever task
-// goroutine happened to yield, pprof goroutine labels attribute callback
-// time to the yielder, not to the task that scheduled the callback.
+// edge that orders every access to kernel state, so nothing in the kernel,
+// the Stats counter included, is atomic or locked. Because callbacks run on
+// whichever task goroutine happened to yield, pprof goroutine labels
+// attribute callback time to the yielder, not to the task that scheduled
+// the callback.
 //
 // The goroutine that called Run starts the baton and is woken only when the
 // simulation is over: every non-daemon task has finished, a task or callback
@@ -32,8 +33,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
-	"time"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -54,15 +53,8 @@ type Kernel struct {
 	live    int           // live non-daemon tasks
 	stopped bool
 	running bool
-	failure any // first panic value from a task or callback, re-raised by Run
-
-	// Self-profiling counters, readable from other goroutines while Run
-	// executes (the telemetry endpoint samples them live). Everything else
-	// in the kernel belongs to the baton holder; only these are atomics.
-	statEvents    atomic.Int64 // events popped from the heap
-	statVNow      atomic.Int64 // mirror of now for cross-goroutine reads
-	statWallStart atomic.Int64 // wall-clock ns at Run entry (0 before Run)
-	statWallEnd   atomic.Int64 // wall-clock ns at Run exit (0 while running)
+	failure any   // first panic value from a task or callback, re-raised by Run
+	popped  int64 // events popped from the heap, reported by Stats
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -262,8 +254,7 @@ func (k *Kernel) dispatch(self *Task) (resumed bool) {
 		if e.at < k.now {
 			panic("vclock: time went backwards")
 		}
-		k.statEvents.Add(1)
-		k.statVNow.Store(e.at)
+		k.popped++
 		if e.fn != nil {
 			k.now = e.at
 			e.fn()
@@ -291,8 +282,6 @@ func (k *Kernel) Run() Time {
 		panic("vclock: Run called twice")
 	}
 	k.running = true
-	k.statWallStart.Store(time.Now().UnixNano())
-	defer func() { k.statWallEnd.Store(time.Now().UnixNano()) }()
 	k.dispatch(nil)
 	<-k.done
 	k.shutdown()
@@ -505,48 +494,13 @@ func (t *Task) Hold(r *Resource, d Time) {
 	t.Release(r)
 }
 
-// KernelStats is a live self-profile of the kernel, safe to sample from any
-// goroutine while Run executes. This is the measurement substrate for
-// attacking kernel hot paths (ROADMAP item 1): events/sec tells you whether
-// a change to the heap or task handoff helped, wall-per-sim-second tells
-// you what a paper-scale sweep would cost.
+// KernelStats is the kernel's self-profile: the count the host-time
+// benchmark divides its timings by.
 type KernelStats struct {
-	Events    int64 // events popped from the heap so far
-	VirtualNs int64 // virtual time reached so far
-	WallNs    int64 // wall-clock time spent inside Run so far
+	Events int64 // events popped from the heap so far
 }
 
-// EventsPerSec reports kernel event throughput (0 before Run starts).
-func (s KernelStats) EventsPerSec() float64 {
-	if s.WallNs <= 0 {
-		return 0
-	}
-	return float64(s.Events) / (float64(s.WallNs) / 1e9)
-}
-
-// WallMsPerSimSec reports wall-clock milliseconds spent per simulated
-// second — the "how expensive is this model" number (0 until virtual time
-// advances).
-func (s KernelStats) WallMsPerSimSec() float64 {
-	if s.VirtualNs <= 0 {
-		return 0
-	}
-	return float64(s.WallNs) / 1e6 / (float64(s.VirtualNs) / 1e9)
-}
-
-// Stats samples the kernel's self-profile. Unlike every other Kernel
-// method, Stats is safe to call from any goroutine at any time.
-func (k *Kernel) Stats() KernelStats {
-	s := KernelStats{
-		Events:    k.statEvents.Load(),
-		VirtualNs: k.statVNow.Load(),
-	}
-	if start := k.statWallStart.Load(); start != 0 {
-		if end := k.statWallEnd.Load(); end != 0 {
-			s.WallNs = end - start
-		} else {
-			s.WallNs = time.Now().UnixNano() - start
-		}
-	}
-	return s
-}
+// Stats reports the kernel's self-profile. Like every other Kernel method it
+// belongs to the baton holder: call it from a task or callback, or after
+// Run has returned.
+func (k *Kernel) Stats() KernelStats { return KernelStats{Events: k.popped} }

@@ -51,12 +51,6 @@ func (c *Comm) Ireduce(buf []byte, op ReduceOp, root int) Request {
 	})
 }
 
-// Reduce reduces buf to root.
-func (c *Comm) Reduce(buf []byte, op ReduceOp, root int) {
-	r := c.Ireduce(buf, op, root)
-	c.Wait(&r)
-}
-
 // Iallreduce starts a nonblocking all-reduce of buf (in place on all
 // ranks). Small payloads use recursive doubling; payloads above
 // coll.RingThreshold use the bandwidth-optimal ring algorithm, or the
@@ -84,12 +78,6 @@ func (c *Comm) Igather(block, out []byte, root int) Request {
 	})
 }
 
-// Gather gathers equal blocks to root.
-func (c *Comm) Gather(block, out []byte, root int) {
-	r := c.Igather(block, out, root)
-	c.Wait(&r)
-}
-
 // Iscatter starts a nonblocking scatter of equal blocks from root's in
 // buffer (Size()*len(block) bytes) into block everywhere.
 func (c *Comm) Iscatter(in, block []byte, root int) Request {
@@ -97,12 +85,6 @@ func (c *Comm) Iscatter(in, block []byte, root int) Request {
 	return c.icoll(func(t *vclock.Task) proto.Req {
 		return coll.Iscatter(t, c.st.eng, g, in, block, root, tag)
 	})
-}
-
-// Scatter scatters equal blocks from root.
-func (c *Comm) Scatter(in, block []byte, root int) {
-	r := c.Iscatter(in, block, root)
-	c.Wait(&r)
 }
 
 // Iallgather starts a nonblocking allgather: every rank contributes block
@@ -158,10 +140,4 @@ func (c *Comm) IallreduceBytes(n int) Request {
 	return c.icoll(func(t *vclock.Task) proto.Req {
 		return coll.IallreduceAutoN(t, c.st.eng, g, n, tag)
 	})
-}
-
-// AllreduceBytes performs a phantom blocking allreduce of n bytes.
-func (c *Comm) AllreduceBytes(n int) {
-	r := c.IallreduceBytes(n)
-	c.Wait(&r)
 }

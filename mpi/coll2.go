@@ -57,12 +57,6 @@ func (c *Comm) IalltoallV(sendBufs, recvBufs [][]byte) Request {
 	})
 }
 
-// AlltoallV is the blocking variable-size all-to-all.
-func (c *Comm) AlltoallV(sendBufs, recvBufs [][]byte) {
-	r := c.IalltoallV(sendBufs, recvBufs)
-	c.Wait(&r)
-}
-
 // IallgatherV starts a nonblocking variable-size allgather: every rank
 // contributes block; out[r] receives rank r's block on every rank.
 func (c *Comm) IallgatherV(block []byte, out [][]byte) Request {
@@ -70,12 +64,6 @@ func (c *Comm) IallgatherV(block []byte, out [][]byte) Request {
 	return c.icoll(func(t *vclock.Task) proto.Req {
 		return coll.IallgatherV(t, c.st.eng, g, block, out, tag)
 	})
-}
-
-// AllgatherV is the blocking variable-size allgather.
-func (c *Comm) AllgatherV(block []byte, out [][]byte) {
-	r := c.IallgatherV(block, out)
-	c.Wait(&r)
 }
 
 // IallreduceRing starts the bandwidth-optimal ring allreduce explicitly
@@ -97,10 +85,4 @@ func (c *Comm) IallreduceHier(buf []byte, op ReduceOp) Request {
 	return c.icoll(func(t *vclock.Task) proto.Req {
 		return coll.IallreduceHier(t, c.st.eng, g, buf, op, tag)
 	})
-}
-
-// AllreduceHier is the blocking hierarchical allreduce.
-func (c *Comm) AllreduceHier(buf []byte, op ReduceOp) {
-	r := c.IallreduceHier(buf, op)
-	c.Wait(&r)
 }

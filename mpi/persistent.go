@@ -60,17 +60,3 @@ func (p *PersistentRequest) Test() (bool, Status) {
 	}
 	return done, st
 }
-
-// StartAll starts a set of persistent requests.
-func StartAll(ps ...*PersistentRequest) {
-	for _, p := range ps {
-		p.Start()
-	}
-}
-
-// WaitAllPersistent completes a set of persistent requests.
-func WaitAllPersistent(ps ...*PersistentRequest) {
-	for _, p := range ps {
-		p.Wait()
-	}
-}

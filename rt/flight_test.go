@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +12,6 @@ import (
 	"time"
 
 	"mpioffload/internal/obs/critpath"
-	"mpioffload/internal/obs/telemetry"
 )
 
 // TestFlightDumpOnKillRank is the acceptance path: a forced KillRank makes
@@ -217,100 +214,6 @@ func TestFlightMetaPacking(t *testing.T) {
 			t.Errorf("agent -1 round-tripped to %d", ev.agent)
 		}
 	}
-}
-
-// TestTelemetryLive scrapes the cluster's endpoint during traffic: the
-// ISSUE's curl-able acceptance criterion, minus the shell.
-func TestTelemetryLive(t *testing.T) {
-	c := NewClusterOpts(2, Offload, Options{Agents: 2})
-	defer c.Close()
-	reg := telemetry.New()
-	c.AttachTelemetry(reg)
-	srv, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	const msgs = 200
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, 8)
-		for i := 0; i < msgs; i++ {
-			c.Rank(1).Recv(buf, 0, i%5)
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		msg := []byte("12345678")
-		for i := 0; i < msgs; i++ {
-			c.Rank(0).Send(msg, 1, i%5)
-		}
-	}()
-
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatalf("scrape mid-traffic: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	wg.Wait()
-
-	if err := telemetry.ValidatePrometheus(body); err != nil {
-		t.Fatalf("scrape is not valid Prometheus text format: %v\n%s", err, body)
-	}
-	for _, want := range []string{
-		`rt_agent_duty{rank="0",agent="0"}`,
-		`rt_agent_duty{rank="1",agent="1"}`,
-		`rt_cmdq_depth{rank="0",agent="0"}`,
-		`rt_sends_total{rank="0"}`,
-		`rt_inflight{rank="1"}`,
-		`rt_polls_total{rank="0"}`,
-		`rt_polls_per_completion{rank="0"}`,
-		`rt_net_sent_bytes_total{rank="0"}`,
-		`rt_net_recv_bytes_total{rank="1"}`,
-		`rt_net_sent_frames_total{rank="0"}`,
-		`rt_net_send_errors_total{rank="0"}`,
-		"rt_agents_per_rank 2",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("scrape missing %q", want)
-		}
-	}
-
-	// After the burst a fresh scrape must show every send counted.
-	resp, err = http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "rt_sends_total{rank=\"0\"} 200") {
-		t.Errorf("post-burst scrape missing rt_sends_total=200:\n%s", grepLines(string(body), "rt_sends_total"))
-	}
-	// The transport byte counters moved: 200 sends of 8 B payload means at
-	// least 1600 payload-carrying wire bytes left rank 0.
-	if strings.Contains(string(body), "rt_net_sent_frames_total{rank=\"0\"} 0") {
-		t.Errorf("wire counters never advanced:\n%s", grepLines(string(body), "rt_net_"))
-	}
-	// Duty timing actually charged wall time somewhere.
-	st := c.Rank(0).engines[0].busyNs.Load() + c.Rank(0).engines[0].idleNs.Load()
-	if st == 0 {
-		t.Error("telemetry attach did not activate duty-cycle timing")
-	}
-}
-
-func grepLines(s, substr string) string {
-	var out []string
-	for _, l := range strings.Split(s, "\n") {
-		if strings.Contains(l, substr) {
-			out = append(out, l)
-		}
-	}
-	return strings.Join(out, "\n")
 }
 
 // TestStatsCoherent verifies the double-read snapshot: on a quiescent

@@ -134,10 +134,6 @@ type rtEngine struct {
 	// wakes in microseconds instead of a timer tick.
 	bell    chan struct{}
 	napping atomic.Bool
-
-	// Live-telemetry duty accounting, charged by the offload loop only
-	// while the cluster has a telemetry registry attached.
-	busyNs, idleNs atomic.Int64
 }
 
 // Rank is one process of the real-time cluster.
@@ -180,9 +176,6 @@ type Rank struct {
 	Sends, Recvs, Progress, Polls atomic.Int64
 	// WatchdogTrips counts WaitErr deadline expirations on this rank.
 	WatchdogTrips atomic.Int64
-	// wdArmed counts WaitErr calls currently spinning under a deadline
-	// (telemetry: how many waiters the watchdog is guarding right now).
-	wdArmed atomic.Int64
 
 	// Flight recorder: the bounded ring of recent transitions, plus the
 	// per-slot operation generation that keeps recycled pool slots from
@@ -257,11 +250,6 @@ type Cluster struct {
 	flightOn     atomic.Bool
 	flightPath   atomic.Pointer[string]
 	flightDumped atomic.Bool
-
-	// Live-telemetry state (see telemetry.go): duty-cycle timing in the
-	// offload loops runs only while a registry is attached.
-	telemOn      atomic.Bool
-	telemStartNs atomic.Int64
 }
 
 // SetStatsEnabled toggles wall-clock latency-histogram collection on the
@@ -759,23 +747,7 @@ func (r *Rank) Recv(buf []byte, src, tag int) int { return r.Wait(r.Irecv(buf, s
 // receives it returns the received byte count. A negative count reports a
 // failed receive (truncation — see WaitErr, which decodes it to an error).
 func (r *Rank) Wait(h Handle) int {
-	slot := int(h)
-	var sp spin
-	for !r.pool.Done(slot) {
-		if r.mode == Direct {
-			// The waiter must drive progress itself (and contends with
-			// every other thread of this rank for the lock).
-			r.directPoll()
-			if r.pool.Done(slot) {
-				break
-			}
-		}
-		if !sp.yield() {
-			r.parkWait(slot)
-		}
-	}
-	n := int(atomic.LoadInt32(&r.count[slot]))
-	r.pool.Put(slot)
+	n, _ := r.wait(int(h), 0)
 	return n
 }
 
@@ -788,34 +760,38 @@ func (r *Rank) Wait(h Handle) int {
 // recycling the slot under an in-flight operation would corrupt the pool
 // (MPI has no safe MPI_Request_free for active requests either).
 func (r *Rank) WaitErr(h Handle) (int, error) {
-	d := time.Duration(r.cluster.wdNs.Load())
-	if d <= 0 {
-		return decodeCount(r.Wait(h))
+	n, err := r.wait(int(h), time.Duration(r.cluster.wdNs.Load()))
+	switch {
+	case err != nil:
+		return 0, err
+	case n < 0:
+		return 0, ErrTruncate
 	}
-	slot := int(h)
-	deadline := time.Now().Add(d)
-	r.wdArmed.Add(1)
-	defer r.wdArmed.Add(-1)
+	return n, nil
+}
+
+// wait is the one wait loop behind Wait and WaitErr: hot-yield, drive
+// progress itself in Direct mode, then park on the completion doorbell. It
+// releases the slot and returns its raw byte count; d > 0 bounds it by
+// wall-clock time and, once that passes, leaves the slot live and returns
+// the watchdog's error.
+func (r *Rank) wait(slot int, d time.Duration) (int, error) {
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
 	var sp spin
 	for !r.pool.Done(slot) {
 		if r.mode == Direct {
+			// The waiter must drive progress itself (and contends with
+			// every other thread of this rank for the lock).
 			r.directPoll()
 			if r.pool.Done(slot) {
 				break
 			}
 		}
-		if time.Now().After(deadline) {
-			r.WatchdogTrips.Add(1)
-			p := int(atomic.LoadInt32(&r.peer[slot]))
-			if r.cluster.flightOn.Load() {
-				r.flight(fkWatchdog, -1, p, 0, r.opID(slot))
-			}
-			if p >= 0 && p < r.cluster.Size() && r.cluster.Failed(p) {
-				r.cluster.autoFlightDump("rank-failed")
-				return 0, fmt.Errorf("%w (rank %d slot %d peer %d after %v)", ErrRankFailed, r.id, slot, p, d)
-			}
-			r.cluster.autoFlightDump("timeout")
-			return 0, fmt.Errorf("%w (rank %d slot %d after %v)", ErrTimeout, r.id, slot, d)
+		if d > 0 && time.Now().After(deadline) {
+			return 0, r.expire(slot, d)
 		}
 		if !sp.yield() {
 			r.parkWait(slot)
@@ -823,15 +799,23 @@ func (r *Rank) WaitErr(h Handle) (int, error) {
 	}
 	n := int(atomic.LoadInt32(&r.count[slot]))
 	r.pool.Put(slot)
-	return decodeCount(n)
+	return n, nil
 }
 
-// decodeCount maps the slot byte-count sentinel space to (count, error).
-func decodeCount(n int) (int, error) {
-	if n < 0 {
-		return 0, ErrTruncate
+// expire records a watchdog trip on slot and names its cause: the peer is
+// dead (ErrRankFailed) or merely late (ErrTimeout).
+func (r *Rank) expire(slot int, d time.Duration) error {
+	r.WatchdogTrips.Add(1)
+	p := int(atomic.LoadInt32(&r.peer[slot]))
+	if r.cluster.flightOn.Load() {
+		r.flight(fkWatchdog, -1, p, 0, r.opID(slot))
 	}
-	return n, nil
+	if p >= 0 && p < r.cluster.Size() && r.cluster.Failed(p) {
+		r.cluster.autoFlightDump("rank-failed")
+		return fmt.Errorf("%w (rank %d slot %d peer %d after %v)", ErrRankFailed, r.id, slot, p, d)
+	}
+	r.cluster.autoFlightDump("timeout")
+	return fmt.Errorf("%w (rank %d slot %d after %v)", ErrTimeout, r.id, slot, d)
 }
 
 // Test reports completion without blocking; on success the handle is
@@ -1004,13 +988,6 @@ func (r *Rank) offloadLoop(e *rtEngine) {
 	var idle spin
 	for !r.stop.Load() {
 		r.Polls.Add(1)
-		// Duty-cycle accounting for the live telemetry endpoint: each
-		// wakeup's wall time is charged busy or idle by whether it found
-		// work. Gated so the default loop never calls time.Now.
-		var dutyT0 int64
-		if r.cluster.telemOn.Load() {
-			dutyT0 = time.Now().UnixNano()
-		}
 		n := e.cq.DequeueBatch(batch)
 		flightLive := n > 0 && r.cluster.flightOn.Load()
 		for i := range batch[:n] {
@@ -1042,14 +1019,6 @@ func (r *Rank) offloadLoop(e *rtEngine) {
 		if !e.inbox.Empty() {
 			r.drain(e)
 			worked = true
-		}
-		if dutyT0 != 0 {
-			dt := time.Now().UnixNano() - dutyT0
-			if worked {
-				e.busyNs.Add(dt)
-			} else {
-				e.idleNs.Add(dt)
-			}
 		}
 		if worked {
 			idle.reset()

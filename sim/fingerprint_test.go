@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
+	"mpioffload/internal/obs/telemetry"
 	"mpioffload/internal/vclock"
 	"mpioffload/mpi"
 )
@@ -105,5 +108,28 @@ func TestCrossApproachFingerprint(t *testing.T) {
 				t.Errorf("%s: got %#v, want %#v", name, got, want[name])
 			}
 		}
+	}
+}
+
+// TestTelemetryReportsKernelEvents pins the contract the host-time
+// benchmark reads: after Run, a registry passed in Config reports
+// sim_kernel_events_total equal to the run's kernel event count.
+func TestTelemetryReportsKernelEvents(t *testing.T) {
+	reg := telemetry.New()
+	var k *vclock.Kernel
+	Run(Config{Ranks: 4, Approach: Offload, Telemetry: reg}, func(env *Env) {
+		k = env.k
+		fingerprintProgram(Funneled)(env)
+	})
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var vars map[string]float64
+	if err := json.Unmarshal(buf.Bytes(), &vars); err != nil {
+		t.Fatalf("WriteJSON: %v\n%s", err, buf.Bytes())
+	}
+	if got, want := int64(vars["sim_kernel_events_total"]), k.Stats().Events; got != want || want == 0 {
+		t.Errorf("sim_kernel_events_total = %d, kernel counted %d", got, want)
 	}
 }

@@ -124,10 +124,9 @@ type Config struct {
 	// and span events appear in Result (and in the Chrome export). nil
 	// leaves only the always-on counters active.
 	Trace *obs.Trace
-	// Telemetry, when non-nil, registers the run's kernel self-profile
-	// (events/sec, wall-clock per simulated second) with the live registry,
-	// scrapable over HTTP while Run executes. Successive runs rebind the
-	// same metric names, so the newest run wins.
+	// Telemetry, when non-nil, registers the run's kernel event count as
+	// sim_kernel_events_total, to be read once Run has returned. Successive
+	// runs rebind the name, so the newest run wins.
 	Telemetry *telemetry.Registry
 }
 
@@ -392,7 +391,7 @@ func Run(cfg Config, program func(env *Env)) Result {
 
 	k := vclock.NewKernel()
 	if cfg.Telemetry != nil {
-		attachKernelTelemetry(cfg.Telemetry, k, n, cfg.Approach)
+		cfg.Telemetry.CounterFunc("sim_kernel_events_total", func() float64 { return float64(k.Stats().Events) })
 	}
 	fab := fabric.New(k, prof, n)
 	fab.SetFault(cfg.Fault)
