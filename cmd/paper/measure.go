@@ -142,11 +142,7 @@ func newBackendCluster(backend string, mode rt.Mode, o rt.Options) (*rt.Cluster,
 	default:
 		return nil, fmt.Errorf("unknown backend %q (want loopback or unix)", backend)
 	}
-	cl := rt.NewClusterOpts(2, mode, o)
-	// The flight recorder costs a clock read per transition — measurable
-	// noise at flood rates — and benchmarks have no post-mortems to take.
-	cl.SetFlightRecorder(false)
-	return cl, nil
+	return rt.NewClusterOpts(2, mode, o), nil
 }
 
 // pingPongSide runs one end of a blocking ping-pong with `peer`: the

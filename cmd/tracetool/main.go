@@ -4,24 +4,16 @@
 // critical path, attributed to compute, queue-wait, offload service,
 // network and idle/progress-gap time.
 //
-// It also reads the rt layer's flight-recorder post-mortems (the traces
-// written automatically on a watchdog trip): runs labelled "flight ..."
-// are wall-clock windows, so instead of critical-path attribution they get
-// an incident report — per-rank event totals, watchdog instants and the
-// operations still open when the dump was taken.
-//
 // Usage:
 //
 //	tracetool [-check] trace.json
 //
 // With -check the tool exits nonzero unless every virtual-time run's
 // attribution sums exactly to the run's elapsed time — the analyzer's
-// partition invariant, used by the CI smoke target. Flight windows are
-// exempt from the invariant but must decode and carry events.
+// partition invariant, used by the CI smoke target.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -37,33 +29,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: tracetool [-check] trace.json")
 		os.Exit(2)
 	}
-	raw, err := os.ReadFile(flag.Arg(0))
+	f, err := os.Open(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	runs, err := critpath.ReadChrome(bytes.NewReader(raw))
+	runs, err := critpath.ReadChrome(f)
+	f.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
 	if len(runs) == 0 {
 		log.Fatal("tracetool: no runs in trace (was it exported with -trace?)")
 	}
-	meta, haveMeta := readFlightMeta(raw)
-	bad, flights := 0, 0
+	bad := 0
 	for _, rd := range runs {
-		if isFlightRun(rd) {
-			flights++
-			fmt.Print(flightReport(rd, meta, haveMeta))
-			total := 0
-			for _, evs := range rd.Events {
-				total += len(evs)
-			}
-			if total == 0 {
-				bad++
-				fmt.Println("  EMPTY: flight window decoded no events")
-			}
-			continue
-		}
 		rep := critpath.AnalyzeRun(rd)
 		fmt.Print(rep.Table())
 		if rep.Sum() != rep.Total {
@@ -76,7 +55,6 @@ func main() {
 		if bad > 0 {
 			log.Fatalf("tracetool: %d run(s) failed their checks", bad)
 		}
-		fmt.Printf("check ok: %d run(s) (%d flight), attribution sums match elapsed time\n",
-			len(runs), flights)
+		fmt.Printf("check ok: %d run(s), attribution sums match elapsed time\n", len(runs))
 	}
 }

@@ -6,20 +6,25 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 
 	"mpioffload/apps/cnn"
 	"mpioffload/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the whole program, writing its report to w.
+func run(w io.Writer) {
 	const (
 		ranks   = 4
 		perRank = 4 // images per rank per step
 		classes = 3
 		steps   = 40
 	)
-	fmt.Printf("data-parallel CNN training, %d ranks × %d images\n", ranks, perRank)
+	fmt.Fprintf(w, "data-parallel CNN training, %d ranks × %d images\n", ranks, perRank)
 
 	sim.Run(sim.Config{Ranks: ranks, Approach: sim.Offload}, func(env *sim.Env) {
 		// Synthetic task: classify which quadrant-pattern was stamped.
@@ -49,7 +54,7 @@ func main() {
 		for s := 0; s <= steps; s++ {
 			loss := net.DistStep(env.World, x, labels)
 			if env.Rank() == 0 && s%10 == 0 {
-				fmt.Printf("step %3d  global loss %.4f\n", s, loss)
+				fmt.Fprintf(w, "step %3d  global loss %.4f\n", s, loss)
 			}
 			net.SGD(0.2)
 		}

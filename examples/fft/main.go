@@ -5,14 +5,19 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/cmplx"
+	"os"
 
 	"mpioffload/apps/fft"
 	"mpioffload/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the whole program, writing its report to w.
+func run(w io.Writer) {
 	const n = 1 << 14
 	const ranks = 8
 
@@ -25,8 +30,8 @@ func main() {
 	want := append([]complex128(nil), signal...)
 	fft.FFT(want)
 
-	fmt.Printf("distributed 1-D FFT, N=%d over %d ranks\n", n, ranks)
-	fmt.Printf("%-10s %14s %12s\n", "approach", "max error", "time (µs)")
+	fmt.Fprintf(w, "distributed 1-D FFT, N=%d over %d ranks\n", n, ranks)
+	fmt.Fprintf(w, "%-10s %14s %12s\n", "approach", "max error", "time (µs)")
 	for _, a := range []sim.Approach{sim.Baseline, sim.CommSelf, sim.Offload} {
 		got := make([]complex128, n)
 		res := sim.Run(sim.Config{Ranks: ranks, Approach: a}, func(env *sim.Env) {
@@ -43,11 +48,11 @@ func main() {
 				maxe = d
 			}
 		}
-		fmt.Printf("%-10s %14.3e %12.1f\n", a, maxe, float64(res.Elapsed)/1000)
+		fmt.Fprintf(w, "%-10s %14.3e %12.1f\n", a, maxe, float64(res.Elapsed)/1000)
 	}
 
 	// Show the detected tones from the serial reference.
-	fmt.Println("dominant bins:", topBins(want, 3))
+	fmt.Fprintln(w, "dominant bins:", topBins(want, 3))
 }
 
 func topBins(x []complex128, k int) []int {

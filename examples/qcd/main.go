@@ -6,19 +6,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 
 	"mpioffload/apps/qcd"
 	"mpioffload/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the whole program, writing its report to w.
+func run(w io.Writer) {
 	L := [qcd.Nd]int{8, 8, 8, 8}
 	const ranks = 4
 	grid := qcd.ChooseGrid(L, ranks)
-	fmt.Printf("Wilson CG solve on %v lattice, %d ranks (grid %v)\n", L, ranks, grid)
-	fmt.Printf("%-10s %10s %14s %14s\n", "approach", "CG iters", "residual", "time (ms)")
+	fmt.Fprintf(w, "Wilson CG solve on %v lattice, %d ranks (grid %v)\n", L, ranks, grid)
+	fmt.Fprintf(w, "%-10s %10s %14s %14s\n", "approach", "CG iters", "residual", "time (ms)")
 
 	for _, a := range []sim.Approach{sim.Baseline, sim.CommSelf, sim.Offload} {
 		var iters int
@@ -52,6 +57,6 @@ func main() {
 			}
 			env.World.Barrier()
 		})
-		fmt.Printf("%-10s %10d %14.3e %14.3f\n", a, iters, resid, float64(res.Elapsed)/1e6)
+		fmt.Fprintf(w, "%-10s %10d %14.3e %14.3f\n", a, iters, resid, float64(res.Elapsed)/1e6)
 	}
 }

@@ -5,12 +5,17 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mpioffload/mpi"
 	"mpioffload/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the whole program, writing its report to w.
+func run(w io.Writer) {
 	res := sim.Run(sim.Config{Ranks: 4, Approach: sim.Offload}, func(env *sim.Env) {
 		c := env.World
 		me, n := env.Rank(), env.Size()
@@ -23,17 +28,17 @@ func main() {
 		rs := c.Isend(msg, right, 0)
 		st := c.Wait(&rr)
 		c.Wait(&rs)
-		fmt.Printf("rank %d received %q (%d bytes) from rank %d\n",
+		fmt.Fprintf(w, "rank %d received %q (%d bytes) from rank %d\n",
 			me, buf[:st.Count], st.Count, st.Source)
 
 		// A global reduction.
 		v := []float64{float64(me + 1)}
 		c.Allreduce(mpi.Float64Bytes(v), mpi.SumFloat64)
 		if me == 0 {
-			fmt.Printf("allreduce sum over ranks = %v\n", v[0])
+			fmt.Fprintf(w, "allreduce sum over ranks = %v\n", v[0])
 		}
 		c.Barrier()
 	})
-	fmt.Printf("simulated time: %.2f µs, network: %d msgs / %d bytes\n",
+	fmt.Fprintf(w, "simulated time: %.2f µs, network: %d msgs / %d bytes\n",
 		float64(res.Elapsed)/1000, res.Net.Msgs, res.Net.Bytes)
 }

@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -14,15 +16,18 @@ import (
 	"mpioffload/rt"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the whole program, writing its report to w.
+func run(w io.Writer) {
 	runtime.GOMAXPROCS(runtime.NumCPU())
 	const threads = 8
 	const iters = 2000
 
-	fmt.Printf("real-time offload demo: %d goroutine pairs × %d ping-pongs\n", threads, iters)
-	fmt.Printf("(GOMAXPROCS=%d — the offload design assumes spare cores for the\n"+
+	fmt.Fprintf(w, "real-time offload demo: %d goroutine pairs × %d ping-pongs\n", threads, iters)
+	fmt.Fprintf(w, "(GOMAXPROCS=%d — the offload design assumes spare cores for the\n"+
 		" communication thread; on a single core it merely competes)\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("%-8s %16s %14s\n", "mode", "wall time", "per exchange")
+	fmt.Fprintf(w, "%-8s %16s %14s\n", "mode", "wall time", "per exchange")
 	for _, mode := range []rt.Mode{rt.Direct, rt.Offload} {
 		c := rt.NewCluster(2, mode)
 		var wg sync.WaitGroup
@@ -52,7 +57,7 @@ func main() {
 		wg.Wait()
 		elapsed := time.Since(start)
 		c.Close()
-		fmt.Printf("%-8s %16v %14v\n", mode, elapsed.Round(time.Millisecond),
+		fmt.Fprintf(w, "%-8s %16v %14v\n", mode, elapsed.Round(time.Millisecond),
 			(elapsed / time.Duration(threads*iters)).Round(time.Nanosecond))
 	}
 }

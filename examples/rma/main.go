@@ -7,16 +7,21 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mpioffload/mpi"
 	"mpioffload/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the whole program, writing its report to w.
+func run(w io.Writer) {
 	const ranks = 4
 	const bins = 8
-	fmt.Println("one-sided histogram: every rank Accumulates into rank 0's window")
-	fmt.Printf("%-10s %14s  %s\n", "approach", "time (µs)", "histogram @ rank 0")
+	fmt.Fprintln(w, "one-sided histogram: every rank Accumulates into rank 0's window")
+	fmt.Fprintf(w, "%-10s %14s  %s\n", "approach", "time (µs)", "histogram @ rank 0")
 
 	for _, a := range []sim.Approach{sim.Baseline, sim.Offload} {
 		var histo []float64
@@ -52,6 +57,6 @@ func main() {
 				panic("Get returned an empty histogram")
 			}
 		})
-		fmt.Printf("%-10s %14.2f  %v\n", a, float64(res.Elapsed)/1000, histo)
+		fmt.Fprintf(w, "%-10s %14.2f  %v\n", a, float64(res.Elapsed)/1000, histo)
 	}
 }

@@ -5,6 +5,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mpioffload/mpi"
 	"mpioffload/sim"
@@ -17,9 +19,12 @@ const (
 	steps = 20
 )
 
-func main() {
-	fmt.Println("2-D heat stencil, halo exchange overlapped with interior compute")
-	fmt.Printf("%-10s %12s %12s %14s\n", "approach", "post (µs)", "wait (µs)", "checksum")
+func main() { run(os.Stdout) }
+
+// run is the whole program, writing its report to w.
+func run(w io.Writer) {
+	fmt.Fprintln(w, "2-D heat stencil, halo exchange overlapped with interior compute")
+	fmt.Fprintf(w, "%-10s %12s %12s %14s\n", "approach", "post (µs)", "wait (µs)", "checksum")
 	for _, a := range []sim.Approach{sim.Baseline, sim.Iprobe, sim.CommSelf, sim.Offload} {
 		var post, wait float64
 		var sum float64
@@ -84,6 +89,6 @@ func main() {
 				sum = v[0]
 			}
 		})
-		fmt.Printf("%-10s %12.2f %12.2f %14.6f\n", a, post/1000, wait/1000, sum)
+		fmt.Fprintf(w, "%-10s %12.2f %12.2f %14.6f\n", a, post/1000, wait/1000, sum)
 	}
 }

@@ -6,15 +6,20 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"mpioffload/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the whole program, writing its report to w.
+func run(w io.Writer) {
 	const threads = 8
 	const msgs = 20
-	fmt.Printf("%d threads per rank issuing concurrent sends (%d each)\n", threads, msgs)
-	fmt.Printf("%-10s %18s %18s\n", "approach", "mean latency (µs)", "total (µs)")
+	fmt.Fprintf(w, "%d threads per rank issuing concurrent sends (%d each)\n", threads, msgs)
+	fmt.Fprintf(w, "%-10s %18s %18s\n", "approach", "mean latency (µs)", "total (µs)")
 
 	for _, a := range []sim.Approach{sim.Baseline, sim.CommSelf, sim.Offload} {
 		var mean float64
@@ -44,6 +49,6 @@ func main() {
 				mean = sum / threads
 			}
 		})
-		fmt.Printf("%-10s %18.2f %18.1f\n", a, mean/1000, float64(res.Elapsed)/1000)
+		fmt.Fprintf(w, "%-10s %18.2f %18.1f\n", a, mean/1000, float64(res.Elapsed)/1000)
 	}
 }

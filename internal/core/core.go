@@ -130,20 +130,23 @@ type Offloader struct {
 	PoolOccH obs.AtomicHist
 }
 
+// Per-agent submission-path sizes. shardCount is the number of private
+// command-queue shards — one per registered application thread; threads
+// beyond it share the overflow shard. cmdBatchMax bounds how many commands
+// an agent drains per wakeup before it runs a Testany progress round — the
+// batching that amortizes the dequeue/progress alternation under bursty
+// submission.
+const (
+	shardCount  = 16
+	cmdBatchMax = 16
+)
+
 // New creates the offloader for eng's rank and spawns its offload agents
 // as daemon tasks (they live for the lifetime of the simulation, §3.4: the
 // threads are spawned at MPI_Init). Profile.Agents selects the agent
 // count (default 1 — the paper's configuration).
 func New(k *vclock.Kernel, eng *proto.Engine) *Offloader {
 	p := eng.P
-	shards := p.ShardCount
-	if shards <= 0 {
-		shards = 16
-	}
-	batch := p.CmdBatchMax
-	if batch <= 0 {
-		batch = 16
-	}
 	agents := p.Agents
 	if agents <= 0 {
 		agents = 1
@@ -152,13 +155,13 @@ func New(k *vclock.Kernel, eng *proto.Engine) *Offloader {
 		Eng:      eng,
 		P:        p,
 		poolSize: p.RequestPoolSize,
-		batchMax: batch,
+		batchMax: cmdBatchMax,
 		threads:  make(map[string]*threadState),
 	}
 	for i := 0; i < agents; i++ {
 		ag := &agentState{
 			idx:    i,
-			cq:     queue.NewSharded[*Cmd](shards, p.CommandQueueCap, p.CommandQueueCap),
+			cq:     queue.NewSharded[*Cmd](shardCount, p.CommandQueueCap, p.CommandQueueCap),
 			pool:   reqpool.New(p.RequestPoolSize),
 			slotEv: make(map[int]*vclock.Event),
 		}

@@ -177,14 +177,13 @@ func TestMultiAgentPartitionedPoolRace(t *testing.T) {
 
 // TestShardRegistrationPerThread: each submitting thread gets its own
 // private shard (stable across fork-join waves, keyed by thread name), and
-// threads beyond ShardCount share the overflow shard without losing
+// threads beyond shardCount share the overflow shard without losing
 // commands.
 func TestShardRegistrationPerThread(t *testing.T) {
 	p := model.Endeavor()
 	p.RanksPerNode = 1
-	p.ShardCount = 2 // 2 private shards for 4 submitting threads
 	r := newRigP(2, p)
-	const threads = 4
+	const threads = shardCount + 2 // two more submitting threads than shards
 	r.k.Go("rank0", func(tk *vclock.Task) {
 		for i := 0; i < threads; i++ {
 			i := i
@@ -209,13 +208,13 @@ func TestShardRegistrationPerThread(t *testing.T) {
 		}
 	})
 	r.k.Run()
-	if got := r.offs[0].Shards(); got != 2 {
-		t.Fatalf("rank0 shards = %d, want 2", got)
+	if got := r.offs[0].Shards(); got != shardCount {
+		t.Fatalf("rank0 shards = %d, want %d", got, shardCount)
 	}
-	// All ShardCount private shards were claimed; the surplus threads fell
+	// All shardCount private shards were claimed; the surplus threads fell
 	// back to overflow (registration saturates at the shard count).
-	if got := r.offs[0].RegisteredThreads(); got != 2 {
-		t.Fatalf("rank0 registered threads = %d, want 2 (saturated)", got)
+	if got := r.offs[0].RegisteredThreads(); got != shardCount {
+		t.Fatalf("rank0 registered threads = %d, want %d (saturated)", got, shardCount)
 	}
 	want := int64(threads * 3)
 	if c := r.offs[0].Completed.Load(); c != want {

@@ -86,15 +86,6 @@ type Profile struct {
 	// exhausted pool means wait for a completion. Slots are committed, a
 	// small chunk at a time, when first handed out.
 	RequestPoolSize int
-	// ShardCount is the number of private command-queue shards — one per
-	// registered application thread; threads beyond it share the overflow
-	// shard. 0 selects the default (16).
-	ShardCount int
-	// CmdBatchMax bounds how many commands the offload thread drains per
-	// wakeup before it runs a Testany progress round — the batching that
-	// amortizes the dequeue/progress alternation under bursty submission.
-	// 0 selects the default (16).
-	CmdBatchMax int
 	// Agents is the number of offload agents (dedicated progress threads)
 	// per rank. Each agent owns a disjoint group of submission shards, its
 	// own request-pool partition and its own in-flight set, so agents never
@@ -195,8 +186,6 @@ func Endeavor() *Profile {
 		PollGap:           60,
 		CommandQueueCap:   4096,
 		RequestPoolSize:   8192,
-		ShardCount:        16,
-		CmdBatchMax:       16,
 		CommSelfHold:      2000,
 		CommSelfGap:       80,
 		CommSelfWindow:    8_000,

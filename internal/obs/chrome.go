@@ -315,9 +315,6 @@ func (e *eventWriter) event(pid int, ev Event, rm *runMatch, st *ChromeStats) {
 	case EvWatchdog:
 		e.instant(pid, ev.TID, "watchdog", ev.TS,
 			fmt.Sprintf(`,"args":{"peer":%d}`, ev.A))
-	case EvAgentScale:
-		e.instant(pid, ev.TID, "agent.scale", ev.TS,
-			fmt.Sprintf(`,"args":{"active":%d,"delta":%d}`, ev.A, ev.B))
 	case EvConvert:
 		e.instant(pid, ev.TID, "convert", ev.TS, "")
 	default:

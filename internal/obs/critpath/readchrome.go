@@ -137,9 +137,6 @@ func decodeEvent(ce chromeEvent) (obs.Event, bool, error) {
 		ev.Flow = argInt(ce.Args, "flow")
 	case obs.EvWatchdog:
 		ev.A = argInt(ce.Args, "peer")
-	case obs.EvAgentScale:
-		ev.A = argInt(ce.Args, "active")
-		ev.B = argInt(ce.Args, "delta")
 	case obs.EvConvert:
 	default:
 		ev.A = argInt(ce.Args, "bytes")

@@ -44,7 +44,6 @@ const (
 	EvDeliver                     // A=bytes, B=src (flow-stamped packet hit the NIC)
 	EvEagerLand                   // A=bytes, B=src (eager payload landed in a recv)
 	EvRdvStart                    // A=bytes, B=peer (sender processed CTS, RDMA starts)
-	EvAgentScale                  // A=active agents after the change, B=+1/-1 (agent start/stop)
 )
 
 // String names the kind as it appears in exported traces.
@@ -78,8 +77,6 @@ func (k Kind) String() string {
 		return "eager.land"
 	case EvRdvStart:
 		return "rdv.start"
-	case EvAgentScale:
-		return "agent.scale"
 	}
 	return "unknown"
 }
@@ -87,7 +84,7 @@ func (k Kind) String() string {
 // KindFromString inverts String (tools reconstructing events from exported
 // traces). Unknown names map to Kind 0.
 func KindFromString(s string) Kind {
-	for k := EvCmdEnqueue; k <= EvAgentScale; k++ {
+	for k := EvCmdEnqueue; k <= EvRdvStart; k++ {
 		if k.String() == s {
 			return k
 		}
@@ -496,17 +493,6 @@ func (r *Recorder) DutyIdle(ns int64) {
 		return
 	}
 	r.M.IdleNs += ns
-}
-
-// AgentScaled records the active agent count changing: delta is +1 (an
-// agent started) or -1 (an agent stopped), active the count after the
-// change. The simulator's agent count is fixed, so only the rt flight
-// dump emits these.
-func (r *Recorder) AgentScaled(ts int64, active, delta int) {
-	if !r.Enabled() {
-		return
-	}
-	r.push(Event{TS: ts, Kind: EvAgentScale, TID: TAgent, A: int64(active), B: int64(delta)})
 }
 
 // Issued records an Isend/Irecv entering the protocol engine. kind must be

@@ -35,14 +35,12 @@
 // case — and non-overtaking per (source, tag) because the inbox preserves
 // per-producer FIFO order.
 //
-// Options.Agents generalizes Offload mode to N offload goroutines per rank
-// (mirroring the simulator's multi-agent engine): the matching state is
-// partitioned by hash(peer, tag), each agent owns one partition — its own
-// command queue, inbox and matching maps — and every send, receive and
-// delivery for a given (peer, tag) routes to the same partition on both
-// ends, so the single-owner matching discipline and the per-(peer, tag)
-// FIFO guarantee survive unchanged with zero locks added. The default of
-// one agent is the paper's configuration and the historical behaviour.
+// Each rank runs exactly one offload goroutine, the paper's configuration:
+// it alone owns the rank's command queue, inbox and matching maps. (The
+// simulator's Profile.Agents is where multi-agent scaling is studied.)
+// Failures surface as error values from WaitErr — ErrTimeout, ErrRankFailed,
+// ErrTruncate — and Stats exposes the counters and, when enabled, the
+// queue-wait and service histograms.
 package rt
 
 import (
@@ -116,26 +114,6 @@ type pending struct {
 	n    *int32 // received length, written before the done flag
 }
 
-// rtEngine is one offload agent's partition of a rank's engine: its own
-// command queue, inbox and matching maps. With one agent (the default) the
-// single partition is the whole engine. All (peer, tag) routing — command
-// submission, wire delivery, receive posting — lands on the same partition
-// index on both ends, so each partition's matching state has exactly one
-// owning goroutine and no locks exist.
-type rtEngine struct {
-	idx        int // agent index within the rank
-	inbox      *queue.MPMC[message]
-	posted     map[matchKey][]pending
-	unexpected map[matchKey][]message
-	cq         *queue.Sharded[cmd]
-
-	// Doorbell for the parked agent: submitters and the delivery upcall
-	// ring it (when napping says anyone is listening) so an idle agent
-	// wakes in microseconds instead of a timer tick.
-	bell    chan struct{}
-	napping atomic.Bool
-}
-
 // Rank is one process of the real-time cluster.
 type Rank struct {
 	id      int
@@ -160,11 +138,19 @@ type Rank struct {
 
 	failed atomic.Bool // set by Cluster.KillRank; the rank's NIC goes dark
 
-	// Matching state, partitioned per agent: owned by each partition's
-	// offload goroutine in Offload mode, guarded by mu in Direct mode
-	// (which always runs a single partition).
-	mu      chan struct{} // 1-token semaphore as the "global MPI lock"
-	engines []*rtEngine
+	// Matching state: owned by the offload goroutine in Offload mode,
+	// guarded by mu in Direct mode.
+	mu         chan struct{} // 1-token semaphore as the "global MPI lock"
+	cq         *queue.Sharded[cmd]
+	inbox      *queue.MPMC[message]
+	posted     map[matchKey][]pending
+	unexpected map[matchKey][]message
+
+	// Doorbell for the parked agent: submitters and the delivery upcall
+	// ring it (when napping says anyone is listening) so an idle agent
+	// wakes in microseconds instead of a timer tick.
+	bell    chan struct{}
+	napping atomic.Bool
 
 	stop atomic.Bool
 
@@ -176,12 +162,6 @@ type Rank struct {
 	Sends, Recvs, Progress, Polls atomic.Int64
 	// WatchdogTrips counts WaitErr deadline expirations on this rank.
 	WatchdogTrips atomic.Int64
-
-	// Flight recorder: the bounded ring of recent transitions, plus the
-	// per-slot operation generation that keeps recycled pool slots from
-	// aliasing Chrome spans (see flight.go).
-	flightR *flightRing
-	opGen   []atomic.Int64
 
 	// Wall-clock latency histograms for the offload path, collected only
 	// while Cluster.SetStatsEnabled(true): queue-wait (enqueue→dequeue) and
@@ -215,11 +195,6 @@ type Options struct {
 	// CmdBatchMax bounds how many commands the offload goroutine drains
 	// per wakeup before a progress round (default 16).
 	CmdBatchMax int
-	// Agents is the number of offload goroutines per rank in Offload mode
-	// (default 1 — the paper's configuration). Each agent owns one
-	// hash(peer, tag) partition of the rank's matching engine. Direct mode
-	// ignores it (the global lock is the whole point there).
-	Agents int
 	// Transport selects the wire backend for an in-process cluster: nil
 	// runs the default Loopback (direct in-process delivery, the
 	// historical behavior); a socket mesh (transport.NewSocketMesh) moves
@@ -244,12 +219,6 @@ type Cluster struct {
 	statsOn  atomic.Bool  // latency-histogram collection gate
 	wg       sync.WaitGroup
 	closed   atomic.Bool
-
-	// Flight-recorder state (see flight.go): the recording gate (default
-	// on), the automatic post-mortem path, and the dumped-once latch.
-	flightOn     atomic.Bool
-	flightPath   atomic.Pointer[string]
-	flightDumped atomic.Bool
 }
 
 // SetStatsEnabled toggles wall-clock latency-histogram collection on the
@@ -257,6 +226,12 @@ type Cluster struct {
 // never calls time.Now; on, every offloaded command records its queue-wait
 // and service time. Safe to toggle concurrently with traffic.
 func (c *Cluster) SetStatsEnabled(on bool) { c.statsOn.Store(on) }
+
+// SetFlightRecorder does nothing.
+//
+// Deprecated: the flight recorder was removed; rt records no transitions,
+// so there is nothing to switch off.
+func (c *Cluster) SetFlightRecorder(bool) {}
 
 // RankStats is a point-in-time snapshot of one rank's counters and, when
 // stats collection was enabled, its wall-clock latency histograms (ns).
@@ -342,9 +317,8 @@ func NewClusterOpts(n int, mode Mode, o Options) *Cluster {
 // NewWorkerCluster builds this process's single rank of a multi-process
 // job: ep is the rank's socket endpoint (transport.Listen, typically from
 // transport.EnvConfig under a cmd/mpirun launch). Size() reports the full
-// job size; Rank(i) is only valid for the local rank (see Local). Every
-// worker must use identical Options — the engine-partition hash must
-// agree on both ends of each message. Close closes the endpoint.
+// job size; Rank(i) is only valid for the local rank (see Local). Close
+// closes the endpoint.
 func NewWorkerCluster(ep transport.Endpoint, mode Mode, o Options) *Cluster {
 	c := newCluster(ep.Size(), mode, o)
 	c.addRank(ep.Rank(), ep, o)
@@ -358,9 +332,7 @@ func newCluster(size int, mode Mode, o Options) *Cluster {
 	if batch <= 0 {
 		batch = 16
 	}
-	c := &Cluster{size: size, mode: mode, batchMax: batch, peerDown: make([]atomic.Bool, size)}
-	c.flightOn.Store(true)
-	return c
+	return &Cluster{size: size, mode: mode, batchMax: batch, peerDown: make([]atomic.Bool, size)}
 }
 
 // addRank builds one local rank attached to ep and binds the delivery
@@ -370,76 +342,43 @@ func (c *Cluster) addRank(id int, ep transport.Endpoint, o Options) {
 	if shards <= 0 {
 		shards = 16
 	}
-	agents := o.Agents
-	if agents <= 0 || c.mode != Offload {
-		agents = 1
-	}
 	r := &Rank{
-		id:       id,
-		cluster:  c,
-		mode:     c.mode,
-		pool:     reqpool.New(1 << 12),
-		count:    make([]int32, 1<<12),
-		peer:     make([]int32, 1<<12),
-		mu:       make(chan struct{}, 1),
-		ep:       ep,
-		doneBell: make(chan struct{}, 1),
-		flightR:  newFlightRing(flightRingCap),
-		opGen:    make([]atomic.Int64, 1<<12),
-	}
-	for a := 0; a < agents; a++ {
-		r.engines = append(r.engines, &rtEngine{
-			idx:        a,
-			inbox:      queue.NewMPMC[message](1 << 12),
-			posted:     make(map[matchKey][]pending),
-			unexpected: make(map[matchKey][]message),
-			cq:         queue.NewSharded[cmd](shards, 1<<8, 1<<12),
-			bell:       make(chan struct{}, 1),
-		})
+		id:         id,
+		cluster:    c,
+		mode:       c.mode,
+		pool:       reqpool.New(1 << 12),
+		count:      make([]int32, 1<<12),
+		peer:       make([]int32, 1<<12),
+		mu:         make(chan struct{}, 1),
+		cq:         queue.NewSharded[cmd](shards, 1<<8, 1<<12),
+		inbox:      queue.NewMPMC[message](1 << 12),
+		posted:     make(map[matchKey][]pending),
+		unexpected: make(map[matchKey][]message),
+		bell:       make(chan struct{}, 1),
+		ep:         ep,
+		doneBell:   make(chan struct{}, 1),
 	}
 	ep.Bind(r.deliver)
 	c.ranks = append(c.ranks, r)
 }
 
-// start spawns the offload agents.
+// start spawns one offload goroutine per rank.
 func (c *Cluster) start() {
 	if c.mode != Offload {
 		return
 	}
 	for _, r := range c.ranks {
-		for _, e := range r.engines {
-			c.wg.Add(1)
-			// Label each offload goroutine with its rank and agent so
-			// real CPU profiles (go tool pprof -tagfocus/-taghide)
-			// attribute samples to agents instead of one anonymous
-			// goroutine blur.
-			go func(r *Rank, e *rtEngine) {
-				labels := pprof.Labels(
-					"rt_rank", strconv.Itoa(r.id),
-					"rt_agent", strconv.Itoa(e.idx))
-				pprof.Do(context.Background(), labels, func(context.Context) {
-					r.offloadLoop(e)
-				})
-			}(r, e)
-		}
+		c.wg.Add(1)
+		// Label each offload goroutine with its rank so real CPU profiles
+		// (go tool pprof -tagfocus/-taghide) attribute samples to ranks
+		// instead of one anonymous goroutine blur.
+		go func(r *Rank) {
+			labels := pprof.Labels("rt_rank", strconv.Itoa(r.id))
+			pprof.Do(context.Background(), labels, func(context.Context) {
+				r.offloadLoop()
+			})
+		}(r)
 	}
-}
-
-// AgentsPerRank reports the offload-goroutine (engine-partition) count.
-func (c *Cluster) AgentsPerRank() int { return len(c.ranks[0].engines) }
-
-// engIdx routes a (peer, tag) pair to its owning engine partition. The
-// same function runs on both ends: a sender picks its executing agent with
-// engIdx(dst, tag), delivers into the target's partition engIdx(src, tag),
-// and the receiver posts its receive to partition engIdx(src, tag) — so a
-// given (peer, tag) conversation always has one owner per rank.
-func (r *Rank) engIdx(peer, tag int) int {
-	if len(r.engines) == 1 {
-		return 0
-	}
-	h := uint32(peer)*0x9E3779B1 ^ uint32(tag)*0x85EBCA77
-	h ^= h >> 16
-	return int(h % uint32(len(r.engines)))
 }
 
 // Rank returns rank i's handle: nil when i is not hosted by this process
@@ -462,8 +401,8 @@ func (c *Cluster) Local() *Rank { return c.ranks[0] }
 
 // KillRank simulates a process failure of rank i: the cluster marks it
 // down (sends addressed to it complete locally and are discarded at the
-// wire), its local offload goroutines — if it lives in this process —
-// stop, and operations blocked on it surface ErrRankFailed from WaitErr
+// wire), its local offload goroutine — if it lives in this process —
+// stops, and operations blocked on it surface ErrRankFailed from WaitErr
 // once the watchdog deadline passes. Idempotent; safe to call concurrently
 // with traffic. The dead rank's own outstanding handles are abandoned —
 // a killed process has no one left to wait on them.
@@ -473,11 +412,8 @@ func (c *Cluster) KillRank(i int) {
 	if r == nil || !r.failed.CompareAndSwap(false, true) {
 		return
 	}
-	r.flight(fkKillRank, -1, i, 0, 0)
 	r.stop.Store(true)
-	for _, e := range r.engines {
-		ring(e.bell) // wake napping agents so they observe the stop
-	}
+	ring(r.bell) // wake a napping agent so it observes the stop
 }
 
 // Failed reports whether rank i is considered dead: killed by KillRank, or
@@ -501,9 +437,7 @@ func (c *Cluster) Close() {
 	}
 	for _, r := range c.ranks {
 		r.stop.Store(true)
-		for _, e := range r.engines {
-			ring(e.bell)
-		}
+		ring(r.bell)
 	}
 	if c.mesh != nil {
 		c.mesh.Close()
@@ -519,26 +453,20 @@ func (c *Cluster) Close() {
 type Handle int
 
 // Thread is a per-goroutine submission handle: its operations post into
-// the goroutine's private SPSC command shard (one per engine partition),
-// so concurrent posters never contend on a shared cache line. Obtain one
-// per goroutine with RegisterThread and do not share it — the shards are
-// single-producer.
+// the goroutine's private SPSC command shard, so concurrent posters never
+// contend on a shared cache line. Obtain one per goroutine with
+// RegisterThread and do not share it — the shard is single-producer.
 type Thread struct {
-	r      *Rank
-	shards []int // one registered shard per engine partition
+	r     *Rank
+	shard int
 }
 
-// RegisterThread claims a private command shard for the calling goroutine
-// in every engine partition. Once a partition's ShardCount shards are
-// taken, later registrants transparently share its MPMC overflow shard
-// (correct, just contended). In Direct mode the handle simply forwards to
-// the rank.
+// RegisterThread claims a private command shard for the calling goroutine.
+// Once ShardCount shards are taken, later registrants transparently share
+// the MPMC overflow shard (correct, just contended). In Direct mode the
+// handle simply forwards to the rank.
 func (r *Rank) RegisterThread() *Thread {
-	th := &Thread{r: r, shards: make([]int, len(r.engines))}
-	for i, e := range r.engines {
-		th.shards[i] = e.cq.Register()
-	}
-	return th
+	return &Thread{r: r, shard: r.cq.Register()}
 }
 
 // Rank returns the rank this thread submits to.
@@ -546,14 +474,12 @@ func (th *Thread) Rank() *Rank { return th.r }
 
 // Isend starts a nonblocking send through the thread's private shard.
 func (th *Thread) Isend(buf []byte, dst, tag int) Handle {
-	i := th.r.engIdx(dst, tag)
-	return th.r.isend(i, th.shards[i], buf, dst, tag)
+	return th.r.isend(th.shard, buf, dst, tag)
 }
 
 // Irecv starts a nonblocking receive through the thread's private shard.
 func (th *Thread) Irecv(buf []byte, src, tag int) Handle {
-	i := th.r.engIdx(src, tag)
-	return th.r.irecv(i, th.shards[i], buf, src, tag)
+	return th.r.irecv(th.shard, buf, src, tag)
 }
 
 // Send is the blocking send (Isend + Wait).
@@ -630,7 +556,7 @@ func (r *Rank) unlock() { <-r.mu }
 func (r *Rank) directPoll() {
 	r.Polls.Add(1)
 	r.lock()
-	r.drain(r.engines[0])
+	r.drain()
 	r.unlock()
 }
 
@@ -653,15 +579,15 @@ func (r *Rank) parkWait(slot int) {
 // is spent. The queues are re-checked after raising the napping flag —
 // the Dekker handshake with the submitters' flag-then-ring — so a command
 // posted during the race is never slept through.
-func (r *Rank) napAgent(e *rtEngine) {
-	e.napping.Store(true)
-	if e.cq.Len() == 0 && e.inbox.Empty() && !r.stop.Load() {
+func (r *Rank) napAgent() {
+	r.napping.Store(true)
+	if r.cq.Len() == 0 && r.inbox.Empty() && !r.stop.Load() {
 		select {
-		case <-e.bell:
+		case <-r.bell:
 		case <-time.After(napFallback):
 		}
 	}
-	e.napping.Store(false)
+	r.napping.Store(false)
 }
 
 // Isend starts a nonblocking send of buf to dst with tag. The payload is
@@ -670,31 +596,16 @@ func (r *Rank) napAgent(e *rtEngine) {
 // callers post through the shared overflow shard — use RegisterThread for
 // the contention-free path.
 func (r *Rank) Isend(buf []byte, dst, tag int) Handle {
-	return r.isend(r.engIdx(dst, tag), queue.Overflow, buf, dst, tag)
+	return r.isend(queue.Overflow, buf, dst, tag)
 }
 
-func (r *Rank) isend(eng, shard int, buf []byte, dst, tag int) Handle {
+func (r *Rank) isend(shard int, buf []byte, dst, tag int) Handle {
 	slot := r.getSlot()
 	atomic.StoreInt32(&r.peer[slot], int32(dst))
 	r.Sends.Add(1)
-	if r.cluster.flightOn.Load() {
-		id := int64(slot)<<32 | r.opGen[slot].Add(1)&0xFFFFFFFF
-		r.flightR.record(time.Now().UnixNano(), id, packFlight(fkSubmitSend, eng, dst, tag))
-	}
 	if r.mode == Offload {
 		data := append([]byte(nil), buf...) // serialize into the command
-		c := cmd{kind: cmdSend, slot: slot, peer: dst, tag: tag, buf: data}
-		if r.cluster.statsOn.Load() {
-			c.enqNs = time.Now().UnixNano()
-		}
-		e := r.engines[eng]
-		var sp spin
-		for !e.cq.TryEnqueue(shard, c) {
-			sp.pause()
-		}
-		if e.napping.Load() {
-			ring(e.bell)
-		}
+		r.submit(shard, cmd{kind: cmdSend, slot: slot, peer: dst, tag: tag, buf: data})
 		return Handle(slot)
 	}
 	r.lock()
@@ -705,36 +616,36 @@ func (r *Rank) isend(eng, shard int, buf []byte, dst, tag int) Handle {
 
 // Irecv starts a nonblocking receive into buf from src with tag.
 func (r *Rank) Irecv(buf []byte, src, tag int) Handle {
-	return r.irecv(r.engIdx(src, tag), queue.Overflow, buf, src, tag)
+	return r.irecv(queue.Overflow, buf, src, tag)
 }
 
-func (r *Rank) irecv(eng, shard int, buf []byte, src, tag int) Handle {
+func (r *Rank) irecv(shard int, buf []byte, src, tag int) Handle {
 	slot := r.getSlot()
 	atomic.StoreInt32(&r.peer[slot], int32(src))
 	r.Recvs.Add(1)
-	if r.cluster.flightOn.Load() {
-		id := int64(slot)<<32 | r.opGen[slot].Add(1)&0xFFFFFFFF
-		r.flightR.record(time.Now().UnixNano(), id, packFlight(fkSubmitRecv, eng, src, tag))
-	}
 	if r.mode == Offload {
-		c := cmd{kind: cmdRecv, slot: slot, peer: src, tag: tag, buf: buf}
-		if r.cluster.statsOn.Load() {
-			c.enqNs = time.Now().UnixNano()
-		}
-		e := r.engines[eng]
-		var sp spin
-		for !e.cq.TryEnqueue(shard, c) {
-			sp.pause()
-		}
-		if e.napping.Load() {
-			ring(e.bell)
-		}
+		r.submit(shard, cmd{kind: cmdRecv, slot: slot, peer: src, tag: tag, buf: buf})
 		return Handle(slot)
 	}
 	r.lock()
 	r.doRecv(slot, src, tag, buf)
 	r.unlock()
 	return Handle(slot)
+}
+
+// submit posts c into the command queue through shard (Offload mode),
+// stamping its enqueue time when stats are on, and wakes a napping agent.
+func (r *Rank) submit(shard int, c cmd) {
+	if r.cluster.statsOn.Load() {
+		c.enqNs = time.Now().UnixNano()
+	}
+	var sp spin
+	for !r.cq.TryEnqueue(shard, c) {
+		sp.pause()
+	}
+	if r.napping.Load() {
+		ring(r.bell)
+	}
 }
 
 // Send is the blocking send.
@@ -807,14 +718,9 @@ func (r *Rank) wait(slot int, d time.Duration) (int, error) {
 func (r *Rank) expire(slot int, d time.Duration) error {
 	r.WatchdogTrips.Add(1)
 	p := int(atomic.LoadInt32(&r.peer[slot]))
-	if r.cluster.flightOn.Load() {
-		r.flight(fkWatchdog, -1, p, 0, r.opID(slot))
-	}
 	if p >= 0 && p < r.cluster.Size() && r.cluster.Failed(p) {
-		r.cluster.autoFlightDump("rank-failed")
 		return fmt.Errorf("%w (rank %d slot %d peer %d after %v)", ErrRankFailed, r.id, slot, p, d)
 	}
-	r.cluster.autoFlightDump("timeout")
 	return fmt.Errorf("%w (rank %d slot %d after %v)", ErrTimeout, r.id, slot, d)
 }
 
@@ -872,9 +778,6 @@ func (r *Rank) doSend(slot, dst, tag int, data []byte) {
 	}
 	r.pool.SetDone(slot)
 	r.wakeWaiters()
-	if r.cluster.flightOn.Load() {
-		r.flight(fkComplete, r.engIdx(dst, tag), dst, tag, r.opID(slot))
-	}
 }
 
 // wakeWaiters rings the completion doorbell when any Wait is parked.
@@ -886,24 +789,21 @@ func (r *Rank) wakeWaiters() {
 
 // deliver is the transport upcall: it runs on the wire's delivery
 // goroutine — the sender's own, for Loopback; a socket-reader, for real
-// backends — and enqueues the frame into the engine partition that owns
-// (src, tag), the partition the receiver posts its matching receives to.
-// A full inbox applies backpressure by spinning, bounded by rank death
+// backends — and enqueues the frame into the rank's inbox. A full inbox applies backpressure by spinning, bounded by rank death
 // and cluster shutdown so a blocked delivery can never outlive Close.
 func (r *Rank) deliver(f transport.Frame) {
 	if f.Kind != transport.KindData || r.failed.Load() {
 		return
 	}
-	e := r.engines[r.engIdx(f.Src, f.Tag)]
 	var sp spin
-	for !e.inbox.TryEnqueue(message{src: f.Src, tag: f.Tag, data: f.Data}) {
+	for !r.inbox.TryEnqueue(message{src: f.Src, tag: f.Tag, data: f.Data}) {
 		if r.failed.Load() || r.stop.Load() {
 			return
 		}
 		sp.pause()
 	}
-	if e.napping.Load() {
-		ring(e.bell)
+	if r.napping.Load() {
+		ring(r.bell)
 	}
 	if r.mode == Direct && r.waiters.Load() > 0 {
 		// Direct mode has no agent: a parked waiter is the only one who
@@ -914,19 +814,18 @@ func (r *Rank) deliver(f transport.Frame) {
 
 // doRecv runs in engine context.
 func (r *Rank) doRecv(slot, src, tag int, buf []byte) {
-	e := r.engines[r.engIdx(src, tag)]
 	k := matchKey{src, tag}
-	if q := e.unexpected[k]; len(q) > 0 {
+	if q := r.unexpected[k]; len(q) > 0 {
 		m := q[0]
 		if len(q) == 1 {
-			delete(e.unexpected, k)
+			delete(r.unexpected, k)
 		} else {
-			e.unexpected[k] = q[1:]
+			r.unexpected[k] = q[1:]
 		}
 		r.landMessage(slot, buf, m)
 		return
 	}
-	e.posted[k] = append(e.posted[k], pending{slot: slot, buf: buf})
+	r.posted[k] = append(r.posted[k], pending{slot: slot, buf: buf})
 }
 
 // landMessage completes a receive. A message longer than the posted buffer
@@ -938,67 +837,50 @@ func (r *Rank) landMessage(slot int, buf []byte, m message) {
 		atomic.StoreInt32(&r.count[slot], truncSentinel)
 		r.pool.SetDone(slot)
 		r.wakeWaiters()
-		if r.cluster.flightOn.Load() {
-			r.flight(fkComplete, r.engIdx(m.src, m.tag), m.src, m.tag, r.opID(slot))
-		}
 		return
 	}
 	copy(buf, m.data)
 	atomic.StoreInt32(&r.count[slot], int32(len(m.data)))
 	r.pool.SetDone(slot)
 	r.wakeWaiters()
-	if r.cluster.flightOn.Load() {
-		r.flight(fkComplete, r.engIdx(m.src, m.tag), m.src, m.tag, r.opID(slot))
-	}
 }
 
-// drain processes every delivered message of one partition (engine
-// context).
-func (r *Rank) drain(e *rtEngine) {
+// drain processes every delivered message (engine context).
+func (r *Rank) drain() {
 	for {
-		m, ok := e.inbox.TryDequeue()
+		m, ok := r.inbox.TryDequeue()
 		if !ok {
 			return
 		}
 		r.Progress.Add(1)
 		k := matchKey{m.src, m.tag}
-		if q := e.posted[k]; len(q) > 0 {
+		if q := r.posted[k]; len(q) > 0 {
 			p := q[0]
 			if len(q) == 1 {
-				delete(e.posted, k)
+				delete(r.posted, k)
 			} else {
-				e.posted[k] = q[1:]
+				r.posted[k] = q[1:]
 			}
 			r.landMessage(p.slot, p.buf, m)
 			continue
 		}
-		e.unexpected[k] = append(e.unexpected[k], m)
+		r.unexpected[k] = append(r.unexpected[k], m)
 	}
 }
 
-// offloadLoop is one dedicated communication goroutine (§3): it alone
-// touches its partition of the matching engine — no locks anywhere. Each
-// wakeup drains up to batchMax commands, walking only the occupied
-// submission shards, then lands whatever the transport delivered.
-func (r *Rank) offloadLoop(e *rtEngine) {
+// offloadLoop is the rank's dedicated communication goroutine (§3): it
+// alone touches the matching engine — no locks anywhere. Each wakeup drains
+// up to batchMax commands, walking only the occupied submission shards,
+// then lands whatever the transport delivered.
+func (r *Rank) offloadLoop() {
 	defer r.cluster.wg.Done()
-	r.flight(fkAgentStart, e.idx, 0, 0, 0)
-	defer r.flight(fkAgentStop, e.idx, 0, 0, 0)
 	batch := make([]cmd, r.cluster.batchMax)
 	var idle spin
 	for !r.stop.Load() {
 		r.Polls.Add(1)
-		n := e.cq.DequeueBatch(batch)
-		flightLive := n > 0 && r.cluster.flightOn.Load()
+		n := r.cq.DequeueBatch(batch)
 		for i := range batch[:n] {
 			c := &batch[i]
-			if flightLive {
-				k := fkIssueSend
-				if c.kind == cmdRecv {
-					k = fkIssueRecv
-				}
-				r.flight(k, e.idx, c.peer, c.tag, r.opID(c.slot))
-			}
 			var startNs int64
 			if c.enqNs != 0 {
 				startNs = time.Now().UnixNano()
@@ -1016,14 +898,14 @@ func (r *Rank) offloadLoop(e *rtEngine) {
 			c.buf = nil // release the payload reference
 		}
 		worked := n > 0
-		if !e.inbox.Empty() {
-			r.drain(e)
+		if !r.inbox.Empty() {
+			r.drain()
 			worked = true
 		}
 		if worked {
 			idle.reset()
 		} else if !idle.yield() {
-			r.napAgent(e)
+			r.napAgent()
 		}
 	}
 }

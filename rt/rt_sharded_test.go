@@ -174,71 +174,6 @@ func TestThreadsBeyondShardCount(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMultiAgentRT: with Options.Agents > 1 each rank runs one offload
-// goroutine per hash(peer, tag) partition. Per-(peer, tag) FIFO must
-// survive because both ends route a conversation to the same partition —
-// this is the -race probe for the partitioned rt engine (satellite 3).
-func TestMultiAgentRT(t *testing.T) {
-	c := NewClusterOpts(2, Offload, Options{Agents: 3, ShardCount: 8})
-	defer c.Close()
-	if got := c.AgentsPerRank(); got != 3 {
-		t.Fatalf("AgentsPerRank = %d, want 3", got)
-	}
-	const threads = 6
-	const iters = 200
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		th := th
-		wg.Add(2)
-		go func() { // sender thread with a private shard in every partition
-			defer wg.Done()
-			snd := c.Rank(0).RegisterThread()
-			for i := 0; i < iters; i++ {
-				snd.Send([]byte{byte(i)}, 1, 100+th)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			rcv := c.Rank(1).RegisterThread()
-			buf := make([]byte, 1)
-			for i := 0; i < iters; i++ {
-				rcv.Recv(buf, 0, 100+th)
-				if buf[0] != byte(i) {
-					t.Errorf("thread %d: message %d overtaken, got %d", th, i, buf[0])
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Spot-check partition routing is consistent: the same (peer, tag)
-	// always lands on the same engine index on a given rank.
-	r := c.Rank(0)
-	for tag := 0; tag < 32; tag++ {
-		if a, b := r.engIdx(1, tag), r.engIdx(1, tag); a != b {
-			t.Fatalf("engIdx not stable for tag %d: %d vs %d", tag, a, b)
-		}
-		if i := r.engIdx(1, tag); i < 0 || i >= 3 {
-			t.Fatalf("engIdx(1, %d) = %d out of range", tag, i)
-		}
-	}
-}
-
-// TestMultiAgentDirectIgnored: Direct mode always runs a single partition —
-// Agents is an offload-path knob and must not change locking semantics.
-func TestMultiAgentDirectIgnored(t *testing.T) {
-	c := NewClusterOpts(2, Direct, Options{Agents: 4})
-	defer c.Close()
-	if got := c.AgentsPerRank(); got != 1 {
-		t.Fatalf("Direct AgentsPerRank = %d, want 1", got)
-	}
-	c.Rank(0).Send([]byte("hi"), 1, 0)
-	buf := make([]byte, 8)
-	if n := c.Rank(1).Recv(buf, 0, 0); n != 2 || string(buf[:n]) != "hi" {
-		t.Fatalf("direct recv got %q", buf[:n])
-	}
-}
-
 // BenchmarkShardedVsSharedPost is the tentpole's wall-clock claim in
 // miniature: concurrent threads posting sends through private shards
 // (RegisterThread) versus all contending on the shared overflow MPMC (plain
