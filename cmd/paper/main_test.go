@@ -41,17 +41,22 @@ func resultsSections(t *testing.T) (headings []string, body map[string]string) {
 }
 
 // TestResultsTxtIsReproduced makes results.txt a checked artifact: virtual
-// time is deterministic, so the sub-second figures, run through the
-// experiment table, must print their recorded sections byte for byte.
+// time is deterministic, so the sub-second figures, plus Fig 14 (the one
+// figure that runs the phantom allreduce), run through the experiment
+// table with -quick as results.txt was recorded, must print their recorded
+// sections byte for byte.
 func TestResultsTxtIsReproduced(t *testing.T) {
 	_, recorded := resultsSections(t)
-	for _, name := range []string{"fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig7a", "fig8a"} {
+	for _, name := range []string{"fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6",
+		"fig7a", "fig8a", "table1", "fig10", "table2", "fig14"} {
 		e := lookup(name)
 		if e == nil {
 			t.Fatalf("experiment %s missing from the table", name)
 		}
 		var out bytes.Buffer
-		if err := newCtx(&out).runOne(e); err != nil {
+		c := newCtx(&out)
+		c.quick = true
+		if err := c.runOne(e); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if want, ok := recorded[e.heading]; !ok {

@@ -8,16 +8,25 @@
 //
 // Algorithms:
 //
-//	Barrier    — dissemination (⌈log2 n⌉ rounds)
-//	Bcast      — binomial tree
-//	Reduce     — binomial tree with per-round combines
-//	Allreduce  — recursive doubling (non-power-of-two folded onto the
-//	             nearest power of two, MPICH-style)
-//	Gather     — linear to root
-//	Scatter    — linear from root
-//	Allgather  — ring (n-1 rounds)
-//	Alltoall   — pairwise exchange (n-1 rounds), with the bisection
-//	             congestion divisor applied to every transfer
+//	Barrier         — dissemination (⌈log2 n⌉ rounds)
+//	Bcast           — binomial tree
+//	Reduce          — binomial tree with per-round combines
+//	Allreduce       — recursive doubling (non-power-of-two folded onto
+//	                  the nearest power of two, MPICH-style); ring
+//	                  (reduce-scatter + allgather) at or above
+//	                  RingThreshold; hierarchical (hier.go) under an
+//	                  explicit topology
+//	ReduceScatter   — shifted ring (n-1 rounds)
+//	Scan            — linear chain
+//	Gather, Scatter — linear to / from root
+//	Allgather(V)    — ring (n-1 rounds)
+//	Alltoall(V)     — pairwise exchange (n-1 rounds), with the bisection
+//	                  congestion divisor applied to every transfer
+//	AlltoallN       — scattered: every transfer posted in one round
+//
+// Each algorithm has exactly one phase builder. Builders move payloads,
+// and a payload may be phantom — a size with no bytes — so the workload
+// models drive the very schedules the data collectives run.
 package coll
 
 import (
@@ -193,16 +202,84 @@ func newCtx(e *proto.Engine, g Group, tag int) ctx {
 	return ctx{e: e, g: g, cc: g.Comm | collCommBit, tag: tag}
 }
 
-func (c ctx) send(t *vclock.Task, buf []byte, to int) proto.Req {
-	return c.e.Isend(t, buf, c.g.Ranks[to], c.tag, c.cc)
+// payload is what a schedule moves: real bytes, or — data == nil — a
+// phantom size that carries none. Workload models (the QCD/FFT/CNN
+// scaling studies) run multi-megabyte operations as phantoms to get their
+// full protocol and network timing without allocating them; every send,
+// receive and combine is charged for n bytes either way.
+type payload struct {
+	data []byte // nil for a phantom
+	n    int    // wire size; len(data) when data is set
 }
 
-func (c ctx) sendBW(t *vclock.Task, buf []byte, to int, bwDiv float64) proto.Req {
-	return c.e.IsendBW(t, buf, c.g.Ranks[to], c.tag, c.cc, bwDiv)
+func pay(b []byte) payload { return payload{data: b, n: len(b)} }
+
+// split returns block b of m contiguous blocks (uneven splits allowed).
+// Data splits at the 8-byte reduce element so Combine sees whole
+// elements; phantom splits at the byte.
+func (p payload) split(b, m int) payload {
+	gran := 1
+	if p.data != nil {
+		gran = reduceElem
+	}
+	count := p.n / gran
+	lo, hi := b*count/m*gran, (b+1)*count/m*gran
+	if p.data == nil {
+		return payload{n: hi - lo}
+	}
+	return pay(p.data[lo:hi])
 }
 
-func (c ctx) recv(t *vclock.Task, buf []byte, from int) proto.Req {
-	return c.e.Irecv(t, buf, c.g.Ranks[from], c.tag, c.cc)
+// scratch returns a receive buffer shaped like p: fresh bytes for data,
+// none for a phantom.
+func (p payload) scratch() payload {
+	if p.data == nil {
+		return p
+	}
+	return pay(make([]byte, p.n))
+}
+
+func (c ctx) send(t *vclock.Task, p payload, to int) proto.Req { return c.sendBW(t, p, to, 1) }
+
+func (c ctx) sendBW(t *vclock.Task, p payload, to int, bwDiv float64) proto.Req {
+	return c.e.IsendN(t, p.data, p.n, c.g.Ranks[to], c.tag, c.cc, bwDiv)
+}
+
+func (c ctx) recv(t *vclock.Task, p payload, from int) proto.Req {
+	return c.e.IrecvN(t, p.data, p.n, c.g.Ranks[from], c.tag, c.cc)
+}
+
+// combine charges the reduction of src into dst and, when there are
+// bytes, performs it.
+func (c ctx) combine(t *vclock.Task, op Combine, dst, src payload) {
+	t.SleepF(c.e.P.CopyTime(dst.n))
+	if dst.data != nil {
+		op(dst.data, src.data)
+	}
+}
+
+// sendPhase and recvPhase are phases of a single transfer.
+func (c ctx) sendPhase(p payload, to int) Phase {
+	return Phase{Post: func(t *vclock.Task) []proto.Req { return []proto.Req{c.send(t, p, to)} }}
+}
+
+func (c ctx) recvPhase(p payload, from int) Phase {
+	return Phase{Post: func(t *vclock.Task) []proto.Req { return []proto.Req{c.recv(t, p, from)} }}
+}
+
+// reducePhase receives a peer's contribution and combines it into p; with
+// swap set it also sends p to that peer (a recursive-doubling exchange).
+func (c ctx) reducePhase(p payload, op Combine, peer int, swap bool) Phase {
+	tmp := p.scratch()
+	return Phase{
+		Post: func(t *vclock.Task) []proto.Req {
+			if !swap {
+				return []proto.Req{c.recv(t, tmp, peer)}
+			}
+			return []proto.Req{c.recv(t, tmp, peer), c.send(t, p, peer)}
+		},
+		After: func(t *vclock.Task) { c.combine(t, op, p, tmp) },
+	}
 }
 
 // bwDiv resolves the per-send bandwidth divisor for all-to-all style
@@ -212,19 +289,37 @@ func (c ctx) recv(t *vclock.Task, buf []byte, from int) proto.Req {
 // fabric's per-link busy clocks instead of a closed form.
 func (c ctx) bwDiv() float64 { return c.e.F.CollBwDiv(c.g.Nodes) }
 
+// copyPhase is a local-only phase: src copied into dst, charged as a
+// memcpy.
+func copyPhase(e *proto.Engine, dst, src []byte) Phase {
+	return Phase{Post: func(t *vclock.Task) []proto.Req {
+		t.SleepF(e.P.CopyTime(len(src)))
+		copy(dst, src)
+		return nil
+	}}
+}
+
+// rotated lists group ranks 0..n-1 starting at root: a tree rooted at
+// peers[0] is then rooted at root, and rank me sits at (me-root) mod n.
+func rotated(n, root int) []int {
+	peers := make([]int, n)
+	for i := range peers {
+		peers[i] = (i + root) % n
+	}
+	return peers
+}
+
+func mod(a, n int) int { return (a%n + n) % n }
+
 // Ibarrier starts a dissemination barrier.
 func Ibarrier(t *vclock.Task, e *proto.Engine, g Group, tag int) *Sched {
 	c := newCtx(e, g, tag)
 	n := g.Size()
 	var phases []Phase
-	one := []byte{1}
+	one := pay([]byte{1})
 	for k := 1; k < n; k <<= 1 {
-		k := k
 		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			to := (g.Me + k) % n
-			from := (g.Me - k + n) % n
-			rbuf := make([]byte, 1)
-			return []proto.Req{c.recv(t, rbuf, from), c.send(t, one, to)}
+			return []proto.Req{c.recv(t, pay(make([]byte, 1)), mod(g.Me-k, n)), c.send(t, one, (g.Me+k)%n)}
 		}})
 	}
 	return start(t, e, "barrier", phases)
@@ -232,82 +327,29 @@ func Ibarrier(t *vclock.Task, e *proto.Engine, g Group, tag int) *Sched {
 
 // Ibcast starts a binomial-tree broadcast of buf from root.
 func Ibcast(t *vclock.Task, e *proto.Engine, g Group, buf []byte, root, tag int) *Sched {
-	c := newCtx(e, g, tag)
 	n := g.Size()
-	vr := (g.Me - root + n) % n
-	abs := func(v int) int { return (v + root) % n }
-	var phases []Phase
-
-	// Receive from parent (everyone except the root).
-	recvMask := 0
-	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask != 0 {
-			recvMask = mask
-			parent := abs(vr - mask)
-			phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.recv(t, buf, parent)}
-			}})
-			break
-		}
-	}
-	// Send to children, highest bit first (binomial fan-out).
-	top := recvMask
-	if vr == 0 {
-		top = 1
-		for top < n {
-			top <<= 1
-		}
-	}
-	for mask := top >> 1; mask > 0; mask >>= 1 {
-		if vr&mask == 0 && vr+mask < n {
-			child := abs(vr + mask)
-			phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.send(t, buf, child)}
-			}})
-		}
-	}
+	phases := binomialBcastPhases(newCtx(e, g, tag), mod(g.Me-root, n), rotated(n, root), pay(buf), nil)
 	return start(t, e, "bcast", phases)
 }
 
 // Ireduce starts a binomial-tree reduction into buf at root (buf is both
 // contribution and, on root, the result).
 func Ireduce(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Combine, root, tag int) *Sched {
-	c := newCtx(e, g, tag)
 	n := g.Size()
-	vr := (g.Me - root + n) % n
-	abs := func(v int) int { return (v + root) % n }
-	var phases []Phase
-	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask != 0 {
-			parent := abs(vr &^ mask)
-			phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.send(t, buf, parent)}
-			}})
-			break
-		}
-		src := vr | mask
-		if src >= n {
-			continue
-		}
-		tmp := make([]byte, len(buf))
-		from := abs(src)
-		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.recv(t, tmp, from)}
-			},
-			After: func(t *vclock.Task) {
-				t.SleepF(e.P.CopyTime(len(buf)))
-				op(buf, tmp)
-			},
-		})
-	}
+	phases := binomialReducePhases(newCtx(e, g, tag), mod(g.Me-root, n), rotated(n, root), pay(buf), op, nil)
 	return start(t, e, "reduce", phases)
 }
 
 // Iallreduce starts a recursive-doubling allreduce on buf (in place on all
-// ranks). Non-power-of-two groups fold the excess ranks onto the nearest
-// power of two first and unfold at the end.
+// ranks).
 func Iallreduce(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Combine, tag int) *Sched {
+	return iallreduce(t, e, g, pay(buf), op, tag)
+}
+
+// iallreduce is recursive doubling over a payload. Non-power-of-two groups
+// fold the excess ranks onto the nearest power of two first and unfold at
+// the end.
+func iallreduce(t *vclock.Task, e *proto.Engine, g Group, p payload, op Combine, tag int) *Sched {
 	c := newCtx(e, g, tag)
 	n := g.Size()
 	pof2 := 1 << (bits.Len(uint(n)) - 1)
@@ -319,20 +361,9 @@ func Iallreduce(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Combine
 	newRank := -1
 	switch {
 	case me < 2*rem && me%2 != 0:
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{c.send(t, buf, me-1)}
-		}})
+		phases = append(phases, c.sendPhase(p, me-1))
 	case me < 2*rem:
-		tmp := make([]byte, len(buf))
-		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.recv(t, tmp, me+1)}
-			},
-			After: func(t *vclock.Task) {
-				t.SleepF(e.P.CopyTime(len(buf)))
-				op(buf, tmp)
-			},
-		})
+		phases = append(phases, c.reducePhase(p, op, me+1, false))
 		newRank = me / 2
 	default:
 		newRank = me - rem
@@ -340,37 +371,23 @@ func Iallreduce(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Combine
 
 	// Recursive doubling among the pof2 participants.
 	if newRank >= 0 {
-		toOld := func(nr int) int {
-			if nr < rem {
-				return nr * 2
-			}
-			return nr + rem
-		}
 		for mask := 1; mask < pof2; mask <<= 1 {
-			partner := toOld(newRank ^ mask)
-			tmp := make([]byte, len(buf))
-			phases = append(phases, Phase{
-				Post: func(t *vclock.Task) []proto.Req {
-					return []proto.Req{c.recv(t, tmp, partner), c.send(t, buf, partner)}
-				},
-				After: func(t *vclock.Task) {
-					t.SleepF(e.P.CopyTime(len(buf)))
-					op(buf, tmp)
-				},
-			})
+			partner := newRank ^ mask
+			if partner < rem {
+				partner *= 2
+			} else {
+				partner += rem
+			}
+			phases = append(phases, c.reducePhase(p, op, partner, true))
 		}
 	}
 
 	// Unfold: evens hand the result back to the odds.
 	switch {
 	case me < 2*rem && me%2 != 0:
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{c.recv(t, buf, me-1)}
-		}})
+		phases = append(phases, c.recvPhase(p, me-1))
 	case me < 2*rem:
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{c.send(t, buf, me+1)}
-		}})
+		phases = append(phases, c.sendPhase(p, me+1))
 	}
 	return start(t, e, "allreduce", phases)
 }
@@ -388,17 +405,14 @@ func Igather(t *vclock.Task, e *proto.Engine, g Group, block, out []byte, root, 
 			copy(out[root*bs:(root+1)*bs], block)
 			var reqs []proto.Req
 			for r := 0; r < n; r++ {
-				if r == root {
-					continue
+				if r != root {
+					reqs = append(reqs, c.recv(t, pay(out[r*bs:(r+1)*bs]), r))
 				}
-				reqs = append(reqs, c.recv(t, out[r*bs:(r+1)*bs], r))
 			}
 			return reqs
 		}})
 	} else {
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{c.send(t, block, root)}
-		}})
+		phases = append(phases, c.sendPhase(pay(block), root))
 	}
 	return start(t, e, "gather", phases)
 }
@@ -416,17 +430,14 @@ func Iscatter(t *vclock.Task, e *proto.Engine, g Group, in, block []byte, root, 
 			copy(block, in[root*bs:(root+1)*bs])
 			var reqs []proto.Req
 			for r := 0; r < n; r++ {
-				if r == root {
-					continue
+				if r != root {
+					reqs = append(reqs, c.send(t, pay(in[r*bs:(r+1)*bs]), r))
 				}
-				reqs = append(reqs, c.send(t, in[r*bs:(r+1)*bs], r))
 			}
 			return reqs
 		}})
 	} else {
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{c.recv(t, block, root)}
-		}})
+		phases = append(phases, c.recvPhase(pay(block), root))
 	}
 	return start(t, e, "scatter", phases)
 }
@@ -434,75 +445,21 @@ func Iscatter(t *vclock.Task, e *proto.Engine, g Group, in, block []byte, root, 
 // Iallgather starts a ring allgather: each rank contributes block; out
 // receives all blocks in group-rank order.
 func Iallgather(t *vclock.Task, e *proto.Engine, g Group, block, out []byte, tag int) *Sched {
-	c := newCtx(e, g, tag)
-	n := g.Size()
 	bs := len(block)
-	me := g.Me
-	right := (me + 1) % n
-	left := (me - 1 + n) % n
-	var phases []Phase
-	phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-		t.SleepF(e.P.CopyTime(bs))
-		copy(out[me*bs:(me+1)*bs], block)
-		return nil
-	}})
-	for step := 0; step < n-1; step++ {
-		step := step
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			sendIdx := (me - step + n) % n
-			recvIdx := (me - step - 1 + n) % n
-			return []proto.Req{
-				c.recv(t, out[recvIdx*bs:(recvIdx+1)*bs], left),
-				c.send(t, out[sendIdx*bs:(sendIdx+1)*bs], right),
-			}
-		}})
-	}
+	at := func(b int) payload { return pay(out[b*bs : (b+1)*bs]) }
+	phases := []Phase{copyPhase(e, at(g.Me).data, block)}
+	phases = ringAllgatherPhases(newCtx(e, g, tag), g.Me, rotated(g.Size(), 0), at, phases)
 	return start(t, e, "allgather", phases)
 }
 
 // Ialltoall starts a pairwise-exchange all-to-all of equal blocks: send
 // holds n blocks of bs bytes (block r goes to group rank r); recv receives
-// block r from rank r. The bisection congestion divisor for the group's
-// node count is applied to every transfer.
+// block r from rank r.
 func Ialltoall(t *vclock.Task, e *proto.Engine, g Group, send, recv []byte, bs, tag int) *Sched {
-	c := newCtx(e, g, tag)
-	n := g.Size()
-	me := g.Me
-	bwDiv := c.bwDiv()
-	var phases []Phase
-	phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-		t.SleepF(e.P.CopyTime(bs))
-		copy(recv[me*bs:(me+1)*bs], send[me*bs:(me+1)*bs])
-		return nil
-	}})
-	for step := 1; step < n; step++ {
-		step := step
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			to := (me + step) % n
-			from := (me - step + n) % n
-			return []proto.Req{
-				c.recv(t, recv[from*bs:(from+1)*bs], from),
-				c.sendBW(t, send[to*bs:(to+1)*bs], to, bwDiv),
-			}
-		}})
-	}
+	phases := pairwisePhases(newCtx(e, g, tag),
+		func(r int) []byte { return send[r*bs : (r+1)*bs] },
+		func(r int) []byte { return recv[r*bs : (r+1)*bs] })
 	return start(t, e, "alltoall", phases)
-}
-
-// ---- phantom variants -------------------------------------------------
-//
-// Workload models (QCD/FFT/CNN scaling studies) need the full protocol and
-// network timing of very large operations without allocating their
-// payloads. The *N constructors below run the same schedules with
-// IsendN/IrecvN phantom transfers: all costs are charged for n bytes, but
-// no data is carried.
-
-func (c ctx) sendN(t *vclock.Task, n, to int, bwDiv float64) proto.Req {
-	return c.e.IsendN(t, nil, n, c.g.Ranks[to], c.tag, c.cc, bwDiv)
-}
-
-func (c ctx) recvN(t *vclock.Task, n, from int) proto.Req {
-	return c.e.IrecvN(t, nil, n, c.g.Ranks[from], c.tag, c.cc)
 }
 
 // IalltoallN starts a phantom all-to-all of n-byte blocks. Unlike the
@@ -523,14 +480,12 @@ func IalltoallN(t *vclock.Task, e *proto.Engine, g Group, bs, tag int) *Sched {
 		reqs := make([]proto.Req, 0, 2*(n-1))
 		cost := 0.0
 		for step := 1; step < n; step++ {
-			from := (me - step + n) % n
-			op, cc := e.IrecvNCost(nil, bs, g.Ranks[from], tag, c.cc)
+			op, cc := e.IrecvNCost(nil, bs, g.Ranks[mod(me-step, n)], tag, c.cc)
 			cost += cc
 			reqs = append(reqs, op)
 		}
 		for step := 1; step < n; step++ {
-			to := (me + step) % n
-			op, cc := e.IsendNCost(nil, bs, g.Ranks[to], tag, c.cc, bwDiv)
+			op, cc := e.IsendNCost(nil, bs, g.Ranks[(me+step)%n], tag, c.cc, bwDiv)
 			cost += cc
 			reqs = append(reqs, op)
 		}
@@ -540,59 +495,109 @@ func IalltoallN(t *vclock.Task, e *proto.Engine, g Group, bs, tag int) *Sched {
 	return start(t, e, "alltoallN", phases)
 }
 
-// IallreduceN starts a phantom recursive-doubling allreduce of n bytes,
-// charging the combine cost each round.
-func IallreduceN(t *vclock.Task, e *proto.Engine, g Group, n, tag int) *Sched {
-	c := newCtx(e, g, tag)
-	sz := g.Size()
-	pof2 := 1 << (bits.Len(uint(sz)) - 1)
-	rem := sz - pof2
-	me := g.Me
-	var phases []Phase
+// ---- phase builders ----------------------------------------------------
+//
+// One builder per algorithm, shared by every collective (and every
+// hierarchical leg) that runs it. Builders append to phases and address
+// peers by group rank; mi is my position among them.
 
-	newRank := -1
-	switch {
-	case me < 2*rem && me%2 != 0:
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{c.sendN(t, n, me-1, 1)}
-		}})
-	case me < 2*rem:
+// binomialBcastPhases appends a binomial-tree broadcast of p from
+// peers[0], highest bit first.
+func binomialBcastPhases(c ctx, mi int, peers []int, p payload, phases []Phase) []Phase {
+	n := len(peers)
+	top := 1 // the root fans out from the highest bit; others below theirs
+	for top < n {
+		top <<= 1
+	}
+	for mask := 1; mask < n; mask <<= 1 {
+		if mi&mask != 0 {
+			top = mask
+			phases = append(phases, c.recvPhase(p, peers[mi&^mask]))
+			break
+		}
+	}
+	for mask := top >> 1; mask > 0; mask >>= 1 {
+		if mi&mask == 0 && mi+mask < n {
+			phases = append(phases, c.sendPhase(p, peers[mi+mask]))
+		}
+	}
+	return phases
+}
+
+// binomialReducePhases appends a binomial-tree reduction of p onto
+// peers[0].
+func binomialReducePhases(c ctx, mi int, peers []int, p payload, op Combine, phases []Phase) []Phase {
+	n := len(peers)
+	for mask := 1; mask < n; mask <<= 1 {
+		if mi&mask != 0 {
+			return append(phases, c.sendPhase(p, peers[mi&^mask]))
+		}
+		if mi|mask < n {
+			phases = append(phases, c.reducePhase(p, op, peers[mi|mask], false))
+		}
+	}
+	return phases
+}
+
+// ringReduceScatterPhases appends the shifted-ring reduce-scatter over
+// blocks 0..n-1: at step s send block (mi-s-1), receive and combine block
+// (mi-s-2), so after n-1 steps peer mi owns the fully reduced block mi.
+func ringReduceScatterPhases(c ctx, mi int, peers []int, block func(b int) payload, op Combine, phases []Phase) []Phase {
+	n := len(peers)
+	left, right := peers[mod(mi-1, n)], peers[(mi+1)%n]
+	for s := 0; s < n-1; s++ {
+		out, dst := block(mod(mi-s-1, n)), block(mod(mi-s-2, n))
+		tmp := dst.scratch()
 		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.recvN(t, n, me+1)}
-			},
-			After: func(t *vclock.Task) { t.SleepF(e.P.CopyTime(n)) },
+			Post:  func(t *vclock.Task) []proto.Req { return []proto.Req{c.recv(t, tmp, left), c.send(t, out, right)} },
+			After: func(t *vclock.Task) { c.combine(t, op, dst, tmp) },
 		})
-		newRank = me / 2
-	default:
-		newRank = me - rem
 	}
-	if newRank >= 0 {
-		toOld := func(nr int) int {
-			if nr < rem {
-				return nr * 2
-			}
-			return nr + rem
-		}
-		for mask := 1; mask < pof2; mask <<= 1 {
-			partner := toOld(newRank ^ mask)
-			phases = append(phases, Phase{
-				Post: func(t *vclock.Task) []proto.Req {
-					return []proto.Req{c.recvN(t, n, partner), c.sendN(t, n, partner, 1)}
-				},
-				After: func(t *vclock.Task) { t.SleepF(e.P.CopyTime(n)) },
-			})
-		}
-	}
-	switch {
-	case me < 2*rem && me%2 != 0:
+	return phases
+}
+
+// ringAllgatherPhases appends the ring allgather of blocks 0..n-1, peer mi
+// starting with block mi: at step s forward block (mi-s) and receive
+// block (mi-s-1).
+func ringAllgatherPhases(c ctx, mi int, peers []int, block func(b int) payload, phases []Phase) []Phase {
+	n := len(peers)
+	left, right := peers[mod(mi-1, n)], peers[(mi+1)%n]
+	for s := 0; s < n-1; s++ {
+		in, out := block(mod(mi-s-1, n)), block(mod(mi-s, n))
 		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{c.recvN(t, n, me-1)}
-		}})
-	case me < 2*rem:
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{c.sendN(t, n, me+1, 1)}
+			return []proto.Req{c.recv(t, in, left), c.send(t, out, right)}
 		}})
 	}
-	return start(t, e, "allreduceN", phases)
+	return phases
+}
+
+// ringAllreducePhases appends the bandwidth-optimal ring allreduce of p:
+// the reduce-scatter then the allgather over n blocks, shifted by one so
+// peer mi ends the first half owning block mi+1. Every peer ends with the
+// fully reduced payload; all peers must pass the same size.
+func ringAllreducePhases(c ctx, mi int, peers []int, p payload, op Combine, phases []Phase) []Phase {
+	n := len(peers)
+	if n < 2 || p.n == 0 {
+		return phases
+	}
+	block := func(b int) payload { return p.split((b+1)%n, n) }
+	phases = ringReduceScatterPhases(c, mi, peers, block, op, phases)
+	return ringAllgatherPhases(c, mi, peers, block, phases)
+}
+
+// pairwisePhases builds the pairwise-exchange all-to-all over the group: a
+// local copy of my own block, then n-1 rounds where step s sends block
+// me+s and receives block me-s, every send under the bisection congestion
+// divisor for the group's node count.
+func pairwisePhases(c ctx, sendBlock, recvBlock func(r int) []byte) []Phase {
+	n, me := c.g.Size(), c.g.Me
+	bwDiv := c.bwDiv()
+	phases := []Phase{copyPhase(c.e, recvBlock(me), sendBlock(me))}
+	for step := 1; step < n; step++ {
+		to, from := (me+step)%n, mod(me-step, n)
+		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
+			return []proto.Req{c.recv(t, pay(recvBlock(from)), from), c.sendBW(t, pay(sendBlock(to)), to, bwDiv)}
+		}})
+	}
+	return phases
 }

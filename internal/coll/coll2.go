@@ -19,22 +19,30 @@ const reduceElem = 8
 // IallreduceAuto picks the allreduce algorithm by message size and — when
 // the fabric carries an explicit topology — by the group's node layout.
 func IallreduceAuto(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Combine, tag int) *Sched {
-	if hierEligible(e, g, len(buf), true) {
-		return IallreduceHier(t, e, g, buf, op, tag)
-	}
-	if len(buf) >= RingThreshold && g.Size() > 2 && len(buf)%reduceElem == 0 {
-		return IallreduceRing(t, e, g, buf, op, tag)
-	}
-	return Iallreduce(t, e, g, buf, op, tag)
+	return iallreduceAuto(t, e, g, pay(buf), op, tag)
 }
 
-// IallreduceAutoN is the phantom counterpart of IallreduceAuto: the same
-// algorithm choice for an n-byte payload that carries no data.
+// IallreduceAutoN is the phantom entry point (mpi.IallreduceBytes): an
+// n-byte payload that carries no data, selected as iallreduceAuto says.
 func IallreduceAutoN(t *vclock.Task, e *proto.Engine, g Group, n, tag int) *Sched {
-	if hierEligible(e, g, n, false) {
-		return IallreduceHierN(t, e, g, n, tag)
+	return iallreduceAuto(t, e, g, payload{n: n}, nil, tag)
+}
+
+// iallreduceAuto: the hierarchical schedule when hierEligible, else the
+// ring for large aligned data, else recursive doubling. Phantom splits are
+// bytewise, so phantoms skip the alignment check — and they never take the
+// flat ring: a phantom at or above RingThreshold on a flat fabric runs
+// recursive doubling, the choice the workload-model figures were recorded
+// with.
+func iallreduceAuto(t *vclock.Task, e *proto.Engine, g Group, p payload, op Combine, tag int) *Sched {
+	aligned := p.data == nil || p.n%reduceElem == 0
+	if aligned && hierEligible(e, g, p.n) {
+		return iallreduceHier(t, e, g, p, op, tag)
 	}
-	return IallreduceN(t, e, g, n, tag)
+	if p.data != nil && aligned && p.n >= RingThreshold && g.Size() > 2 {
+		return IallreduceRing(t, e, g, p.data, op, tag)
+	}
+	return iallreduce(t, e, g, p, op, tag)
 }
 
 // IallreduceRing is the bandwidth-optimal ring allreduce: a reduce-scatter
@@ -45,54 +53,18 @@ func IallreduceRing(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Com
 	if len(buf)%reduceElem != 0 {
 		panic("coll: ring allreduce needs an 8-byte-aligned buffer")
 	}
-	c := newCtx(e, g, tag)
-	n := g.Size()
-	peers := make([]int, n)
-	for i := range peers {
-		peers[i] = i
-	}
-	phases := ringAllreducePhases(c, g.Me, peers, buf, op, nil)
+	phases := ringAllreducePhases(newCtx(e, g, tag), g.Me, rotated(g.Size(), 0), pay(buf), op, nil)
 	return start(t, e, "allreduce-ring", phases)
 }
 
 // IreduceScatterBlock reduces equal blocks across the group and leaves
-// rank r with the reduced block r in out (len(out) = len(buf)/n). It is
-// the reduce-scatter half of the ring allreduce.
+// rank r with the reduced block r in out (len(out) = len(buf)/n).
 func IreduceScatterBlock(t *vclock.Task, e *proto.Engine, g Group, buf, out []byte, op Combine, tag int) *Sched {
-	c := newCtx(e, g, tag)
 	n := g.Size()
-	me := g.Me
-	right := (me + 1) % n
-	left := (me - 1 + n) % n
 	bs := len(buf) / n
-	block := func(b int) []byte {
-		b = (b%n + n) % n
-		return buf[b*bs : (b+1)*bs]
-	}
-	var phases []Phase
-	// Shifted ring: sending block (me-s-1) at step s leaves rank r owning
-	// the fully reduced block r after n-1 steps.
-	for s := 0; s < n-1; s++ {
-		s := s
-		tmp := make([]byte, bs)
-		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{
-					c.recv(t, tmp, left),
-					c.send(t, block(me-s-1), right),
-				}
-			},
-			After: func(t *vclock.Task) {
-				t.SleepF(e.P.CopyTime(bs))
-				op(block(me-s-2), tmp)
-			},
-		})
-	}
-	phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-		t.SleepF(e.P.CopyTime(bs))
-		copy(out, block(me))
-		return nil
-	}})
+	block := func(b int) payload { return pay(buf[b*bs : (b+1)*bs]) }
+	phases := ringReduceScatterPhases(newCtx(e, g, tag), g.Me, rotated(n, 0), block, op, nil)
+	phases = append(phases, copyPhase(e, out, block(g.Me).data))
 	return start(t, e, "reduce-scatter", phases)
 }
 
@@ -108,7 +80,7 @@ func IScan(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Combine, tag
 		tmp := make([]byte, len(buf))
 		phases = append(phases, Phase{
 			Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.recv(t, tmp, me-1)}
+				return []proto.Req{c.recv(t, pay(tmp), me-1)}
 			},
 			After: func(t *vclock.Task) {
 				t.SleepF(e.P.CopyTime(len(buf)))
@@ -119,9 +91,7 @@ func IScan(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Combine, tag
 		})
 	}
 	if me < n-1 {
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{c.send(t, buf, me+1)}
-		}})
+		phases = append(phases, c.sendPhase(pay(buf), me+1))
 	}
 	return start(t, e, "scan", phases)
 }
@@ -130,27 +100,9 @@ func IScan(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Combine, tag
 // rank r, recvBufs[r] is filled from rank r (nil slices mean empty).
 // Pairwise exchange with the congestion divisor.
 func IalltoallV(t *vclock.Task, e *proto.Engine, g Group, sendBufs, recvBufs [][]byte, tag int) *Sched {
-	c := newCtx(e, g, tag)
-	n := g.Size()
-	me := g.Me
-	bwDiv := c.bwDiv()
-	var phases []Phase
-	phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-		t.SleepF(e.P.CopyTime(len(sendBufs[me])))
-		copy(recvBufs[me], sendBufs[me])
-		return nil
-	}})
-	for step := 1; step < n; step++ {
-		step := step
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			to := (me + step) % n
-			from := (me - step + n) % n
-			var reqs []proto.Req
-			reqs = append(reqs, c.recv(t, recvBufs[from], from))
-			reqs = append(reqs, c.sendBW(t, sendBufs[to], to, bwDiv))
-			return reqs
-		}})
-	}
+	phases := pairwisePhases(newCtx(e, g, tag),
+		func(r int) []byte { return sendBufs[r] },
+		func(r int) []byte { return recvBufs[r] })
 	return start(t, e, "alltoallv", phases)
 }
 
@@ -158,27 +110,8 @@ func IalltoallV(t *vclock.Task, e *proto.Engine, g Group, sendBufs, recvBufs [][
 // block is this rank's contribution; out[r] receives rank r's block.
 // Ring algorithm.
 func IallgatherV(t *vclock.Task, e *proto.Engine, g Group, block []byte, out [][]byte, tag int) *Sched {
-	c := newCtx(e, g, tag)
-	n := g.Size()
-	me := g.Me
-	right := (me + 1) % n
-	left := (me - 1 + n) % n
-	var phases []Phase
-	phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-		t.SleepF(e.P.CopyTime(len(block)))
-		copy(out[me], block)
-		return nil
-	}})
-	for s := 0; s < n-1; s++ {
-		s := s
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			sendIdx := (me - s + n) % n
-			recvIdx := (me - s - 1 + n) % n
-			return []proto.Req{
-				c.recv(t, out[recvIdx], left),
-				c.send(t, out[sendIdx], right),
-			}
-		}})
-	}
+	phases := []Phase{copyPhase(e, out[g.Me], block)}
+	at := func(b int) payload { return pay(out[b]) }
+	phases = ringAllgatherPhases(newCtx(e, g, tag), g.Me, rotated(g.Size(), 0), at, phases)
 	return start(t, e, "allgatherv", phases)
 }

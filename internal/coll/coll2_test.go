@@ -54,6 +54,13 @@ func TestIallreduceAutoSwitches(t *testing.T) {
 			t.Errorf("large payload should use ring, got %s", s2.name)
 		}
 		e.WaitAll(tk, s2)
+		// A phantom payload never takes the flat ring: the workload-model
+		// figures were recorded with recursive doubling at every size.
+		s3 := IallreduceAutoN(tk, e, g, RingThreshold, 3)
+		if s3.name != "allreduce" {
+			t.Errorf("large phantom payload should stay recursive doubling, got %s", s3.name)
+		}
+		e.WaitAll(tk, s3)
 	})
 }
 

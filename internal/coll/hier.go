@@ -72,16 +72,13 @@ func layoutOf(e *proto.Engine, g Group) nodeLayout {
 	return lay
 }
 
-// hierEligible decides whether the topology-consulting auto variants pick
-// the hierarchical algorithm: only under an explicit (non-flat) topology,
-// for bandwidth-bound sizes, when the group spans several nodes with
-// intra-node parallelism to exploit. Everything else keeps the flat
+// hierEligible decides whether the topology-consulting auto selection
+// picks the hierarchical algorithm: only under an explicit (non-flat)
+// topology, for bandwidth-bound sizes, when the group spans several nodes
+// with intra-node parallelism to exploit. Everything else keeps the flat
 // algorithms — and their historical timelines — untouched.
-func hierEligible(e *proto.Engine, g Group, n int, needAlign bool) bool {
+func hierEligible(e *proto.Engine, g Group, n int) bool {
 	if !e.F.Hierarchical() || n < RingThreshold || g.Size() <= 2 {
-		return false
-	}
-	if needAlign && n%reduceElem != 0 {
 		return false
 	}
 	lay := layoutOf(e, g)
@@ -163,27 +160,29 @@ func IallreduceHier(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Com
 	if len(buf)%reduceElem != 0 {
 		panic("coll: hierarchical allreduce needs an 8-byte-aligned buffer")
 	}
+	return iallreduceHier(t, e, g, pay(buf), op, tag)
+}
+
+func iallreduceHier(t *vclock.Task, e *proto.Engine, g Group, p payload, op Combine, tag int) *Sched {
 	var phases []Phase
 	if g.Size() > 1 {
 		lay := layoutOf(e, g)
 		m := len(lay.members[lay.myNode])
 		if !lay.uniform {
-			phases = hierLeaderPhases(newCtx(e, g, tag), lay, buf, op)
-		} else if k := hierChunks(len(buf), m); k == 1 || len(lay.members) == 1 || m == 1 {
-			phases = hierUniformPhases(newCtx(e, g, tag), lay, buf, op)
+			phases = hierLeaderPhases(newCtx(e, g, tag), lay, p, op)
+		} else if k := hierChunks(p.n, m); k == 1 || len(lay.members) == 1 || m == 1 {
+			phases = hierUniformPhases(newCtx(e, g, tag), lay, p, op)
 		} else {
 			// Pipeline: each chunk is its own schedule on its own tag,
 			// staggered so chunk i+1's shm phase overlaps chunk i's
 			// network phase; the parent completes when every chunk does.
-			count := len(buf) / reduceElem
 			phases = []Phase{{Post: func(t *vclock.Task) []proto.Req {
 				reqs := make([]proto.Req, k)
 				var prev *gate
 				for i := 0; i < k; i++ {
-					cb := buf[i*count/k*reduceElem : (i+1)*count/k*reduceElem]
 					cc := newCtx(e, g, chunkTag(tag, i))
 					mine := &gate{}
-					ch := stagePipeline(cc, hierUniformPhases(cc, lay, cb, op), m-2, mine, prev)
+					ch := stagePipeline(cc, hierUniformPhases(cc, lay, p.split(i, k), op), m-2, mine, prev)
 					reqs[i] = start(t, e, "allreduce-hier-chunk", ch)
 					prev = mine
 				}
@@ -195,375 +194,39 @@ func IallreduceHier(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Com
 }
 
 // hierUniformPhases builds the slice-parallel schedule (uniform layouts).
-func hierUniformPhases(c ctx, lay nodeLayout, buf []byte, op Combine) []Phase {
+func hierUniformPhases(c ctx, lay nodeLayout, p payload, op Combine) []Phase {
 	local := lay.members[lay.myNode]
-	m := len(local)
-	li := lay.myLocal
-	L := len(lay.members)
-	count := len(buf) / reduceElem
-	// Slice b covers elements [b·count/m, (b+1)·count/m) — uneven splits
-	// allowed, always whole reduce elements.
-	slice := func(b int) []byte {
-		b = (b%m + m) % m
-		return buf[b*count/m*reduceElem : (b+1)*count/m*reduceElem]
-	}
-	var phases []Phase
-	lRight := local[(li+1)%m]
-	lLeft := local[(li-1+m)%m]
+	m, li := len(local), lay.myLocal
+	slice := func(b int) payload { return p.split(b, m) }
 	// Phase A: shifted-ring reduce-scatter over shm; after m-1 steps
-	// member li owns the node-reduced slice li (same pattern as
-	// IreduceScatterBlock).
-	for s := 0; s < m-1; s++ {
-		s := s
-		tmp := make([]byte, len(slice(0))+reduceElem) // slices differ ≤1 elem
-		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				rb := slice(li - s - 2)
-				return []proto.Req{
-					c.e.Irecv(t, tmp[:len(rb)], c.g.Ranks[lLeft], c.tag, c.cc),
-					c.send(t, slice(li-s-1), lRight),
-				}
-			},
-			After: func(t *vclock.Task) {
-				rb := slice(li - s - 2)
-				t.SleepF(c.e.P.CopyTime(len(rb)))
-				op(rb, tmp[:len(rb)])
-			},
-		})
-	}
+	// member li owns the node-reduced slice li.
+	phases := ringReduceScatterPhases(c, li, local, slice, op, nil)
 	// Phase B: m concurrent inter-node ring allreduces, one per slice,
 	// among the li-th members of every node.
-	if L > 1 {
+	if L := len(lay.members); L > 1 {
 		peers := make([]int, L)
-		for ni := 0; ni < L; ni++ {
+		for ni := range peers {
 			peers[ni] = lay.members[ni][li]
 		}
 		phases = ringAllreducePhases(c, lay.myNode, peers, slice(li), op, phases)
 	}
 	// Phase C: ring allgather of the reduced slices over shm.
-	for s := 0; s < m-1; s++ {
-		s := s
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{
-				c.recv(t, slice(li-s-1), lLeft),
-				c.send(t, slice(li-s), lRight),
-			}
-		}})
-	}
-	return phases
+	return ringAllgatherPhases(c, li, local, slice, phases)
 }
 
 // hierLeaderPhases builds the leader-based schedule (irregular layouts):
-// the whole buffer moves through each node's leader, which is not
+// the whole payload moves through each node's leader, which is not
 // bandwidth-optimal but correct for any member split.
-func hierLeaderPhases(c ctx, lay nodeLayout, buf []byte, op Combine) []Phase {
+func hierLeaderPhases(c ctx, lay nodeLayout, p payload, op Combine) []Phase {
 	local := lay.members[lay.myNode]
 	li := lay.myLocal
-	L := len(lay.members)
-	phases := binomialReducePhases(c, li, local, buf, op, nil)
-	if L > 1 && li == 0 {
+	phases := binomialReducePhases(c, li, local, p, op, nil)
+	if L := len(lay.members); L > 1 && li == 0 {
 		leaders := make([]int, L)
 		for ni := range lay.members {
 			leaders[ni] = lay.members[ni][0]
 		}
-		phases = ringAllreducePhases(c, lay.myNode, leaders, buf, op, phases)
+		phases = ringAllreducePhases(c, lay.myNode, leaders, p, op, phases)
 	}
-	return binomialBcastPhases(c, li, local, buf, phases)
-}
-
-// ringAllreducePhases appends the bandwidth-optimal ring allreduce of buf
-// over the peer set (group ranks in ring order; mi = my position) to
-// phases: a reduce-scatter half (n-1 steps) then an allgather half (n-1
-// steps). Every peer ends with the fully reduced buffer. All peers must
-// pass the same buffer length.
-func ringAllreducePhases(c ctx, mi int, peers []int, buf []byte, op Combine, phases []Phase) []Phase {
-	n := len(peers)
-	if n < 2 || len(buf) == 0 {
-		return phases
-	}
-	right := peers[(mi+1)%n]
-	left := peers[(mi-1+n)%n]
-	count := len(buf) / reduceElem
-	block := func(b int) []byte {
-		b = (b%n + n) % n
-		return buf[b*count/n*reduceElem : (b+1)*count/n*reduceElem]
-	}
-	// Reduce-scatter: at step s send block (mi-s), receive+combine block
-	// (mi-s-1); after n-1 steps peer p owns the fully reduced block (p+1).
-	for s := 0; s < n-1; s++ {
-		s := s
-		tmp := make([]byte, len(block(0))+reduceElem) // blocks differ ≤1 elem
-		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				rb := block(mi - s - 1)
-				return []proto.Req{
-					c.e.Irecv(t, tmp[:len(rb)], c.g.Ranks[left], c.tag, c.cc),
-					c.send(t, block(mi-s), right),
-				}
-			},
-			After: func(t *vclock.Task) {
-				rb := block(mi - s - 1)
-				t.SleepF(c.e.P.CopyTime(len(rb)))
-				op(rb, tmp[:len(rb)])
-			},
-		})
-	}
-	// Allgather: circulate the reduced blocks.
-	for s := 0; s < n-1; s++ {
-		s := s
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{
-				c.recv(t, block(mi-s), left),
-				c.send(t, block(mi-s+1), right),
-			}
-		}})
-	}
-	return phases
-}
-
-// binomialReducePhases appends a binomial-tree reduction of buf over the
-// peer set onto peers[0] (mi = my position; peers[0] ends with the
-// result).
-func binomialReducePhases(c ctx, mi int, peers []int, buf []byte, op Combine, phases []Phase) []Phase {
-	n := len(peers)
-	for mask := 1; mask < n; mask <<= 1 {
-		if mi&mask != 0 {
-			parent := peers[mi&^mask]
-			phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.send(t, buf, parent)}
-			}})
-			break
-		}
-		src := mi | mask
-		if src >= n {
-			continue
-		}
-		from := peers[src]
-		tmp := make([]byte, len(buf))
-		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.recv(t, tmp, from)}
-			},
-			After: func(t *vclock.Task) {
-				t.SleepF(c.e.P.CopyTime(len(buf)))
-				op(buf, tmp)
-			},
-		})
-	}
-	return phases
-}
-
-// binomialBcastPhases appends a binomial-tree broadcast of buf from
-// peers[0] over the peer set (mi = my position).
-func binomialBcastPhases(c ctx, mi int, peers []int, buf []byte, phases []Phase) []Phase {
-	n := len(peers)
-	recvMask := 0
-	for mask := 1; mask < n; mask <<= 1 {
-		if mi&mask != 0 {
-			recvMask = mask
-			parent := peers[mi&^mask]
-			phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.recv(t, buf, parent)}
-			}})
-			break
-		}
-	}
-	top := recvMask
-	if mi == 0 {
-		top = 1
-		for top < n {
-			top <<= 1
-		}
-	}
-	for mask := top >> 1; mask > 0; mask >>= 1 {
-		if mi&mask == 0 && mi+mask < n {
-			child := peers[mi+mask]
-			phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.send(t, buf, child)}
-			}})
-		}
-	}
-	return phases
-}
-
-// ---- phantom variant ---------------------------------------------------
-
-// IallreduceHierN is the phantom hierarchical allreduce: the same phase
-// structure and byte counts as IallreduceHier, carrying no data (workload
-// models post multi-megabyte gradient reductions without allocating
-// them). n does not need reduce-element alignment — splits use exact
-// integer byte arithmetic.
-func IallreduceHierN(t *vclock.Task, e *proto.Engine, g Group, n, tag int) *Sched {
-	var phases []Phase
-	if g.Size() > 1 {
-		lay := layoutOf(e, g)
-		m := len(lay.members[lay.myNode])
-		if !lay.uniform {
-			phases = hierLeaderPhasesN(newCtx(e, g, tag), lay, n)
-		} else if k := hierChunks(n, m); k == 1 || len(lay.members) == 1 || m == 1 {
-			phases = hierUniformPhasesN(newCtx(e, g, tag), lay, n)
-		} else {
-			phases = []Phase{{Post: func(t *vclock.Task) []proto.Req {
-				reqs := make([]proto.Req, k)
-				var prev *gate
-				for i := 0; i < k; i++ {
-					cc := newCtx(e, g, chunkTag(tag, i))
-					mine := &gate{}
-					ch := stagePipeline(cc, hierUniformPhasesN(cc, lay, part(i, k, n)), m-2, mine, prev)
-					reqs[i] = start(t, e, "allreduce-hierN-chunk", ch)
-					prev = mine
-				}
-				return reqs
-			}}}
-		}
-	}
-	return start(t, e, "allreduce-hierN", phases)
-}
-
-// part is the byte count of block b when total bytes split into parts
-// contiguous blocks (b wraps; uneven splits allowed).
-func part(b, parts, total int) int {
-	b = (b%parts + parts) % parts
-	return (b+1)*total/parts - b*total/parts
-}
-
-func hierUniformPhasesN(c ctx, lay nodeLayout, total int) []Phase {
-	local := lay.members[lay.myNode]
-	m := len(local)
-	li := lay.myLocal
-	L := len(lay.members)
-	var phases []Phase
-	lRight := local[(li+1)%m]
-	lLeft := local[(li-1+m)%m]
-	for s := 0; s < m-1; s++ {
-		s := s
-		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{
-					c.recvN(t, part(li-s-2, m, total), lLeft),
-					c.sendN(t, part(li-s-1, m, total), lRight, 1),
-				}
-			},
-			After: func(t *vclock.Task) { t.SleepF(c.e.P.CopyTime(part(li-s-2, m, total))) },
-		})
-	}
-	if L > 1 {
-		peers := make([]int, L)
-		for ni := 0; ni < L; ni++ {
-			peers[ni] = lay.members[ni][li]
-		}
-		phases = ringAllreducePhasesN(c, lay.myNode, peers, part(li, m, total), phases)
-	}
-	for s := 0; s < m-1; s++ {
-		s := s
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{
-				c.recvN(t, part(li-s-1, m, total), lLeft),
-				c.sendN(t, part(li-s, m, total), lRight, 1),
-			}
-		}})
-	}
-	return phases
-}
-
-func hierLeaderPhasesN(c ctx, lay nodeLayout, total int) []Phase {
-	local := lay.members[lay.myNode]
-	li := lay.myLocal
-	L := len(lay.members)
-	phases := binomialReducePhasesN(c, li, local, total, nil)
-	if L > 1 && li == 0 {
-		leaders := make([]int, L)
-		for ni := range lay.members {
-			leaders[ni] = lay.members[ni][0]
-		}
-		phases = ringAllreducePhasesN(c, lay.myNode, leaders, total, phases)
-	}
-	return binomialBcastPhasesN(c, li, local, total, phases)
-}
-
-func ringAllreducePhasesN(c ctx, mi int, peers []int, total int, phases []Phase) []Phase {
-	n := len(peers)
-	if n < 2 || total <= 0 {
-		return phases
-	}
-	right := peers[(mi+1)%n]
-	left := peers[(mi-1+n)%n]
-	for s := 0; s < n-1; s++ {
-		s := s
-		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{
-					c.recvN(t, part(mi-s-1, n, total), left),
-					c.sendN(t, part(mi-s, n, total), right, 1),
-				}
-			},
-			After: func(t *vclock.Task) { t.SleepF(c.e.P.CopyTime(part(mi-s-1, n, total))) },
-		})
-	}
-	for s := 0; s < n-1; s++ {
-		s := s
-		phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-			return []proto.Req{
-				c.recvN(t, part(mi-s, n, total), left),
-				c.sendN(t, part(mi-s+1, n, total), right, 1),
-			}
-		}})
-	}
-	return phases
-}
-
-func binomialReducePhasesN(c ctx, mi int, peers []int, total int, phases []Phase) []Phase {
-	n := len(peers)
-	for mask := 1; mask < n; mask <<= 1 {
-		if mi&mask != 0 {
-			parent := peers[mi&^mask]
-			phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.sendN(t, total, parent, 1)}
-			}})
-			break
-		}
-		src := mi | mask
-		if src >= n {
-			continue
-		}
-		from := peers[src]
-		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.recvN(t, total, from)}
-			},
-			After: func(t *vclock.Task) { t.SleepF(c.e.P.CopyTime(total)) },
-		})
-	}
-	return phases
-}
-
-func binomialBcastPhasesN(c ctx, mi int, peers []int, total int, phases []Phase) []Phase {
-	n := len(peers)
-	recvMask := 0
-	for mask := 1; mask < n; mask <<= 1 {
-		if mi&mask != 0 {
-			recvMask = mask
-			parent := peers[mi&^mask]
-			phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.recvN(t, total, parent)}
-			}})
-			break
-		}
-	}
-	top := recvMask
-	if mi == 0 {
-		top = 1
-		for top < n {
-			top <<= 1
-		}
-	}
-	for mask := top >> 1; mask > 0; mask >>= 1 {
-		if mi&mask == 0 && mi+mask < n {
-			child := peers[mi+mask]
-			phases = append(phases, Phase{Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.sendN(t, total, child, 1)}
-			}})
-		}
-	}
-	return phases
+	return binomialBcastPhases(c, li, local, p, phases)
 }

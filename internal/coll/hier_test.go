@@ -119,8 +119,8 @@ func TestAllreduceAutoPicksHier(t *testing.T) {
 		}
 		e.WaitAll(tk, s2)
 		s3 := IallreduceAutoN(tk, e, g, RingThreshold, 3)
-		if s3.name != "allreduce-hierN" {
-			t.Errorf("phantom topology + large payload should pick hierN, got %s", s3.name)
+		if s3.name != "allreduce-hier" {
+			t.Errorf("phantom topology + large payload should pick hier, got %s", s3.name)
 		}
 		e.WaitAll(tk, s3)
 	})
@@ -135,30 +135,51 @@ func TestAllreduceAutoPicksHier(t *testing.T) {
 	})
 }
 
-// TestAllreduceHierNMatchesDataVariantTiming: the phantom schedule must move
-// the same bytes through the same phases as the data variant, so for an
-// aligned payload both finish at the same virtual time on every rank.
-func TestAllreduceHierNMatchesDataVariantTiming(t *testing.T) {
-	const n, rpn = 8, 2
-	const bytes = 256 << 10
-	run := func(phantom bool) []vclock.Time {
-		ends := make([]vclock.Time, n)
-		runGroupTopo(t, n, rpn, fatTree(4, 2), func(tk *vclock.Task, e *proto.Engine, g Group) {
-			var s *Sched
-			if phantom {
-				s = IallreduceHierN(tk, e, g, bytes, 5)
-			} else {
-				s = IallreduceHier(tk, e, g, make([]byte, bytes), func(d, s []byte) {}, 5)
-			}
-			e.WaitAll(tk, s)
-			ends[g.Me] = tk.Now()
-		})
-		return ends
+// TestPhantomMatchesDataVariantTiming: a phantom payload runs the same
+// schedule as the data one and moves the same bytes through the same
+// phases, so for a payload whose every split lands on whole 8-byte
+// elements (data splits round to them, phantom splits do not) both finish
+// at the same virtual time on every rank — for recursive doubling and for
+// each hierarchical shape.
+func TestPhantomMatchesDataVariantTiming(t *testing.T) {
+	rd := func(tk *vclock.Task, e *proto.Engine, g Group, p payload) *Sched {
+		return iallreduce(tk, e, g, p, func(d, s []byte) {}, 5)
 	}
-	data, ph := run(false), run(true)
-	for r := range data {
-		if data[r] != ph[r] {
-			t.Fatalf("rank %d: data variant ends at %d, phantom at %d", r, data[r], ph[r])
-		}
+	hier := func(tk *vclock.Task, e *proto.Engine, g Group, p payload) *Sched {
+		return iallreduceHier(tk, e, g, p, func(d, s []byte) {}, 5)
+	}
+	cases := []struct {
+		name   string
+		n, rpn int
+		bytes  int
+		algo   func(tk *vclock.Task, e *proto.Engine, g Group, p payload) *Sched
+	}{
+		{"recursive-doubling", 6, 2, 256 << 10, rd},
+		{"hier-uniform", 8, 2, 256 << 10, hier},
+		{"hier-uniform-chunked", 8, 2, 2 << 20, hier},
+		{"hier-uniform-rpn4", 8, 4, 1 << 20, hier},
+		{"hier-leader", 7, 3, 768 << 10, hier}, // 3 leaders: 768 KiB splits evenly
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(phantom bool) []vclock.Time {
+				ends := make([]vclock.Time, tc.n)
+				runGroupTopo(t, tc.n, tc.rpn, fatTree(4, 2), func(tk *vclock.Task, e *proto.Engine, g Group) {
+					p := payload{n: tc.bytes}
+					if !phantom {
+						p = pay(make([]byte, tc.bytes))
+					}
+					e.WaitAll(tk, tc.algo(tk, e, g, p))
+					ends[g.Me] = tk.Now()
+				})
+				return ends
+			}
+			data, ph := run(false), run(true)
+			for r := range data {
+				if data[r] != ph[r] {
+					t.Fatalf("rank %d: data variant ends at %d, phantom at %d", r, data[r], ph[r])
+				}
+			}
+		})
 	}
 }

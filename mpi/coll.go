@@ -132,9 +132,11 @@ func (c *Comm) AlltoallBytes(bs int) {
 	c.Wait(&r)
 }
 
-// IallreduceBytes starts a phantom nonblocking allreduce of n bytes,
-// using the same algorithm selection as Iallreduce (including the
-// topology-aware hierarchical schedule when the fabric has one).
+// IallreduceBytes starts a phantom nonblocking allreduce of n bytes. It
+// takes the topology-aware hierarchical schedule where Iallreduce would
+// (without Iallreduce's 8-byte alignment requirement) and recursive
+// doubling otherwise: unlike Iallreduce, it never takes the flat ring,
+// even at or above coll.RingThreshold.
 func (c *Comm) IallreduceBytes(n int) Request {
 	g, tag := c.group(), c.nextCollTag()
 	return c.icoll(func(t *vclock.Task) proto.Req {
