@@ -10,6 +10,8 @@
 #                     rt layers — the fuzz seeds for the lock-free queues and
 #                     request pool run as unit tests here, so real-goroutine
 #                     interleavings are probed under -race on every CI pass.
+#                     The reliable-channel tests then run 20 times more: one
+#                     race-detector pass seldom catches a timer/ack race.
 #   make smoke        one pattern for every BENCH document (mtscale, topo,
 #                     chaos, net): a -quick sweep through cmd/paper into /tmp,
 #                     the validator on that file and on the committed file
@@ -62,6 +64,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/... ./sim ./rt/... ./mpi ./bench
+	$(GO) test -race -count=20 -run 'Reliable|Lossy' ./internal/transport ./rt
 
 smoke: $(DOCS:%=%-smoke)
 

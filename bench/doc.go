@@ -510,7 +510,7 @@ type RateRow struct {
 
 // NetBackend is one transport backend's measurements.
 type NetBackend struct {
-	Backend  string        `json:"backend"` // loopback | unix | tcp
+	Backend  string        `json:"backend"` // loopback | unix
 	PingPong []PingPongRow `json:"pingpong"`
 	Rate     []RateRow     `json:"rate"`
 }

@@ -2,10 +2,10 @@
 // the real socket transport — the multi-process deployment of the rt
 // cluster. Each rank runs its own copy of the given program; the launcher
 // wires them together through MPIOFFLOAD_* environment variables and a
-// shared rendezvous directory in which every rank publishes its listen
-// address (transport.Listen). The program builds its side of the job with
-// transport.EnvConfig + rt.NewWorkerCluster; cmd/paper is a ready-made
-// worker (e.g. `mpirun -n 2 ./paper`).
+// shared rendezvous directory in which every rank listens on its
+// Unix-domain socket file (transport.Listen). The program builds its side
+// of the job with transport.EnvConfig + rt.NewWorkerCluster; cmd/paper is
+// a ready-made worker (e.g. `mpirun -n 2 ./paper`).
 //
 // Child stdout/stderr lines are prefixed with their rank. The first rank
 // to exit non-zero kills the rest of the job and sets the exit code; a
@@ -35,11 +35,10 @@ func main() { os.Exit(run(os.Args[1:])) }
 // os.Exit so the deferred clean-up runs on every path.
 func run(args []string) int {
 	n := flag.Int("n", 2, "number of ranks (one OS process each)")
-	network := flag.String("network", "unix", `socket family: "unix" or "tcp"`)
 	rdv := flag.String("rdv", "", "rendezvous directory (default: a fresh temp dir, removed on exit)")
 	flag.CommandLine.Parse(args)
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: mpirun [-n ranks] [-network unix|tcp] program [args...]")
+		fmt.Fprintln(os.Stderr, "usage: mpirun [-n ranks] program [args...]")
 		return 2
 	}
 	if *n < 1 {
@@ -75,7 +74,6 @@ func run(args []string) int {
 		cmd.Env = append(os.Environ(),
 			transport.EnvRank+"="+strconv.Itoa(i),
 			transport.EnvSize+"="+strconv.Itoa(*n),
-			transport.EnvNetwork+"="+*network,
 			transport.EnvRdv+"="+dir,
 		)
 		outPipe, _ := cmd.StdoutPipe()

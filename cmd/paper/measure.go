@@ -321,7 +321,7 @@ func runWorker(cfg transport.SocketConfig) error {
 			return fmt.Errorf("rank %d: %w", cfg.Rank, err)
 		}
 		if cfg.Rank == 0 {
-			fmt.Printf("pingpong %6d B: %8.0f ns one-way (%s, 2 processes)\n", size, oneWay, cfg.Network)
+			fmt.Printf("pingpong %6d B: %8.0f ns one-way (unix, 2 processes)\n", size, oneWay)
 		}
 	}
 	return nil

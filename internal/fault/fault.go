@@ -111,12 +111,6 @@ type Plan struct {
 	// lives on the shared Plan so one seeded document drives chaos in
 	// both worlds.
 	ReorderRate float64
-	// RTO overrides the protocol layer's base retransmission timeout (ns);
-	// 0 derives it from the platform profile.
-	RTO float64
-	// MaxRetries caps per-packet retransmissions (0 = default 20); a packet
-	// still unacknowledged afterwards is abandoned and left to the watchdog.
-	MaxRetries int
 	// Stalls are NIC outage windows.
 	Stalls []Stall
 	// Crashes are whole-rank failures.

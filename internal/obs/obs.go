@@ -133,12 +133,19 @@ type Event struct {
 	TS   int64 // virtual ns
 	A, B int64
 	// Flow is the causal flow id linking a sender-side issue event to the
-	// receiver-side landing/completion events of the same message:
-	// (src rank + 1) << 32 | per-engine sequence number. 0 means the event
-	// is not part of a message flow.
+	// receiver-side landing/completion events of the same message (see
+	// FlowID). 0 means the event is not part of a message flow.
 	Flow int64
 	Kind Kind
 	TID  uint8
+}
+
+// FlowID packs the causal flow stamp carried by every protocol message:
+// (src rank + 1) << 32 | the low 32 bits of the sender's sequence number,
+// never 0. The simulated engine and the real transport stamp identically,
+// so traces from either world correlate.
+func FlowID(src int, seq uint64) int64 {
+	return int64(src+1)<<32 | int64(seq&0xFFFFFFFF)
 }
 
 // FlowSrc recovers the source rank encoded in a flow id (-1 for no flow).

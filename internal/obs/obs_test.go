@@ -111,6 +111,21 @@ func TestFlowSrc(t *testing.T) {
 	}
 }
 
+func TestFlowID(t *testing.T) {
+	if FlowID(0, 0) == 0 {
+		t.Error("FlowID must never be 0 (0 means unstamped)")
+	}
+	if FlowID(0, 1) == FlowID(1, 1) {
+		t.Error("flow ids collide across src ranks")
+	}
+	if got, want := FlowID(2, 7), int64(3)<<32|7; got != want {
+		t.Errorf("FlowID(2,7) = %#x, want %#x", got, want)
+	}
+	if got := FlowSrc(FlowID(5, 1<<32|9)); got != 5 {
+		t.Errorf("FlowSrc(FlowID(5, 2^32+9)) = %d, want 5 (seq masked to 32 bits)", got)
+	}
+}
+
 func TestRankMetricsAdd(t *testing.T) {
 	a := RankMetrics{CmdEnq: 1, IssueNs: 10, Conversions: 2, FlowsSent: 1}
 	a.IssuesByTID[TAgent] = 3

@@ -211,8 +211,8 @@ type Engine struct {
 	// since packets are processed on whichever thread drives progress.
 	obsTID uint8
 	// flowSeq numbers this rank's outgoing message flows; flow ids are
-	// (Rank+1)<<32 | flowSeq so they are globally unique and never 0.
-	flowSeq int64
+	// obs.FlowID(Rank, flowSeq) so they are globally unique and never 0.
+	flowSeq uint64
 
 	activity *vclock.Event
 	actSeq   uint64
@@ -241,12 +241,9 @@ type Engine struct {
 
 	// Reliable-delivery sublayer (active only under a lossy fault plan;
 	// see rel.go). relTx/relRx are keyed by peer global rank.
-	rel        bool
-	rto        float64 // plan RTO override (0 = derive per packet)
-	maxRetries int
-	relTx      map[int]*relTxState
-	relRx      map[int]*RelRx[*fabric.Packet]
-	relStats   RelStats
+	rel   bool
+	relTx map[int]*RelTx[*relMsg]
+	relRx map[int]*RelRx[*fabric.Packet]
 
 	// Watchdog: requests in flight longer than Deadline ns are failed with
 	// ErrTimeout/ErrRankFailed instead of hanging (0 disables). Set before
@@ -268,14 +265,9 @@ func NewEngine(k *vclock.Kernel, f *fabric.Fabric, p *model.Profile, rank int) *
 		postedX:  make(map[matchKey][]*Op),
 		uxX:      make(map[matchKey][]*uxEntry),
 	}
-	if inj := f.Fault(); inj.Lossy() {
+	if f.Fault().Lossy() {
 		e.rel = true
-		e.rto = inj.Plan().RTO
-		e.maxRetries = inj.Plan().MaxRetries
-		if e.maxRetries <= 0 {
-			e.maxRetries = defaultMaxRetries
-		}
-		e.relTx = make(map[int]*relTxState)
+		e.relTx = make(map[int]*RelTx[*relMsg])
 		e.relRx = make(map[int]*RelRx[*fabric.Packet])
 	}
 	f.Bind(rank, e.deliver)
@@ -288,7 +280,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 // newFlow allocates the next causal flow id originating at this rank.
 func (e *Engine) newFlow() int64 {
 	e.flowSeq++
-	return int64(e.Rank+1)<<32 | e.flowSeq
+	return obs.FlowID(e.Rank, e.flowSeq)
 }
 
 // flowOfPayload extracts the flow stamp (and wire-entry time) from a

@@ -13,12 +13,12 @@ import (
 // When the fabric carries a lossy fault plan, every software-recoverable
 // packet class — eager payloads and rendezvous RTS/CTS control messages —
 // is wrapped in a per-(src,dst)-pair sequence number and acknowledged by
-// the receiving NIC. Unacknowledged packets are retransmitted with
-// exponential backoff; the receiver delivers exactly once and in send
-// order (duplicates are dropped, gaps are reorder-buffered), so the
-// matching engine above recovers transparently from transient loss and
-// per-pair FIFO (MPI non-overtaking) is preserved under drop and
-// duplication. The sublayer runs in NIC (timer-callback) context, like the
+// the receiving NIC. Unacknowledged packets are retransmitted with the
+// protocol core's compounding backoff (relcore.go); the receiver delivers
+// exactly once and in send order (duplicates are dropped, gaps are
+// reorder-buffered), so the matching engine above recovers transparently
+// from transient loss and per-pair FIFO (MPI non-overtaking) is preserved
+// under drop and duplication. The sublayer runs in NIC (timer-callback) context, like the
 // reliable-connection state machines of InfiniBand hardware: it costs no
 // simulated software time, but its counters are visible to software.
 // Rendezvous bulk data (RDMA) and one-sided packets already model a
@@ -38,37 +38,17 @@ var (
 	ErrRankFailed = errors.New("peer rank failed")
 )
 
-// RelStats counts reliable-delivery events for one engine.
-type RelStats struct {
-	RelSends    int64 // sequenced packets first-sent
-	Retransmits int64 // timer-driven resends
-	Acks        int64 // acknowledgements sent
-	DupDropped  int64 // duplicate deliveries suppressed
-	OutOfOrder  int64 // arrivals held for reordering
-	Abandoned   int64 // packets given up after MaxRetries
-}
-
-// Add accumulates o into s.
-func (s *RelStats) Add(o RelStats) {
-	s.RelSends += o.RelSends
-	s.Retransmits += o.Retransmits
-	s.Acks += o.Acks
-	s.DupDropped += o.DupDropped
-	s.OutOfOrder += o.OutOfOrder
-	s.Abandoned += o.Abandoned
-}
-
-const (
-	ackBytes          = 16 // wire size of an acknowledgement
-	defaultMaxRetries = 20
-	maxBackoffShift   = 4 // backoff caps at rto << 4
-)
+// ackBytes is the wire size of an acknowledgement.
+const ackBytes = 16
 
 // relMsg is a sequenced, retransmittable packet (eager data or RTS/CTS).
+// The sender keeps it pending and puts the same value on the wire again
+// for each resend.
 type relMsg struct {
 	from  int
 	seq   uint64
 	bytes int
+	bwDiv float64 // the sender's bandwidth divisor, reused by resends
 	inner any
 }
 
@@ -83,26 +63,10 @@ type ackMsg struct {
 func (*relMsg) Faultable() {}
 func (*ackMsg) Faultable() {}
 
-// relPending is an unacknowledged packet awaiting its ack.
-type relPending struct {
-	seq   uint64
-	dst   int
-	bytes int
-	bwDiv float64
-	inner any
-	tries int
-	done  bool // acked or abandoned
-}
-
-// relTxState is the sender half of one peer pair's reliable channel.
-type relTxState struct {
-	next    uint64
-	pending map[uint64]*relPending
-}
-
-// The receiver half — next expected seq plus reorder buffer — is the
-// shared RelRx core (relcore.go), instantiated here over fabric packets
-// and in internal/transport over wire frames.
+// The protocol — sequencing, acks, the retry policy and the exactly-once
+// receiver — is the shared core (relcore.go), instantiated here over
+// fabric packets in virtual time and in internal/transport over wire
+// frames in wall-clock time.
 
 // relOn reports whether sends to dst must be sequenced: the sublayer runs
 // only when the fault plan can lose packets, and only on inter-node pairs
@@ -121,79 +85,54 @@ func (e *Engine) sendRel(dst, bytes int, bwDiv float64, inner any) {
 	}
 	tx := e.relTx[dst]
 	if tx == nil {
-		tx = &relTxState{pending: make(map[uint64]*relPending)}
+		tx = &RelTx[*relMsg]{}
 		e.relTx[dst] = tx
 	}
-	tx.next++
-	p := &relPending{seq: tx.next, dst: dst, bytes: bytes, bwDiv: bwDiv, inner: inner}
-	tx.pending[p.seq] = p
-	e.relStats.RelSends++
-	e.F.Send(e.Rank, dst, bytes, bwDiv, &relMsg{from: e.Rank, seq: p.seq, bytes: bytes, inner: inner})
-	e.armRetransmit(p, e.rtoFor(bytes))
+	m := &relMsg{from: e.Rank, bytes: bytes, bwDiv: bwDiv, inner: inner}
+	m.seq = tx.Send(m)
+	e.F.Send(e.Rank, dst, bytes, bwDiv, m)
+	e.armRetransmit(tx, dst, m.seq, e.rtoFor(bytes))
 }
 
-// rtoFor is the base retransmission timeout for a packet of n bytes: the
-// plan's override, or round-trip latency plus the packet's own wire time
-// with headroom for queueing.
+// rtoFor is the base retransmission timeout for a packet of n bytes:
+// round-trip latency plus the packet's own wire time with headroom for
+// queueing.
 func (e *Engine) rtoFor(n int) float64 {
-	if e.rto > 0 {
-		return e.rto + e.P.WireTime(n)
-	}
 	return 4*e.P.LinkLatency + 2*e.P.WireTime(n) + 2*e.P.WireTime(ackBytes) + 2000
 }
 
-// armRetransmit schedules the retransmission check for p after rto ns.
-// Resends back off exponentially (capped) until the ack lands or the retry
-// budget is spent; an abandoned packet is left to the watchdog to report.
-// Each re-arm adds deterministic jitter from the injector's dedicated
-// backoff PRNG: senders that lost packets on the same failed link would
-// otherwise retry in lockstep forever, re-colliding on the recovered
-// path. The jitter stream is separate from the packet-fate stream, and
-// this code only runs under a fault plan, so fault-free timelines are
-// untouched.
-func (e *Engine) armRetransmit(p *relPending, rto float64) {
+// armRetransmit schedules seq's retransmission check after rto ns. The
+// timer is never cancelled: one that fires for a packet already acked,
+// abandoned or cancelled finds nothing pending. Each re-arm adds
+// deterministic jitter from the injector's dedicated backoff PRNG:
+// senders that lost packets on the same failed link would otherwise retry
+// in lockstep forever, re-colliding on the recovered path. The jitter
+// stream is separate from the packet-fate stream, and this code only runs
+// under a fault plan, so fault-free timelines are untouched. An abandoned
+// packet is left to the watchdog to report.
+func (e *Engine) armRetransmit(tx *RelTx[*relMsg], dst int, seq uint64, rto float64) {
 	e.K.AfterF(rto, func() {
-		if p.done {
+		m, mult, resend := tx.Expire(seq)
+		if !resend {
 			return
 		}
-		if p.tries >= e.maxRetries {
-			p.done = true
-			delete(e.relTx[p.dst].pending, p.seq)
-			e.relStats.Abandoned++
-			return
-		}
-		p.tries++
-		e.relStats.Retransmits++
-		flow, _ := flowOfPayload(p.inner)
-		e.Obs.Retransmitted(e.K.Now(), int64(p.seq), p.dst, flow)
-		e.F.Send(e.Rank, p.dst, p.bytes, p.bwDiv, &relMsg{from: e.Rank, seq: p.seq, bytes: p.bytes, inner: p.inner})
-		shift := p.tries
-		if shift > maxBackoffShift {
-			shift = maxBackoffShift
-		}
-		e.armRetransmit(p, rto*float64(int(1)<<shift)*(1+e.F.Fault().BackoffJitter()))
+		flow, _ := flowOfPayload(m.inner)
+		e.Obs.Retransmitted(e.K.Now(), int64(seq), dst, flow)
+		e.F.Send(e.Rank, dst, m.bytes, m.bwDiv, m)
+		e.armRetransmit(tx, dst, seq, rto*float64(mult)*(1+e.F.Fault().BackoffJitter()))
 	})
 }
 
 // relDeliver runs in NIC context on a sequenced arrival: acknowledge
-// unconditionally (the sender must stop retransmitting even duplicates),
-// then deliver exactly once in sequence order.
+// unconditionally, then deliver exactly once in sequence order.
 func (e *Engine) relDeliver(src int, m *relMsg) {
-	e.relStats.Acks++
 	e.F.Send(e.Rank, src, ackBytes, 1, &ackMsg{from: e.Rank, seq: m.seq})
 	rx := e.relRx[src]
 	if rx == nil {
 		rx = &RelRx[*fabric.Packet]{}
 		e.relRx[src] = rx
 	}
-	pkt := &fabric.Packet{Src: src, Dst: e.Rank, Bytes: m.bytes, Payload: m.inner}
-	ready, dup, held := rx.Accept(m.seq, pkt)
-	if dup {
-		e.relStats.DupDropped++
-	}
-	if held {
-		e.relStats.OutOfOrder++
-	}
+	ready, _, _ := rx.Accept(m.seq, &fabric.Packet{Src: src, Dst: e.Rank, Bytes: m.bytes, Payload: m.inner})
 	for _, p := range ready {
 		e.acceptRel(p)
 	}
@@ -209,20 +148,25 @@ func (e *Engine) acceptRel(pkt *fabric.Packet) {
 	e.bump()
 }
 
-// relAck marks the acknowledged packet delivered (NIC context).
+// relAck retires the acknowledged packet (NIC context).
 func (e *Engine) relAck(from int, seq uint64) {
-	tx := e.relTx[from]
-	if tx == nil {
-		return
-	}
-	if p, ok := tx.pending[seq]; ok {
-		p.done = true
-		delete(tx.pending, seq)
+	if tx := e.relTx[from]; tx != nil {
+		tx.Ack(seq)
 	}
 }
 
-// RelStats returns the engine's reliable-delivery counters.
-func (e *Engine) RelStats() RelStats { return e.relStats }
+// RelStats returns the engine's reliable-delivery counters, summed over
+// its channels.
+func (e *Engine) RelStats() RelStats {
+	var s RelStats
+	for _, tx := range e.relTx {
+		s.Add(tx.Stats())
+	}
+	for _, rx := range e.relRx {
+		s.Add(rx.Stats())
+	}
+	return s
+}
 
 // ---- watchdog ----------------------------------------------------------
 
@@ -295,16 +239,11 @@ func (e *Engine) failOp(op *Op, err error) {
 }
 
 // cancelPeer drops every unacknowledged packet destined to a failed rank,
-// stopping its retransmission timers — the clean-cancel half of crash
-// handling.
+// so its retransmission timers find nothing left to resend — the
+// clean-cancel half of crash handling.
 func (e *Engine) cancelPeer(peer int) {
-	tx := e.relTx[peer]
-	if tx == nil {
-		return
-	}
-	for seq, p := range tx.pending {
-		p.done = true
-		delete(tx.pending, seq)
+	if tx := e.relTx[peer]; tx != nil {
+		tx.Cancel(nil)
 	}
 }
 

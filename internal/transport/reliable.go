@@ -1,13 +1,14 @@
 package transport
 
-// Reliable is the wall-clock twin of the simulator's reliable-delivery
-// sublayer (internal/proto/rel.go): every outgoing data frame is wrapped
-// in a per-(src,dst) sequence number and acknowledged by the receiver;
-// unacknowledged frames are retransmitted with exponential backoff; the
-// receiver delivers exactly once and in send order through the same
-// reorder core (proto.RelRx) the simulated engine runs. Stack it over a
-// Lossy socket and the rt layer above sees a clean FIFO wire no matter
-// what the chaos plan does underneath.
+// Reliable is the wall-clock adapter of the reliable-delivery protocol
+// (proto.RelTx / proto.RelRx, the same core the simulator's NIC runs in
+// virtual time): every outgoing data frame is wrapped in a per-(src,dst)
+// sequence number and acknowledged by the receiver; unacknowledged frames
+// are retransmitted with the core's backoff; the receiver delivers
+// exactly once and in send order. This file owns only what is wall-clock:
+// the KindSeq/KindAck framing, the per-peer locks, time.AfterFunc timers
+// and the ack pump. Stack it over a Lossy socket and the rt layer above
+// sees a clean FIFO wire no matter what the chaos plan does underneath.
 
 import (
 	"sync"
@@ -17,58 +18,42 @@ import (
 	"mpioffload/internal/proto"
 )
 
-// RelOptions tunes the wall-clock reliable channel. Zero values select
-// the defaults.
-type RelOptions struct {
-	// RTO is the base retransmission timeout (default 2ms; backoff
-	// doubles it per retry, capped at 16x).
-	RTO time.Duration
-	// MaxRetries caps per-frame retransmissions (default 20); a frame
-	// still unacknowledged afterwards is abandoned and left to the rt
-	// watchdog to report.
-	MaxRetries int
+// relRTO is the base retransmission timeout; the core's backoff compounds
+// it per retry.
+const relRTO = 2 * time.Millisecond
+
+// outFrame is one sequenced frame the sender half keeps until its ack,
+// with its current retransmission timer. tmr is created, read and stopped
+// only under the peer's tx lock.
+type outFrame struct {
+	f   Frame
+	tmr *time.Timer
 }
 
-const (
-	defaultRTO        = 2 * time.Millisecond
-	defaultMaxRetries = 20
-	maxBackoffShift   = 4
-)
-
-// relPend is one unacknowledged frame awaiting its ack.
-type relPend struct {
-	f     Frame
-	tries int
-	tmr   *time.Timer
-	done  atomic.Bool // acked, abandoned, or torn down
+// txPeer is the sender half of one peer pair's channel.
+type txPeer struct {
+	mu   sync.Mutex
+	core proto.RelTx[*outFrame]
 }
 
-// relTxPeer is the sender half of one peer pair's channel.
-type relTxPeer struct {
-	mu      sync.Mutex
-	next    uint64
-	pending map[uint64]*relPend
-}
-
-// relRxPeer is the receiver half: the shared reorder core plus the lock
-// that keeps one peer's deliveries in order. Frames from one src arrive
-// on one reader goroutine, but the loopback backend can deliver from
-// several sender goroutines of the same rank, so ordering is enforced
-// here rather than assumed.
-type relRxPeer struct {
-	mu sync.Mutex
-	rx proto.RelRx[Frame]
+// rxPeer is the receiver half, under its own lock: a delivery upcall can
+// block on a full rt inbox while the same rank's agent sends to this
+// peer, so one lock shared with txPeer would deadlock. Frames from one src
+// arrive on one reader goroutine, but the loopback backend can deliver
+// from several sender goroutines of the same rank, so ordering is
+// enforced here rather than assumed.
+type rxPeer struct {
+	mu   sync.Mutex
+	core proto.RelRx[Frame]
 }
 
 // Reliable wraps an endpoint with sequencing, acks and retransmission.
 type Reliable struct {
 	inner Endpoint
-	opts  RelOptions
 	h     atomic.Pointer[Handler] // application handler
 
-	mu sync.Mutex // guards the peer maps (not the per-peer state)
-	tx map[int]*relTxPeer
-	rx map[int]*relRxPeer
+	tx []txPeer // by destination rank
+	rx []rxPeer // by source rank
 
 	// Acks leave through a dedicated pump goroutine, never from the
 	// delivery upcall: onFrame runs on the inner transport's reader, and a
@@ -84,24 +69,14 @@ type Reliable struct {
 
 	closed atomic.Bool
 	timers sync.WaitGroup
-
-	relSends, retransmits, acks   atomic.Int64
-	dupDropped, outOfOrder, aband atomic.Int64
 }
 
 // NewReliable wraps inner.
-func NewReliable(inner Endpoint, opts RelOptions) *Reliable {
-	if opts.RTO <= 0 {
-		opts.RTO = defaultRTO
-	}
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = defaultMaxRetries
-	}
+func NewReliable(inner Endpoint) *Reliable {
 	r := &Reliable{
 		inner: inner,
-		opts:  opts,
-		tx:    make(map[int]*relTxPeer),
-		rx:    make(map[int]*relRxPeer),
+		tx:    make([]txPeer, inner.Size()),
+		rx:    make([]rxPeer, inner.Size()),
 	}
 	r.ackCond = sync.NewCond(&r.ackMu)
 	r.pump.Add(1)
@@ -147,125 +122,88 @@ func (r *Reliable) Size() int { return r.inner.Size() }
 // Bind installs the handler that receives the repaired in-order stream.
 func (r *Reliable) Bind(h Handler) { r.h.Store(&h) }
 
-// RelStats snapshots the channel's counters in the same shape as the
-// simulated engine's (proto.RelStats), so sim and real chaos runs tabulate
+// RelStats sums the channels' counters in the same shape as the simulated
+// engine's (proto.RelStats), so sim and real chaos runs tabulate
 // identically.
 func (r *Reliable) RelStats() proto.RelStats {
-	return proto.RelStats{
-		RelSends:    r.relSends.Load(),
-		Retransmits: r.retransmits.Load(),
-		Acks:        r.acks.Load(),
-		DupDropped:  r.dupDropped.Load(),
-		OutOfOrder:  r.outOfOrder.Load(),
-		Abandoned:   r.aband.Load(),
+	var s proto.RelStats
+	for i := range r.tx {
+		tx, rx := &r.tx[i], &r.rx[i]
+		tx.mu.Lock()
+		s.Add(tx.core.Stats())
+		tx.mu.Unlock()
+		rx.mu.Lock()
+		s.Add(rx.core.Stats())
+		rx.mu.Unlock()
 	}
-}
-
-func (r *Reliable) txPeer(dst int) *relTxPeer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := r.tx[dst]
-	if p == nil {
-		p = &relTxPeer{pending: make(map[uint64]*relPend)}
-		r.tx[dst] = p
-	}
-	return p
-}
-
-func (r *Reliable) rxPeer(src int) *relRxPeer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := r.rx[src]
-	if p == nil {
-		p = &relRxPeer{}
-		r.rx[src] = p
-	}
-	return p
+	return s
 }
 
 // Send sequences a data frame and transmits it, arming the retransmit
 // timer. Non-data frames (a nested wrapper's control traffic) pass
-// through unsequenced.
+// through unsequenced, as do frames to no rank, which the wrapped
+// endpoint rejects.
 func (r *Reliable) Send(f Frame) error {
 	if r.closed.Load() {
 		return ErrClosed
 	}
-	if f.Kind != KindData {
+	if f.Kind != KindData || f.Dst < 0 || f.Dst >= len(r.tx) {
 		return r.inner.Send(f)
 	}
-	tx := r.txPeer(f.Dst)
-	tx.mu.Lock()
-	tx.next++
+	tx := &r.tx[f.Dst]
 	f.Kind = KindSeq
-	f.Seq = tx.next
-	p := &relPend{f: f}
-	tx.pending[f.Seq] = p
+	out := &outFrame{}
+	tx.mu.Lock()
+	f.Seq = tx.core.Send(out)
+	out.f = f
 	tx.mu.Unlock()
-	r.relSends.Add(1)
 	err := r.inner.Send(f)
-	r.arm(tx, p, r.opts.RTO)
+	r.arm(tx, out, relRTO)
 	return err
 }
 
-// arm schedules p's retransmission check after rto.
-func (r *Reliable) arm(tx *relTxPeer, p *relPend, rto time.Duration) {
-	if p.done.Load() || r.closed.Load() {
+// arm starts out's retransmission timer, unless the frame was acked (or
+// the channel closed) since it went on the wire.
+func (r *Reliable) arm(tx *txPeer, out *outFrame, rto time.Duration) {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	if r.closed.Load() || !tx.core.Pending(out.f.Seq) {
 		return
 	}
 	r.timers.Add(1)
-	t := time.AfterFunc(rto, func() {
+	out.tmr = time.AfterFunc(rto, func() {
 		defer r.timers.Done()
-		if p.done.Load() || r.closed.Load() {
-			return
+		tx.mu.Lock()
+		_, mult, resend := tx.core.Expire(out.f.Seq)
+		tx.mu.Unlock()
+		if resend {
+			r.inner.Send(out.f)
+			r.arm(tx, out, rto*time.Duration(mult))
 		}
-		if p.tries >= r.opts.MaxRetries {
-			if p.done.CompareAndSwap(false, true) {
-				tx.mu.Lock()
-				delete(tx.pending, p.f.Seq)
-				tx.mu.Unlock()
-				r.aband.Add(1)
-			}
-			return
-		}
-		p.tries++
-		r.retransmits.Add(1)
-		r.inner.Send(p.f)
-		shift := p.tries
-		if shift > maxBackoffShift {
-			shift = maxBackoffShift
-		}
-		r.arm(tx, p, rto*time.Duration(1<<shift))
 	})
-	tx.mu.Lock()
-	if p.done.Load() {
-		// Acked between arm and registration: stop the fresh timer (the
-		// callback's done check makes a lost race harmless).
-		if t.Stop() {
-			r.timers.Done()
-		}
-	} else {
-		p.tmr = t
+}
+
+// stop cancels out's pending timer (tx lock held). A timer that already
+// fired releases its own WaitGroup slot.
+func (r *Reliable) stop(out *outFrame) {
+	if out.tmr != nil && out.tmr.Stop() {
+		r.timers.Done()
 	}
-	tx.mu.Unlock()
 }
 
 // onFrame runs in the inner transport's delivery context.
 func (r *Reliable) onFrame(f Frame) {
+	if f.Src < 0 || f.Src >= len(r.rx) {
+		return // not from a rank of this job
+	}
 	switch f.Kind {
 	case KindSeq:
 		// Ack unconditionally — the sender must stop retransmitting even
 		// duplicates — then deliver exactly once, in order.
-		r.acks.Add(1)
 		r.queueAck(Frame{Kind: KindAck, Src: r.Rank(), Dst: f.Src, Seq: f.Seq})
-		peer := r.rxPeer(f.Src)
+		peer := &r.rx[f.Src]
 		peer.mu.Lock()
-		ready, dup, held := peer.rx.Accept(f.Seq, f)
-		if dup {
-			r.dupDropped.Add(1)
-		}
-		if held {
-			r.outOfOrder.Add(1)
-		}
+		ready, _, _ := peer.core.Accept(f.Seq, f)
 		// Deliver under the per-peer lock: concurrent ready batches from
 		// one src must not interleave out of sequence order.
 		if h := r.h.Load(); h != nil {
@@ -277,18 +215,12 @@ func (r *Reliable) onFrame(f Frame) {
 		}
 		peer.mu.Unlock()
 	case KindAck:
-		tx := r.txPeer(f.Src)
+		tx := &r.tx[f.Src]
 		tx.mu.Lock()
-		p, ok := tx.pending[f.Seq]
-		if ok {
-			delete(tx.pending, f.Seq)
+		if out, ok := tx.core.Ack(f.Seq); ok {
+			r.stop(out)
 		}
 		tx.mu.Unlock()
-		if ok && p.done.CompareAndSwap(false, true) {
-			if p.tmr != nil && p.tmr.Stop() {
-				r.timers.Done()
-			}
-		}
 	default:
 		if h := r.h.Load(); h != nil {
 			(*h)(f)
@@ -302,20 +234,12 @@ func (r *Reliable) Close() error {
 	if !r.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	r.mu.Lock()
-	for _, tx := range r.tx {
+	for i := range r.tx {
+		tx := &r.tx[i]
 		tx.mu.Lock()
-		for seq, p := range tx.pending {
-			if p.done.CompareAndSwap(false, true) {
-				if p.tmr != nil && p.tmr.Stop() {
-					r.timers.Done()
-				}
-			}
-			delete(tx.pending, seq)
-		}
+		tx.core.Cancel(r.stop)
 		tx.mu.Unlock()
 	}
-	r.mu.Unlock()
 	r.ackMu.Lock()
 	r.ackQ = nil
 	r.ackMu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mpioffload/internal/fault"
+	"mpioffload/internal/proto"
 )
 
 // chaosPlan is the seeded fate plan for the reliability tests: every
@@ -19,7 +20,7 @@ func chaosPlan() *fault.Plan {
 // reliableMesh stacks Reliable(Lossy(base)) per rank.
 func reliableMesh(base Mesh, plan *fault.Plan) Mesh {
 	return WrapMesh(base, func(ep Endpoint) Endpoint {
-		return NewReliable(NewLossy(ep, plan), RelOptions{})
+		return NewReliable(NewLossy(ep, plan))
 	})
 }
 
@@ -123,7 +124,7 @@ func runReliableExchange(t *testing.T, m Mesh, senders, per int) {
 		t.Error("reorders never buffered")
 	}
 	if rs.Abandoned != 0 {
-		t.Errorf("%d frames abandoned — MaxRetries too low for this plan", rs.Abandoned)
+		t.Errorf("%d frames abandoned — retry budget too small for this plan", rs.Abandoned)
 	}
 }
 
@@ -146,7 +147,7 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) bool {
 // no timer goroutines left re-sending into a closed wire.
 func TestReliableCloseStopsTimers(t *testing.T) {
 	base := NewLoopback(2)
-	rel := NewReliable(base.Endpoint(0), RelOptions{RTO: 5 * time.Millisecond})
+	rel := NewReliable(base.Endpoint(0))
 	// Rank 1 never binds and never acks: every send stays pending.
 	for i := 0; i < 20; i++ {
 		if err := rel.Send(Frame{Kind: KindData, Src: 0, Dst: 1, Data: []byte{byte(i)}}); err != nil {
@@ -165,5 +166,32 @@ func TestReliableCloseStopsTimers(t *testing.T) {
 	}
 	if err := rel.Send(Frame{Kind: KindData, Dst: 1}); err == nil {
 		t.Error("send after close accepted")
+	}
+}
+
+// TestReliableRejectsForeignRanks: a frame naming a rank outside the job
+// — a send to one, or a sequenced frame or ack from one off the wire — is
+// refused by the wrapped endpoint or dropped, never indexed.
+func TestReliableRejectsForeignRanks(t *testing.T) {
+	base := NewLoopback(2)
+	rel := NewReliable(base.Endpoint(1))
+	defer rel.Close()
+	got := make(chan Frame, 1)
+	rel.Bind(func(f Frame) { got <- f })
+	if err := rel.Send(Frame{Kind: KindData, Src: 1, Dst: 2}); err == nil {
+		t.Error("send to rank 2 of 2 accepted")
+	}
+	for _, kind := range []uint8{KindSeq, KindAck} {
+		if err := base.Endpoint(0).Send(Frame{Kind: kind, Src: 7, Dst: 1, Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case f := <-got:
+		t.Fatalf("frame from rank 7 delivered: %+v", f)
+	default:
+	}
+	if rs := rel.RelStats(); rs != (proto.RelStats{}) {
+		t.Errorf("foreign frames counted: %+v", rs)
 	}
 }

@@ -1,17 +1,14 @@
 package transport
 
-// Socket: the real backend. Each rank owns one listener (a Unix-domain
-// socket or a loopback TCP port) plus one write-only connection per peer
-// it sends to, dialed lazily on first send. Connections are strictly
-// unidirectional — dialed connections are written, accepted connections
-// are read — so there is no connection-identity handshake, no dial race
-// between peers, and per-(src,dst) frame order is exactly the byte order
-// of one TCP/Unix stream.
+// Socket: the real backend. Each rank owns one Unix-domain listener plus
+// one write-only connection per peer it sends to, dialed lazily on first
+// send. Connections are strictly unidirectional — dialed connections are
+// written, accepted connections are read — so there is no
+// connection-identity handshake, no dial race between peers, and
+// per-(src,dst) frame order is exactly the byte order of one stream.
 //
-// Rendezvous is a shared directory: rank i's listen address is the file
-// <dir>/rank<i>.sock (Unix — the socket file itself) or <dir>/rank<i>.addr
-// (TCP — the bound host:port, written with a tmp+rename so readers never
-// see a partial write). Dialers poll for the peer's artifact until
+// Rendezvous is a shared directory: rank i listens on the socket file
+// <dir>/rank<i>.sock. Dialers poll for the peer's socket until
 // DialTimeout: workers of a cmd/mpirun launch come up in any order.
 
 import (
@@ -27,19 +24,17 @@ import (
 
 // Env variable names used by cmd/mpirun to configure worker processes.
 const (
-	EnvRank    = "MPIOFFLOAD_RANK"
-	EnvSize    = "MPIOFFLOAD_SIZE"
-	EnvNetwork = "MPIOFFLOAD_NETWORK"
-	EnvRdv     = "MPIOFFLOAD_RDV"
+	EnvRank = "MPIOFFLOAD_RANK"
+	EnvSize = "MPIOFFLOAD_SIZE"
+	EnvRdv  = "MPIOFFLOAD_RDV"
 )
 
-// DefaultDialTimeout bounds how long a sender waits for a peer's listen
-// address to appear in the rendezvous directory.
+// DefaultDialTimeout bounds how long a sender waits for a peer's socket
+// to appear in the rendezvous directory.
 const DefaultDialTimeout = 10 * time.Second
 
 // SocketConfig configures one rank's socket endpoint.
 type SocketConfig struct {
-	Network     string // "unix" or "tcp"
 	Rank, Size  int
 	Dir         string        // shared rendezvous directory
 	DialTimeout time.Duration // 0 = DefaultDialTimeout
@@ -59,18 +54,13 @@ func EnvConfig() (SocketConfig, bool) {
 	if err1 != nil || err2 != nil {
 		return SocketConfig{}, false
 	}
-	network := os.Getenv(EnvNetwork)
-	if network == "" {
-		network = "unix"
-	}
-	return SocketConfig{Network: network, Rank: rank, Size: size, Dir: dir}, true
+	return SocketConfig{Rank: rank, Size: size, Dir: dir}, true
 }
 
 // Socket is one rank's socket endpoint.
 type Socket struct {
 	cfg      SocketConfig
 	listener net.Listener
-	addrFile string // TCP rendezvous artifact to remove on Close ("" for unix)
 
 	h      atomic.Pointer[Handler]
 	closed atomic.Bool
@@ -92,38 +82,20 @@ type peerConn struct {
 	buf  []byte // encode scratch, reused under mu
 }
 
-// Listen creates rank cfg.Rank's endpoint: binds the listener, publishes
-// the rendezvous artifact and starts the accept loop. Call Bind before
+// Listen creates rank cfg.Rank's endpoint: binds the listener on its
+// rendezvous socket file and starts the accept loop. Call Bind before
 // peers are expected to send.
 func Listen(cfg SocketConfig) (*Socket, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = DefaultDialTimeout
 	}
-	switch cfg.Network {
-	case "unix", "tcp":
-	default:
-		return nil, fmt.Errorf("transport: unknown network %q (want unix or tcp)", cfg.Network)
-	}
-	s := &Socket{cfg: cfg, conns: make(map[int]*peerConn), acc: make(map[net.Conn]struct{})}
-	var err error
-	switch cfg.Network {
-	case "unix":
-		path := unixPath(cfg.Dir, cfg.Rank)
-		_ = os.Remove(path) // stale socket from a crashed prior run
-		s.listener, err = net.Listen("unix", path)
-	case "tcp":
-		s.listener, err = net.Listen("tcp", "127.0.0.1:0")
-		if err == nil {
-			s.addrFile = addrPath(cfg.Dir, cfg.Rank)
-			err = publishAddr(s.addrFile, s.listener.Addr().String())
-			if err != nil {
-				s.listener.Close()
-			}
-		}
-	}
+	path := unixPath(cfg.Dir, cfg.Rank)
+	_ = os.Remove(path) // stale socket from a crashed prior run
+	ln, err := net.Listen("unix", path)
 	if err != nil {
 		return nil, fmt.Errorf("transport: rank %d listen: %w", cfg.Rank, err)
 	}
+	s := &Socket{cfg: cfg, listener: ln, conns: make(map[int]*peerConn), acc: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -131,20 +103,6 @@ func Listen(cfg SocketConfig) (*Socket, error) {
 
 func unixPath(dir string, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("rank%d.sock", rank))
-}
-
-func addrPath(dir string, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("rank%d.addr", rank))
-}
-
-// publishAddr writes addr atomically (tmp + rename) so a polling dialer
-// never reads a partial address.
-func publishAddr(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // Rank returns this endpoint's rank.
@@ -250,8 +208,8 @@ func (s *Socket) peer(dst int) *peerConn {
 	return pc
 }
 
-// dial connects to dst, polling the rendezvous directory until its listen
-// address appears (workers start in any order) or the timeout expires.
+// dial connects to dst, polling the rendezvous directory until its socket
+// appears (workers start in any order) or the timeout expires.
 func (s *Socket) dial(dst int) (net.Conn, error) {
 	deadline := time.Now().Add(s.cfg.DialTimeout)
 	backoff := time.Millisecond
@@ -259,18 +217,7 @@ func (s *Socket) dial(dst int) (net.Conn, error) {
 		if s.closed.Load() {
 			return nil, ErrClosed
 		}
-		var conn net.Conn
-		var err error
-		switch s.cfg.Network {
-		case "unix":
-			conn, err = net.DialTimeout("unix", unixPath(s.cfg.Dir, dst), time.Until(deadline))
-		case "tcp":
-			var addr []byte
-			addr, err = os.ReadFile(addrPath(s.cfg.Dir, dst))
-			if err == nil {
-				conn, err = net.DialTimeout("tcp", string(addr), time.Until(deadline))
-			}
-		}
+		conn, err := net.DialTimeout("unix", unixPath(s.cfg.Dir, dst), time.Until(deadline))
 		if err == nil {
 			return conn, nil
 		}
@@ -285,18 +232,15 @@ func (s *Socket) dial(dst int) (net.Conn, error) {
 	}
 }
 
-// Close tears the endpoint down: listener, every dialed and accepted
-// connection, the rendezvous artifact — then joins the accept loop and
-// every reader goroutine. Idempotent.
+// Close tears the endpoint down: listener (which unlinks the socket
+// file), every dialed and accepted connection — then joins the accept
+// loop and every reader goroutine. Idempotent.
 func (s *Socket) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		s.wg.Wait()
 		return nil
 	}
-	s.listener.Close() // unix: unlinks the socket file
-	if s.addrFile != "" {
-		os.Remove(s.addrFile)
-	}
+	s.listener.Close()
 	s.mu.Lock()
 	for _, pc := range s.conns {
 		// Mark never-dialed peers closed so a racing Send fails fast
@@ -326,16 +270,20 @@ type SocketMesh struct {
 	eps []*Socket
 }
 
-// NewSocketMesh listens n in-process endpoints on the given network
-// ("unix" or "tcp") rendezvousing through a fresh temp directory.
+// NewSocketMesh listens n in-process endpoints rendezvousing through a
+// fresh temp directory. Sockets are Unix-domain only: network must be
+// "unix".
 func NewSocketMesh(network string, n int) (*SocketMesh, error) {
+	if network != "unix" {
+		return nil, fmt.Errorf("transport: unsupported network %q (want unix)", network)
+	}
 	dir, err := os.MkdirTemp("", "mpioffload-net-")
 	if err != nil {
 		return nil, err
 	}
 	m := &SocketMesh{dir: dir, eps: make([]*Socket, n)}
 	for i := 0; i < n; i++ {
-		ep, err := Listen(SocketConfig{Network: network, Rank: i, Size: n, Dir: dir})
+		ep, err := Listen(SocketConfig{Rank: i, Size: n, Dir: dir})
 		if err != nil {
 			m.Close()
 			return nil, err

@@ -8,45 +8,46 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mpioffload/internal/obs"
 )
 
-func networks() []string { return []string{"unix", "tcp"} }
-
-// TestSocketMeshPingPong: a frame each way across real kernel sockets on
-// both networks, payload and header intact, counters advancing.
+// TestSocketMeshPingPong: a frame each way across real Unix-domain
+// sockets, payload and header intact, counters advancing; any other
+// network is refused.
 func TestSocketMeshPingPong(t *testing.T) {
-	for _, network := range networks() {
-		network := network
-		t.Run(network, func(t *testing.T) {
-			m, err := NewSocketMesh(network, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			got0, got1 := make(chan Frame, 1), make(chan Frame, 1)
-			m.Endpoint(0).Bind(func(f Frame) { got0 <- f })
-			m.Endpoint(1).Bind(func(f Frame) { got1 <- f })
-
-			ping := Frame{Kind: KindData, Src: 0, Dst: 1, Tag: 9, Flow: FlowID(0, 1), Data: []byte("ping")}
-			if err := m.Endpoint(0).Send(ping); err != nil {
-				t.Fatal(err)
-			}
-			f := recvFrame(t, got1)
-			if f.Src != 0 || f.Tag != 9 || f.Flow != FlowID(0, 1) || string(f.Data) != "ping" {
-				t.Fatalf("rank 1 received %+v", f)
-			}
-			if err := m.Endpoint(1).Send(Frame{Kind: KindData, Src: 1, Dst: 0, Tag: 10, Data: []byte("pong")}); err != nil {
-				t.Fatal(err)
-			}
-			if f := recvFrame(t, got0); string(f.Data) != "pong" {
-				t.Fatalf("rank 0 received %+v", f)
-			}
-			if s := m.Endpoint(0).Stats(); s.FramesSent != 1 || s.FramesRecv != 1 ||
-				s.BytesSent != int64(WireLen(&ping)) {
-				t.Errorf("rank 0 stats %+v", s)
-			}
-		})
+	if _, err := NewSocketMesh("tcp", 2); err == nil {
+		t.Error("NewSocketMesh accepted a non-unix network")
 	}
+	t.Run("unix", func(t *testing.T) {
+		m, err := NewSocketMesh("unix", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		got0, got1 := make(chan Frame, 1), make(chan Frame, 1)
+		m.Endpoint(0).Bind(func(f Frame) { got0 <- f })
+		m.Endpoint(1).Bind(func(f Frame) { got1 <- f })
+
+		ping := Frame{Kind: KindData, Src: 0, Dst: 1, Tag: 9, Flow: obs.FlowID(0, 1), Data: []byte("ping")}
+		if err := m.Endpoint(0).Send(ping); err != nil {
+			t.Fatal(err)
+		}
+		f := recvFrame(t, got1)
+		if f.Src != 0 || f.Tag != 9 || f.Flow != obs.FlowID(0, 1) || string(f.Data) != "ping" {
+			t.Fatalf("rank 1 received %+v", f)
+		}
+		if err := m.Endpoint(1).Send(Frame{Kind: KindData, Src: 1, Dst: 0, Tag: 10, Data: []byte("pong")}); err != nil {
+			t.Fatal(err)
+		}
+		if f := recvFrame(t, got0); string(f.Data) != "pong" {
+			t.Fatalf("rank 0 received %+v", f)
+		}
+		if s := m.Endpoint(0).Stats(); s.FramesSent != 1 || s.FramesRecv != 1 ||
+			s.BytesSent != int64(WireLen(&ping)) {
+			t.Errorf("rank 0 stats %+v", s)
+		}
+	})
 }
 
 func recvFrame(t *testing.T, ch chan Frame) Frame {
@@ -108,46 +109,43 @@ func TestSocketFIFOPerPair(t *testing.T) {
 // neither goroutines nor rendezvous artifacts, and subsequent Sends fail
 // fast with ErrClosed.
 func TestSocketCloseReleasesEverything(t *testing.T) {
-	for _, network := range networks() {
-		network := network
-		t.Run(network, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			m, err := NewSocketMesh(network, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := m.Dir()
-			m.Endpoint(1).Bind(func(Frame) {})
-			// Flood in the background so Close races live writes.
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					m.Endpoint(0).Send(Frame{Kind: KindData, Src: 0, Dst: 1, Data: make([]byte, 512)})
+	t.Run("unix", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		m, err := NewSocketMesh("unix", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := m.Dir()
+		m.Endpoint(1).Bind(func(Frame) {})
+		// Flood in the background so Close races live writes.
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}()
-			time.Sleep(20 * time.Millisecond)
-			if err := m.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
+				m.Endpoint(0).Send(Frame{Kind: KindData, Src: 0, Dst: 1, Data: make([]byte, 512)})
 			}
-			close(stop)
-			wg.Wait()
-			if err := m.Endpoint(0).Send(Frame{Dst: 1}); !errors.Is(err, ErrClosed) {
-				t.Errorf("send after close: %v, want ErrClosed", err)
-			}
-			if _, err := os.Stat(dir); !os.IsNotExist(err) {
-				t.Errorf("rendezvous dir %s survives Close (err=%v)", dir, err)
-			}
-			waitGoroutines(t, before)
-		})
-	}
+		}()
+		time.Sleep(20 * time.Millisecond)
+		if err := m.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		close(stop)
+		wg.Wait()
+		if err := m.Endpoint(0).Send(Frame{Dst: 1}); !errors.Is(err, ErrClosed) {
+			t.Errorf("send after close: %v, want ErrClosed", err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("rendezvous dir %s survives Close (err=%v)", dir, err)
+		}
+		waitGoroutines(t, before)
+	})
 }
 
 // waitGoroutines polls for the goroutine count to return to the baseline
@@ -174,7 +172,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 // bounded, descriptive error instead of hanging.
 func TestSocketDialTimeout(t *testing.T) {
 	dir := t.TempDir()
-	ep, err := Listen(SocketConfig{Network: "unix", Rank: 0, Size: 2, Dir: dir,
+	ep, err := Listen(SocketConfig{Rank: 0, Size: 2, Dir: dir,
 		DialTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +194,7 @@ func TestSocketDialTimeout(t *testing.T) {
 // TestEnvConfig: the cmd/mpirun worker contract round-trips through the
 // environment, and a non-worker process reads ok=false.
 func TestEnvConfig(t *testing.T) {
-	for _, v := range []string{EnvRank, EnvSize, EnvNetwork, EnvRdv} {
+	for _, v := range []string{EnvRank, EnvSize, EnvRdv} {
 		t.Setenv(v, "")
 		os.Unsetenv(v)
 	}
@@ -207,12 +205,8 @@ func TestEnvConfig(t *testing.T) {
 	t.Setenv(EnvSize, "4")
 	t.Setenv(EnvRdv, "/tmp/rdv")
 	cfg, ok := EnvConfig()
-	if !ok || cfg.Rank != 1 || cfg.Size != 4 || cfg.Dir != "/tmp/rdv" || cfg.Network != "unix" {
-		t.Fatalf("EnvConfig = %+v ok=%v (network should default to unix)", cfg, ok)
-	}
-	t.Setenv(EnvNetwork, "tcp")
-	if cfg, _ := EnvConfig(); cfg.Network != "tcp" {
-		t.Fatalf("network override ignored: %+v", cfg)
+	if !ok || cfg.Rank != 1 || cfg.Size != 4 || cfg.Dir != "/tmp/rdv" {
+		t.Fatalf("EnvConfig = %+v ok=%v", cfg, ok)
 	}
 	t.Setenv(EnvRank, "not-a-number")
 	if _, ok := EnvConfig(); ok {
@@ -228,7 +222,7 @@ func TestWorkerPairInProcess(t *testing.T) {
 	dir := t.TempDir()
 	eps := make([]*Socket, 2)
 	for i := range eps {
-		ep, err := Listen(SocketConfig{Network: "unix", Rank: i, Size: 2, Dir: dir})
+		ep, err := Listen(SocketConfig{Rank: i, Size: 2, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

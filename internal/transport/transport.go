@@ -6,9 +6,9 @@
 //     direct function call on the sender's goroutine — the historical rt
 //     "in-process NIC", now behind the interface. It is the default and
 //     the fast path for tests.
-//   - Socket runs each rank over real TCP or Unix-domain sockets, one
-//     rank per OS process if desired (cmd/mpirun spawns workers and the
-//     ranks rendezvous through a shared directory of listen addresses).
+//   - Socket runs each rank over real Unix-domain sockets, one rank per
+//     OS process if desired (cmd/mpirun spawns workers and the ranks
+//     rendezvous through a shared directory of socket files).
 //     The same rt command queue, request pool and offload loop run
 //     unchanged; only the bytes now cross a kernel boundary.
 //
@@ -18,15 +18,14 @@
 //   - Lossy drops, duplicates and reorders the recoverable frame classes
 //     according to a seeded internal/fault plan — deterministic fate
 //     draws, real-network chaos.
-//   - Reliable is the wall-clock twin of the simulator's reliable-delivery
-//     sublayer (internal/proto/rel.go): per-pair sequence numbers,
-//     acks, retransmission with exponential backoff, and exactly-once
-//     in-order delivery through the same reorder core (proto.RelRx) the
-//     simulated engine uses.
+//   - Reliable runs the simulator's reliable-delivery protocol
+//     (proto.RelTx / proto.RelRx — sequencing, acks, the retry policy and
+//     exactly-once in-order delivery, written once) on the wall clock;
+//     it adds only framing, locks and timers.
 //
-// Frames carry the repo-wide causal flow stamp ((src+1)<<32 | seq, see
-// obs.Event.Flow) so cross-process traffic remains traceable with the
-// same tooling as simulated traffic.
+// Frames carry the repo-wide causal flow stamp (obs.FlowID) so
+// cross-process traffic remains traceable with the same tooling as
+// simulated traffic.
 package transport
 
 import (
@@ -174,12 +173,4 @@ func (w *wrappedMesh) Close() error {
 		first = err
 	}
 	return first
-}
-
-// FlowID packs the repo-wide causal flow stamp carried by every protocol
-// message: (src rank + 1) << 32 | seq, never 0 (see obs.Event.Flow). The
-// simulated engine and the real transport stamp identically so traces
-// from either world correlate.
-func FlowID(src int, seq uint64) int64 {
-	return int64(src+1)<<32 | int64(seq&0xFFFFFFFF)
 }

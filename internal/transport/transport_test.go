@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"mpioffload/internal/obs"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
-		{Kind: KindData, Src: 0, Dst: 1, Tag: 7, Flow: FlowID(0, 1), Data: []byte("payload")},
-		{Kind: KindSeq, Src: 3, Dst: 2, Tag: -1, Seq: 1 << 40, Flow: FlowID(3, 99)},
+		{Kind: KindData, Src: 0, Dst: 1, Tag: 7, Flow: obs.FlowID(0, 1), Data: []byte("payload")},
+		{Kind: KindSeq, Src: 3, Dst: 2, Tag: -1, Seq: 1 << 40, Flow: obs.FlowID(3, 99)},
 		{Kind: KindAck, Src: 15, Dst: 0, Seq: 12345},
 		{Kind: KindData, Src: 1, Dst: 0, Tag: 1 << 20, Data: make([]byte, 64<<10)},
 	}
@@ -54,24 +56,12 @@ func TestFrameRejectsCorruptHeader(t *testing.T) {
 	}
 }
 
-func TestFlowID(t *testing.T) {
-	if FlowID(0, 0) == 0 {
-		t.Error("FlowID must never be 0 (0 means unstamped)")
-	}
-	if FlowID(0, 1) == FlowID(1, 1) {
-		t.Error("flow ids collide across src ranks")
-	}
-	if got, want := FlowID(2, 7), int64(3)<<32|7; got != want {
-		t.Errorf("FlowID(2,7) = %#x, want %#x", got, want)
-	}
-}
-
 func TestLoopbackDeliversAndCounts(t *testing.T) {
 	m := NewLoopback(2)
 	defer m.Close()
 	got := make(chan Frame, 1)
 	m.Endpoint(1).Bind(func(f Frame) { got <- f })
-	f := Frame{Kind: KindData, Src: 0, Dst: 1, Tag: 3, Flow: FlowID(0, 1), Data: []byte("hi")}
+	f := Frame{Kind: KindData, Src: 0, Dst: 1, Tag: 3, Flow: obs.FlowID(0, 1), Data: []byte("hi")}
 	if err := m.Endpoint(0).Send(f); err != nil {
 		t.Fatal(err)
 	}

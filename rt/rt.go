@@ -25,7 +25,7 @@
 // backend is the historical in-process "NIC" — each rank's inbox is a
 // lock-free MPMC queue that senders enqueue into directly, payloads
 // copied on send and on receive (the eager protocol's two copies) — while
-// Options.Transport substitutes real TCP or Unix-domain sockets, and
+// Options.Transport substitutes real Unix-domain sockets, and
 // NewWorkerCluster runs each rank as its own OS process (launched by
 // cmd/mpirun, rendezvousing through a shared directory). The command
 // queue, request pool and offload loop are identical over every backend;
@@ -198,7 +198,7 @@ type Options struct {
 	// Transport selects the wire backend for an in-process cluster: nil
 	// runs the default Loopback (direct in-process delivery, the
 	// historical behavior); a socket mesh (transport.NewSocketMesh) moves
-	// every payload through real TCP or Unix-domain sockets, optionally
+	// every payload through real Unix-domain sockets, optionally
 	// wrapped in Lossy/Reliable chaos layers (transport.WrapMesh). The
 	// cluster takes ownership: Close closes the mesh. Its Size must match
 	// the rank count. Multi-process runs use NewWorkerCluster instead.
@@ -769,7 +769,7 @@ func (r *Rank) doSend(slot, dst, tag int, data []byte) {
 			Src:  r.id,
 			Dst:  dst,
 			Tag:  tag,
-			Flow: transport.FlowID(r.id, seq),
+			Flow: obs.FlowID(r.id, seq),
 			Data: data,
 		}
 		if err := r.ep.Send(f); err != nil {

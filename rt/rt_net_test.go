@@ -197,9 +197,7 @@ func TestNetBackendLossyReliable(t *testing.T) {
 		t.Fatal(err)
 	}
 	mesh := transport.WrapMesh(base, func(ep transport.Endpoint) transport.Endpoint {
-		return transport.NewReliable(
-			transport.NewLossy(ep, chaosNetPlan()),
-			transport.RelOptions{})
+		return transport.NewReliable(transport.NewLossy(ep, chaosNetPlan()))
 	})
 	c := NewClusterOpts(2, Offload, Options{Transport: mesh, ShardCount: 4})
 	defer c.Close()
@@ -253,11 +251,11 @@ func TestCloseWithInFlightSocketOps(t *testing.T) {
 	dir := t.TempDir()
 	// The black hole: listens and accepts, but never binds a handler, so
 	// its reader stops pulling and the sender's kernel buffer fills.
-	hole, err := transport.Listen(transport.SocketConfig{Network: "unix", Rank: 1, Size: 2, Dir: dir})
+	hole, err := transport.Listen(transport.SocketConfig{Rank: 1, Size: 2, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := transport.Listen(transport.SocketConfig{Network: "unix", Rank: 0, Size: 2, Dir: dir})
+	ep, err := transport.Listen(transport.SocketConfig{Rank: 0, Size: 2, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

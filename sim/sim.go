@@ -147,9 +147,6 @@ type Result struct {
 	// counters (thread-class attribution, duty cycle, conversions) are
 	// filled only when Config.Trace was attached.
 	Metrics Metrics
-	// RankObs holds each rank's raw tracer counters when Config.Trace was
-	// attached (nil otherwise).
-	RankObs []obs.RankMetrics
 }
 
 // Resilience aggregates the fault, reliable-delivery and watchdog counters
@@ -170,7 +167,7 @@ type Resilience struct {
 	Acks        int64 // acknowledgements sent
 	DupDropped  int64 // duplicate deliveries suppressed
 	OutOfOrder  int64 // arrivals held for reordering
-	Abandoned   int64 // packets given up after MaxRetries
+	Abandoned   int64 // packets given up after the retry budget
 	// Diagnosis (watchdog side).
 	WatchdogTrips int64 // requests failed with ErrTimeout/ErrRankFailed
 }
@@ -466,10 +463,6 @@ func Run(cfg Config, program func(env *Env)) Result {
 	res.Metrics = metricsOf(engs, offs)
 	res.Metrics.Links = linkMetricsOf(fab)
 	if runTrace != nil {
-		res.RankObs = make([]obs.RankMetrics, n)
-		for r, rec := range runTrace.Ranks {
-			res.RankObs[r] = rec.Metrics()
-		}
 		ends := make([]int64, n)
 		for r, t := range res.RankElapsed {
 			ends[r] = int64(t)
