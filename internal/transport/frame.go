@@ -45,6 +45,15 @@ var ErrBadFrame = errors.New("transport: bad frame header")
 // extended slice.
 func AppendFrame(dst []byte, f *Frame) []byte {
 	var h [HeaderLen]byte
+	putHeader(h[:], f)
+	dst = append(dst, h[:]...)
+	return append(dst, f.Data...)
+}
+
+// putHeader encodes f's header into h[:HeaderLen]: the one encoder behind
+// AppendFrame and the socket's batched writer.
+func putHeader(h []byte, f *Frame) {
+	_ = h[HeaderLen-1]
 	binary.LittleEndian.PutUint16(h[0:2], frameMagic)
 	h[2] = frameVersion
 	h[3] = f.Kind
@@ -54,8 +63,29 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	binary.LittleEndian.PutUint64(h[16:24], f.Seq)
 	binary.LittleEndian.PutUint64(h[24:32], uint64(f.Flow))
 	binary.LittleEndian.PutUint32(h[32:36], uint32(len(f.Data)))
-	dst = append(dst, h[:]...)
-	return append(dst, f.Data...)
+}
+
+// decodeHeader parses the header in h[:HeaderLen] and returns the frame
+// (Data unset) and its payload length: the one decoder behind ReadFrame
+// and the socket reader.
+func decodeHeader(h []byte) (Frame, int, error) {
+	_ = h[HeaderLen-1]
+	if binary.LittleEndian.Uint16(h[0:2]) != frameMagic || h[2] != frameVersion {
+		return Frame{}, 0, fmt.Errorf("%w: magic %#x version %d", ErrBadFrame,
+			binary.LittleEndian.Uint16(h[0:2]), h[2])
+	}
+	n := binary.LittleEndian.Uint32(h[32:36])
+	if n > MaxFrameData {
+		return Frame{}, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, n, MaxFrameData)
+	}
+	return Frame{
+		Kind: h[3],
+		Src:  int(int32(binary.LittleEndian.Uint32(h[4:8]))),
+		Dst:  int(int32(binary.LittleEndian.Uint32(h[8:12]))),
+		Tag:  int(int32(binary.LittleEndian.Uint32(h[12:16]))),
+		Seq:  binary.LittleEndian.Uint64(h[16:24]),
+		Flow: int64(binary.LittleEndian.Uint64(h[24:32])),
+	}, int(n), nil
 }
 
 // ReadFrame decodes one frame from r, allocating the payload.
@@ -64,21 +94,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if _, err := io.ReadFull(r, h[:]); err != nil {
 		return Frame{}, err
 	}
-	if binary.LittleEndian.Uint16(h[0:2]) != frameMagic || h[2] != frameVersion {
-		return Frame{}, fmt.Errorf("%w: magic %#x version %d", ErrBadFrame,
-			binary.LittleEndian.Uint16(h[0:2]), h[2])
-	}
-	n := binary.LittleEndian.Uint32(h[32:36])
-	if n > MaxFrameData {
-		return Frame{}, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, n, MaxFrameData)
-	}
-	f := Frame{
-		Kind: h[3],
-		Src:  int(int32(binary.LittleEndian.Uint32(h[4:8]))),
-		Dst:  int(int32(binary.LittleEndian.Uint32(h[8:12]))),
-		Tag:  int(int32(binary.LittleEndian.Uint32(h[12:16]))),
-		Seq:  binary.LittleEndian.Uint64(h[16:24]),
-		Flow: int64(binary.LittleEndian.Uint64(h[24:32])),
+	f, n, err := decodeHeader(h[:])
+	if err != nil {
+		return Frame{}, err
 	}
 	if n > 0 {
 		f.Data = make([]byte, n)

@@ -70,7 +70,7 @@ func (e *loopEndpoint) Send(f Frame) error {
 		return errors.New("transport: destination rank out of range")
 	}
 	n := WireLen(&f)
-	e.noteSend(n)
+	e.noteSend(1, n)
 	dst := e.mesh.eps[f.Dst]
 	if dst.closed.Load() {
 		e.sendErrs.Add(1)

@@ -10,9 +10,18 @@ package transport
 // Rendezvous is a shared directory: rank i listens on the socket file
 // <dir>/rank<i>.sock. Dialers poll for the peer's socket until
 // DialTimeout: workers of a cmd/mpirun launch come up in any order.
+//
+// System calls are the cost of a small frame, so both directions batch.
+// SendBatch writes a whole batch of frames with one writev: headers are
+// encoded into a per-peer arena and payloads are scatter-gathered, never
+// copied. The reader pulls the stream through a readBuf-sized buffer and
+// decodes headers in place, so a flood of small frames costs one read per
+// buffer, not two per frame.
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -73,13 +82,22 @@ type Socket struct {
 	counters
 }
 
+// readBuf is the reader's buffer size: a few hundred small frames per
+// read(2) under a flood.
+const readBuf = 16 << 10
+
 // peerConn is one write-only connection to a peer.
 type peerConn struct {
 	mu   sync.Mutex // serializes writes (agents with different tags share a peer)
 	conn net.Conn
 	err  error // sticky dial failure
 	once sync.Once
-	buf  []byte // encode scratch, reused under mu
+	// Reused under mu: hdr is the header arena, iov the writev vector
+	// (header, payload, header, ...), bufs the copy of it that writev
+	// consumes.
+	hdr  []byte
+	iov  [][]byte
+	bufs net.Buffers
 }
 
 // Listen creates rank cfg.Rank's endpoint: binds the listener on its
@@ -136,6 +154,67 @@ func (s *Socket) acceptLoop() {
 	}
 }
 
+// countedReader counts the reads it makes on the connection under it.
+type countedReader struct {
+	r     io.Reader
+	calls *atomic.Int64
+}
+
+func (c countedReader) Read(p []byte) (int, error) {
+	c.calls.Add(1)
+	return c.r.Read(p)
+}
+
+// frameReader decodes frames out of a buffered stream. Headers are parsed
+// in place from the buffer (Peek/Discard), so a frame costs exactly one
+// allocation, its payload. A payload longer than the buffered bytes is
+// finished straight from the stream into that allocation, so a large
+// frame is not copied twice.
+type frameReader struct {
+	br  *bufio.Reader
+	raw io.Reader
+}
+
+func newFrameReader(raw io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(raw, readBuf), raw: raw}
+}
+
+// next decodes one frame. A stream that ends cleanly between frames
+// returns io.EOF; one that ends inside a frame returns
+// io.ErrUnexpectedEOF.
+func (fr *frameReader) next() (Frame, error) {
+	h, err := fr.br.Peek(HeaderLen)
+	if err != nil {
+		if err == io.EOF && len(h) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return Frame{}, err
+	}
+	f, n, err := decodeHeader(h)
+	if err != nil {
+		return Frame{}, err
+	}
+	_, _ = fr.br.Discard(HeaderLen) // peeked above, so it cannot fail
+	if n == 0 {
+		return f, nil
+	}
+	f.Data = make([]byte, n)
+	// Read takes the buffered bytes without touching the stream, or, with
+	// the buffer empty, reads once (straight into Data if it is at least a
+	// buffer long); the rest, if any, comes straight from the stream.
+	k, err := fr.br.Read(f.Data)
+	if err == nil && k < n {
+		_, err = io.ReadFull(fr.raw, f.Data[k:])
+	}
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Frame{}, err
+	}
+	return f, nil
+}
+
 // readLoop decodes frames off one accepted connection and hands them to
 // the bound handler. A frame that lands before Bind waits briefly — the
 // window only exists between a worker's Listen and Bind calls.
@@ -147,8 +226,9 @@ func (s *Socket) readLoop(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	fr := newFrameReader(countedReader{conn, &s.readCalls})
 	for {
-		f, err := ReadFrame(conn)
+		f, err := fr.next()
 		if err != nil {
 			return // EOF, peer close, or teardown
 		}
@@ -166,34 +246,64 @@ func (s *Socket) readLoop(conn net.Conn) {
 	}
 }
 
-// Send encodes f and writes it to the destination's connection, dialing
-// it on first use. Send blocks when the kernel socket buffer is full —
-// real backpressure, absorbed by the offload agent rather than the
-// application thread.
-func (s *Socket) Send(f Frame) error {
+// Send writes f to the destination's connection: a batch of one.
+func (s *Socket) Send(f Frame) error { return s.SendBatch([]Frame{f}) }
+
+// SendBatch writes fs, which must all share one Dst, to that peer's
+// connection with one writev, dialing it on first use. It blocks when the
+// kernel socket buffer is full — real backpressure, absorbed by the
+// offload agent rather than the application thread.
+func (s *Socket) SendBatch(fs []Frame) error {
+	if len(fs) == 0 {
+		return nil
+	}
 	if s.closed.Load() {
 		s.sendErrs.Add(1)
 		return ErrClosed
 	}
-	if f.Dst < 0 || f.Dst >= s.cfg.Size {
+	dst := fs[0].Dst
+	if dst < 0 || dst >= s.cfg.Size {
 		s.sendErrs.Add(1)
-		return fmt.Errorf("transport: destination rank %d out of range [0,%d)", f.Dst, s.cfg.Size)
+		return fmt.Errorf("transport: destination rank %d out of range [0,%d)", dst, s.cfg.Size)
 	}
-	pc := s.peer(f.Dst)
-	pc.once.Do(func() { pc.conn, pc.err = s.dial(f.Dst) })
+	pc := s.peer(dst)
+	pc.once.Do(func() { pc.conn, pc.err = s.dial(dst) })
 	if pc.err != nil {
 		s.sendErrs.Add(1)
 		return pc.err
 	}
+	bytes := 0
+	for i := range fs {
+		if fs[i].Dst != dst {
+			s.sendErrs.Add(1)
+			return fmt.Errorf("transport: batch mixes destinations %d and %d", dst, fs[i].Dst)
+		}
+		bytes += WireLen(&fs[i])
+	}
 	pc.mu.Lock()
-	pc.buf = AppendFrame(pc.buf[:0], &f)
-	_, err := pc.conn.Write(pc.buf)
+	if need := len(fs) * HeaderLen; cap(pc.hdr) < need {
+		pc.hdr = make([]byte, need)
+	}
+	iov := pc.iov[:0]
+	for i := range fs {
+		h := pc.hdr[i*HeaderLen : (i+1)*HeaderLen : (i+1)*HeaderLen]
+		putHeader(h, &fs[i])
+		iov = append(iov, h)
+		if len(fs[i].Data) > 0 {
+			iov = append(iov, fs[i].Data)
+		}
+	}
+	pc.bufs = iov
+	_, err := pc.bufs.WriteTo(pc.conn)
+	clear(iov) // drop the payload references
+	pc.iov = iov[:0]
 	pc.mu.Unlock()
+	s.writeCalls.Add(1)
 	if err != nil {
 		s.sendErrs.Add(1)
 		return err
 	}
-	s.noteSend(HeaderLen + len(f.Data))
+	s.noteSend(len(fs), bytes)
 	return nil
 }
 

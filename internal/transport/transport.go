@@ -10,7 +10,10 @@
 //     OS process if desired (cmd/mpirun spawns workers and the ranks
 //     rendezvous through a shared directory of socket files).
 //     The same rt command queue, request pool and offload loop run
-//     unchanged; only the bytes now cross a kernel boundary.
+//     unchanged; only the bytes now cross a kernel boundary. A batch of
+//     frames for one peer leaves in one writev, and the reader decodes
+//     frames out of a buffer, so a flood costs a few system calls per
+//     hundred frames instead of three per frame.
 //
 // Two composable wrappers turn a well-behaved backend into a hostile one
 // and back:
@@ -60,10 +63,14 @@ type Frame struct {
 type Handler func(f Frame)
 
 // Stats is a point-in-time snapshot of an endpoint's traffic counters.
+// WriteCalls and ReadCalls count the system calls a socket endpoint makes
+// on its connections (one per writev, one per read under the reader's
+// buffer); in-process backends report 0.
 type Stats struct {
 	FramesSent, BytesSent int64
 	FramesRecv, BytesRecv int64
 	SendErrs              int64
+	WriteCalls, ReadCalls int64
 }
 
 // Add accumulates o into s.
@@ -73,6 +80,8 @@ func (s *Stats) Add(o Stats) {
 	s.FramesRecv += o.FramesRecv
 	s.BytesRecv += o.BytesRecv
 	s.SendErrs += o.SendErrs
+	s.WriteCalls += o.WriteCalls
+	s.ReadCalls += o.ReadCalls
 }
 
 // counters is the shared atomic implementation behind Stats.
@@ -80,10 +89,11 @@ type counters struct {
 	framesSent, bytesSent atomic.Int64
 	framesRecv, bytesRecv atomic.Int64
 	sendErrs              atomic.Int64
+	writeCalls, readCalls atomic.Int64
 }
 
-func (c *counters) noteSend(n int) {
-	c.framesSent.Add(1)
+func (c *counters) noteSend(frames, n int) {
+	c.framesSent.Add(int64(frames))
 	c.bytesSent.Add(int64(n))
 }
 
@@ -99,6 +109,8 @@ func (c *counters) snapshot() Stats {
 		FramesRecv: c.framesRecv.Load(),
 		BytesRecv:  c.bytesRecv.Load(),
 		SendErrs:   c.sendErrs.Load(),
+		WriteCalls: c.writeCalls.Load(),
+		ReadCalls:  c.readCalls.Load(),
 	}
 }
 
@@ -108,10 +120,15 @@ func (c *counters) snapshot() Stats {
 // backend has accepted the frame (Loopback: delivered; Socket: written to
 // the kernel). Ownership of f.Data passes to the transport. A Send after
 // Close (or to a vanished peer) returns an error; the frame is dropped.
+// An endpoint may also implement Batcher; callers with several frames for
+// one peer go through SendBatch, which uses it when present. Socket does,
+// and its Send is a batch of one.
 //
 // Bind installs the delivery upcall and must happen before traffic is
 // expected; frames arriving with no handler bound wait (Socket) or are
-// dropped (Loopback).
+// dropped (Loopback). Socket's per-connection reader pulls bytes through
+// a 16 KiB buffer and decodes headers in place, reading a payload longer
+// than the buffered bytes straight into the frame's own allocation.
 //
 // Close is idempotent. It tears down every connection, listener and
 // goroutine the endpoint owns and blocks until they are gone — no leaked
@@ -123,6 +140,31 @@ type Endpoint interface {
 	Bind(h Handler)
 	Close() error
 	Stats() Stats
+}
+
+// Batcher is implemented by endpoints that can put several frames on the
+// wire in one call. SendBatch has Send's contract for every frame in fs,
+// which must all share one Dst; they leave in order, and the frames are
+// accepted or refused together. It is deliberately not part of Endpoint:
+// a wrapper that embeds an Endpoint and overrides Send must not have a
+// promoted SendBatch route frames around its Send.
+type Batcher interface {
+	SendBatch(fs []Frame) error
+}
+
+// SendBatch sends fs, which all share one Dst, through ep: in one call
+// when ep is a Batcher, else frame by frame through Send, stopping at the
+// first error. Loopback and the wrappers take the per-frame path.
+func SendBatch(ep Endpoint, fs []Frame) error {
+	if b, ok := ep.(Batcher); ok {
+		return b.SendBatch(fs)
+	}
+	for _, f := range fs {
+		if err := ep.Send(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Mesh is a set of same-process endpoints, one per rank: the form every

@@ -29,7 +29,11 @@
 // NewWorkerCluster runs each rank as its own OS process (launched by
 // cmd/mpirun, rendezvousing through a shared directory). The command
 // queue, request pool and offload loop are identical over every backend;
-// only doSend and the delivery upcall touch the wire.
+// only the wire calls differ. In Offload mode the agent stages each drained
+// send and, after the batch, flushes every destination's frames with one
+// transport call (one writev on a socket); Direct mode's doSend writes one
+// frame per call under the lock. Those and the delivery upcall are all
+// that touch the wire.
 //
 // Matching is exact (communicator, tag, source) — the wildcard-free common
 // case — and non-overtaking per (source, tag) because the inbox preserves
@@ -754,30 +758,111 @@ func (r *Rank) getSlot() int {
 	}
 }
 
-// doSend runs in engine context (offload goroutine, or under the lock)
-// and hands the payload to the wire as a flow-stamped frame. A send to a
-// dead rank completes locally — the eager payload was accepted by the
-// transport — but goes nowhere (sending into a dead rank's NIC would
-// wedge the sender's engine once nothing drains it); a transport hard
-// error marks the peer down the same way, so later operations fail fast
-// instead of re-timing-out one by one.
+// frame wraps a payload for dst as a data frame stamped with this rank's
+// next flow id.
+func (r *Rank) frame(dst, tag int, data []byte) transport.Frame {
+	return transport.Frame{
+		Kind: transport.KindData,
+		Src:  r.id,
+		Dst:  dst,
+		Tag:  tag,
+		Flow: obs.FlowID(r.id, r.flowSeq.Add(1)),
+		Data: data,
+	}
+}
+
+// doSend is Direct mode's send, run under the lock: one frame, one
+// transport call. A send to a dead rank completes locally — the eager
+// payload was accepted by the transport — but goes nowhere (sending into a
+// dead rank's NIC would wedge the sender's engine once nothing drains it);
+// a transport hard error marks the peer down the same way, so later
+// operations fail fast instead of re-timing-out one by one. The offload
+// agent applies the same rules per destination in flush.
 func (r *Rank) doSend(slot, dst, tag int, data []byte) {
 	if !r.cluster.peerDown[dst].Load() {
-		seq := r.flowSeq.Add(1)
-		f := transport.Frame{
-			Kind: transport.KindData,
-			Src:  r.id,
-			Dst:  dst,
-			Tag:  tag,
-			Flow: obs.FlowID(r.id, seq),
-			Data: data,
-		}
-		if err := r.ep.Send(f); err != nil {
+		if err := r.ep.Send(r.frame(dst, tag, data)); err != nil {
 			r.cluster.peerDown[dst].Store(true)
 		}
 	}
 	r.pool.SetDone(slot)
 	r.wakeWaiters()
+}
+
+// staged is a send the offload agent has drained but not yet written.
+type staged struct {
+	f       transport.Frame
+	slot    int
+	startNs int64 // dequeue stamp for the service histogram; 0 = stats off
+}
+
+// outbox is the offload agent's send staging, reused across drain batches.
+type outbox struct {
+	sends  []staged
+	frames []transport.Frame // flush's scratch: one destination's frames
+}
+
+// serve runs one drain batch (engine context): receives are matched at
+// once, sends are staged in command order and flushed after the batch.
+func (r *Rank) serve(batch []cmd, ob *outbox) {
+	for i := range batch {
+		c := &batch[i]
+		var startNs int64
+		if c.enqNs != 0 {
+			startNs = time.Now().UnixNano()
+			r.qwaitH.Observe(startNs - c.enqNs)
+		}
+		switch c.kind {
+		case cmdSend:
+			ob.sends = append(ob.sends, staged{f: r.frame(c.peer, c.tag, c.buf), slot: c.slot, startNs: startNs})
+		case cmdRecv:
+			r.doRecv(c.slot, c.peer, c.tag, c.buf)
+			if startNs != 0 {
+				r.serviceH.Observe(time.Now().UnixNano() - startNs)
+			}
+		}
+		c.buf = nil // release the payload reference
+	}
+	if len(ob.sends) > 0 {
+		r.flush(ob)
+	}
+}
+
+// flush writes the staged sends: each destination's frames, in command
+// order, go to the transport in one call, and only then do their handles
+// complete — Isend's "accepted by the transport" contract. Every payload
+// reference is dropped before it returns.
+func (r *Rank) flush(ob *outbox) {
+	out := ob.sends
+	for i := range out {
+		dst := out[i].f.Dst
+		if dst < 0 {
+			continue // flushed with an earlier destination's frames
+		}
+		frames := ob.frames[:0]
+		for j := i; j < len(out); j++ {
+			if out[j].f.Dst == dst {
+				frames = append(frames, out[j].f)
+			}
+		}
+		if !r.cluster.peerDown[dst].Load() {
+			if err := transport.SendBatch(r.ep, frames); err != nil {
+				r.cluster.peerDown[dst].Store(true)
+			}
+		}
+		clear(frames)
+		ob.frames = frames[:0]
+		for j := i; j < len(out); j++ {
+			if s := &out[j]; s.f.Dst == dst {
+				r.pool.SetDone(s.slot)
+				r.wakeWaiters()
+				if s.startNs != 0 {
+					r.serviceH.Observe(time.Now().UnixNano() - s.startNs)
+				}
+				s.f = transport.Frame{Dst: -1}
+			}
+		}
+	}
+	ob.sends = out[:0]
 }
 
 // wakeWaiters rings the completion doorbell when any Wait is parked.
@@ -871,31 +956,18 @@ func (r *Rank) drain() {
 // offloadLoop is the rank's dedicated communication goroutine (§3): it
 // alone touches the matching engine — no locks anywhere. Each wakeup drains
 // up to batchMax commands, walking only the occupied submission shards,
-// then lands whatever the transport delivered.
+// flushes the batch's sends one transport call per destination, then
+// lands whatever the transport delivered.
 func (r *Rank) offloadLoop() {
 	defer r.cluster.wg.Done()
 	batch := make([]cmd, r.cluster.batchMax)
+	ob := &outbox{sends: make([]staged, 0, r.cluster.batchMax)}
 	var idle spin
 	for !r.stop.Load() {
 		r.Polls.Add(1)
 		n := r.cq.DequeueBatch(batch)
-		for i := range batch[:n] {
-			c := &batch[i]
-			var startNs int64
-			if c.enqNs != 0 {
-				startNs = time.Now().UnixNano()
-				r.qwaitH.Observe(startNs - c.enqNs)
-			}
-			switch c.kind {
-			case cmdSend:
-				r.doSend(c.slot, c.peer, c.tag, c.buf)
-			case cmdRecv:
-				r.doRecv(c.slot, c.peer, c.tag, c.buf)
-			}
-			if startNs != 0 {
-				r.serviceH.Observe(time.Now().UnixNano() - startNs)
-			}
-			c.buf = nil // release the payload reference
+		if n > 0 {
+			r.serve(batch[:n], ob)
 		}
 		worked := n > 0
 		if !r.inbox.Empty() {
