@@ -18,10 +18,10 @@
 #                     chaos, net): a -quick sweep through cmd/paper into /tmp,
 #                     the validator on that file and on the committed file
 #                     (whose full-size rows carry the gates: sharded <= shared
-#                     and 2 agents >= 1.2x at 16 threads; hier < ring at
-#                     >= 1 MiB on the 2:1 fat-tree; zero chaos violations and
-#                     trace drops; offload >= direct at 16 threads on every
-#                     backend), then a benchdiff self-diff of the committed
+#                     at 16 threads; hier < ring at >= 1 MiB on the 2:1
+#                     fat-tree; zero chaos violations and trace drops;
+#                     offload >= direct at 16 threads on every backend),
+#                     then a benchdiff self-diff of the committed
 #                     file. `make mtscale-smoke` etc. run one document.
 #   make critpath-smoke  tiny traced Fig 7a run piped through cmd/tracetool
 #                     -check: fails unless every run's critical-path

@@ -157,11 +157,10 @@ func TestThreadGroupsProduceSaneTimes(t *testing.T) {
 }
 
 // TestComputeTimeMatchesEnvCompute: the Dslash model charges compute at the
-// rate Env.Compute uses, including when the offload engine runs two agents
-// and so gives up two threads' share.
+// rate Env.Compute uses, including when a dedicated communication thread
+// gives up its share.
 func TestComputeTimeMatchesEnvCompute(t *testing.T) {
 	p := model.Endeavor()
-	p.Agents = 2
 	for _, a := range []sim.Approach{sim.Baseline, sim.CommSelf, sim.Offload} {
 		sim.Run(sim.Config{Ranks: 1, Approach: a, Profile: p}, func(env *sim.Env) {
 			const flops = 1e10

@@ -289,15 +289,13 @@ type MTScaleResult struct {
 	MeanBatch float64 `json:"mean_batch"`
 }
 
-// mtPosts is the workload of both scaling sweeps: on two ranks under
+// mtPosts is the enqueue-scaling sweep's workload: on two ranks under
 // MPI_THREAD_MULTIPLE, `threads` threads of rank 0 each post `iters`
-// 64-byte Isends against matching Irecvs on rank 1 — waiting for each
-// before the next, or (batched) posting all back-to-back and waiting at
-// the end, so the offload agents rather than slot recycling are the
-// bottleneck. It returns the mean time inside Isend and the run.
-func mtPosts(cfg sim.Config, threads, iters int, batched bool) (post float64, res sim.Result) {
+// 64-byte Isends against matching Irecvs on rank 1, waiting for each
+// before the next. It returns the mean time inside Isend and the run.
+func mtPosts(cfg sim.Config, threads, iters int) (post float64, res sim.Result) {
 	// A trace recorder activates the offload thread's duty-cycle
-	// accounting, which is where MeanBatch and the duty split come from.
+	// accounting, which is where MeanBatch comes from.
 	cfg.Trace = obs.NewTrace(obs.Options{})
 	res = Run(cfg, func(env *Env) {
 		perThread := make([]float64, threads)
@@ -305,24 +303,17 @@ func mtPosts(cfg sim.Config, threads, iters int, batched bool) (post float64, re
 			c := th.Comm
 			buf := make([]byte, 64)
 			tagBase := 10_000 * (th.ID + 1)
-			reqs := make([]mpi.Request, iters)
 			sum := 0.0
-			for i := range reqs {
+			for i := 0; i < iters; i++ {
+				var req mpi.Request
 				if env.Rank() == 0 {
 					t0 := th.Now()
-					reqs[i] = c.Isend(buf, 1, tagBase+i)
+					req = c.Isend(buf, 1, tagBase+i)
 					sum += float64(th.Now() - t0)
 				} else {
-					reqs[i] = c.Irecv(buf, 0, tagBase+i)
+					req = c.Irecv(buf, 0, tagBase+i)
 				}
-				if !batched {
-					c.Wait(&reqs[i])
-				}
-			}
-			if batched {
-				for i := range reqs {
-					c.Wait(&reqs[i])
-				}
+				c.Wait(&req)
 			}
 			perThread[th.ID] = sum
 		})
@@ -343,62 +334,8 @@ func MTPostScaling(cfg sim.Config, threadCounts []int, iters int) []MTScaleResul
 	cfg.ThreadLevel = sim.Multiple
 	out := make([]MTScaleResult, 0, len(threadCounts))
 	for _, threads := range threadCounts {
-		post, res := mtPosts(cfg, threads, iters, false)
+		post, res := mtPosts(cfg, threads, iters)
 		out = append(out, MTScaleResult{Threads: threads, PostNs: post, MeanBatch: res.Metrics.MeanBatch()})
-	}
-	return out
-}
-
-// MTAgentCell is one (threads, agents) cell of the agent-scaling sweep:
-// post cost, drain batching, the offload agents' duty-cycle split, polling
-// efficiency, and completion throughput in virtual time. PostsPerMs is the
-// figure the multi-agent engine moves: with a saturated single agent,
-// adding a second (each owning half the submission shards and its own
-// request pool) nearly doubles the service rate, while PostNs stays flat
-// at EnqueueCost — submission was never the bottleneck.
-type MTAgentCell struct {
-	Threads            int     `json:"threads"`
-	Agents             int     `json:"agents"`
-	PostNs             float64 `json:"post_ns"`
-	MeanBatch          float64 `json:"mean_batch"`
-	DutyIssue          float64 `json:"duty_issue"`
-	DutyProgress       float64 `json:"duty_progress"`
-	DutyIdle           float64 `json:"duty_idle"`
-	PollsPerCompletion float64 `json:"polls_per_completion"`
-	PostsPerMs         float64 `json:"posts_per_ms"`
-}
-
-// MTAgentScaling runs the threads × agents grid with batched posts (see
-// mtPosts). Cells are emitted in (threads, agents) ascending order, the
-// order the validator requires.
-func MTAgentScaling(cfg sim.Config, threadCounts, agentCounts []int, iters int) []MTAgentCell {
-	cfg = interNode(cfg)
-	cfg.Ranks = 2
-	cfg.ThreadLevel = sim.Multiple
-	base := cfg.Profile
-	out := make([]MTAgentCell, 0, len(threadCounts)*len(agentCounts))
-	for _, threads := range threadCounts {
-		for _, agents := range agentCounts {
-			p := *base
-			p.Agents = agents
-			cfg.Profile = &p
-			post, res := mtPosts(cfg, threads, iters, true)
-			di, dp, dl := res.Metrics.DutyCycle()
-			cell := MTAgentCell{
-				Threads:            threads,
-				Agents:             agents,
-				PostNs:             post,
-				MeanBatch:          res.Metrics.MeanBatch(),
-				DutyIssue:          di,
-				DutyProgress:       dp,
-				DutyIdle:           dl,
-				PollsPerCompletion: res.Metrics.PollsPerCompletion(),
-			}
-			if res.Elapsed > 0 {
-				cell.PostsPerMs = float64(res.Metrics.Completed) / (float64(res.Elapsed) / 1e6)
-			}
-			out = append(out, cell)
-		}
 	}
 	return out
 }

@@ -121,23 +121,17 @@ func (l *metricList) add(class Class, dir Direction, val float64, format string,
 }
 
 // GateThreads is the thread count whose rows carry the wall-clock perf
-// gates of mtscale/v2 and net/v1: the saturated end of the sweep.
+// gates of mtscale/v3 and net/v1: the saturated end of the sweep.
 // Documents without such rows (quick sweeps) get structural validation
 // only.
 const GateThreads = 16
 
-// ---- mtscale/v2 ----
+// ---- mtscale/v3 ----
 
 // MTScaleSchema versions BENCH_mtscale.json; bump on incompatible change.
-// v2 adds the threads × agents sweep (post cost, duty cycle, polling
-// efficiency, completion throughput per cell) and the perf gates the
-// validator applies to full-size documents.
-const MTScaleSchema = "mtscale/v2"
-
-// agentSpeedupMin is the perf gate on the saturated cell: with every
-// submission thread flooding a 16-thread workload, two agents must deliver
-// at least this much more completion throughput than one.
-const agentSpeedupMin = 1.2
+// v3 drops v2's threads × agents grid: the offload engine runs one agent
+// per rank.
+const MTScaleSchema = "mtscale/v3"
 
 // RTScaleRow is one thread count of the wall-clock sweep: mean ns an
 // application goroutine spends inside Isend, posting through a private
@@ -155,16 +149,14 @@ type MTScaleReport struct {
 	Profile string          `json:"profile"`
 	Sim     []MTScaleResult `json:"sim"`
 	RT      []RTScaleRow    `json:"rt"`
-	Agents  []MTAgentCell   `json:"agents"`
 }
 
 func (r *MTScaleReport) Tag() string { return r.Schema }
 
 // Validate checks the report's structure — schema tag, non-empty sweeps,
 // ascending axes, positive measurements — and, on documents that reach
-// the saturated GateThreads cell, the two perf gates: the sharded
-// wall-clock post must not be slower than the shared-MPMC post, and two
-// agents must beat one by agentSpeedupMin on completion throughput.
+// the saturated GateThreads row, the perf gate: the sharded wall-clock
+// post must not be slower than the shared-MPMC post.
 func (r *MTScaleReport) Validate() error {
 	if r.Schema != MTScaleSchema {
 		return fmt.Errorf("schema %q, want %q", r.Schema, MTScaleSchema)
@@ -172,24 +164,14 @@ func (r *MTScaleReport) Validate() error {
 	if r.Profile == "" {
 		return fmt.Errorf("missing profile")
 	}
-	if len(r.Sim) == 0 || len(r.RT) == 0 || len(r.Agents) == 0 {
-		return fmt.Errorf("empty sweep: %d sim rows, %d rt rows, %d agent cells",
-			len(r.Sim), len(r.RT), len(r.Agents))
+	if len(r.Sim) == 0 || len(r.RT) == 0 {
+		return fmt.Errorf("empty sweep: %d sim rows, %d rt rows", len(r.Sim), len(r.RT))
 	}
 	if !sort.SliceIsSorted(r.Sim, func(i, j int) bool { return r.Sim[i].Threads < r.Sim[j].Threads }) {
 		return fmt.Errorf("sim thread counts not ascending")
 	}
 	if !sort.SliceIsSorted(r.RT, func(i, j int) bool { return r.RT[i].Threads < r.RT[j].Threads }) {
 		return fmt.Errorf("rt thread counts not ascending")
-	}
-	if !sort.SliceIsSorted(r.Agents, func(i, j int) bool {
-		a, b := r.Agents[i], r.Agents[j]
-		if a.Threads != b.Threads {
-			return a.Threads < b.Threads
-		}
-		return a.Agents < b.Agents
-	}) {
-		return fmt.Errorf("agent cells not in (threads, agents) ascending order")
 	}
 	for _, s := range r.Sim {
 		if s.Threads < 1 || s.PostNs <= 0 || s.MeanBatch < 1 {
@@ -205,36 +187,6 @@ func (r *MTScaleReport) Validate() error {
 				w.ShardedNsPerPost, w.SharedNsPerPost, GateThreads)
 		}
 	}
-	var one, two float64 // saturated-row throughput with 1 and 2 agents
-	for _, c := range r.Agents {
-		// PollsPerCompletion may legitimately be zero: a saturated eager
-		// workload completes every command inline at issue, so the agents
-		// never reach a Testany round.
-		if c.Threads < 1 || c.Agents < 1 || c.PostNs <= 0 || c.MeanBatch < 1 ||
-			c.PollsPerCompletion < 0 || c.PostsPerMs <= 0 {
-			return fmt.Errorf("bad agent cell %+v", c)
-		}
-		for _, d := range []float64{c.DutyIssue, c.DutyProgress, c.DutyIdle} {
-			if d < 0 || d > 1 {
-				return fmt.Errorf("duty fraction out of range in %+v", c)
-			}
-		}
-		if c.Threads == GateThreads && c.Agents == 1 {
-			one = c.PostsPerMs
-		}
-		if c.Threads == GateThreads && c.Agents == 2 {
-			two = c.PostsPerMs
-		}
-	}
-	if one > 0 || two > 0 {
-		if one <= 0 || two <= 0 {
-			return fmt.Errorf("perf gate: %d-thread row needs both 1- and 2-agent cells", GateThreads)
-		}
-		if speedup := two / one; speedup < agentSpeedupMin {
-			return fmt.Errorf("perf gate: 2 agents give %.2fx throughput at %d threads, want ≥ %.1fx",
-				speedup, GateThreads, agentSpeedupMin)
-		}
-	}
 	return nil
 }
 
@@ -247,11 +199,6 @@ func (r *MTScaleReport) Metrics() []Metric {
 	for _, w := range r.RT {
 		l.add(Wall, LowerBetter, w.ShardedNsPerPost, "rt.sharded_ns_per_post{threads=%d}", w.Threads)
 		l.add(Wall, LowerBetter, w.SharedNsPerPost, "rt.shared_ns_per_post{threads=%d}", w.Threads)
-	}
-	for _, c := range r.Agents {
-		l.add(Virtual, LowerBetter, c.PostNs, "agents.post_ns{threads=%d,agents=%d}", c.Threads, c.Agents)
-		l.add(Virtual, HigherBetter, c.PostsPerMs, "agents.posts_per_ms{threads=%d,agents=%d}", c.Threads, c.Agents)
-		l.add(Info, HigherBetter, c.DutyIssue+c.DutyProgress, "agents.duty{threads=%d,agents=%d}", c.Threads, c.Agents)
 	}
 	return l
 }

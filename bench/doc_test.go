@@ -22,11 +22,10 @@ func on[T Doc](f func(T)) func(Doc) { return func(d Doc) { f(d.(T)) } }
 
 var docCases = map[string]docCase{
 	MTScaleSchema: {goodMTScale, map[string]func(Doc){
-		"wrong schema":    on(func(r *MTScaleReport) { r.Schema = "mtscale/v1" }),
+		"wrong schema":    on(func(r *MTScaleReport) { r.Schema = "mtscale/v2" }),
 		"missing profile": on(func(r *MTScaleReport) { r.Profile = "" }),
 		"empty sim":       on(func(r *MTScaleReport) { r.Sim = nil }),
 		"empty rt":        on(func(r *MTScaleReport) { r.RT = nil }),
-		"empty agents":    on(func(r *MTScaleReport) { r.Agents = nil }),
 		"zero post":       on(func(r *MTScaleReport) { r.Sim[0].PostNs = 0 }),
 		"zero batch":      on(func(r *MTScaleReport) { r.Sim[0].MeanBatch = 0 }),
 		"negative rt":     on(func(r *MTScaleReport) { r.RT[0].ShardedNsPerPost = -1 }),
@@ -34,19 +33,8 @@ var docCases = map[string]docCase{
 			r.Sim = append(r.Sim, MTScaleResult{Threads: 1, PostNs: 140, MeanBatch: 1})
 			r.Sim[0].Threads = 2
 		}),
-		"agent cells out of order": on(func(r *MTScaleReport) {
-			r.Agents[1], r.Agents[2] = r.Agents[2], r.Agents[1]
-		}),
-		"duty fraction out of range": on(func(r *MTScaleReport) { r.Agents[0].DutyIdle = 1.5 }),
-		"zero throughput":            on(func(r *MTScaleReport) { r.Agents[0].PostsPerMs = 0 }),
 		"perf gate: sharded slower than shared at 16": on(func(r *MTScaleReport) {
 			r.RT[1].ShardedNsPerPost = r.RT[1].SharedNsPerPost + 1
-		}),
-		"perf gate: agent speedup below 1.2x": on(func(r *MTScaleReport) {
-			r.Agents[2].PostsPerMs = r.Agents[1].PostsPerMs * 1.1
-		}),
-		"perf gate: missing 1-agent cell at 16": on(func(r *MTScaleReport) {
-			r.Agents = []MTAgentCell{agentCell(16, 2, 150)}
 		}),
 	}},
 	TopoSchema: {goodTopo, map[string]func(Doc){
@@ -100,14 +88,6 @@ var docCases = map[string]docCase{
 	}},
 }
 
-func agentCell(threads, agents int, postsPerMs float64) MTAgentCell {
-	return MTAgentCell{
-		Threads: threads, Agents: agents, PostNs: 140, MeanBatch: 1,
-		DutyIssue: 0.3, DutyProgress: 0.3, DutyIdle: 0.4,
-		PollsPerCompletion: 2, PostsPerMs: postsPerMs,
-	}
-}
-
 func goodMTScale() Doc {
 	return &MTScaleReport{
 		Schema:  MTScaleSchema,
@@ -117,7 +97,6 @@ func goodMTScale() Doc {
 			{Threads: 1, ShardedNsPerPost: 100, SharedNsPerPost: 110},
 			{Threads: 16, ShardedNsPerPost: 120, SharedNsPerPost: 400},
 		},
-		Agents: []MTAgentCell{agentCell(1, 1, 50), agentCell(16, 1, 100), agentCell(16, 2, 150)},
 	}
 }
 

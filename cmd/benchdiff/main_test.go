@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,30 +13,35 @@ import (
 )
 
 var oldMTScale = []byte(`{
-  "schema": "mtscale/v2",
+  "schema": "mtscale/v3",
   "profile": "test",
   "sim": [{"threads": 1, "post_ns": 140, "mean_batch": 1},
           {"threads": 16, "post_ns": 140, "mean_batch": 13.7}],
-  "rt": [{"threads": 16, "sharded_ns_per_post": 65, "shared_ns_per_post": 68}],
-  "agents": [{"threads": 16, "agents": 2, "post_ns": 140, "mean_batch": 6.7,
-              "duty_issue": 0.5, "duty_progress": 0.1, "duty_idle": 0.4,
-              "polls_per_completion": 0.5, "posts_per_ms": 6000}]
+  "rt": [{"threads": 16, "sharded_ns_per_post": 65, "shared_ns_per_post": 68}]
 }`)
 
-// newMTScaleRegressed degrades three metrics, each past its band in its
-// own class: a 30% virtual post-cost blowup (band 10%), a 50% wall-clock
-// blowup (band 35%), and a 20% throughput loss on a higher-is-better
-// virtual metric.
+// newMTScaleRegressed degrades two lower-is-better metrics, each past its
+// band in its own class: a 30% virtual post-cost blowup (band 10%) and a
+// 50% wall-clock blowup (band 35%).
 var newMTScaleRegressed = []byte(`{
-  "schema": "mtscale/v2",
+  "schema": "mtscale/v3",
   "profile": "test",
   "sim": [{"threads": 1, "post_ns": 140, "mean_batch": 1},
           {"threads": 16, "post_ns": 182, "mean_batch": 13.7}],
-  "rt": [{"threads": 16, "sharded_ns_per_post": 98, "shared_ns_per_post": 68}],
-  "agents": [{"threads": 16, "agents": 2, "post_ns": 140, "mean_batch": 6.7,
-              "duty_issue": 0.5, "duty_progress": 0.1, "duty_idle": 0.4,
-              "polls_per_completion": 0.5, "posts_per_ms": 4800}]
+  "rt": [{"threads": 16, "sharded_ns_per_post": 98, "shared_ns_per_post": 68}]
 }`)
+
+// netRate is a one-row net/v1 document whose 16-thread offload rate is
+// offload16 messages per second.
+func netRate(offload16 int) []byte {
+	return []byte(fmt.Sprintf(`{
+  "schema": "net/v1",
+  "backends": [{"backend": "unix",
+    "pingpong": [{"size": 8, "latency_ns": 21000}],
+    "rate": [{"threads": 16, "direct_msgs_per_sec": 300000,
+              "offload_msgs_per_sec": %d}]}]
+}`, offload16))
+}
 
 func writeTemp(t *testing.T, name string, data []byte) string {
 	t.Helper()
@@ -46,25 +52,36 @@ func writeTemp(t *testing.T, name string, data []byte) string {
 	return p
 }
 
+// TestSyntheticRegression: one regression per way a metric can regress —
+// a lower-is-better virtual and wall-clock metric growing past their
+// bands (mtscale/v3), and a higher-is-better wall-clock rate falling past
+// its band (net/v1: a 40% offload throughput loss, band 35%).
 func TestSyntheticRegression(t *testing.T) {
-	oldDoc, err := bench.LoadDoc(writeTemp(t, "old.json", oldMTScale))
-	if err != nil {
-		t.Fatal(err)
+	tol := tolerances{virtual: 0.10, wall: 0.35}
+	var rows []diffRow
+	for _, pair := range [][2][]byte{
+		{oldMTScale, newMTScaleRegressed},
+		{netRate(330000), netRate(198000)},
+	} {
+		oldDoc, err := bench.LoadDoc(writeTemp(t, "old.json", pair[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newDoc, err := bench.LoadDoc(writeTemp(t, "new.json", pair[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, diffMetrics(oldDoc.Metrics(), newDoc.Metrics(), tol)...)
 	}
-	newDoc, err := bench.LoadDoc(writeTemp(t, "new.json", newMTScaleRegressed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := diffMetrics(oldDoc.Metrics(), newDoc.Metrics(), tolerances{virtual: 0.10, wall: 0.35})
 	var buf bytes.Buffer
-	regressions := writeTable(&buf, "mtscale/v2", "old", "new", rows)
+	regressions := writeTable(&buf, "synthetic", "old", "new", rows)
 	if regressions != 3 {
 		t.Fatalf("synthetic diff found %d regressions, want 3:\n%s", regressions, buf.String())
 	}
 	for _, want := range []string{
 		"sim.post_ns{threads=16}",
 		"rt.sharded_ns_per_post{threads=16}",
-		"agents.posts_per_ms{threads=16,agents=2}",
+		"net.offload_msgs_per_sec{backend=unix,threads=16}",
 	} {
 		flagged := false
 		for _, r := range rows {

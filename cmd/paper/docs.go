@@ -22,12 +22,10 @@ import (
 // submitting thread count grows 1–16, in virtual time (simulator, offload
 // approach — must stay flat at EnqueueCost) and in wall-clock (rt layer —
 // private-shard submission via RegisterThread versus the shared MPMC
-// overflow path), plus the threads × agents grid (duty cycle, polling
-// efficiency and completion throughput per cell). The quick sweep stops at
-// 8 threads, keeping the 16-thread perf-gate rows out of statistically
-// tiny documents.
+// overflow path). The quick sweep stops at 8 threads, keeping the 16-thread
+// perf-gate rows out of statistically tiny documents.
 func mtscale(c *ctx) error {
-	threads, agents := []int{1, 2, 4, 8, 16}, []int{1, 2, 4}
+	threads := []int{1, 2, 4, 8, 16}
 	rtIters := 20000
 	if c.quick {
 		threads, rtIters = threads[:4], 512
@@ -39,7 +37,6 @@ func mtscale(c *ctx) error {
 		Profile: p.Name,
 		Sim:     bench.MTPostScaling(c.cfg(sim.Offload, p), threads, iters),
 		RT:      rtPostScaling(threads, rtIters),
-		Agents:  bench.MTAgentScaling(c.cfg(sim.Offload, p), threads, agents, iters),
 	}
 	t := bench.NewTable(
 		fmt.Sprintf("Enqueue scaling, %s (sim: virtual post ns; rt: wall-clock ns/post)", p.Name),
@@ -49,14 +46,6 @@ func mtscale(c *ctx) error {
 			fmt.Sprintf("%.0f", rep.RT[i].ShardedNsPerPost), fmt.Sprintf("%.0f", rep.RT[i].SharedNsPerPost))
 	}
 	c.emit(t)
-	ta := bench.NewTable(
-		fmt.Sprintf("Agent scaling, %s (virtual time, saturated posts)", p.Name),
-		"threads", "agents", "post ns", "batch", "duty", "polls/cmpl", "posts/ms")
-	for _, cell := range rep.Agents {
-		ta.Add(cell.Threads, cell.Agents, fmt.Sprintf("%.0f", cell.PostNs), f2(cell.MeanBatch),
-			f2(cell.DutyIssue+cell.DutyProgress), f2(cell.PollsPerCompletion), fmt.Sprintf("%.0f", cell.PostsPerMs))
-	}
-	c.emit(ta)
 	return c.writeDoc("BENCH_mtscale.json", rep)
 }
 

@@ -10,9 +10,9 @@
 //	                           structure plus the gates its sweep carries
 //
 // The flags are defined once and mean the same thing for every
-// experiment. -profile, -approaches, -iters, -agents and -topo
-// override an experiment's own defaults; -drop/-dup/-fault-seed perturb
-// the simulated interconnect with a deterministic seeded plan and
+// experiment. -profile, -approaches, -iters and -topo override an
+// experiment's own defaults; -drop/-dup/-fault-seed perturb the
+// simulated interconnect with a deterministic seeded plan and
 // -watchdog-us bounds every request (either prints a fault/recovery
 // counter table after the results); -trace=FILE writes a Chrome
 // trace_event JSON of every simulated run (chrome://tracing or Perfetto;
@@ -57,7 +57,6 @@ type ctx struct {
 	iters      int
 	profile    string
 	approaches []sim.Approach
-	agents     int
 	topo       *topo.Spec
 	csv        bool
 	out        string
@@ -92,7 +91,6 @@ func main() {
 	flag.IntVar(&c.iters, "iters", 0, "measured iterations (0 = the experiment's own)")
 	flag.StringVar(&c.profile, "profile", "", "endeavor | phi | edison (default: the experiment's own)")
 	approaches := flag.String("approaches", "", "comma-separated approach list (default: the experiment's own)")
-	flag.IntVar(&c.agents, "agents", 0, "offload agents per rank (0 = the profile's, i.e. one)")
 	topoFlag := flag.String("topo", "",
 		"network topology (flat, fattree[:arity=A,oversub=O], dragonfly[:group=G], custom:map=N.N...)")
 	flag.BoolVar(&c.csv, "csv", false, "emit CSV instead of aligned text tables")
@@ -262,7 +260,7 @@ func (c *ctx) n(full, quick int) int {
 }
 
 // profs returns fresh copies of the experiment's platform profiles — or
-// of the one -profile names — with the -agents and -topo overrides applied.
+// of the one -profile names — with the -topo override applied.
 func (c *ctx) profs(defaults ...string) []*model.Profile {
 	if c.profile != "" {
 		defaults = []string{c.profile}
@@ -272,9 +270,6 @@ func (c *ctx) profs(defaults ...string) []*model.Profile {
 		p, err := model.ByName(name)
 		if err != nil {
 			panic(err) // -profile was checked in drive; defaults are literals
-		}
-		if c.agents > 0 {
-			p.Agents = c.agents
 		}
 		if c.topo != nil {
 			p.Topo = c.topo

@@ -1,0 +1,334 @@
+package mpioffload_test
+
+import (
+	"bufio"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// docFiles are the documents whose code references must name things that
+// exist: a deletion that leaves one of them behind fails here.
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmark/README.md"}
+
+// TestDocsNameOnlyWhatExists checks every code span and fenced code line
+// of docFiles: each `.go` path is a file of the repo, each `pkg.Name`
+// (and `pkg.Type.Member`) whose pkg is a package of this module resolves
+// to a declaration, and each flag on a `paper` command line is a flag
+// cmd/paper registers. Line numbers after a path are not checked, and
+// qualifiers that are not module packages (the standard library's) are
+// left alone.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	idx := loadRepoIndex(t)
+	for _, doc := range docFiles {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range idx.check(string(data)) {
+			t.Errorf("%s:%s", doc, p)
+		}
+	}
+}
+
+// TestDocCheckCatchesDeletedNames feeds the checker a document that names
+// a deleted flag, field and file, so a checker that silently accepts
+// everything cannot pass.
+func TestDocCheckCatchesDeletedNames(t *testing.T) {
+	idx := loadRepoIndex(t)
+	doc := "Set `model.Profile.NumAgents`, or pass `-exp=fig6 -agents 2`.\n" +
+		"See `internal/core/agents.go` and `core.NoSuchThing`.\n" +
+		"```sh\ngo run ./cmd/paper -exp=fig6 -agents 2 -quick   # -agents\n```\n" +
+		"`model.Profile.RequestPoolSize`, `sim.Run`, `time.AfterFunc`, `proto/relcore.go:99–111`.\n"
+	got := idx.check(doc)
+	want := []string{
+		"1: model.Profile.NumAgents: Profile has no field or method NumAgents",
+		"1: paper flag -agents is not registered by cmd/paper",
+		"2: internal/core/agents.go: no such Go file",
+		"2: core.NoSuchThing: package core declares no NoSuchThing",
+		"4: paper flag -agents is not registered by cmd/paper",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// pkgDecls is one module package name's top-level declarations (over
+// every directory that uses the name), with the fields and methods of
+// each named type.
+type pkgDecls struct {
+	top     map[string]bool
+	members map[string]map[string]bool // type → field and method names
+	embeds  map[string]bool            // types with promoted members: not checked
+}
+
+type repoIndex struct {
+	goFiles []string // slash paths relative to the repo root
+	pkgs    map[string]*pkgDecls
+	flags   map[string]bool // cmd/paper's registered flags
+}
+
+func loadRepoIndex(t *testing.T) *repoIndex {
+	t.Helper()
+	idx := &repoIndex{pkgs: map[string]*pkgDecls{}, flags: map[string]bool{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		idx.goFiles = append(idx.goFiles, path)
+		if strings.Contains(path, "testdata/") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name == "main" || strings.HasSuffix(f.Name.Name, "_test") {
+			if strings.HasPrefix(path, "cmd/paper/") && !strings.HasSuffix(path, "_test.go") {
+				idx.addFlags(f)
+			}
+			return nil
+		}
+		idx.addDecls(f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.pkgs["core"].top) == 0 || len(idx.flags) == 0 {
+		t.Fatal("index found no declarations of package core or no cmd/paper flags")
+	}
+	return idx
+}
+
+func (idx *repoIndex) addDecls(f *ast.File) {
+	p := idx.pkgs[f.Name.Name]
+	if p == nil {
+		p = &pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string]bool{}}
+		idx.pkgs[f.Name.Name] = p
+	}
+	member := func(typ, name string) {
+		if p.members[typ] == nil {
+			p.members[typ] = map[string]bool{}
+		}
+		p.members[typ][name] = true
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				p.top[d.Name.Name] = true
+				continue
+			}
+			if typ := recvType(d.Recv.List[0].Type); typ != "" {
+				member(typ, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						p.top[n.Name] = true
+					}
+				case *ast.TypeSpec:
+					typ := s.Name.Name
+					p.top[typ] = true
+					var fields []*ast.Field
+					switch tt := s.Type.(type) {
+					case *ast.StructType:
+						fields = tt.Fields.List
+					case *ast.InterfaceType:
+						fields = tt.Methods.List
+					}
+					for _, fld := range fields {
+						for _, n := range fld.Names {
+							member(typ, n.Name)
+						}
+						if len(fld.Names) == 0 {
+							p.embeds[typ] = true
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// recvType names the type of a method receiver (T, *T, T[P]).
+func recvType(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return recvType(x.X)
+	case *ast.IndexExpr:
+		return recvType(x.X)
+	case *ast.IndexListExpr:
+		return recvType(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}
+
+// addFlags records the name of every flag.XxxVar(&v, "name", …) and
+// flag.Xxx("name", …) call in a cmd/paper file.
+func (idx *repoIndex) addFlags(f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
+			return true
+		}
+		for _, a := range call.Args {
+			if lit, ok := a.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil {
+					idx.flags[s] = true
+				}
+				break
+			}
+		}
+		return true
+	})
+}
+
+// anyMember reports whether some type of the package declares name: prose
+// often writes a method as pkg.Method (core.Submit for
+// core.Offloader.Submit).
+func (p *pkgDecls) anyMember(name string) bool {
+	for _, m := range p.members {
+		if m[name] {
+			return true
+		}
+	}
+	return false
+}
+
+var (
+	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	pkgRef   = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+	lineNum  = regexp.MustCompile(`:\d+([–-]\d+)?$`)
+)
+
+// check returns one "line: problem" string per reference in doc that
+// names nothing, in document order.
+func (idx *repoIndex) check(doc string) []string {
+	var out []string
+	fenced := false
+	sc := bufio.NewScanner(strings.NewReader(doc))
+	for ln := 1; sc.Scan(); ln++ {
+		line := sc.Text()
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		var frags []string
+		if fenced {
+			frags = []string{line}
+		} else {
+			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
+				frags = append(frags, m[1])
+			}
+		}
+		for _, fr := range frags {
+			for _, msg := range idx.checkFragment(fr) {
+				out = append(out, fmt.Sprintf("%d: %s", ln, msg))
+			}
+		}
+	}
+	return out
+}
+
+func (idx *repoIndex) checkFragment(fr string) []string {
+	var out []string
+	for _, tok := range strings.FieldsFunc(fr, func(r rune) bool {
+		return strings.ContainsRune(" \t()[]{},;'\"|<>=", r)
+	}) {
+		tok = strings.TrimRight(lineNum.ReplaceAllString(tok, ""), ".:")
+		if strings.HasSuffix(tok, ".go") && !strings.ContainsAny(tok, "*$") && !idx.goFileExists(tok) {
+			out = append(out, tok+": no such Go file")
+		}
+	}
+	for _, m := range pkgRef.FindAllStringSubmatch(fr, -1) {
+		p := idx.pkgs[m[1]]
+		if p == nil {
+			continue // not a module package
+		}
+		ref := strings.TrimLeft(m[0], "/ \t`(")
+		if !p.top[m[2]] && !p.anyMember(m[2]) {
+			out = append(out, fmt.Sprintf("%s: package %s declares no %s", ref, m[1], m[2]))
+		} else if m[3] != "" && p.members[m[2]] != nil && !p.embeds[m[2]] && !p.members[m[2]][m[3]] {
+			out = append(out, fmt.Sprintf("%s: %s has no field or method %s", ref, m[2], m[3]))
+		}
+	}
+	for _, f := range paperFlags(fr) {
+		if !idx.flags[f] {
+			out = append(out, fmt.Sprintf("paper flag -%s is not registered by cmd/paper", f))
+		}
+	}
+	return out
+}
+
+// goFileExists resolves a path as written in prose: repo-relative, or a
+// trailing part of a repo path (proto/rel.go), or a bare file name.
+func (idx *repoIndex) goFileExists(p string) bool {
+	p = strings.TrimPrefix(p, "./")
+	for _, f := range idx.goFiles {
+		if f == p || strings.HasSuffix(f, "/"+p) {
+			return true
+		}
+	}
+	return false
+}
+
+// paperFlags returns the flag names on every paper command line in a
+// fragment: the tokens starting with '-' after `go run ./cmd/paper`, a
+// `paper` (or …/paper) binary, or a bare argument list that opens with
+// -exp=, up to the end of that shell command.
+func paperFlags(fr string) []string {
+	toks := strings.Fields(fr)
+	var out []string
+	in := len(toks) > 0 && strings.HasPrefix(toks[0], "-exp=")
+	for i, tok := range toks {
+		switch {
+		case tok == "|" || tok == "&&" || tok == ";" || strings.HasPrefix(tok, "#") ||
+			strings.HasPrefix(tok, ">") || strings.HasPrefix(tok, "2>"):
+			in = false
+		case tok == "./cmd/paper" || tok == "cmd/paper":
+			in = i >= 2 && toks[i-2] == "go" && toks[i-1] == "run"
+		case tok == "paper" || strings.HasSuffix(tok, "/paper"):
+			in = true
+		case in && len(tok) > 1 && tok[0] == '-' || in && strings.HasPrefix(tok, "[-"):
+			for _, f := range strings.Split(strings.Trim(tok, "[]"), "/") { // -drop/-dup
+				name, _, _ := strings.Cut(strings.TrimLeft(f, "-"), "=")
+				if name != "" && name[0] >= 'a' && name[0] <= 'z' {
+					out = append(out, name)
+				}
+			}
+		}
+	}
+	return out
+}

@@ -27,23 +27,22 @@ func TestRealGoroutineSubmitWaitRace(t *testing.T) {
 	)
 	// An offloader skeleton: queue + pool + stats, no kernel daemon — the
 	// consumer goroutine below plays the offload agent.
-	ag := &agentState{
+	o := &Offloader{
 		cq:   queue.NewSharded[*Cmd](producers-1, 64, 64), // one producer lands in overflow
 		pool: reqpool.New(64),
 	}
-	o := &Offloader{agents: []*agentState{ag}, poolSize: 64, batchMax: 8}
 	total := int64(producers * perThread)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Consumer: batched drain, mark done, count — the run loop's queue side.
 	go func() {
-		batch := make([]*Cmd, o.batchMax)
+		batch := make([]*Cmd, 8)
 		for {
-			n := ag.cq.DequeueBatch(batch)
+			n := o.cq.DequeueBatch(batch)
 			for _, cmd := range batch[:n] {
 				o.Issued.Add(1)
-				ag.pool.SetDone(cmd.Slot)
+				o.pool.SetDone(cmd.Slot)
 				o.Completed.Add(1)
 			}
 			if n == 0 {
@@ -62,22 +61,22 @@ func TestRealGoroutineSubmitWaitRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			shard := ag.cq.Register()
+			shard := o.cq.Register()
 			for i := 0; i < perThread; i++ {
-				slot := ag.pool.Get()
+				slot := o.pool.Get()
 				for slot == reqpool.None {
 					runtime.Gosched()
-					slot = ag.pool.Get()
+					slot = o.pool.Get()
 				}
 				cmd := &Cmd{Slot: slot, id: o.Submitted.Add(1)}
-				for !ag.cq.TryEnqueue(shard, cmd) {
+				for !o.cq.TryEnqueue(shard, cmd) {
 					o.QueueFullN.Add(1)
 					runtime.Gosched()
 				}
 				for !o.Done(Handle(slot)) {
 					runtime.Gosched()
 				}
-				ag.pool.Put(slot)
+				o.pool.Put(slot)
 			}
 		}()
 	}
@@ -86,92 +85,8 @@ func TestRealGoroutineSubmitWaitRace(t *testing.T) {
 	if s, is, c := o.Submitted.Load(), o.Issued.Load(), o.Completed.Load(); s != total || is != total || c != total {
 		t.Fatalf("stats submitted=%d issued=%d completed=%d, want %d each", s, is, c, total)
 	}
-	if ag.pool.InUse() != 0 {
-		t.Fatalf("pool left %d slots allocated", ag.pool.InUse())
-	}
-}
-
-// TestMultiAgentPartitionedPoolRace drives the multi-agent layout — two
-// agents, each with its own sharded queue, request-pool partition and
-// consumer goroutine — from real producer goroutines split across the
-// agents. Handles travel through the public encoding (agent*poolSize +
-// slot), so the test pins both the partitioning (no cross-agent slot
-// traffic) and the absence of any shared hot-path line between agents.
-// Runs under -race in the Makefile race target.
-func TestMultiAgentPartitionedPoolRace(t *testing.T) {
-	const (
-		agents     = 2
-		perAgent   = 2 // producers per agent
-		perThread  = 400
-		poolSize   = 32
-		shardCount = 2
-	)
-	o := &Offloader{poolSize: poolSize, batchMax: 8}
-	for i := 0; i < agents; i++ {
-		o.agents = append(o.agents, &agentState{
-			idx:  i,
-			cq:   queue.NewSharded[*Cmd](shardCount, 64, 64),
-			pool: reqpool.New(poolSize),
-		})
-	}
-	total := int64(agents * perAgent * perThread)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for _, ag := range o.agents {
-		ag := ag
-		go func() { // one consumer per agent, as in the real engine
-			batch := make([]*Cmd, o.batchMax)
-			for {
-				n := ag.cq.DequeueBatch(batch)
-				for _, cmd := range batch[:n] {
-					o.Issued.Add(1)
-					ag.pool.SetDone(cmd.Slot)
-					o.Completed.Add(1)
-				}
-				if n == 0 {
-					select {
-					case <-stop:
-						return
-					default:
-						runtime.Gosched()
-					}
-				}
-			}
-		}()
-		for p := 0; p < perAgent; p++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				shard := ag.cq.Register()
-				for i := 0; i < perThread; i++ {
-					slot := ag.pool.Get()
-					for slot == reqpool.None {
-						runtime.Gosched()
-						slot = ag.pool.Get()
-					}
-					cmd := &Cmd{Slot: slot, id: o.Submitted.Add(1)}
-					for !ag.cq.TryEnqueue(shard, cmd) {
-						runtime.Gosched()
-					}
-					h := Handle(ag.idx*poolSize + slot)
-					for !o.Done(h) {
-						runtime.Gosched()
-					}
-					ag.pool.Put(slot)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	close(stop)
-	if s, is, c := o.Submitted.Load(), o.Issued.Load(), o.Completed.Load(); s != total || is != total || c != total {
-		t.Fatalf("stats submitted=%d issued=%d completed=%d, want %d each", s, is, c, total)
-	}
-	for i, ag := range o.agents {
-		if ag.pool.InUse() != 0 {
-			t.Fatalf("agent %d pool left %d slots allocated", i, ag.pool.InUse())
-		}
+	if o.pool.InUse() != 0 {
+		t.Fatalf("pool left %d slots allocated", o.pool.InUse())
 	}
 }
 

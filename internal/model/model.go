@@ -86,12 +86,6 @@ type Profile struct {
 	// exhausted pool means wait for a completion. Slots are committed, a
 	// small chunk at a time, when first handed out.
 	RequestPoolSize int
-	// Agents is the number of offload agents (dedicated progress threads)
-	// per rank. Each agent owns a disjoint group of submission shards, its
-	// own request-pool partition and its own in-flight set, so agents never
-	// share a hot-path line. 0 or 1 selects the paper's single-agent
-	// configuration (bit-identical traces). The count is fixed for the run.
-	Agents int
 
 	// ---- comm-self progress thread model (paper §2.2) ----
 

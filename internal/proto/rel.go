@@ -14,7 +14,7 @@ import (
 // packet class — eager payloads and rendezvous RTS/CTS control messages —
 // is wrapped in a per-(src,dst)-pair sequence number and acknowledged by
 // the receiving NIC. Unacknowledged packets are retransmitted with the
-// protocol core's compounding backoff (relcore.go); the receiver delivers
+// protocol core's capped exponential backoff (relcore.go); the receiver delivers
 // exactly once and in send order (duplicates are dropped, gaps are
 // reorder-buffered), so the matching engine above recovers transparently
 // from transient loss and per-pair FIFO (MPI non-overtaking) is preserved
@@ -91,7 +91,8 @@ func (e *Engine) sendRel(dst, bytes int, bwDiv float64, inner any) {
 	m := &relMsg{from: e.Rank, bytes: bytes, bwDiv: bwDiv, inner: inner}
 	m.seq = tx.Send(m)
 	e.F.Send(e.Rank, dst, bytes, bwDiv, m)
-	e.armRetransmit(tx, dst, m.seq, e.rtoFor(bytes))
+	rto := e.rtoFor(bytes)
+	e.armRetransmit(tx, dst, m.seq, rto, rto)
 }
 
 // rtoFor is the base retransmission timeout for a packet of n bytes:
@@ -101,17 +102,18 @@ func (e *Engine) rtoFor(n int) float64 {
 	return 4*e.P.LinkLatency + 2*e.P.WireTime(n) + 2*e.P.WireTime(ackBytes) + 2000
 }
 
-// armRetransmit schedules seq's retransmission check after rto ns. The
-// timer is never cancelled: one that fires for a packet already acked,
-// abandoned or cancelled finds nothing pending. Each re-arm adds
-// deterministic jitter from the injector's dedicated backoff PRNG:
+// armRetransmit schedules seq's retransmission check after timeout ns;
+// rto is the packet's base timeout, which every re-arm scales by the
+// policy's multiplier. The timer is never cancelled: one that fires for a
+// packet already acked, abandoned or cancelled finds nothing pending. Each
+// re-arm adds deterministic jitter from the injector's dedicated backoff PRNG:
 // senders that lost packets on the same failed link would otherwise retry
 // in lockstep forever, re-colliding on the recovered path. The jitter
 // stream is separate from the packet-fate stream, and this code only runs
 // under a fault plan, so fault-free timelines are untouched. An abandoned
 // packet is left to the watchdog to report.
-func (e *Engine) armRetransmit(tx *RelTx[*relMsg], dst int, seq uint64, rto float64) {
-	e.K.AfterF(rto, func() {
+func (e *Engine) armRetransmit(tx *RelTx[*relMsg], dst int, seq uint64, rto, timeout float64) {
+	e.K.AfterF(timeout, func() {
 		m, mult, resend := tx.Expire(seq)
 		if !resend {
 			return
@@ -119,7 +121,7 @@ func (e *Engine) armRetransmit(tx *RelTx[*relMsg], dst int, seq uint64, rto floa
 		flow, _ := flowOfPayload(m.inner)
 		e.Obs.Retransmitted(e.K.Now(), int64(seq), dst, flow)
 		e.F.Send(e.Rank, dst, m.bytes, m.bwDiv, m)
-		e.armRetransmit(tx, dst, seq, rto*float64(mult)*(1+e.F.Fault().BackoffJitter()))
+		e.armRetransmit(tx, dst, seq, rto, rto*float64(mult)*(1+e.F.Fault().BackoffJitter()))
 	})
 }
 

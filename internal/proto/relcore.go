@@ -14,12 +14,12 @@ package proto
 // fabric packets, the transport keeps wire frames.
 
 // The retry policy. Each expiry of a pending value's timer resends it and
-// multiplies its current timeout by 2^min(tries, relMaxShift), where tries
-// counts resends so far. The multiplier caps; the timeout compounds: with
-// a base timeout rto the resends go out after rto·(1, 3, 11, 75, 1099,
-// 17483, …) — 2, 6, 22, 150 and 2 198 ms, then about 35 s, at the
-// wall-clock 2 ms base. The expiry after relMaxRetries resends abandons
-// the value, leaving the failure to the layer's watchdog.
+// re-arms the timer at the base timeout rto times 2^min(1+2+…+tries,
+// relMaxShift), where tries counts resends so far: the timeout grows
+// rto·(2, 8, 16, 16, …) and is capped at 16·rto, so the resends go out
+// after rto·(1, 3, 11, 27, 43, …) — 2, 6, 22, 54 and 86 ms, then every
+// 32 ms, at the wall-clock 2 ms base. The expiry after relMaxRetries
+// resends abandons the value, leaving the failure to the layer's watchdog.
 const (
 	relMaxRetries = 20
 	relMaxShift   = 4
@@ -93,8 +93,8 @@ func (tx *RelTx[T]) Ack(seq uint64) (v T, ok bool) {
 }
 
 // Expire handles the firing of seq's retransmission timer. When resend is
-// true the caller retransmits v and re-arms the timer at its current
-// timeout times mult. It is false when seq is no longer pending, and when
+// true the caller retransmits v and re-arms the timer at the base timeout
+// times mult. It is false when seq is no longer pending, and when
 // this expiry used up the retry budget: the value is then abandoned.
 func (tx *RelTx[T]) Expire(seq uint64) (v T, mult int, resend bool) {
 	p, ok := tx.pending[seq]
@@ -108,7 +108,7 @@ func (tx *RelTx[T]) Expire(seq uint64) (v T, mult int, resend bool) {
 	}
 	p.tries++
 	tx.stats.Retransmits++
-	return p.v, 1 << min(p.tries, relMaxShift), true
+	return p.v, 1 << min(p.tries*(p.tries+1)/2, relMaxShift), true
 }
 
 // Cancel drops every pending value — the peer died or the endpoint is

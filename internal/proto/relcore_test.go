@@ -116,10 +116,10 @@ func TestRelRxStats(t *testing.T) {
 }
 
 // TestRelTxRetryPolicy pins the sender half's policy case by case: the
-// timeout multiplier runs 2, 4, 8, 16 and then stays at 16; the 21st
-// expiry abandons; an ack or a cancel ends resending for good.
+// timeout, as a multiple of the base, runs 2, 8, 16 and then stays at 16;
+// the 21st expiry abandons; an ack or a cancel ends resending for good.
 func TestRelTxRetryPolicy(t *testing.T) {
-	wantMult := func(try int) int { return []int{2, 4, 8, 16}[min(try, 4)-1] }
+	wantMult := func(try int) int { return []int{2, 8, 16}[min(try, 3)-1] }
 	for _, tc := range []struct {
 		name     string
 		ackAfter int  // expiries before the ack or cancel (-1: neither)
@@ -207,7 +207,7 @@ func (m *txModel) expire(seq uint64) (mult int, resend bool) {
 	}
 	m.tries[seq] = n + 1
 	m.stats.Retransmits++
-	return []int{2, 4, 8, 16, 16}[min(n, 4)], true
+	return []int{2, 8, 16}[min(n, 2)], true
 }
 
 // TestRelTxRandomSchedules: seeded random interleavings of sends, acks

@@ -18,8 +18,8 @@ import (
 	"mpioffload/internal/proto"
 )
 
-// relRTO is the base retransmission timeout; the core's backoff compounds
-// it per retry.
+// relRTO is the base retransmission timeout; the core's backoff scales it
+// per retry, up to 16 times.
 const relRTO = 2 * time.Millisecond
 
 // outFrame is one sequenced frame the sender half keeps until its ack,
@@ -162,23 +162,23 @@ func (r *Reliable) Send(f Frame) error {
 	return err
 }
 
-// arm starts out's retransmission timer, unless the frame was acked (or
-// the channel closed) since it went on the wire.
-func (r *Reliable) arm(tx *txPeer, out *outFrame, rto time.Duration) {
+// arm starts out's retransmission timer to fire after timeout, unless the
+// frame was acked (or the channel closed) since it went on the wire.
+func (r *Reliable) arm(tx *txPeer, out *outFrame, timeout time.Duration) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if r.closed.Load() || !tx.core.Pending(out.f.Seq) {
 		return
 	}
 	r.timers.Add(1)
-	out.tmr = time.AfterFunc(rto, func() {
+	out.tmr = time.AfterFunc(timeout, func() {
 		defer r.timers.Done()
 		tx.mu.Lock()
 		_, mult, resend := tx.core.Expire(out.f.Seq)
 		tx.mu.Unlock()
 		if resend {
 			r.inner.Send(out.f)
-			r.arm(tx, out, rto*time.Duration(mult))
+			r.arm(tx, out, relRTO*time.Duration(mult))
 		}
 	})
 }

@@ -40,8 +40,7 @@
 // per-producer FIFO order.
 //
 // Each rank runs exactly one offload goroutine, the paper's configuration:
-// it alone owns the rank's command queue, inbox and matching maps. (The
-// simulator's Profile.Agents is where multi-agent scaling is studied.)
+// it alone owns the rank's command queue, inbox and matching maps.
 // Failures surface as error values from WaitErr — ErrTimeout, ErrRankFailed,
 // ErrTruncate — and Stats exposes the counters and, when enabled, the
 // queue-wait and service histograms.

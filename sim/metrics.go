@@ -26,9 +26,6 @@ type Metrics struct {
 	// TestanyPolls counts offload-thread progress rounds; with Completed
 	// it yields PollsPerCompletion.
 	TestanyPolls int64
-	// ActiveAgents is the number of offload agents per rank (the maximum
-	// over ranks; zero when the approach has no offload engine).
-	ActiveAgents int64
 	// Batched draining (§3.3 under contention): DrainBatches counts
 	// offload-thread wakeups that issued commands, BatchedCmds the commands
 	// they drained; MeanBatch derives the mean drain batch size.
@@ -123,9 +120,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.ProgressNs += o.ProgressNs
 	m.IdleNs += o.IdleNs
 	m.TestanyPolls += o.TestanyPolls
-	if o.ActiveAgents > m.ActiveAgents {
-		m.ActiveAgents = o.ActiveAgents
-	}
 	m.DrainBatches += o.DrainBatches
 	m.BatchedCmds += o.BatchedCmds
 	m.IssuesApp += o.IssuesApp
@@ -207,7 +201,6 @@ func rankMetricsOf(eng *proto.Engine, off *core.Offloader) Metrics {
 		m.ReqPoolHWM = int64(off.PoolHighWater())
 		m.CmdQDepthH = off.QDepthH.Snapshot()
 		m.PoolOccH = off.PoolOccH.Snapshot()
-		m.ActiveAgents = int64(off.Agents())
 	}
 	rm := eng.Obs.Metrics() // zero when no recorder is attached
 	m.IssueNs = rm.IssueNs

@@ -427,20 +427,22 @@ func Run(cfg Config, program func(env *Env)) Result {
 			eng.Obs = runTrace.Ranks[r]
 		}
 		engs = append(engs, eng)
-		// Every dedicated communication thread — an offload agent or a
-		// progress daemon — occupies one hardware thread and costs its
-		// share of effective compute.
 		var backend mpi.Backend
-		dedicated := 0
 		if ap.offload {
 			offs[r] = core.New(k, eng)
-			backend, dedicated = mpi.Offload(offs[r]), offs[r].Agents()
+			backend = mpi.Offload(offs[r])
 		} else {
 			backend = mpi.Direct(eng, locked)
 		}
 		if ap.agent != nil {
 			eng.HasAgent = true
 			ap.agent(k, eng, prof, r)
+		}
+		// The dedicated communication thread — the offload agent or a
+		// progress daemon — occupies one hardware thread and costs its
+		// share of effective compute.
+		dedicated := 0
+		if ap.offload || ap.agent != nil {
 			dedicated = 1
 		}
 		off := offs[r]
