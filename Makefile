@@ -31,8 +31,10 @@
 #   make leak-check   the last step of ci: fails, and lists them, if any process
 #                     of a binary ci builds or runs is still alive
 #                     (/tmp/mpirun_smoke, /tmp/paper_smoke, `go run`'s
-#                     exe/paper, .bench_build/hostbench, and cmd/mpirun's
-#                     mpirun.test, which re-executes itself as ranks).
+#                     exe/paper, .bench_build/hostbench, cmd/mpirun's
+#                     mpirun.test, which re-executes itself as ranks, and
+#                     any other binary `go run` or `go test` built under a
+#                     go-build temporary directory).
 #   make benchdiff    compare the working-tree BENCH documents against HEAD's
 #                     committed generation (markdown trend tables; exits
 #                     nonzero past tolerance). Run after a full regeneration.
@@ -88,7 +90,7 @@ mpirun-smoke:
 # The pattern matches the program path (argv[0]) only, so a shell or editor
 # whose command line merely mentions one of these paths is not a leak; the
 # bracketed letters also keep it from matching the shell that runs pgrep.
-LEAKED := '^(/tmp/[m]pirun_smoke|/tmp/[p]aper_smoke|[^ ]*/exe/[p]aper|[^ ]*\.bench_build/[h]ostbench|[^ ]*/[m]pirun\.test)( |$$)'
+LEAKED := '^(/tmp/[m]pirun_smoke|/tmp/[p]aper_smoke|[^ ]*/exe/[p]aper|[^ ]*\.bench_build/[h]ostbench|[^ ]*/[m]pirun\.test|[^ ]*/go-buil[d][0-9]+/[^ ]*)( |$$)'
 
 leak-check:
 	@if pgrep -fa $(LEAKED); then echo "leak-check: the processes above are still running" >&2; exit 1; fi

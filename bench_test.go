@@ -357,21 +357,12 @@ func BenchmarkAblationOffloadThreadCost(b *testing.B) {
 }
 
 // BenchmarkObsDisabledHook measures the real cost of an observability hook
-// on a disabled recorder — the overhead every MPI call pays when tracing is
-// off. The acceptance bar is single-digit nanoseconds (a nil check plus one
-// atomic load); obs's TestDisabledHookOverhead enforces the < 5 ns bound.
+// on the absent recorder of an untraced run — the overhead every MPI call
+// pays when tracing is off. The acceptance bar is single-digit nanoseconds
+// (a nil check); obs's TestDisabledHookOverhead enforces the < 5 ns bound.
 func BenchmarkObsDisabledHook(b *testing.B) {
-	rec := obs.NewRecorder(0, 16)
-	rec.SetEnabled(false)
-	b.Run("disabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rec.Progressed(obs.TApp)
-		}
-	})
-	b.Run("nil", func(b *testing.B) {
-		var nilRec *obs.Recorder
-		for i := 0; i < b.N; i++ {
-			nilRec.Progressed(obs.TApp)
-		}
-	})
+	var nilRec *obs.Recorder
+	for i := 0; i < b.N; i++ {
+		nilRec.Progressed(obs.TApp)
+	}
 }

@@ -22,8 +22,8 @@ var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmark/R
 // TestDocsNameOnlyWhatExists checks every code span and fenced code line
 // of docFiles: each `.go` path is a file of the repo, each `pkg.Name`
 // (and `pkg.Type.Member`) whose pkg is a package of this module resolves
-// to a declaration, and each flag on a `paper` command line is a flag
-// cmd/paper registers. Line numbers after a path are not checked, and
+// to a declaration, each flag on a `paper` command line is a flag
+// cmd/paper registers, and each `make` target is one the Makefile defines. Line numbers after a path are not checked, and
 // qualifiers that are not module packages (the standard library's) are
 // left alone.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
@@ -40,14 +40,16 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 }
 
 // TestDocCheckCatchesDeletedNames feeds the checker a document that names
-// a deleted flag, field and file, so a checker that silently accepts
-// everything cannot pass.
+// a deleted flag, field, file and make target, so a checker that silently
+// accepts everything cannot pass.
 func TestDocCheckCatchesDeletedNames(t *testing.T) {
 	idx := loadRepoIndex(t)
 	doc := "Set `model.Profile.NumAgents`, or pass `-exp=fig6 -agents 2`.\n" +
 		"See `internal/core/agents.go` and `core.NoSuchThing`.\n" +
 		"```sh\ngo run ./cmd/paper -exp=fig6 -agents 2 -quick   # -agents\n```\n" +
-		"`model.Profile.RequestPoolSize`, `sim.Run`, `time.AfterFunc`, `proto/relcore.go:99–111`.\n"
+		"`model.Profile.RequestPoolSize`, `sim.Run`, `time.AfterFunc`, `proto/relcore.go:99–111`.\n" +
+		"Run `make agents-smoke`, then `make ci` and `make mtscale|topo`.\n" +
+		"```sh\nmake topo-smoke   # make sure it passes\n```\n"
 	got := idx.check(doc)
 	want := []string{
 		"1: model.Profile.NumAgents: Profile has no field or method NumAgents",
@@ -55,6 +57,7 @@ func TestDocCheckCatchesDeletedNames(t *testing.T) {
 		"2: internal/core/agents.go: no such Go file",
 		"2: core.NoSuchThing: package core declares no NoSuchThing",
 		"4: paper flag -agents is not registered by cmd/paper",
+		"7: make target agents-smoke is not defined in the Makefile",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -74,13 +77,19 @@ type repoIndex struct {
 	goFiles []string // slash paths relative to the repo root
 	pkgs    map[string]*pkgDecls
 	flags   map[string]bool // cmd/paper's registered flags
+	targets map[string]bool // the Makefile's targets, patterns expanded
 }
 
 func loadRepoIndex(t *testing.T) *repoIndex {
 	t.Helper()
-	idx := &repoIndex{pkgs: map[string]*pkgDecls{}, flags: map[string]bool{}}
+	idx := &repoIndex{pkgs: map[string]*pkgDecls{}, flags: map[string]bool{}, targets: map[string]bool{}}
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.addTargets(string(makefile))
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -114,8 +123,8 @@ func loadRepoIndex(t *testing.T) *repoIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx.pkgs["core"].top) == 0 || len(idx.flags) == 0 {
-		t.Fatal("index found no declarations of package core or no cmd/paper flags")
+	if len(idx.pkgs["core"].top) == 0 || len(idx.flags) == 0 || !idx.targets["mtscale-smoke"] {
+		t.Fatal("index found no declarations of package core, no cmd/paper flags or no mtscale-smoke target")
 	}
 	return idx
 }
@@ -215,6 +224,35 @@ func (idx *repoIndex) addFlags(f *ast.File) {
 	})
 }
 
+// addTargets records every target a rule of the Makefile defines, with
+// $(DOCS) and its %-smoke pattern expanded over the DOCS list.
+func (idx *repoIndex) addTargets(makefile string) {
+	var docs []string
+	for _, line := range strings.Split(makefile, "\n") {
+		if v, ok := strings.CutPrefix(line, "DOCS :="); ok {
+			docs = strings.Fields(v)
+		}
+	}
+	smoke := make([]string, len(docs))
+	for i, d := range docs {
+		smoke[i] = d + "-smoke"
+	}
+	for _, line := range strings.Split(makefile, "\n") {
+		if line == "" || strings.ContainsRune(" \t#.", rune(line[0])) {
+			continue
+		}
+		line = strings.ReplaceAll(line, "$(DOCS:%=%-smoke)", strings.Join(smoke, " "))
+		line = strings.ReplaceAll(line, "$(DOCS)", strings.Join(docs, " "))
+		names, rest, ok := strings.Cut(line, ":")
+		if !ok || strings.HasPrefix(rest, "=") {
+			continue // not a rule (a := assignment)
+		}
+		for _, name := range strings.Fields(names) {
+			idx.targets[name] = true
+		}
+	}
+}
+
 // anyMember reports whether some type of the package declares name: prose
 // often writes a method as pkg.Method (core.Submit for
 // core.Offloader.Submit).
@@ -287,6 +325,33 @@ func (idx *repoIndex) checkFragment(fr string) []string {
 	for _, f := range paperFlags(fr) {
 		if !idx.flags[f] {
 			out = append(out, fmt.Sprintf("paper flag -%s is not registered by cmd/paper", f))
+		}
+	}
+	for _, tgt := range makeTargets(fr) {
+		if !idx.targets[tgt] {
+			out = append(out, fmt.Sprintf("make target %s is not defined in the Makefile", tgt))
+		}
+	}
+	return out
+}
+
+// makeTargets returns the targets named on every make command line in a
+// fragment: the arguments after `make` that are neither flags nor variable
+// assignments, up to the end of that shell command. `make a|b` names a
+// and b.
+func makeTargets(fr string) []string {
+	var out []string
+	in := false
+	for _, tok := range strings.Fields(fr) {
+		switch {
+		case strings.HasPrefix(tok, "#"):
+			return out
+		case tok == "|" || tok == "&&" || tok == ";" || strings.HasPrefix(tok, ">"):
+			in = false
+		case tok == "make":
+			in = true
+		case in && !strings.HasPrefix(tok, "-") && !strings.Contains(tok, "="):
+			out = append(out, strings.Split(tok, "|")...)
 		}
 	}
 	return out

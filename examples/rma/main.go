@@ -1,5 +1,5 @@
 // RMA: one-sided communication (the paper's §7 future work) — a
-// distributed histogram built with Accumulate. Put and Get are pure RDMA,
+// distributed histogram built with Accumulate. Get is pure RDMA,
 // but Accumulate needs target-side software, so its timeliness depends on
 // asynchronous progress: watch the offload approach apply remote updates
 // while the target is busy computing.

@@ -56,62 +56,3 @@ func IallreduceRing(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Com
 	phases := ringAllreducePhases(newCtx(e, g, tag), g.Me, rotated(g.Size(), 0), pay(buf), op, nil)
 	return start(t, e, "allreduce-ring", phases)
 }
-
-// IreduceScatterBlock reduces equal blocks across the group and leaves
-// rank r with the reduced block r in out (len(out) = len(buf)/n).
-func IreduceScatterBlock(t *vclock.Task, e *proto.Engine, g Group, buf, out []byte, op Combine, tag int) *Sched {
-	n := g.Size()
-	bs := len(buf) / n
-	block := func(b int) payload { return pay(buf[b*bs : (b+1)*bs]) }
-	phases := ringReduceScatterPhases(newCtx(e, g, tag), g.Me, rotated(n, 0), block, op, nil)
-	phases = append(phases, copyPhase(e, out, block(g.Me).data))
-	return start(t, e, "reduce-scatter", phases)
-}
-
-// IScan computes the inclusive prefix reduction: rank r's buf becomes
-// op(buf₀, …, buf_r). Linear chain (each rank combines its predecessor's
-// prefix, then forwards its own).
-func IScan(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Combine, tag int) *Sched {
-	c := newCtx(e, g, tag)
-	n := g.Size()
-	me := g.Me
-	var phases []Phase
-	if me > 0 {
-		tmp := make([]byte, len(buf))
-		phases = append(phases, Phase{
-			Post: func(t *vclock.Task) []proto.Req {
-				return []proto.Req{c.recv(t, pay(tmp), me-1)}
-			},
-			After: func(t *vclock.Task) {
-				t.SleepF(e.P.CopyTime(len(buf)))
-				// buf = prefix(pred) ⊕ mine, preserving operand order.
-				op(tmp, buf)
-				copy(buf, tmp)
-			},
-		})
-	}
-	if me < n-1 {
-		phases = append(phases, c.sendPhase(pay(buf), me+1))
-	}
-	return start(t, e, "scan", phases)
-}
-
-// IalltoallV is the variable-size all-to-all: sendBufs[r] goes to group
-// rank r, recvBufs[r] is filled from rank r (nil slices mean empty).
-// Pairwise exchange with the congestion divisor.
-func IalltoallV(t *vclock.Task, e *proto.Engine, g Group, sendBufs, recvBufs [][]byte, tag int) *Sched {
-	phases := pairwisePhases(newCtx(e, g, tag),
-		func(r int) []byte { return sendBufs[r] },
-		func(r int) []byte { return recvBufs[r] })
-	return start(t, e, "alltoallv", phases)
-}
-
-// IallgatherV gathers variable-sized blocks from every rank to every rank:
-// block is this rank's contribution; out[r] receives rank r's block.
-// Ring algorithm.
-func IallgatherV(t *vclock.Task, e *proto.Engine, g Group, block []byte, out [][]byte, tag int) *Sched {
-	phases := []Phase{copyPhase(e, out[g.Me], block)}
-	at := func(b int) payload { return pay(out[b]) }
-	phases = ringAllgatherPhases(newCtx(e, g, tag), g.Me, rotated(g.Size(), 0), at, phases)
-	return start(t, e, "allgatherv", phases)
-}

@@ -18,7 +18,7 @@
 //  2. whenever the queue is empty, drives MPI_Testany-style progress over
 //     its in-flight requests (§3.2), guaranteeing asynchronous progress;
 //  3. sets the request's done flag on completion, which is all an
-//     application MPI_Wait/Test has to check.
+//     application MPI_Wait has to check.
 //
 // Blocking application calls are converted to their nonblocking
 // equivalents plus a done-flag wait (§3.3), so one thread's blocking call
@@ -279,17 +279,6 @@ func (o *Offloader) Submit(t *vclock.Task, issue func(t *vclock.Task) proto.Req)
 // Done reports (without consuming) whether the operation has completed.
 func (o *Offloader) Done(h Handle) bool { return o.pool.Done(int(h)) }
 
-// Test checks for completion, charging the done-flag read. On success the
-// handle is released and must not be reused.
-func (o *Offloader) Test(t *vclock.Task, h Handle) bool {
-	t.SleepF(o.P.DoneFlagCost)
-	if o.pool.Done(int(h)) {
-		o.pool.Put(int(h))
-		return true
-	}
-	return false
-}
-
 // Wait blocks (spinning on the done flag) until the operation completes,
 // then releases the handle. Short waits spin per engine activity (so the
 // microsecond-scale timing of a ping-pong is exact); long waits park on a
@@ -334,13 +323,6 @@ func (o *Offloader) QueueLen() int { return o.cq.Len() }
 
 // QueueHighWater reports the deepest the command queue has been.
 func (o *Offloader) QueueHighWater() int { return o.cq.HighWater() }
-
-// Shards reports the number of private command-queue shards.
-func (o *Offloader) Shards() int { return o.cq.Shards() }
-
-// RegisteredThreads reports how many thread registrations hold a private
-// command-queue shard.
-func (o *Offloader) RegisteredThreads() int { return o.cq.Registered() }
 
 // PoolHighWater reports the deepest the request-pool occupancy has been.
 func (o *Offloader) PoolHighWater() int { return o.pool.HighWater() }

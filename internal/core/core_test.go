@@ -273,23 +273,3 @@ func TestConcurrentSubmittersScale(t *testing.T) {
 		}
 	}
 }
-
-func TestTestReleasesHandle(t *testing.T) {
-	r := newRig(2)
-	r.k.Go("app0", func(tk *vclock.Task) {
-		h := r.offs[0].Submit(tk, func(ot *vclock.Task) proto.Req {
-			return r.engs[0].Isend(ot, seqBytes(16), 1, 0, 0)
-		})
-		for !r.offs[0].Test(tk, h) {
-			tk.Sleep(1000)
-		}
-	})
-	r.k.Go("app1", func(tk *vclock.Task) {
-		got := make([]byte, 16)
-		h := r.offs[1].Submit(tk, func(ot *vclock.Task) proto.Req {
-			return r.engs[1].Irecv(ot, got, 0, 0, 0)
-		})
-		r.offs[1].Wait(tk, h)
-	})
-	r.k.Run()
-}

@@ -85,8 +85,10 @@ func TestRealGoroutineSubmitWaitRace(t *testing.T) {
 	if s, is, c := o.Submitted.Load(), o.Issued.Load(), o.Completed.Load(); s != total || is != total || c != total {
 		t.Fatalf("stats submitted=%d issued=%d completed=%d, want %d each", s, is, c, total)
 	}
-	if o.pool.InUse() != 0 {
-		t.Fatalf("pool left %d slots allocated", o.pool.InUse())
+	for n := 0; n < o.pool.Size(); n++ {
+		if o.pool.Get() == reqpool.None {
+			t.Fatalf("pool left %d slots allocated", o.pool.Size()-n)
+		}
 	}
 }
 
@@ -123,14 +125,6 @@ func TestShardRegistrationPerThread(t *testing.T) {
 		}
 	})
 	r.k.Run()
-	if got := r.offs[0].Shards(); got != shardCount {
-		t.Fatalf("rank0 shards = %d, want %d", got, shardCount)
-	}
-	// All shardCount private shards were claimed; the surplus threads fell
-	// back to overflow (registration saturates at the shard count).
-	if got := r.offs[0].RegisteredThreads(); got != shardCount {
-		t.Fatalf("rank0 registered threads = %d, want %d (saturated)", got, shardCount)
-	}
 	want := int64(threads * 3)
 	if c := r.offs[0].Completed.Load(); c != want {
 		t.Fatalf("rank0 completed %d commands, want %d", c, want)

@@ -420,9 +420,6 @@ func (f *Fabric) noteLinkOcc(li int, from, to float64) {
 	})
 }
 
-// Topo returns the instantiated topology graph (nil under flat).
-func (f *Fabric) Topo() *topo.Graph { return f.g }
-
 // Hierarchical reports whether an explicit (non-flat) topology is
 // active — the signal topology-consulting collectives key off.
 func (f *Fabric) Hierarchical() bool { return f.g != nil }

@@ -78,9 +78,6 @@ type LinkDown struct {
 	Start, End float64
 }
 
-// Permanent reports whether the outage never ends.
-func (l LinkDown) Permanent() bool { return l.End <= l.Start }
-
 // SwitchDown fails every link incident to a named switch ("leaf1" for a
 // fat-tree leaf, "grp2" for a dragonfly group, "sw0" for a custom switch)
 // with LinkDown window semantics. A permanent switch failure partitions
@@ -90,9 +87,6 @@ type SwitchDown struct {
 	Switch     string
 	Start, End float64
 }
-
-// Permanent reports whether the outage never ends.
-func (s SwitchDown) Permanent() bool { return s.End <= s.Start }
 
 // Plan is a deterministic fault schedule for one simulation run.
 // The zero value injects nothing.
@@ -206,9 +200,6 @@ func NewInjector(p *Plan) *Injector {
 	}
 	return in
 }
-
-// Plan returns the underlying plan.
-func (in *Injector) Plan() *Plan { return in.plan }
 
 // Stats returns the fault counters accumulated so far.
 func (in *Injector) Stats() Stats {
@@ -378,15 +369,6 @@ func (in *Injector) Crashed(rank int, at float64) bool {
 	}
 	t, ok := in.crashAt[rank]
 	return ok && at >= t
-}
-
-// CrashTime returns the rank's crash time, if it has one.
-func (in *Injector) CrashTime(rank int) (float64, bool) {
-	if in == nil || in.crashAt == nil {
-		return 0, false
-	}
-	t, ok := in.crashAt[rank]
-	return t, ok
 }
 
 // StallUntil resolves the stall windows covering the rank's NIC at virtual

@@ -66,12 +66,6 @@ func TestCrash(t *testing.T) {
 	if in.Crashed(1, 1e12) {
 		t.Fatal("wrong rank crashed")
 	}
-	if at, ok := in.CrashTime(2); !ok || at != 1000 {
-		t.Fatalf("CrashTime = %v, %v", at, ok)
-	}
-	if _, ok := in.CrashTime(0); ok {
-		t.Fatal("rank 0 has no crash time")
-	}
 }
 
 func TestStallWindows(t *testing.T) {

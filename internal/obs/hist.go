@@ -71,14 +71,6 @@ func (h *Hist) Add(o Hist) {
 	}
 }
 
-// Mean reports the exact mean of the observed samples (0 when empty).
-func (h *Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of the
 // bucket holding the q*Count-th sample, clamped to Max. Empty histograms
 // report 0.

@@ -28,7 +28,7 @@ func TestHistBucketing(t *testing.T) {
 
 func TestHistQuantiles(t *testing.T) {
 	var h Hist
-	if h.P50() != 0 || h.P99() != 0 || h.Mean() != 0 {
+	if h.P50() != 0 || h.P99() != 0 {
 		t.Fatal("empty histogram reports nonzero quantiles")
 	}
 	// A single-valued histogram reports that value exactly everywhere.

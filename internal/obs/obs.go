@@ -6,9 +6,8 @@
 // per rank. Instrumentation hooks in internal/core (offload loop),
 // internal/queue, internal/reqpool, internal/proto (eager/rendezvous/
 // reliable delivery/watchdog) and package mpi call Recorder methods; every
-// hook is nil-safe and gated on an atomic enable flag, so the cost of a
-// hook on a disabled or absent recorder is a nil check plus at most one
-// atomic load (see TestDisabledHookOverhead).
+// hook is nil-safe, so the cost of a hook on a run without a trace is a
+// nil check (see TestDisabledHookOverhead).
 //
 // Events live in a fixed-capacity per-rank ring buffer (oldest entries are
 // overwritten; the drop count is reported). Timestamps are virtual
@@ -18,10 +17,7 @@
 // text digest.
 package obs
 
-import (
-	"strings"
-	"sync/atomic"
-)
+import "strings"
 
 // Kind discriminates trace events.
 type Kind uint8
@@ -148,14 +144,6 @@ func FlowID(src int, seq uint64) int64 {
 	return int64(src+1)<<32 | int64(seq&0xFFFFFFFF)
 }
 
-// FlowSrc recovers the source rank encoded in a flow id (-1 for no flow).
-func FlowSrc(flow int64) int {
-	if flow == 0 {
-		return -1
-	}
-	return int(flow>>32) - 1
-}
-
 // RankMetrics are the per-rank counters the recorder accumulates. The sim
 // layer folds them (together with the always-on engine/offloader/queue
 // counters) into sim.Metrics.
@@ -244,12 +232,9 @@ type Options struct {
 }
 
 // Trace collects the observability data of one experiment: one RunTrace
-// per sim.Run executed with the trace attached. The enable flag is shared
-// by every recorder, so a whole experiment's instrumentation can be
-// toggled with one atomic store.
+// per sim.Run executed with the trace attached.
 type Trace struct {
 	opts Options
-	on   atomic.Bool
 	Runs []*RunTrace
 	// Meta holds extra JSON objects embedded (in insertion order, for
 	// byte-determinism) in the Chrome export's metadata block — critical-path
@@ -322,25 +307,19 @@ func (run *RunTrace) SetEnd(elapsed int64, rankEnd []int64) {
 	run.RankEndNs = append(run.RankEndNs[:0], rankEnd...)
 }
 
-// NewTrace returns an enabled trace.
+// NewTrace returns an empty trace.
 func NewTrace(opts Options) *Trace {
 	if opts.RingCap <= 0 {
 		opts.RingCap = 1 << 14
 	}
-	tr := &Trace{opts: opts}
-	tr.on.Store(true)
-	return tr
+	return &Trace{opts: opts}
 }
-
-// SetEnabled toggles all recorders of the trace at once.
-func (tr *Trace) SetEnabled(on bool) { tr.on.Store(on) }
 
 // StartRun registers a new run of n ranks and returns its recorders.
 func (tr *Trace) StartRun(label string, n int) *RunTrace {
 	run := &RunTrace{Label: label, Ranks: make([]*Recorder, n)}
 	for r := 0; r < n; r++ {
 		run.Ranks[r] = &Recorder{
-			on:   &tr.on,
 			rank: r,
 			ring: make([]Event, tr.opts.RingCap),
 		}
@@ -349,46 +328,19 @@ func (tr *Trace) StartRun(label string, n int) *RunTrace {
 	return run
 }
 
-// Events reports the total events recorded across all runs and ranks.
-func (tr *Trace) Events() int64 {
-	var n int64
-	for _, run := range tr.Runs {
-		for _, rec := range run.Ranks {
-			n += int64(rec.n)
-		}
-	}
-	return n
-}
-
-// Recorder is the per-rank event ring plus metric counters. The zero/nil
+// Recorder is the per-rank event ring plus metric counters. The nil
 // recorder is valid and permanently disabled: every hook is nil-safe, and
-// a disabled hook costs a nil check plus one atomic load.
+// a disabled hook costs a nil check.
 type Recorder struct {
-	on   *atomic.Bool
 	rank int
 	ring []Event
 	n    uint64 // total events pushed (ring index = n % cap)
 	M    RankMetrics
 }
 
-// NewRecorder returns a standalone enabled recorder (tests and tools; the
-// sim layer obtains recorders from Trace.StartRun).
-func NewRecorder(rank, ringCap int) *Recorder {
-	if ringCap <= 0 {
-		ringCap = 1 << 14
-	}
-	on := new(atomic.Bool)
-	on.Store(true)
-	return &Recorder{on: on, rank: rank, ring: make([]Event, ringCap)}
-}
-
 // Enabled reports whether the recorder is live. This is the whole cost of
-// a disabled hook: nil check + one atomic load.
-func (r *Recorder) Enabled() bool { return r != nil && r.on.Load() }
-
-// SetEnabled toggles a standalone recorder (recorders from Trace.StartRun
-// share the trace's flag; toggle that instead).
-func (r *Recorder) SetEnabled(on bool) { r.on.Store(on) }
+// a disabled hook: a nil check.
+func (r *Recorder) Enabled() bool { return r != nil }
 
 // Rank returns the recorder's rank.
 func (r *Recorder) Rank() int { return r.rank }
@@ -469,9 +421,6 @@ func (r *Recorder) CmdCompleted(ts int64, id int64, flow int64, serviceNs int64)
 	r.M.ServiceH.Observe(serviceNs)
 	r.push(Event{TS: ts, Kind: EvCmdComplete, TID: TAgent, A: id, Flow: flow})
 }
-
-// DutyIssue charges ns of offload-thread time to command issue.
-func (r *Recorder) DutyIssue(ns int64) { r.DutyIssueBatch(ns, 1) }
 
 // DutyIssueBatch charges ns of offload-thread time to issuing one drain
 // batch of cmds commands (batch-aware duty accounting: the mean batch size

@@ -16,7 +16,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.CmdEnqueued(1, TApp, 1, 1)
 	r.CmdDequeued(1, 1, 0, 5)
 	r.CmdCompleted(1, 1, 42, 5)
-	r.DutyIssue(1)
+	r.DutyIssueBatch(1, 1)
 	r.DutyProgress(1)
 	r.DutyIdle(1)
 	r.Issued(1, TApp, EvIssueEager, 8, 1, 42)
@@ -37,25 +37,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 }
 
-func TestDisabledRecorderRecordsNothing(t *testing.T) {
-	tr := NewTrace(Options{RingCap: 8})
-	run := tr.StartRun("x", 1)
-	tr.SetEnabled(false)
-	rec := run.Ranks[0]
-	rec.CmdEnqueued(1, TApp, 1, 1)
-	rec.Progressed(TAgent)
-	if n := len(rec.Events()); n != 0 {
-		t.Fatalf("disabled recorder stored %d events", n)
-	}
-	tr.SetEnabled(true)
-	rec.CmdEnqueued(2, TApp, 2, 1)
-	if n := len(rec.Events()); n != 1 {
-		t.Fatalf("re-enabled recorder stored %d events, want 1", n)
-	}
-}
-
 func TestRingWrapKeepsNewestInOrder(t *testing.T) {
-	rec := NewRecorder(0, 4)
+	rec := NewTrace(Options{RingCap: 4}).StartRun("x", 1).Ranks[0]
 	for i := 1; i <= 10; i++ {
 		rec.CmdCompleted(int64(i), int64(i), 0, 0)
 	}
@@ -101,16 +84,6 @@ func TestKindStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlowSrc(t *testing.T) {
-	if got := FlowSrc(0); got != -1 {
-		t.Errorf("FlowSrc(0) = %d, want -1", got)
-	}
-	flow := int64(3+1)<<32 | 17
-	if got := FlowSrc(flow); got != 3 {
-		t.Errorf("FlowSrc = %d, want 3", got)
-	}
-}
-
 func TestFlowID(t *testing.T) {
 	if FlowID(0, 0) == 0 {
 		t.Error("FlowID must never be 0 (0 means unstamped)")
@@ -121,8 +94,8 @@ func TestFlowID(t *testing.T) {
 	if got, want := FlowID(2, 7), int64(3)<<32|7; got != want {
 		t.Errorf("FlowID(2,7) = %#x, want %#x", got, want)
 	}
-	if got := FlowSrc(FlowID(5, 1<<32|9)); got != 5 {
-		t.Errorf("FlowSrc(FlowID(5, 2^32+9)) = %d, want 5 (seq masked to 32 bits)", got)
+	if got, want := FlowID(5, 1<<32|9), int64(6)<<32|9; got != want {
+		t.Errorf("FlowID(5, 2^32+9) = %#x, want %#x (seq masked to 32 bits)", got, want)
 	}
 }
 
@@ -143,7 +116,7 @@ func TestRankMetricsAdd(t *testing.T) {
 }
 
 func TestHookHistogramObservation(t *testing.T) {
-	rec := NewRecorder(0, 64)
+	rec := NewTrace(Options{RingCap: 64}).StartRun("x", 1).Ranks[0]
 	rec.CmdDequeued(10, 1, 0, 7)
 	rec.CmdCompleted(20, 1, 42, 10)
 	rec.Delivered(30, 8, 1, 42, 300)
@@ -164,7 +137,7 @@ func TestHookHistogramObservation(t *testing.T) {
 }
 
 func TestFlowAccounting(t *testing.T) {
-	rec := NewRecorder(0, 64)
+	rec := NewTrace(Options{RingCap: 64}).StartRun("x", 1).Ranks[0]
 	rec.Issued(1, TApp, EvIssueEager, 8, 1, 42)
 	rec.Issued(2, TApp, EvIssueRecv, 8, 1, 0) // receives carry no flow at issue
 	rec.EagerLanded(3, TApp, 8, 1, 7)

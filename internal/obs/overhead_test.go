@@ -8,25 +8,20 @@ import (
 	"time"
 )
 
-// hookSink is package-level so the compiler cannot devirtualize or prove
-// the receiver nil and delete the atomic load we are measuring.
+// hookSink is package-level so the compiler cannot prove the receiver nil
+// and delete the check we are measuring.
 var hookSink *Recorder
 
-// TestDisabledHookOverhead proves the tentpole's overhead budget: a hook on
-// a disabled (but present) recorder must cost under 5 ns — a nil check plus
-// one atomic load. Every hook family is measured, including the flow and
+// TestDisabledHookOverhead proves the overhead budget of tracing off: a
+// hook on the absent (nil) recorder of an untraced run must cost under
+// 5 ns — a nil check. Every hook family is measured, including the flow and
 // histogram hooks, since each added argument rides the same early-out.
 // Measured by hand (not testing.Benchmark) so the whole check runs in
 // milliseconds; the minimum over several rounds discards scheduler noise,
 // and up to three attempts discard a neighbour that held the CPU.
 // Excluded under -race, whose instrumentation multiplies the cost of every
-// atomic op.
+// call.
 func TestDisabledHookOverhead(t *testing.T) {
-	rec := NewRecorder(0, 8)
-	rec.on.Store(false)
-	hookSink = rec
-	defer func() { hookSink = nil }()
-
 	hooks := []struct {
 		name string
 		call func()
@@ -76,8 +71,5 @@ func TestDisabledHookOverhead(t *testing.T) {
 		if !passed[i] {
 			t.Errorf("disabled %s costs %.2f ns/op in all %d attempts, want < 5", h.name, nsPerOp[i], attempts)
 		}
-	}
-	if got := len(rec.Events()); got != 0 {
-		t.Fatalf("disabled hooks recorded %d events", got)
 	}
 }

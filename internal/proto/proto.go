@@ -12,7 +12,7 @@
 //     progress engine must process the RTS and answer CTS, and the
 //     *sender's* progress engine must process the CTS before any data
 //     moves. Progress only happens when some thread drives the engine
-//     (blocking calls, Test/Iprobe, or a dedicated progress/offload
+//     (blocking calls, Iprobe, or a dedicated progress/offload
 //     thread), so without asynchronous progress the whole transfer is
 //     deferred to MPI_Wait.
 //   - Under MPI_THREAD_MULTIPLE every library call must hold a global lock
@@ -97,7 +97,7 @@ func (o *Op) OnDone(fn func()) {
 
 // Done reports whether the operation has completed. Completion is set by
 // the progress engine (or, for rendezvous senders, by the NIC completion
-// event); callers observe it via Test/Wait-style polling.
+// event); callers observe it via Wait-style polling.
 func (o *Op) Done() bool { return o.complete }
 
 // Progressor is a multi-step operation (nonblocking collective schedule)
@@ -786,14 +786,6 @@ func (e *Engine) livePostedW() int {
 		}
 	}
 	return n
-}
-
-// Test drives one progress round and reports whether r has completed,
-// charging the done-flag check.
-func (e *Engine) Test(t *vclock.Task, r Req) bool {
-	e.Progress(t)
-	t.SleepF(e.P.DoneFlagCost)
-	return r.Done()
 }
 
 // Iprobe drives one progress round and checks (without consuming) for a

@@ -345,18 +345,3 @@ func TestEagerPostCostGrowsWithSize(t *testing.T) {
 		t.Fatalf("rendezvous post %d should be far below eager-max %d", rdv, big)
 	}
 }
-
-func TestTestDrivesProgress(t *testing.T) {
-	r := newRig(2, model.Endeavor())
-	r.k.Go("r0", func(tk *vclock.Task) {
-		r.engs[0].Isend(tk, seqBytes(16), 1, 0, 0)
-	})
-	r.k.Go("r1", func(tk *vclock.Task) {
-		op := r.engs[1].Irecv(tk, make([]byte, 16), 0, 0, 0)
-		tk.Sleep(1_000_000)
-		if !r.engs[1].Test(tk, op) {
-			t.Error("Test should complete the receive after arrival")
-		}
-	})
-	r.k.Run()
-}

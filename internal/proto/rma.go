@@ -7,15 +7,15 @@ import (
 )
 
 // One-sided communication (MPI RMA). The paper names RMA as future work
-// for the offload infrastructure (§7); this implements the core trio —
-// Put, Get, Accumulate — over the same fabric, with the fence
-// synchronization built on the collectives at the mpi layer.
+// for the offload infrastructure (§7); this implements Get and Accumulate
+// over the same fabric, with the fence synchronization built on the
+// collectives at the mpi layer.
 //
 // Semantics follow the hardware reality the paper discusses:
 //
-//   - Put and Get are pure RDMA: the target's NIC reads/writes the exposed
-//     window without any target software, so they need no asynchronous
-//     progress at the target.
+//   - Get is pure RDMA: the target's NIC reads the exposed window without
+//     any target software, so it needs no asynchronous progress at the
+//     target.
 //   - Accumulate requires target-side software (the reduction must be
 //     applied by a CPU), so it lands in the target's inbox and is applied
 //     only when the target's progress engine runs — exactly the class of
@@ -48,13 +48,6 @@ func (e *Engine) peerWin(id, rank int) *Win {
 	return w
 }
 
-type putMsg struct {
-	op   *Op
-	off  int
-	data []byte
-	win  *Win
-}
-
 type getReq struct {
 	op  *Op // origin's op
 	off int
@@ -73,25 +66,6 @@ type accMsg struct {
 	data    []byte
 	win     *Win
 	combine func(dst, src []byte)
-}
-
-// Put starts a one-sided write of local into the target rank's window at
-// byte offset off. The returned op completes when the local buffer is
-// reusable (the data is captured eagerly, as implementations do below the
-// rendezvous threshold; above it the cost model still charges only the
-// origin).
-func (e *Engine) Put(t *vclock.Task, w *Win, local []byte, target, off int) *Op {
-	tw := e.peerWin(w.ID, target)
-	if off < 0 || off+len(local) > len(tw.Buf) {
-		panic("proto: Put outside window")
-	}
-	op := &Op{Eng: e, IsSend: true, Peer: target, Bytes: len(local)}
-	data := make([]byte, len(local))
-	copy(data, local)
-	t.SleepF(e.P.CallOverhead + e.P.CopyTime(len(local)))
-	e.F.Send(e.Rank, target, len(local), 1, &putMsg{op: op, off: off, data: data, win: tw})
-	w.outstanding = append(w.outstanding, op)
-	return op
 }
 
 // Get starts a one-sided read of len(local) bytes from the target's window
@@ -142,9 +116,6 @@ func (w *Win) TakeOutstanding() []Req {
 // packet was an RMA message.
 func (e *Engine) handleRMA(pkt any) (float64, bool) {
 	switch m := pkt.(type) {
-	case *putMsg:
-		// The RDMA write already landed in deliver(); nothing to do here.
-		return 0, true
 	case *getReq:
 		// RDMA read bounced by the NIC in deliver(); nothing to do here.
 		return 0, true
@@ -159,15 +130,11 @@ func (e *Engine) handleRMA(pkt any) (float64, bool) {
 }
 
 // deliverRMA performs the hardware (NIC) side of an arriving one-sided
-// packet: RDMA writes land, RDMA reads bounce back, completions fire —
-// all without target software. It reports whether the packet should still
-// be queued for software processing.
+// packet: RDMA reads bounce back and completions fire, all without target
+// software. It reports whether the packet should still be queued for
+// software processing.
 func (e *Engine) deliverRMA(pkt any) (needsSoftware bool, handled bool) {
 	switch m := pkt.(type) {
-	case *putMsg:
-		copy(m.win.Buf[m.off:m.off+len(m.data)], m.data)
-		m.op.Eng.completeOp(m.op, Status{})
-		return false, true
 	case *getReq:
 		data := make([]byte, m.n)
 		copy(data, m.win.Buf[m.off:m.off+m.n])

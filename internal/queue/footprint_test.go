@@ -45,13 +45,14 @@ func TestShardedCommitsOnUse(t *testing.T) {
 		t.Fatalf("Register allocated %d bytes, want one %d-byte ring", got, ring)
 	}
 	v := new(int)
-	if got := leastAllocated(nil, func() { q.TryEnqueue(id, v); q.TryDequeue() }); got != 0 {
+	var one [1]*int
+	if got := leastAllocated(nil, func() { q.TryEnqueue(id, v); q.DequeueBatch(one[:]) }); got != 0 {
 		t.Fatalf("registered enqueue+dequeue allocated %d bytes", got)
 	}
 	if got := leastAllocated(fresh, func() { q.TryEnqueue(Overflow, v) }); got < overflowCap*8 {
 		t.Fatalf("first overflow enqueue allocated %d bytes, want the overflow ring", got)
 	}
-	if got := leastAllocated(nil, func() { q.TryEnqueue(Overflow, v); q.TryDequeue() }); got != 0 {
+	if got := leastAllocated(nil, func() { q.TryEnqueue(Overflow, v); q.DequeueBatch(one[:]) }); got != 0 {
 		t.Fatalf("later overflow enqueue+dequeue allocated %d bytes", got)
 	}
 }

@@ -25,15 +25,13 @@ type slot[T any] struct {
 
 // MPMC is a bounded lock-free multi-producer multi-consumer FIFO queue.
 type MPMC[T any] struct {
-	mask   uint64
-	hwmOff bool // set when embedded in Sharded: depth is accounted there
-	slots  []slot[T]
-	_      pad
-	enq    atomic.Uint64
-	_      pad
-	deq    atomic.Uint64
-	_      pad
-	hwm    atomic.Uint64 // observed depth high-water mark
+	mask  uint64
+	slots []slot[T]
+	_     pad
+	enq   atomic.Uint64
+	_     pad
+	deq   atomic.Uint64
+	_     pad // keeps the next heap object off deq's line
 }
 
 // NewMPMC returns a queue with capacity rounded up to the next power of two
@@ -50,9 +48,6 @@ func NewMPMC[T any](capacity int) *MPMC[T] {
 	return q
 }
 
-// Cap reports the queue capacity.
-func (q *MPMC[T]) Cap() int { return len(q.slots) }
-
 // TryEnqueue appends v, reporting false if the queue is full.
 func (q *MPMC[T]) TryEnqueue(v T) bool {
 	pos := q.enq.Load()
@@ -64,9 +59,6 @@ func (q *MPMC[T]) TryEnqueue(v T) bool {
 			if q.enq.CompareAndSwap(pos, pos+1) {
 				s.val = v
 				s.seq.Store(pos + 1)
-				if !q.hwmOff {
-					q.noteDepth(pos + 1 - q.deq.Load())
-				}
 				return true
 			}
 			pos = q.enq.Load()
@@ -77,22 +69,6 @@ func (q *MPMC[T]) TryEnqueue(v T) bool {
 		}
 	}
 }
-
-// noteDepth raises the high-water mark to d (monotonic CAS-max). The depth
-// read racing concurrent dequeues can only under-estimate, so the mark is a
-// conservative lower bound under true concurrency and exact in the
-// single-scheduler simulation.
-func (q *MPMC[T]) noteDepth(d uint64) {
-	for {
-		h := q.hwm.Load()
-		if int64(d) <= int64(h) || q.hwm.CompareAndSwap(h, d) {
-			return
-		}
-	}
-}
-
-// HighWater reports the deepest the queue has been since creation.
-func (q *MPMC[T]) HighWater() int { return int(q.hwm.Load()) }
 
 // TryDequeue removes the oldest element, reporting false if empty.
 func (q *MPMC[T]) TryDequeue() (T, bool) {
@@ -134,8 +110,7 @@ func (q *MPMC[T]) Empty() bool { return q.Len() == 0 }
 //
 // Each side keeps a plain-field cache of the other side's index (the
 // classic Vyukov refinement): the producer touches the consumer's head
-// line only when the ring looks full against its cache (or when raising
-// the high-water mark), and the consumer touches the producer's tail line
+// line only when the ring looks full against its cache, and the consumer touches the producer's tail line
 // only when the ring looks empty — so a steady-state enqueue or dequeue
 // reads no cache line the other core is writing.
 type SPSC[T any] struct {
@@ -147,8 +122,7 @@ type SPSC[T any] struct {
 	_          pad
 	tail       atomic.Uint64 // next write index (producer-owned)
 	cachedHead uint64        // producer's last view of head (producer-owned)
-	_          pad
-	hwm        atomic.Uint64 // observed depth high-water mark (producer-written)
+	_          pad           // keeps the next heap object off tail's line
 }
 
 // NewSPSC returns a ring with capacity rounded up to the next power of two
@@ -160,9 +134,6 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 	}
 	return &SPSC[T]{mask: uint64(n - 1), buf: make([]T, n)}
 }
-
-// Cap reports the ring capacity.
-func (q *SPSC[T]) Cap() int { return len(q.buf) }
 
 // TryEnqueue appends v, reporting false if the ring is full. Must be called
 // from the single producer only.
@@ -176,19 +147,8 @@ func (q *SPSC[T]) TryEnqueue(v T) bool {
 	}
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1)
-	if t+1-q.cachedHead > q.hwm.Load() {
-		// The cache only lags behind head, so this test can fire spuriously;
-		// refresh before raising the mark so it stays an observed depth.
-		q.cachedHead = q.head.Load()
-		if d := t + 1 - q.cachedHead; d > q.hwm.Load() {
-			q.hwm.Store(d) // single producer: a plain racy max suffices
-		}
-	}
 	return true
 }
-
-// HighWater reports the deepest the ring has been since creation.
-func (q *SPSC[T]) HighWater() int { return int(q.hwm.Load()) }
 
 // TryDequeue removes the oldest element, reporting false if empty. Must be
 // called from the single consumer only.

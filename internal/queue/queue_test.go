@@ -30,7 +30,11 @@ func TestMPMCBasicFIFO(t *testing.T) {
 
 func TestMPMCCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{1, 2}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}} {
-		if got := NewMPMC[int](tc.in).Cap(); got != tc.want {
+		q, got := NewMPMC[int](tc.in), 0
+		for q.TryEnqueue(got) {
+			got++
+		}
+		if got != tc.want {
 			t.Errorf("cap(%d) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -151,7 +155,7 @@ func TestMPMCQuickSequentialModel(t *testing.T) {
 					vi++
 				}
 				ok := q.TryEnqueue(v)
-				wantOK := len(model) < q.Cap()
+				wantOK := len(model) < 8
 				if ok != wantOK {
 					return false
 				}

@@ -61,8 +61,7 @@ const Overflow = -1
 //
 // Concurrency contract: Register and TryEnqueue may be called from any
 // number of goroutines (a registered shard id must be used by its owning
-// producer only); TryDequeue and DequeueBatch must be called from a single
-// consumer.
+// producer only); DequeueBatch must be called from a single consumer.
 type Sharded[T any] struct {
 	shards      []*SPSC[T]              // nil until Register claims the id
 	overflow    atomic.Pointer[MPMC[T]] // nil until the first overflow enqueue
@@ -104,10 +103,6 @@ func (q *Sharded[T]) overflowRing() *MPMC[T] {
 		return r
 	}
 	r := NewMPMC[T](q.overflowCap)
-	// Depth accounting lives in q.pending/q.hwm; the embedded ring keeping
-	// its own CAS-max high-water would double-count every overflow-resident
-	// element and put a second contended line on the overflow hot path.
-	r.hwmOff = true
 	if q.overflow.CompareAndSwap(nil, r) {
 		return r
 	}
@@ -190,19 +185,6 @@ func (q *Sharded[T]) Register() int {
 	return int(id)
 }
 
-// Shards reports the number of private shards.
-func (q *Sharded[T]) Shards() int { return len(q.shards) }
-
-// Registered reports how many shard ids have been claimed (capped at the
-// shard count).
-func (q *Sharded[T]) Registered() int {
-	n := q.nextReg.Load()
-	if n > int64(len(q.shards)) {
-		n = int64(len(q.shards))
-	}
-	return int(n)
-}
-
 // TryEnqueue appends v to the producer's shard (or the overflow shard for
 // Overflow / out-of-range ids), reporting false when that shard is full.
 // A registered producer whose shard is full must retry — falling back to
@@ -231,17 +213,6 @@ func (q *Sharded[T]) shardEmpty(s int) bool {
 		return q.shards[s].Empty()
 	}
 	return q.overflow.Load().Empty()
-}
-
-// TryDequeue removes one element, resuming the occupancy scan from the
-// cursor, reporting false when every shard is empty. Single consumer only.
-func (q *Sharded[T]) TryDequeue() (T, bool) {
-	var buf [1]T
-	if q.DequeueBatch(buf[:]) == 1 {
-		return buf[0], true
-	}
-	var zero T
-	return zero, false
 }
 
 // DequeueBatch fills dst with up to len(dst) elements and returns how many
@@ -321,32 +292,11 @@ func (q *Sharded[T]) Len() int {
 // Empty reports whether the queue appears empty — one atomic load, no scan.
 func (q *Sharded[T]) Empty() bool { return q.Len() == 0 }
 
-// OccupiedShards reports how many rotation positions (private shards plus
-// overflow) currently have their doorbell bit set. Racy; a diagnostic for
-// the drain cost, which is O(occupied), not O(ShardCount).
-func (q *Sharded[T]) OccupiedShards() int {
-	n := 0
-	for i := range q.occ {
-		n += bits.OnesCount64(q.occ[i].Load())
-	}
-	return n
-}
-
 // HighWater reports the deepest the queue has been observed (total pending
 // across shards, sampled at each consumer drain) since creation. Elements
-// in the overflow shard are counted once, here: the embedded MPMC's own
-// high-water tracking is disabled.
+// in the overflow shard are counted once, here: the rings keep no depth
+// mark of their own.
 func (q *Sharded[T]) HighWater() int { return int(q.hwm.Load()) }
-
-// OverflowHighWater reports the embedded overflow ring's private
-// high-water mark. It must stay zero — overflow elements are accounted in
-// HighWater — and exists so tests can pin the no-double-count contract.
-func (q *Sharded[T]) OverflowHighWater() int {
-	if r := q.overflow.Load(); r != nil {
-		return r.HighWater()
-	}
-	return 0
-}
 
 // SetDepthSampler installs a consumer-side depth sampler, invoked with the
 // pending count at each non-empty drain (the same point the high-water

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,9 +11,6 @@ import (
 
 func TestShardedRegister(t *testing.T) {
 	q := NewSharded[int](3, 8, 8)
-	if q.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", q.Shards())
-	}
 	ids := map[int]bool{}
 	for i := 0; i < 3; i++ {
 		id := q.Register()
@@ -27,9 +25,6 @@ func TestShardedRegister(t *testing.T) {
 	// Shards exhausted: later registrations route to the overflow shard.
 	if id := q.Register(); id != Overflow {
 		t.Fatalf("Register past capacity = %d, want Overflow", id)
-	}
-	if q.Registered() != 3 {
-		t.Fatalf("Registered() = %d, want 3", q.Registered())
 	}
 }
 
@@ -50,11 +45,8 @@ func TestShardedPerProducerFIFO(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", q.Len(), len(shards)*per)
 	}
 	last := []int{-1, -1, -1, -1}
-	for {
-		v, ok := q.TryDequeue()
-		if !ok {
-			break
-		}
+	for one := [1]int{}; q.DequeueBatch(one[:]) == 1; {
+		v := one[0]
 		p, seq := v>>16, v&0xffff
 		if seq <= last[p] {
 			t.Fatalf("producer %d seq %d dequeued after %d (FIFO violated)", p, seq, last[p])
@@ -83,8 +75,9 @@ func TestShardedOverflowFallback(t *testing.T) {
 	if !q.TryEnqueue(99, 10) { // out-of-range shard id routes to overflow too
 		t.Fatal("out-of-range shard enqueue refused")
 	}
+	var one [1]int
 	for want := 0; want <= 10; want++ {
-		v, ok := q.TryDequeue()
+		ok, v := q.DequeueBatch(one[:]) == 1, one[0]
 		if !ok || v != want {
 			t.Fatalf("dequeue = (%d, %v), want (%d, true)", v, ok, want)
 		}
@@ -102,8 +95,8 @@ func TestShardedRegisteredFullMeansRetry(t *testing.T) {
 	if q.TryEnqueue(s, 3) {
 		t.Fatal("enqueue into a full shard succeeded (must backpressure, not spill)")
 	}
-	if v, ok := q.TryDequeue(); !ok || v != 1 {
-		t.Fatalf("dequeue = (%d, %v), want (1, true)", v, ok)
+	if one := [1]int{}; q.DequeueBatch(one[:]) != 1 || one[0] != 1 {
+		t.Fatalf("dequeue = %d, want 1", one[0])
 	}
 	if !q.TryEnqueue(s, 3) {
 		t.Fatal("enqueue refused after drain made room")
@@ -124,13 +117,14 @@ func TestShardedNoStarvationUnderHotShard(t *testing.T) {
 	if !q.TryEnqueue(quiet, -1) || !q.TryEnqueue(Overflow, -2) {
 		t.Fatal("quiet/overflow enqueue refused")
 	}
-	rot := q.Shards() + 1
+	const rot = 2 + 1 // shards plus overflow
 	seenQuiet, seenOverflow := false, false
+	var one [1]int
 	for i := 0; i < 2*rot; i++ {
-		v, ok := q.TryDequeue()
-		if !ok {
+		if q.DequeueBatch(one[:]) != 1 {
 			t.Fatalf("dequeue %d empty", i)
 		}
+		v := one[0]
 		if v == -1 {
 			seenQuiet = true
 		}
@@ -183,8 +177,7 @@ func TestShardedHighWater(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		q.TryEnqueue(s, i)
 	}
-	q.TryDequeue()
-	q.TryDequeue()
+	q.DequeueBatch(make([]int, 2))
 	q.TryEnqueue(Overflow, 9)
 	if hw := q.HighWater(); hw != 6 {
 		t.Fatalf("HighWater = %d, want 6", hw)
@@ -193,9 +186,8 @@ func TestShardedHighWater(t *testing.T) {
 
 // TestShardedOverflowNoDoubleCount is the regression test for the overflow
 // accounting bug: with threads registered beyond ShardCount parked on the
-// MPMC overflow shard, elements sitting there must be counted exactly once
-// — by the consumer-sampled pending high-water and depth sampler — not a
-// second time by the embedded ring's own depth tracking.
+// MPMC overflow shard, elements sitting there must be counted exactly once,
+// by the consumer-sampled pending high-water and depth sampler.
 func TestShardedOverflowNoDoubleCount(t *testing.T) {
 	q := NewSharded[int](2, 16, 16)
 	var samples []int64
@@ -229,19 +221,9 @@ func TestShardedOverflowNoDoubleCount(t *testing.T) {
 	if hw := q.HighWater(); hw != 7 {
 		t.Fatalf("HighWater = %d, want exactly 7 (single-source accounting)", hw)
 	}
-	if ohw := q.OverflowHighWater(); ohw != 0 {
-		t.Fatalf("embedded overflow ring kept its own high-water (%d); overflow elements double-counted", ohw)
-	}
 	// The depth sampler saw the pending count per drain: 7 then 4.
 	if len(samples) != 2 || samples[0] != 7 || samples[1] != 4 {
 		t.Fatalf("depth samples = %v, want [7 4]", samples)
-	}
-	// A standalone MPMC still tracks its own high-water.
-	m := NewMPMC[int](8)
-	m.TryEnqueue(1)
-	m.TryEnqueue(2)
-	if m.HighWater() != 2 {
-		t.Fatalf("standalone MPMC HighWater = %d, want 2", m.HighWater())
 	}
 }
 
@@ -250,21 +232,28 @@ func TestShardedOverflowNoDoubleCount(t *testing.T) {
 // not disturb the idle shards' bits.
 func TestShardedDoorbellMask(t *testing.T) {
 	q := NewSharded[int](64, 8, 8) // 65 rotation positions: two mask words
+	occupied := func() (n int) {
+		for i := range q.occ {
+			n += bits.OnesCount64(q.occ[i].Load())
+		}
+		return n
+	}
 	s := q.Register()
-	if q.OccupiedShards() != 0 {
-		t.Fatalf("fresh queue OccupiedShards = %d, want 0", q.OccupiedShards())
+	if n := occupied(); n != 0 {
+		t.Fatalf("fresh queue has %d doorbell bits set, want 0", n)
 	}
 	q.TryEnqueue(s, 1)
 	q.TryEnqueue(s, 2)
-	if q.OccupiedShards() != 1 {
-		t.Fatalf("OccupiedShards = %d, want 1", q.OccupiedShards())
+	if n := occupied(); n != 1 {
+		t.Fatalf("%d doorbell bits set, want 1", n)
 	}
 	q.TryEnqueue(Overflow, 3) // bit 64: exercises the second mask word
-	if q.OccupiedShards() != 2 {
-		t.Fatalf("OccupiedShards = %d, want 2", q.OccupiedShards())
+	if n := occupied(); n != 2 {
+		t.Fatalf("%d doorbell bits set, want 2", n)
 	}
+	var one [1]int
 	for i := 0; i < 3; i++ {
-		if _, ok := q.TryDequeue(); !ok {
+		if q.DequeueBatch(one[:]) != 1 {
 			t.Fatalf("dequeue %d empty", i)
 		}
 	}
@@ -273,8 +262,8 @@ func TestShardedDoorbellMask(t *testing.T) {
 	}
 	// Bits clear lazily: one empty DequeueBatch call may leave stale bits,
 	// but they never exceed the shards actually touched.
-	if n := q.OccupiedShards(); n > 2 {
-		t.Fatalf("OccupiedShards = %d after drain, want <= 2", n)
+	if n := occupied(); n > 2 {
+		t.Fatalf("%d doorbell bits set after drain, want <= 2", n)
 	}
 }
 

@@ -66,14 +66,14 @@ func FuzzPoolInterleaving(f *testing.F) {
 				}
 			}
 		}
-		if got, want := p.InUse(), len(held); got != want {
-			t.Fatalf("InUse() = %d, want %d", got, want)
-		}
-		if got, want := p.FreeCount(), size-len(held); got != want {
-			t.Fatalf("FreeCount() = %d, want %d", got, want)
+		if got, want := int(p.inUse.Load()), len(held); got != want {
+			t.Fatalf("%d slots in use, want %d", got, want)
 		}
 		if hw := p.HighWater(); hw > size {
 			t.Fatalf("high-water mark %d exceeds pool size %d", hw, size)
+		}
+		if got, want := drain(p), size-len(held); got != want {
+			t.Fatalf("%d slots left to hand out, want %d", got, want)
 		}
 	})
 }
@@ -150,11 +150,11 @@ func FuzzPoolConcurrent(f *testing.F) {
 				t.Fatalf("slot %d handed out = %v with fresh index %d", idx, used[idx].Load(), fresh)
 			}
 		}
-		if got := p.FreeCount(); got != size {
-			t.Fatalf("FreeCount() = %d after full release, want %d", got, size)
+		if got := p.inUse.Load(); got != 0 {
+			t.Fatalf("%d slots in use after full release, want 0", got)
 		}
-		if got := p.InUse(); got != 0 {
-			t.Fatalf("InUse() = %d after full release, want 0", got)
+		if got := drain(p); got != size {
+			t.Fatalf("%d slots left to hand out after full release, want %d", got, size)
 		}
 	})
 }

@@ -173,9 +173,6 @@ func (p *Pool) Put(idx int) {
 	}
 }
 
-// InUse reports the number of slots currently allocated.
-func (p *Pool) InUse() int { return int(p.inUse.Load()) }
-
 // HighWater reports the peak number of simultaneously allocated slots.
 func (p *Pool) HighWater() int { return int(p.hwm.Load()) }
 
@@ -196,21 +193,4 @@ func (p *Pool) SetDone(idx int) {
 func (p *Pool) Done(idx int) bool {
 	c, i := p.chunk(idx)
 	return c.done[i].Load() != 0
-}
-
-// FreeCount reports the free slots: the free list's length plus the slots
-// never handed out. It is intended for tests and diagnostics on a
-// quiescent pool; it is not thread-safe.
-func (p *Pool) FreeCount() int {
-	_, ip1 := unpack(p.head.Load())
-	n := p.size - int(p.fresh.Load())
-	for ip1 != 0 {
-		n++
-		if n > p.size {
-			panic("reqpool: free-list cycle")
-		}
-		c, i := p.chunk(int(ip1 - 1))
-		ip1 = int64(c.next[i].Load())
-	}
-	return n
 }

@@ -24,9 +24,16 @@ func TestGetAllThenExhaust(t *testing.T) {
 	if p.Get() != None {
 		t.Fatal("expected exhaustion")
 	}
-	if p.FreeCount() != 0 {
-		t.Fatalf("free count %d, want 0", p.FreeCount())
+}
+
+// drain takes every slot the pool still hands out and reports how many:
+// its free count, observed through Get alone.
+func drain(p *Pool) int {
+	n := 0
+	for p.Get() != None {
+		n++
 	}
+	return n
 }
 
 func TestPutRestores(t *testing.T) {
@@ -39,8 +46,8 @@ func TestPutRestores(t *testing.T) {
 	p.Put(a)
 	p.Put(b)
 	p.Put(c)
-	if p.FreeCount() != 3 {
-		t.Fatalf("free count %d, want 3", p.FreeCount())
+	if n := drain(p); n != 3 {
+		t.Fatalf("free count %d, want 3", n)
 	}
 }
 
@@ -130,7 +137,7 @@ func TestConcurrentUniqueOwnership(t *testing.T) {
 	if violations != 0 {
 		t.Fatalf("%d double-ownership violations", violations)
 	}
-	if got := p.FreeCount(); got != p.Size() {
+	if got := drain(p); got != p.Size() {
 		t.Fatalf("free count %d, want %d", got, p.Size())
 	}
 }
@@ -161,7 +168,7 @@ func TestQuickGetPutConservation(t *testing.T) {
 				held = held[1:]
 			}
 		}
-		return p.FreeCount() == p.Size()-len(held)
+		return drain(p) == p.Size()-len(held)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -207,8 +214,8 @@ func TestHandOutMatchesPrechainedList(t *testing.T) {
 			p.Put(idx)
 			model = append(model, idx)
 		}
-		if got := p.FreeCount(); got != len(model) {
-			t.Fatalf("seed %d: FreeCount = %d, want %d", seed, got, len(model))
+		if got := drain(p); got != len(model) {
+			t.Fatalf("seed %d: %d slots left to hand out, want %d", seed, got, len(model))
 		}
 		if exhausted == 0 {
 			t.Fatalf("seed %d: the sequence never exhausted the pool", seed)

@@ -354,9 +354,6 @@ func Build(s *Spec, nodes int, linkBW float64) (*Graph, error) {
 	return g, nil
 }
 
-// Nodes reports the node count the graph was built for.
-func (g *Graph) Nodes() int { return g.nodes }
-
 // NumLinks reports the number of links.
 func (g *Graph) NumLinks() int { return len(g.links) }
 

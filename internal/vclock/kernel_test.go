@@ -139,12 +139,16 @@ func TestZeroAllocsPerEvent(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		k.GoDaemon("contender", func(tk *Task) {
 			for {
-				tk.Hold(r, 1)
+				tk.Acquire(r)
+				tk.Sleep(1)
+				tk.Release(r)
 			}
 		})
 	}
 	gate("Acquire/Release under contention", k, func(tk *Task) {
-		tk.Hold(r, 1)
+		tk.Acquire(r)
+		tk.Sleep(1)
+		tk.Release(r)
 		if r.QueueLen() == 0 {
 			t.Error("resource was not contended")
 		}

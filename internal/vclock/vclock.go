@@ -348,9 +348,6 @@ func (t *Task) yield(kind, on string) {
 // Now reports the current virtual time.
 func (t *Task) Now() Time { return t.k.now }
 
-// Kernel returns the kernel this task runs on.
-func (t *Task) Kernel() *Kernel { return t.k }
-
 // Sleep advances the task's virtual time by d nanoseconds (d <= 0 yields
 // without advancing time, still consuming one scheduling slot).
 func (t *Task) Sleep(d Time) {
@@ -417,9 +414,6 @@ func (e *Event) Signal(k *Kernel) {
 	}
 }
 
-// Waiters reports how many tasks are blocked on the event.
-func (e *Event) Waiters() int { return len(e.waiters) }
-
 // Resource is a counted resource with strict FIFO admission (no barging):
 // the simulated MPI global lock and NIC injection ports are Resources.
 type Resource struct {
@@ -451,15 +445,6 @@ func (t *Task) Acquire(r *Resource) {
 	}
 }
 
-// TryAcquire acquires a unit if immediately available, reporting success.
-func (t *Task) TryAcquire(r *Resource) bool {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns a unit of the resource, handing it directly to the head
 // waiter if one exists.
 func (t *Task) Release(r *Resource) {
@@ -485,14 +470,6 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports the number of tasks waiting for the resource.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
-
-// Hold acquires the resource, sleeps for d, and releases it — the common
-// pattern for modelling work performed under a lock.
-func (t *Task) Hold(r *Resource, d Time) {
-	t.Acquire(r)
-	t.Sleep(d)
-	t.Release(r)
-}
 
 // KernelStats is the kernel's self-profile: the count the host-time
 // benchmark divides its timings by.

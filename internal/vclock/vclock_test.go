@@ -86,7 +86,7 @@ func TestEventBroadcastWakesAllInOrder(t *testing.T) {
 	}
 	k.Go("signaller", func(tk *Task) {
 		tk.Sleep(500)
-		ev.Broadcast(tk.Kernel())
+		ev.Broadcast(k)
 	})
 	k.Run()
 	want := []string{"w0@500", "w1@500", "w2@500"}
@@ -109,15 +109,15 @@ func TestEventSignalWakesOne(t *testing.T) {
 	}
 	k.Go("s", func(tk *Task) {
 		tk.Sleep(10)
-		ev.Signal(tk.Kernel())
+		ev.Signal(k)
 		tk.Sleep(10)
 	})
 	k.Run()
 	if woken != 1 {
 		t.Fatalf("woken=%d, want 1", woken)
 	}
-	if ev.Waiters() != 1 {
-		t.Fatalf("waiters=%d, want 1", ev.Waiters())
+	if n := len(ev.waiters); n != 1 {
+		t.Fatalf("waiters=%d, want 1", n)
 	}
 }
 
@@ -165,39 +165,6 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	k := NewKernel()
-	r := NewResource("x", 1)
-	k.Go("a", func(tk *Task) {
-		if !tk.TryAcquire(r) {
-			t.Error("first TryAcquire failed")
-		}
-		if tk.TryAcquire(r) {
-			t.Error("second TryAcquire should fail")
-		}
-		tk.Release(r)
-		if r.InUse() != 0 {
-			t.Error("not released")
-		}
-	})
-	k.Run()
-}
-
-func TestHold(t *testing.T) {
-	k := NewKernel()
-	r := NewResource("l", 1)
-	var t2start Time
-	k.Go("a", func(tk *Task) { tk.Hold(r, 50) })
-	k.Go("b", func(tk *Task) {
-		tk.Hold(r, 50)
-		t2start = tk.Now()
-	})
-	k.Run()
-	if t2start != 100 {
-		t.Fatalf("t2 finished at %d, want 100", t2start)
-	}
-}
-
 func TestDaemonDoesNotKeepKernelAlive(t *testing.T) {
 	k := NewKernel()
 	polls := 0
@@ -222,7 +189,7 @@ func TestSpawnFromRunningTask(t *testing.T) {
 	var childTime Time
 	k.Go("parent", func(tk *Task) {
 		tk.Sleep(42)
-		tk.Kernel().Go("child", func(c *Task) {
+		k.Go("child", func(c *Task) {
 			c.Sleep(8)
 			childTime = c.Now()
 		})
@@ -339,11 +306,11 @@ func TestAfterCallbacks(t *testing.T) {
 	var fired []Time
 	ev := NewEvent("pkt")
 	k.Go("waiter", func(tk *Task) {
-		tk.Kernel().After(30, func() {
+		k.After(30, func() {
 			fired = append(fired, k.Now())
 			ev.Broadcast(k)
 		})
-		tk.Kernel().AfterF(9.7, func() { fired = append(fired, k.Now()) })
+		k.AfterF(9.7, func() { fired = append(fired, k.Now()) })
 		tk.Wait(ev)
 		if tk.Now() != 30 {
 			t.Errorf("woke at %d, want 30", tk.Now())
@@ -359,7 +326,7 @@ func TestAfterDoesNotKeepAlive(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	k.Go("m", func(tk *Task) {
-		tk.Kernel().After(1000, func() { fired = true })
+		k.After(1000, func() { fired = true })
 		tk.Sleep(5)
 	})
 	if end := k.Run(); end != 5 {
@@ -381,7 +348,7 @@ func TestAfterChain(t *testing.T) {
 		}
 	}
 	k.Go("m", func(tk *Task) {
-		tk.Kernel().After(10, chain)
+		k.After(10, chain)
 		tk.Sleep(100)
 	})
 	k.Run()

@@ -21,8 +21,6 @@ type Backend interface {
 	call(t *vclock.Task, fn func(*vclock.Task, *direct))
 	// wait blocks until every request in rs has completed.
 	wait(t *vclock.Task, rs []*Request)
-	// test reports whether r has completed.
-	test(t *vclock.Task, r *Request) bool
 	// blocking notes that a blocking point-to-point call is about to run
 	// as post + wait.
 	blocking(t *vclock.Task)
@@ -73,14 +71,6 @@ func (d *direct) await(t *vclock.Task, reqs []proto.Req) {
 	}
 }
 
-func (d *direct) test(t *vclock.Task, r *Request) bool {
-	if d.locked {
-		d.eng.EnterLock(t)
-		defer d.eng.ExitLock(t)
-	}
-	return d.eng.Test(t, *r.req)
-}
-
 func (d *direct) blocking(*vclock.Task) {}
 
 // offload is the paper's backend (§3): every call is serialized into the
@@ -117,8 +107,6 @@ func (o *offload) wait(t *vclock.Task, rs []*Request) {
 		o.off.Wait(t, r.h)
 	}
 }
-
-func (o *offload) test(t *vclock.Task, r *Request) bool { return o.off.Test(t, r.h) }
 
 func (o *offload) blocking(t *vclock.Task) {
 	if o.agent.eng.Obs.Enabled() {

@@ -7,7 +7,7 @@ import (
 )
 
 // ReduceOp is an element-wise reduction operator over raw buffers; use the
-// typed operators in this package (SumFloat64, MaxFloat64, SumInt64, ...).
+// typed operators in this package (SumFloat64, SumInt64, BorInt64).
 type ReduceOp = coll.Combine
 
 // icoll posts a collective-schedule constructor through the backend; Wait
@@ -34,12 +34,6 @@ func (c *Comm) Ibcast(buf []byte, root int) Request {
 	return c.icoll(func(t *vclock.Task) proto.Req {
 		return coll.Ibcast(t, c.st.eng, g, buf, root, tag)
 	})
-}
-
-// Bcast broadcasts buf from root to all ranks.
-func (c *Comm) Bcast(buf []byte, root int) {
-	r := c.Ibcast(buf, root)
-	c.Wait(&r)
 }
 
 // Ireduce starts a nonblocking reduction of buf to root (in place; the
@@ -69,6 +63,27 @@ func (c *Comm) Allreduce(buf []byte, op ReduceOp) {
 	c.Wait(&r)
 }
 
+// IallreduceRing starts the bandwidth-optimal ring allreduce explicitly
+// (Iallreduce selects it automatically above coll.RingThreshold).
+func (c *Comm) IallreduceRing(buf []byte, op ReduceOp) Request {
+	g, tag := c.group(), c.nextCollTag()
+	return c.icoll(func(t *vclock.Task) proto.Req {
+		return coll.IallreduceRing(t, c.st.eng, g, buf, op, tag)
+	})
+}
+
+// IallreduceHier starts the topology-aware hierarchical allreduce
+// explicitly: intra-node reduce-scatter over shared memory, concurrent
+// inter-node rings, intra-node allgather (Iallreduce selects it
+// automatically for large payloads when the fabric has an explicit
+// topology). len(buf) must be a multiple of 8.
+func (c *Comm) IallreduceHier(buf []byte, op ReduceOp) Request {
+	g, tag := c.group(), c.nextCollTag()
+	return c.icoll(func(t *vclock.Task) proto.Req {
+		return coll.IallreduceHier(t, c.st.eng, g, buf, op, tag)
+	})
+}
+
 // Igather starts a nonblocking gather of equal-sized blocks to root.
 // out must be Size()*len(block) bytes on the root (ignored elsewhere).
 func (c *Comm) Igather(block, out []byte, root int) Request {
@@ -94,12 +109,6 @@ func (c *Comm) Iallgather(block, out []byte) Request {
 	return c.icoll(func(t *vclock.Task) proto.Req {
 		return coll.Iallgather(t, c.st.eng, g, block, out, tag)
 	})
-}
-
-// Allgather gathers every rank's block to every rank.
-func (c *Comm) Allgather(block, out []byte) {
-	r := c.Iallgather(block, out)
-	c.Wait(&r)
 }
 
 // Ialltoall starts a nonblocking all-to-all of equal blocks of bs bytes:

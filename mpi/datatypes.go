@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"math"
-	"unsafe"
-)
+import "unsafe"
 
 // The simulated MPI moves raw bytes; these helpers give applications
 // zero-copy typed views of their buffers (the moral equivalent of MPI
@@ -37,18 +34,6 @@ func Complex128Bytes(v []complex128) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 16*len(v))
 }
 
-// BytesComplex128 returns the []complex128 view of a []byte (zero copy);
-// the length must be a multiple of 16.
-func BytesComplex128(b []byte) []complex128 {
-	if len(b) == 0 {
-		return nil
-	}
-	if len(b)%16 != 0 {
-		panic("mpi: byte length not a multiple of 16")
-	}
-	return unsafe.Slice((*complex128)(unsafe.Pointer(&b[0])), len(b)/16)
-}
-
 // Int64Bytes returns the []byte view of an []int64 (zero copy).
 func Int64Bytes(v []int64) []byte {
 	if len(v) == 0 {
@@ -76,22 +61,6 @@ func SumFloat64(dst, src []byte) {
 	}
 }
 
-// MaxFloat64 is the MPI_MAX operator for float64 buffers.
-func MaxFloat64(dst, src []byte) {
-	d, s := BytesFloat64(dst), BytesFloat64(src)
-	for i := range d {
-		d[i] = math.Max(d[i], s[i])
-	}
-}
-
-// MinFloat64 is the MPI_MIN operator for float64 buffers.
-func MinFloat64(dst, src []byte) {
-	d, s := BytesFloat64(dst), BytesFloat64(src)
-	for i := range d {
-		d[i] = math.Min(d[i], s[i])
-	}
-}
-
 // SumInt64 is the MPI_SUM operator for int64 buffers.
 func SumInt64(dst, src []byte) {
 	d, s := BytesInt64(dst), BytesInt64(src)
@@ -106,13 +75,5 @@ func BorInt64(dst, src []byte) {
 	d, s := BytesInt64(dst), BytesInt64(src)
 	for i := range d {
 		d[i] |= s[i]
-	}
-}
-
-// SumComplex128 is the MPI_SUM operator for complex128 buffers.
-func SumComplex128(dst, src []byte) {
-	d, s := BytesComplex128(dst), BytesComplex128(src)
-	for i := range d {
-		d[i] += s[i]
 	}
 }

@@ -3,12 +3,12 @@
 // A Comm is a communicator handle bound to one application thread of one
 // rank (threads obtain their own bound handles; see package sim). The API
 // mirrors the MPI operations the paper's applications use: nonblocking and
-// blocking point-to-point, Wait/Test/Iprobe, the common collectives in
+// blocking point-to-point, Wait/Waitall/Iprobe, the common collectives in
 // blocking and nonblocking form, and one-sided windows.
 //
 // The API sits on a Backend, chosen when the rank is built, and never asks
 // which one it has: every entry point posts an issue closure, runs a
-// synchronous closure, or waits/tests a request through it. There are two
+// synchronous closure, or waits on a request through it. There are two
 // backends:
 //
 //   - Direct — the calling thread enters the protocol engine itself, with
@@ -59,7 +59,7 @@ type Status struct {
 }
 
 // Request is a pending nonblocking operation. The zero value is a null
-// request (ignored by Wait/Test).
+// request (ignored by Wait and Waitall).
 type Request struct {
 	h      core.Handle // the offload backend's command slot
 	req    *proto.Req  // the issued operation, set by the issuing thread
@@ -75,12 +75,11 @@ type commState struct {
 	eng   *proto.Engine
 	b     Backend
 	id    int
-	ranks []int       // group: global rank of each group rank
-	me    int         // my group rank
-	nodes int         // distinct nodes spanned by the group
-	colls int         // collective sequence number (tag space)
-	dups  int         // communicator-derivation counter
-	errh  func(error) // communicator error handler (nil = errors-return)
+	ranks []int // group: global rank of each group rank
+	me    int   // my group rank
+	nodes int   // distinct nodes spanned by the group
+	colls int   // collective sequence number (tag space)
+	dups  int   // communicator-derivation counter
 }
 
 // Comm is a communicator handle bound to the calling thread.
@@ -102,35 +101,11 @@ func NewComm(t *vclock.Task, eng *proto.Engine, b Backend, id int, ranks []int, 
 // Bind returns a handle on the same communicator bound to another thread.
 func (c *Comm) Bind(t *vclock.Task) *Comm { return &Comm{st: c.st, t: t} }
 
-// Task exposes the bound thread's task (used by the sim and bench layers).
-func (c *Comm) Task() *vclock.Task { return c.t }
-
 // Rank returns this process's rank within the communicator.
 func (c *Comm) Rank() int { return c.st.me }
 
 // Size returns the communicator size.
 func (c *Comm) Size() int { return len(c.st.ranks) }
-
-// Nodes returns the number of distinct physical nodes in the group.
-func (c *Comm) Nodes() int { return c.st.nodes }
-
-// GlobalRank translates a communicator rank to a global (world) rank.
-func (c *Comm) GlobalRank(r int) int { return c.st.ranks[r] }
-
-// SetErrhandler installs an error handler on the communicator (shared by
-// all thread-bound handles, like MPI_Comm_set_errhandler). When a request
-// completes with a watchdog error, Wait/Test/Waitall invoke fn with it in
-// addition to reporting it through Status.Err. nil restores the default
-// errors-return behaviour.
-func (c *Comm) SetErrhandler(fn func(error)) { c.st.errh = fn }
-
-// raise reports a failed request through the communicator's error handler.
-func (c *Comm) raise(st Status) Status {
-	if st.Err != nil && c.st.errh != nil {
-		c.st.errh(st.Err)
-	}
-	return st
-}
 
 func (c *Comm) group() coll.Group {
 	return coll.Group{Ranks: c.st.ranks, Me: c.st.me, Comm: c.st.id, Nodes: c.st.nodes}
@@ -199,7 +174,7 @@ func (c *Comm) Wait(r *Request) Status {
 	}
 	r.waited = true
 	c.st.b.wait(c.t, []*Request{r})
-	return c.raise(r.status())
+	return r.status()
 }
 
 func (r *Request) status() Status {
@@ -225,58 +200,6 @@ func (c *Comm) Waitall(rs ...*Request) {
 		}
 	}
 	c.st.b.wait(c.t, live)
-	for _, r := range live {
-		c.raise(r.status())
-	}
-}
-
-// Waitany blocks until at least one of the requests completes, returning
-// its index and status; the completed request is consumed. Null/consumed
-// requests are ignored; if all requests are null, it returns (-1, zero).
-func (c *Comm) Waitany(rs ...*Request) (int, Status) {
-	live := false
-	for _, r := range rs {
-		if !r.IsNull() && !r.waited {
-			live = true
-			break
-		}
-	}
-	if !live {
-		return -1, Status{}
-	}
-	for {
-		for i, r := range rs {
-			if r.IsNull() || r.waited {
-				continue
-			}
-			if done, st := c.Test(r); done {
-				return i, st
-			}
-		}
-	}
-}
-
-// Probe blocks until a matching message is available without receiving it
-// (MPI_Probe), returning its status.
-func (c *Comm) Probe(src, tag int) Status {
-	for {
-		if ok, st := c.Iprobe(src, tag); ok {
-			return st
-		}
-	}
-}
-
-// Test checks a request for completion without blocking; on success the
-// request is consumed and the status returned.
-func (c *Comm) Test(r *Request) (bool, Status) {
-	if r.IsNull() || r.waited {
-		return true, Status{}
-	}
-	if !c.st.b.test(c.t, r) {
-		return false, Status{}
-	}
-	r.waited = true
-	return true, c.raise(r.status())
 }
 
 // Iprobe checks for a matching incoming message without receiving it.
@@ -296,15 +219,6 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status) {
 // genuinely overlap communication.
 func (c *Comm) Compute(flops float64) {
 	c.t.SleepF(flops / c.st.eng.P.ThreadFlops)
-}
-
-// Dup derives a new communicator with the same group. All ranks must call
-// Dup in the same order (MPI semantics), which keeps the derived ids in
-// agreement.
-func (c *Comm) Dup() *Comm {
-	nc := c.derive(c.nextID(), c.st.ranks, c.st.me)
-	nc.st.errh = c.st.errh
-	return nc
 }
 
 // nextID advances the derivation counter and returns the id space of the

@@ -7,7 +7,7 @@ import (
 
 // Win is a one-sided communication window over a byte buffer, created
 // collectively on a communicator. The paper lists RMA as future work for
-// the offload infrastructure (§7); here Put/Get/Accumulate go through the
+// the offload infrastructure (§7); here Get and Accumulate go through the
 // backend like every other call, so the offload thread gives Accumulate the
 // asynchronous target-side progress it needs.
 type Win struct {
@@ -26,15 +26,6 @@ func (c *Comm) WinCreate(buf []byte) *Win {
 	w := &Win{c: c, pw: pw}
 	c.Barrier() // everyone must have registered before any access
 	return w
-}
-
-// Put writes local into target's window at byte offset off. Completion at
-// the origin (buffer reuse) is immediate; remote completion is ordered by
-// the next Fence.
-func (w *Win) Put(local []byte, target, off int) {
-	st := w.c.st
-	gt := st.ranks[target]
-	w.c.run(func(t *vclock.Task) { st.eng.Put(t, w.pw, local, gt, off) })
 }
 
 // Get reads len(local) bytes from target's window at offset off into
@@ -56,7 +47,7 @@ func (w *Win) Accumulate(local []byte, target, off int, op ReduceOp) {
 }
 
 // Fence closes the current access epoch: all locally issued operations
-// complete, and every pre-fence Put/Accumulate from any rank is visible in
+// complete, and every pre-fence Accumulate from any rank is visible in
 // the local window afterwards.
 func (w *Win) Fence() {
 	// Local completion of our outstanding origin-side operations.

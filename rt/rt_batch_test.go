@@ -70,7 +70,7 @@ func TestBatchSyscallRatios(t *testing.T) {
 			}
 			for i, h := range hs {
 				seq := b*burst + i
-				if n := th.Wait(h); n != size || bufs[i][0] != byte(seq) || bufs[i][1] != byte(seq>>8) {
+				if n, _ := th.WaitErr(h); n != size || bufs[i][0] != byte(seq) || bufs[i][1] != byte(seq>>8) {
 					t.Errorf("message %d: %d bytes starting %v", seq, n, bufs[i][:2])
 					return
 				}
@@ -87,7 +87,7 @@ func TestBatchSyscallRatios(t *testing.T) {
 			hs[i] = th.Isend(out, 1, 1)
 		}
 		for _, h := range hs {
-			th.Wait(h)
+			th.WaitErr(h)
 		}
 	}
 	select {
@@ -202,7 +202,7 @@ func TestBatchPeerLostDuringFlood(t *testing.T) {
 							hs[i] = t0.Isend(out, 1, th)
 						}
 						for _, h := range hs {
-							t0.Wait(h)
+							t0.WaitErr(h)
 						}
 						sent.Add(int64(len(hs)))
 					}

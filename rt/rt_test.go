@@ -140,29 +140,6 @@ func TestUnexpectedMessagesBothModes(t *testing.T) {
 	}
 }
 
-func TestTestNonblocking(t *testing.T) {
-	c := NewCluster(2, Offload)
-	defer c.Close()
-	h := c.Rank(1).Irecv(make([]byte, 4), 0, 1)
-	if ok, _ := c.Rank(1).Test(h); ok {
-		t.Fatal("recv complete before send")
-	}
-	c.Rank(0).Send([]byte{1, 2, 3}, 1, 1)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if ok, n := c.Rank(1).Test(h); ok {
-			if n != 3 {
-				t.Fatalf("count %d", n)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timeout")
-		}
-		runtime.Gosched()
-	}
-}
-
 func TestManyRanksRing(t *testing.T) {
 	const n = 8
 	for _, m := range modes() {

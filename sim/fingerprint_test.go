@@ -13,9 +13,9 @@ import (
 
 // fingerprintProgram touches every mpi entry point a communicator routes
 // through its backend: eager and rendezvous point-to-point (real and
-// phantom), Test, Waitany and Waitall, Iprobe(AnySource), a collective,
-// a window with Put, Accumulate and Fence, and the derived communicators of
-// Dup and Split. Under Multiple a two-thread team adds concurrent traffic.
+// phantom), Wait and Waitall, Iprobe(AnySource), collectives, and a window
+// with Accumulate and Fence. Under Multiple a two-thread team adds
+// concurrent traffic.
 func fingerprintProgram(level ThreadLevel) func(env *Env) {
 	return func(env *Env) {
 		c := env.World
@@ -28,11 +28,8 @@ func fingerprintProgram(level ThreadLevel) func(env *Env) {
 		pr := c.IrecvBytes(64<<10, left, 2)
 		ps := c.IsendBytes(64<<10, right, 2)
 		env.ComputeWithProgress(20_000, 5_000)
-		for done := false; !done; {
-			done, _ = c.Test(&rr)
-		}
-		c.Waitany(&pr, &ps)
-		c.Waitall(&rr, &rs, &pr, &ps)
+		c.Wait(&rr)
+		c.Waitall(&rs, &pr, &ps)
 
 		switch me {
 		case 0:
@@ -49,19 +46,17 @@ func fingerprintProgram(level ThreadLevel) func(env *Env) {
 
 		win := make([]float64, n)
 		w := c.WinCreate(mpi.Float64Bytes(win))
-		w.Put(mpi.Float64Bytes([]float64{1}), right, 8*me)
 		w.Accumulate(mpi.Float64Bytes([]float64{2}), left, 0, mpi.SumFloat64)
 		w.Fence()
 
-		d := c.Dup()
-		d.Barrier()
-		s := c.Split(me%2, -me)
-		s.Allreduce(mpi.Float64Bytes([]float64{1}), mpi.SumFloat64)
+		c.Barrier()
 
 		if level == Multiple {
 			env.ParallelN(2, func(th *Thread) {
 				tag := 100 + th.ID
-				th.Comm.Sendrecv(out[:64], right, tag, make([]byte, 64), left, tag)
+				rr := th.Comm.Irecv(make([]byte, 64), left, tag)
+				rs := th.Comm.Isend(out[:64], right, tag)
+				th.Comm.Waitall(&rr, &rs)
 			})
 		}
 		env.Compute(1e6)
@@ -79,16 +74,16 @@ func TestCrossApproachFingerprint(t *testing.T) {
 		events  int64
 	}
 	want := map[string]print{
-		"baseline/funneled":  {55220, [4]vclock.Time{55220, 54579, 54735, 54666}, 439},
-		"baseline/multiple":  {81942, [4]vclock.Time{81942, 81386, 81356, 81731}, 666},
-		"iprobe/funneled":    {56140, [4]vclock.Time{56140, 55499, 55655, 55586}, 483},
-		"iprobe/multiple":    {85262, [4]vclock.Time{85262, 84706, 84676, 85051}, 726},
-		"comm-self/funneled": {141077, [4]vclock.Time{140025, 139773, 137884, 141077}, 1223},
-		"comm-self/multiple": {162869, [4]vclock.Time{161817, 161565, 159676, 162869}, 1431},
-		"offload/funneled":   {42135, [4]vclock.Time{42135, 41825, 41728, 41681}, 998},
-		"offload/multiple":   {44767, [4]vclock.Time{44737, 44575, 44767, 44283}, 1184},
-		"core-spec/funneled": {47117, [4]vclock.Time{47117, 46459, 46632, 46563}, 571},
-		"core-spec/multiple": {74308, [4]vclock.Time{74032, 74308, 73386, 73606}, 879},
+		"baseline/funneled":  {50574, [4]vclock.Time{50574, 49729, 50144, 50214}, 295},
+		"baseline/multiple":  {70344, [4]vclock.Time{69644, 69758, 69963, 70344}, 462},
+		"iprobe/funneled":    {51494, [4]vclock.Time{51494, 50649, 51064, 51134}, 339},
+		"iprobe/multiple":    {73664, [4]vclock.Time{72964, 73078, 73283, 73664}, 522},
+		"comm-self/funneled": {109855, [4]vclock.Time{106367, 109855, 108596, 107419}, 885},
+		"comm-self/multiple": {126437, [4]vclock.Time{122949, 126437, 125178, 124001}, 1048},
+		"offload/funneled":   {37273, [4]vclock.Time{37273, 36527, 36988, 36982}, 710},
+		"offload/multiple":   {40045, [4]vclock.Time{40045, 39713, 39590, 39584}, 896},
+		"core-spec/funneled": {42471, [4]vclock.Time{42471, 41626, 42041, 42111}, 409},
+		"core-spec/multiple": {61835, [4]vclock.Time{61500, 61259, 61835, 61539}, 638},
 	}
 	levels := []struct {
 		name  string

@@ -26,7 +26,7 @@
 // consumes.
 //
 // Application programs are functions of an Env; they run once per rank as
-// the rank's master thread and can fork thread teams (Env.Parallel) whose
+// the rank's master thread and can fork thread teams (Env.ParallelN) whose
 // members issue MPI calls concurrently (MPI_THREAD_MULTIPLE experiments).
 package sim
 
@@ -243,9 +243,6 @@ func (e *Env) Rank() int { return e.rank }
 // Size returns the world size.
 func (e *Env) Size() int { return e.size }
 
-// Nodes returns the number of physical nodes in the cluster.
-func (e *Env) Nodes() int { return (e.size + e.prof.RanksPerNode - 1) / e.prof.RanksPerNode }
-
 // Threads returns the number of application threads available to this rank
 // (one less than the core count when a communication thread is dedicated).
 func (e *Env) Threads() int { return e.hwThr }
@@ -256,24 +253,11 @@ func (e *Env) Threads() int { return e.hwThr }
 // workload models that charge compute at their own efficiency should too.
 func (e *Env) EffectiveThreads() float64 { return e.effThr }
 
-// Approach returns the rank's configured approach.
-func (e *Env) Approach() Approach { return e.approach }
-
 // Profile returns the platform profile.
 func (e *Env) Profile() *model.Profile { return e.prof }
 
 // Now returns the current virtual time in nanoseconds.
 func (e *Env) Now() vclock.Time { return e.t.Now() }
-
-// Task exposes the master thread's task (for benches and advanced use).
-func (e *Env) Task() *vclock.Task { return e.t }
-
-// Resilience returns this rank's recovery/diagnosis counters combined with
-// the cluster-wide injected-fault counters — live, at the current virtual
-// time (the per-run aggregate is in Result.Resilience).
-func (e *Env) Resilience() Resilience {
-	return resilienceOf(e.fab, []*proto.Engine{e.eng})
-}
 
 // Compute models a perfectly parallel compute phase of the given flops
 // spread over all available application threads. Approaches that dedicate
@@ -332,21 +316,8 @@ type Thread struct {
 // Now returns the current virtual time.
 func (th *Thread) Now() vclock.Time { return th.t.Now() }
 
-// Task exposes the thread's task.
-func (th *Thread) Task() *vclock.Task { return th.t }
-
-// Compute models single-thread compute of the given flops.
-func (th *Thread) Compute(flops float64) {
-	th.t.SleepF(flops / th.Env.prof.ThreadFlops)
-}
-
 // ComputeTime advances this thread by an explicit duration (ns).
 func (th *Thread) ComputeTime(ns float64) { th.t.SleepF(ns) }
-
-// Parallel runs fn on every available application thread of the rank
-// (fork-join, like an OpenMP parallel region) and returns after all
-// members finish, charging the team-barrier cost.
-func (e *Env) Parallel(fn func(th *Thread)) { e.ParallelN(e.hwThr, fn) }
 
 // ParallelN runs fn on a team of n threads (thread 0 is the master).
 func (e *Env) ParallelN(n int, fn func(th *Thread)) {

@@ -65,11 +65,11 @@ func TestNestedParallelRegions(t *testing.T) {
 	Run(Config{Ranks: 1, Approach: Baseline}, func(env *Env) {
 		total := 0
 		env.ParallelN(3, func(th *Thread) {
-			th.Compute(100)
+			th.ComputeTime(100)
 			total++
 		})
 		env.ParallelN(2, func(th *Thread) {
-			th.Compute(100)
+			th.ComputeTime(100)
 			total++
 		})
 		if total != 5 {
@@ -81,17 +81,8 @@ func TestNestedParallelRegions(t *testing.T) {
 func TestEnvAccessors(t *testing.T) {
 	p := model.EndeavorPhi()
 	Run(Config{Ranks: 2, Approach: Offload, Profile: p}, func(env *Env) {
-		if env.Approach() != Offload {
-			t.Error("approach accessor")
-		}
 		if env.Profile().Name != "endeavor-phi" {
 			t.Error("profile accessor")
-		}
-		if env.Nodes() != 2 { // Phi: 1 rank per node
-			t.Errorf("nodes = %d", env.Nodes())
-		}
-		if env.World.GlobalRank(1) != 1 {
-			t.Error("global rank translation")
 		}
 		env.World.Barrier()
 		if m := env.Metrics(); m.Submitted == 0 || m.Completed != m.Submitted {
@@ -116,46 +107,19 @@ func TestResultRankElapsed(t *testing.T) {
 }
 
 func TestSendrecvNoDeadlockRing(t *testing.T) {
-	// Every rank Sendrecvs around a ring simultaneously — the classic
-	// deadlock trap that the combined call avoids.
+	// Every rank exchanges around a ring simultaneously — the classic
+	// deadlock trap that posting both halves before waiting avoids.
 	const n = 5
 	Run(Config{Ranks: n, Approach: Baseline}, func(env *Env) {
 		right := (env.Rank() + 1) % n
 		left := (env.Rank() - 1 + n) % n
 		out := []byte{byte(env.Rank())}
 		in := make([]byte, 1)
-		env.World.Sendrecv(out, right, 1, in, left, 1)
+		rr := env.World.Irecv(in, left, 1)
+		rs := env.World.Isend(out, right, 1)
+		env.World.Waitall(&rr, &rs)
 		if in[0] != byte(left) {
 			t.Errorf("rank %d got %d, want %d", env.Rank(), in[0], left)
-		}
-		env.World.Barrier()
-	})
-}
-
-func TestScanThroughPublicAPI(t *testing.T) {
-	const n = 4
-	Run(Config{Ranks: n, Approach: Offload}, func(env *Env) {
-		v := []float64{float64(env.Rank() + 1)}
-		env.World.Scan(mpi.Float64Bytes(v), mpi.SumFloat64)
-		want := float64((env.Rank() + 1) * (env.Rank() + 2) / 2)
-		if v[0] != want {
-			t.Errorf("rank %d scan %v, want %v", env.Rank(), v[0], want)
-		}
-		env.World.Barrier()
-	})
-}
-
-func TestReduceScatterThroughPublicAPI(t *testing.T) {
-	const n = 4
-	Run(Config{Ranks: n, Approach: Baseline}, func(env *Env) {
-		vals := make([]float64, n)
-		for b := range vals {
-			vals[b] = float64(env.Rank() + 1)
-		}
-		out := []float64{0}
-		env.World.ReduceScatterBlock(mpi.Float64Bytes(vals), mpi.Float64Bytes(out), mpi.SumFloat64)
-		if out[0] != float64(n*(n+1)/2) {
-			t.Errorf("rank %d: %v", env.Rank(), out[0])
 		}
 		env.World.Barrier()
 	})
@@ -181,7 +145,9 @@ func TestProtocolsSurviveLinkJitter(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				out := []byte{byte(i)}
 				in := make([]byte, 1)
-				c.Sendrecv(out, peer, i, in, prev, i)
+				rr := c.Irecv(in, prev, i)
+				rs := c.Isend(out, peer, i)
+				c.Waitall(&rr, &rs)
 				if in[0] != byte(i) {
 					t.Errorf("%s: jittered ring iteration %d got %d", a, i, in[0])
 				}
