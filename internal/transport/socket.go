@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"os"
 	"path/filepath"
@@ -165,11 +166,81 @@ func (c countedReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
+// payloadPool recycles the socket reader's payload buffers of minPooled
+// bytes and up, by power-of-two size class, keeping at most poolBudget
+// idle bytes. A buffer may only be recycled once nothing references it,
+// and the pool hands out only buffers that the delivered frame alone
+// references:
+//
+//   - the reader draws a buffer, fills it, marks the frame pooled and
+//     forgets it once the handler returns;
+//   - Reliable's receiver holds it only in its reorder window until it
+//     delivers it, and drops a duplicate undelivered (the GC takes that
+//     one: it never reaches a handler, so it is never recycled);
+//   - every other payload a handler sees stays unmarked: Loopback delivers
+//     the sender's own slice, which Reliable's sender keeps for
+//     retransmission and Lossy may deliver twice, and ReadFrame's
+//     payloads belong to its caller.
+//
+// So the handler that receives a pooled frame is its only owner, and
+// Recycle after its last use cannot pull bytes from under anyone.
+type payloadPool struct {
+	mu   sync.Mutex
+	idle int                   // bytes on the free lists
+	free [poolClasses][][]byte // class c holds cap 1<<(c+minPooledBits)
+}
+
+const (
+	minPooledBits = 10 // payloads of 1 KiB and up are pooled
+	minPooled     = 1 << minPooledBits
+	poolClasses   = 31 - minPooledBits // up to MaxFrameData
+	poolBudget    = 4 << 20
+)
+
+var payloads payloadPool
+
+// poolClass is the class whose buffers hold n >= minPooled bytes.
+func poolClass(n int) int { return bits.Len(uint(n-1)) - minPooledBits }
+
+// get returns a buffer of length n, recycled when one is idle.
+func (p *payloadPool) get(n int) []byte {
+	c := poolClass(n)
+	p.mu.Lock()
+	if l := p.free[c]; len(l) > 0 {
+		b := l[len(l)-1]
+		l[len(l)-1] = nil
+		p.free[c] = l[:len(l)-1]
+		p.idle -= cap(b)
+		p.mu.Unlock()
+		return b[:n]
+	}
+	p.mu.Unlock()
+	return make([]byte, n, 1<<(c+minPooledBits))
+}
+
+// put takes b back if the budget has room for it.
+func (p *payloadPool) put(b []byte) {
+	c := poolClass(cap(b))
+	if cap(b) < minPooled || c >= poolClasses || cap(b) != 1<<(c+minPooledBits) {
+		return // not one of get's buffers
+	}
+	p.mu.Lock()
+	if p.idle+cap(b) <= poolBudget {
+		p.free[c] = append(p.free[c], b[:0])
+		p.idle += cap(b)
+	}
+	p.mu.Unlock()
+}
+
+// Recycle hands a pooled frame's payload (Frame.Pooled) back to the socket
+// reader once its owner is done with the bytes; nothing may touch b after.
+func Recycle(b []byte) { payloads.put(b) }
+
 // frameReader decodes frames out of a buffered stream. Headers are parsed
-// in place from the buffer (Peek/Discard), so a frame costs exactly one
-// allocation, its payload. A payload longer than the buffered bytes is
-// finished straight from the stream into that allocation, so a large
-// frame is not copied twice.
+// in place from the buffer (Peek/Discard), so a frame costs at most one
+// allocation, its payload, and none when the payload is recycled. A
+// payload longer than the buffered bytes is finished straight from the
+// stream into that buffer, so a large frame is not copied twice.
 type frameReader struct {
 	br  *bufio.Reader
 	raw io.Reader
@@ -198,7 +269,11 @@ func (fr *frameReader) next() (Frame, error) {
 	if n == 0 {
 		return f, nil
 	}
-	f.Data = make([]byte, n)
+	if n >= minPooled {
+		f.Data, f.pooled = payloads.get(n), true
+	} else {
+		f.Data = make([]byte, n)
+	}
 	// Read takes the buffered bytes without touching the stream, or, with
 	// the buffer empty, reads once (straight into Data if it is at least a
 	// buffer long); the rest, if any, comes straight from the stream.
@@ -209,6 +284,9 @@ func (fr *frameReader) next() (Frame, error) {
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
+		}
+		if f.pooled {
+			payloads.put(f.Data)
 		}
 		return Frame{}, err
 	}

@@ -53,13 +53,21 @@ type Frame struct {
 	Seq      uint64 // reliable-delivery sequence number (Seq/Ack frames)
 	Flow     int64  // causal flow id, (src+1)<<32 | seq; 0 = unstamped
 	Data     []byte
+	pooled   bool // Data came from the socket reader's payload pool
 }
+
+// Pooled reports whether f.Data was drawn from the socket reader's payload
+// pool. Such a buffer is referenced by the delivered frame alone, so the
+// handler owns it outright and may hand it back with Recycle once it no
+// longer needs the bytes (see payloadPool for why no one else holds it).
+func (f *Frame) Pooled() bool { return f.pooled }
 
 // Handler consumes delivered frames. It is invoked in transport context:
 // the sender's goroutine for Loopback, a per-connection reader goroutine
-// for Socket. Handlers must not retain f.Data past the call unless they
-// own the backend's allocation discipline (Socket allocates per frame;
-// Loopback passes the sender's slice through).
+// for Socket. A handler may keep f.Data past the call: Socket gives every
+// frame its own buffer, and Loopback passes the sender's slice through,
+// which the sender no longer touches (but Reliable may still resend). It
+// may recycle f.Data only if f.Pooled().
 type Handler func(f Frame)
 
 // Stats is a point-in-time snapshot of an endpoint's traffic counters.

@@ -40,10 +40,17 @@
 // per-producer FIFO order.
 //
 // Each rank runs exactly one offload goroutine, the paper's configuration:
-// it alone owns the rank's command queue, inbox and matching maps.
+// it alone owns the rank's command queue, inbox and matching queues.
 // Failures surface as error values from WaitErr — ErrTimeout, ErrRankFailed,
 // ErrTruncate — and Stats exposes the counters and, when enabled, the
 // queue-wait and service histograms.
+//
+// Completion wakes exactly the waiter. The paper's application threads
+// spin on per-request done flags, which a dedicated core affords; here a
+// blocked Wait parks at once on its request slot's own wake channel, and
+// the completion sets the done flag and rings that channel alone (see
+// park for the handshake). No spin, shared doorbell or timer sits on the
+// completion path.
 package rt
 
 import (
@@ -103,9 +110,13 @@ func (m Mode) String() string {
 	return "direct"
 }
 
+// message is a delivered payload awaiting its receive. pooled marks data as
+// the socket reader's (transport.Frame.Pooled): landMessage hands it back
+// with transport.Recycle once the bytes are copied out.
 type message struct {
 	src, tag int
 	data     []byte
+	pooled   bool
 }
 
 type matchKey struct{ src, tag int }
@@ -114,7 +125,67 @@ type matchKey struct{ src, tag int }
 type pending struct {
 	slot int
 	buf  []byte
-	n    *int32 // received length, written before the done flag
+}
+
+// fifo is a ring-buffer queue that keeps its storage when it drains, so a
+// stream through one match key allocates only while its backlog grows.
+type fifo[T any] struct {
+	buf     []T // length a power of two, or zero
+	head, n int
+}
+
+func (q *fifo[T]) push(v T) {
+	if q.n == len(q.buf) {
+		nb := make([]T, max(8, 2*len(q.buf)))
+		k := copy(nb, q.buf[q.head:])
+		copy(nb[k:], q.buf[:q.head])
+		q.buf, q.head = nb, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
+}
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero // drop the payload reference
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return v
+}
+
+// matchQueues is one FIFO per match key. A drained FIFO stays in the map
+// with its storage, so matching allocates nothing in steady state; the map
+// holds one entry per (source, tag) pair the rank has ever queued under.
+type matchQueues[T any] map[matchKey]*fifo[T]
+
+func (m matchQueues[T]) push(k matchKey, v T) {
+	q := m[k]
+	if q == nil {
+		q = new(fifo[T])
+		m[k] = q
+	}
+	q.push(v)
+}
+
+// pop removes the oldest entry under k, reporting false when there is none.
+func (m matchQueues[T]) pop(k matchKey) (T, bool) {
+	if q := m[k]; q != nil && q.n > 0 {
+		return q.pop(), true
+	}
+	var zero T
+	return zero, false
+}
+
+// slotState is a request's state beside the pool's done flag.
+type slotState struct {
+	count atomic.Int32 // received byte count (truncSentinel = error)
+	peer  atomic.Int32 // peer rank, so WaitErr can blame a dead peer
+	// parked is set while the slot's waiter is blocked on wake; wake is
+	// its capacity-1 doorbell, made by the first waiter that parks on the
+	// slot and published to completers by the parked store.
+	parked atomic.Bool
+	wake   chan struct{}
 }
 
 // Rank is one process of the real-time cluster.
@@ -124,20 +195,12 @@ type Rank struct {
 	mode    Mode
 
 	pool  *reqpool.Pool
-	count []int32 // per-slot received byte counts (truncSentinel = error)
-	peer  []int32 // per-slot peer rank, so WaitErr can blame a dead peer
+	slots []slotState // per-request state, indexed like the pool
 
 	// ep is the rank's attachment to the wire; flowSeq stamps outgoing
 	// frames with the repo-wide causal flow id ((id+1)<<32 | seq).
 	ep      transport.Endpoint
 	flowSeq atomic.Uint64
-
-	// Doorbell for parked waiters: every completion rings it while anyone
-	// is napping in Wait/WaitErr. Wake-one is deliberate — a waiter woken
-	// by someone else's completion just re-checks and re-parks, and the
-	// napFallback timeout bounds the rare lost-wakeup race.
-	doneBell chan struct{}
-	waiters  atomic.Int32
 
 	failed atomic.Bool // set by Cluster.KillRank; the rank's NIC goes dark
 
@@ -146,14 +209,17 @@ type Rank struct {
 	mu         chan struct{} // 1-token semaphore as the "global MPI lock"
 	cq         *queue.Sharded[cmd]
 	inbox      *queue.MPMC[message]
-	posted     map[matchKey][]pending
-	unexpected map[matchKey][]message
+	posted     matchQueues[pending]
+	unexpected matchQueues[message]
 
-	// Doorbell for the parked agent: submitters and the delivery upcall
-	// ring it (when napping says anyone is listening) so an idle agent
-	// wakes in microseconds instead of a timer tick.
+	// bell wakes whoever drains this rank's inbox when it is parked: the
+	// idle offload agent in Offload mode, the parked waiters in Direct
+	// mode, which have no agent to drain for them. napping counts the
+	// goroutines parked on it; submitters and the delivery upcall ring it
+	// only while napping > 0. A completion never rings it: it wakes its
+	// one waiter through the slot's own wake channel.
 	bell    chan struct{}
-	napping atomic.Bool
+	napping atomic.Int32
 
 	stop atomic.Bool
 
@@ -350,16 +416,14 @@ func (c *Cluster) addRank(id int, ep transport.Endpoint, o Options) {
 		cluster:    c,
 		mode:       c.mode,
 		pool:       reqpool.New(1 << 12),
-		count:      make([]int32, 1<<12),
-		peer:       make([]int32, 1<<12),
+		slots:      make([]slotState, 1<<12),
 		mu:         make(chan struct{}, 1),
 		cq:         queue.NewSharded[cmd](shards, 1<<8, 1<<12),
 		inbox:      queue.NewMPMC[message](1 << 12),
-		posted:     make(map[matchKey][]pending),
-		unexpected: make(map[matchKey][]message),
+		posted:     make(matchQueues[pending]),
+		unexpected: make(matchQueues[message]),
 		bell:       make(chan struct{}, 1),
 		ep:         ep,
-		doneBell:   make(chan struct{}, 1),
 	}
 	ep.Bind(r.deliver)
 	c.ranks = append(c.ranks, r)
@@ -416,7 +480,7 @@ func (c *Cluster) KillRank(i int) {
 		return
 	}
 	r.stop.Store(true)
-	ring(r.bell) // wake a napping agent so it observes the stop
+	ring(r.bell) // wake whoever naps on the bell so it observes the stop
 }
 
 // Failed reports whether rank i is considered dead: killed by KillRank, or
@@ -494,26 +558,25 @@ func (th *Thread) Recv(buf []byte, src, tag int) int { return th.r.Wait(th.Irecv
 // WaitErr forwards to the rank's WaitErr.
 func (th *Thread) WaitErr(h Handle) (int, error) { return th.r.WaitErr(h) }
 
-// spin is an adaptive wait for the rt layer's progress loops: hot Gosched
-// yields for the first spinHot rounds, then parks. Parking is what keeps
-// a socket backend fast on saturated GOMAXPROCS: pure Gosched spinners
-// keep every P permanently runnable, the Go scheduler then never blocks
-// on netpoll, and socket readiness is only noticed on sysmon's 10 ms
-// retake tick — a 20 ms ping-pong on a 1-CPU host. An idle P lets the
-// scheduler block on netpoll and wire wakeups return to microseconds.
+// spin is the offload agent's idle wait and the back-pressure wait of a
+// full command ring or inbox: hot Gosched yields for the first spinHot
+// rounds, then the caller parks. Parking is what keeps a socket backend
+// fast on saturated GOMAXPROCS: pure Gosched spinners keep every P
+// permanently runnable, the Go scheduler then never blocks on netpoll, and
+// socket readiness is only noticed on sysmon's 10 ms retake tick — a 20 ms
+// ping-pong on a 1-CPU host. An idle P lets the scheduler block on netpoll
+// and wire wakeups return to microseconds.
 //
-// Parking comes in two flavors. Loops with a producer that can signal
-// them block on a doorbell channel (see ring/bell below) with napFallback
-// as the lost-wakeup safety net; loops whose wakeup condition nobody
-// signals (pool-slot recycling, a full queue draining) sleep napFallback
-// outright via pause. Timer sleeps on a loaded host resolve at
-// millisecond granularity no matter how short the request, so every
-// latency-critical wakeup must ride a doorbell or an fd, never a timer.
+// Waiters do not spin at all: a blocked Wait parks at once on its slot's
+// wake channel, which the completion rings (see park). The idle agent
+// parks on the rank's bell, which submitters and the delivery upcall ring
+// (napAgent). Only back-pressure, whose end nobody signals (a full queue
+// draining), sleeps: pause yields, then sleeps backoffSleep per round.
 type spin struct{ n int }
 
 const (
-	spinHot     = 64
-	napFallback = time.Millisecond
+	spinHot      = 64
+	backoffSleep = time.Millisecond
 )
 
 // yield burns one hot round; false means the budget is spent and the
@@ -527,9 +590,11 @@ func (s *spin) yield() bool {
 	return false
 }
 
+// pause is one round of back-pressure wait: a yield, or once the budget
+// is spent a backoffSleep sleep.
 func (s *spin) pause() {
 	if !s.yield() {
-		time.Sleep(napFallback)
+		time.Sleep(backoffSleep)
 	}
 }
 
@@ -557,34 +622,17 @@ func (r *Rank) directPoll() {
 	r.unlock()
 }
 
-// parkWait parks a waiter on the completion doorbell once its hot-yield
-// budget is spent; napFallback bounds the lost-wakeup race and the
-// wake-one misdirection (a waiter woken by someone else's completion just
-// re-checks and re-parks).
-func (r *Rank) parkWait(slot int) {
-	r.waiters.Add(1)
-	if !r.pool.Done(slot) {
-		select {
-		case <-r.doneBell:
-		case <-time.After(napFallback):
-		}
-	}
-	r.waiters.Add(-1)
-}
-
-// napAgent parks an idle agent on its doorbell after the hot-yield budget
-// is spent. The queues are re-checked after raising the napping flag —
-// the Dekker handshake with the submitters' flag-then-ring — so a command
-// posted during the race is never slept through.
+// napAgent parks the idle agent on the bell. The queues are re-checked
+// after napping is raised — the Dekker handshake with the submitters' and
+// the delivery upcall's enqueue-then-check-napping — so a command or a
+// delivery that races the nap is never slept through, and no timer is
+// needed.
 func (r *Rank) napAgent() {
-	r.napping.Store(true)
+	r.napping.Add(1)
 	if r.cq.Len() == 0 && r.inbox.Empty() && !r.stop.Load() {
-		select {
-		case <-r.bell:
-		case <-time.After(napFallback):
-		}
+		<-r.bell
 	}
-	r.napping.Store(false)
+	r.napping.Add(-1)
 }
 
 // Isend starts a nonblocking send of buf to dst with tag. The payload is
@@ -598,7 +646,7 @@ func (r *Rank) Isend(buf []byte, dst, tag int) Handle {
 
 func (r *Rank) isend(shard int, buf []byte, dst, tag int) Handle {
 	slot := r.getSlot()
-	atomic.StoreInt32(&r.peer[slot], int32(dst))
+	r.slots[slot].peer.Store(int32(dst))
 	r.Sends.Add(1)
 	if r.mode == Offload {
 		data := append([]byte(nil), buf...) // serialize into the command
@@ -618,7 +666,7 @@ func (r *Rank) Irecv(buf []byte, src, tag int) Handle {
 
 func (r *Rank) irecv(shard int, buf []byte, src, tag int) Handle {
 	slot := r.getSlot()
-	atomic.StoreInt32(&r.peer[slot], int32(src))
+	r.slots[slot].peer.Store(int32(src))
 	r.Recvs.Add(1)
 	if r.mode == Offload {
 		r.submit(shard, cmd{kind: cmdRecv, slot: slot, peer: src, tag: tag, buf: buf})
@@ -640,7 +688,7 @@ func (r *Rank) submit(shard int, c cmd) {
 	for !r.cq.TryEnqueue(shard, c) {
 		sp.pause()
 	}
-	if r.napping.Load() {
+	if r.napping.Load() > 0 {
 		ring(r.bell)
 	}
 }
@@ -661,7 +709,7 @@ func (r *Rank) Wait(h Handle) int {
 
 // WaitErr is Wait bounded by the cluster's watchdog deadline: when the
 // operation is still incomplete after SetWatchdog's duration it returns
-// ErrTimeout instead of spinning forever (a hung peer, a never-posted
+// ErrTimeout instead of blocking forever (a hung peer, a never-posted
 // receive). It also decodes the slot's error sentinel: a truncated receive
 // returns ErrTruncate. The timed-out request stays live and its pool slot
 // is intentionally leaked — the engine may still complete it later, and
@@ -678,43 +726,102 @@ func (r *Rank) WaitErr(h Handle) (int, error) {
 	return n, nil
 }
 
-// wait is the one wait loop behind Wait and WaitErr: hot-yield, drive
-// progress itself in Direct mode, then park on the completion doorbell. It
-// releases the slot and returns its raw byte count; d > 0 bounds it by
-// wall-clock time and, once that passes, leaves the slot live and returns
-// the watchdog's error.
+// wait is the one wait loop behind Wait and WaitErr. It releases the slot
+// and returns its raw byte count; d > 0 bounds it by one wall-clock timer
+// and, once that fires, leaves the slot live and returns the watchdog's
+// error.
 func (r *Rank) wait(slot int, d time.Duration) (int, error) {
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	var sp spin
-	for !r.pool.Done(slot) {
-		if r.mode == Direct {
-			// The waiter must drive progress itself (and contends with
-			// every other thread of this rank for the lock).
-			r.directPoll()
-			if r.pool.Done(slot) {
-				break
-			}
-		}
-		if d > 0 && time.Now().After(deadline) {
-			return 0, r.expire(slot, d)
-		}
-		if !sp.yield() {
-			r.parkWait(slot)
+	s := &r.slots[slot]
+	if !r.pool.Done(slot) {
+		if err := r.block(slot, s, d); err != nil {
+			return 0, err
 		}
 	}
-	n := int(atomic.LoadInt32(&r.count[slot]))
+	n := int(s.count.Load())
 	r.pool.Put(slot)
 	return n, nil
+}
+
+// block returns once slot is done, or with the watchdog's error once d > 0
+// has passed. It does not spin: the waiter parks at once on the slot's
+// wake channel, and the completer (complete) rings exactly that channel.
+//
+// In Direct mode there is no agent, so the waiter drains the inbox itself
+// under the lock before every park, and parks on the rank's bell as well,
+// which the delivery upcall rings while napping > 0. Whoever takes the
+// bell's token drains on its next pass, so the delivery it announced is
+// landed even when it completes some other waiter's slot.
+func (r *Rank) block(slot int, s *slotState, d time.Duration) error {
+	var expired <-chan time.Time
+	if d > 0 {
+		wd := time.NewTimer(d)
+		defer wd.Stop()
+		expired = wd.C
+	}
+	if s.wake == nil {
+		s.wake = make(chan struct{}, 1)
+	}
+	var bell chan struct{} // nil, so never selected, in Offload mode
+	if r.mode == Direct {
+		bell = r.bell
+	}
+	for {
+		if bell != nil {
+			// The waiter drives progress itself (and contends with every
+			// other thread of this rank for the lock).
+			r.directPoll()
+		}
+		if r.pool.Done(slot) {
+			return nil
+		}
+		if !r.park(slot, s, bell, expired) {
+			return r.expire(slot, d)
+		}
+	}
+}
+
+// park blocks until the slot's wake channel or the bell (Direct mode) is
+// rung, and reports false if the watchdog fired first. Each wakeup source
+// is a Dekker handshake over seq-cst atomics: the waiter raises parked
+// (and napping) and then re-checks the done flag (and the inbox); the
+// completer sets the done flag and then loads parked, the delivery upcall
+// enqueues and then loads napping. One side always sees the other, so
+// either the waiter does not block or it is rung: no wakeup is lost, and
+// no timer backs the handshake up. A token left by a completer that raced
+// an unparking waiter costs the slot's next waiter one spurious pass.
+func (r *Rank) park(slot int, s *slotState, bell chan struct{}, expired <-chan time.Time) bool {
+	if bell != nil {
+		r.napping.Add(1)
+		defer r.napping.Add(-1)
+	}
+	s.parked.Store(true)
+	defer s.parked.Store(false)
+	if r.pool.Done(slot) || (bell != nil && !r.inbox.Empty()) {
+		return true
+	}
+	select {
+	case <-s.wake:
+	case <-bell:
+	case <-expired:
+		return r.pool.Done(slot) // completed as the deadline passed
+	}
+	return true
+}
+
+// complete marks slot done and, when its waiter is parked, rings exactly
+// that waiter: the completer's half of park's handshake.
+func (r *Rank) complete(slot int) {
+	r.pool.SetDone(slot)
+	if s := &r.slots[slot]; s.parked.Load() {
+		ring(s.wake)
+	}
 }
 
 // expire records a watchdog trip on slot and names its cause: the peer is
 // dead (ErrRankFailed) or merely late (ErrTimeout).
 func (r *Rank) expire(slot int, d time.Duration) error {
 	r.WatchdogTrips.Add(1)
-	p := int(atomic.LoadInt32(&r.peer[slot]))
+	p := int(r.slots[slot].peer.Load())
 	if p >= 0 && p < r.cluster.Size() && r.cluster.Failed(p) {
 		return fmt.Errorf("%w (rank %d slot %d peer %d after %v)", ErrRankFailed, r.id, slot, p, d)
 	}
@@ -728,7 +835,7 @@ func (r *Rank) expire(slot int, d time.Duration) error {
 func (r *Rank) getSlot() int {
 	for {
 		if s := r.pool.Get(); s != reqpool.None {
-			atomic.StoreInt32(&r.count[s], 0)
+			r.slots[s].count.Store(0)
 			return s
 		}
 		runtime.Gosched()
@@ -761,8 +868,7 @@ func (r *Rank) doSend(slot, dst, tag int, data []byte) {
 			r.cluster.peerDown[dst].Store(true)
 		}
 	}
-	r.pool.SetDone(slot)
-	r.wakeWaiters()
+	r.complete(slot)
 }
 
 // staged is a send the offload agent has drained but not yet written.
@@ -830,8 +936,7 @@ func (r *Rank) flush(ob *outbox) {
 		ob.frames = frames[:0]
 		for j := i; j < len(out); j++ {
 			if s := &out[j]; s.f.Dst == dst {
-				r.pool.SetDone(s.slot)
-				r.wakeWaiters()
+				r.complete(s.slot)
 				if s.startNs != 0 {
 					r.serviceH.Observe(time.Now().UnixNano() - s.startNs)
 				}
@@ -842,69 +947,54 @@ func (r *Rank) flush(ob *outbox) {
 	ob.sends = out[:0]
 }
 
-// wakeWaiters rings the completion doorbell when any Wait is parked.
-func (r *Rank) wakeWaiters() {
-	if r.waiters.Load() > 0 {
-		ring(r.doneBell)
-	}
-}
-
 // deliver is the transport upcall: it runs on the wire's delivery
 // goroutine — the sender's own, for Loopback; a socket-reader, for real
-// backends — and enqueues the frame into the rank's inbox. A full inbox applies backpressure by spinning, bounded by rank death
-// and cluster shutdown so a blocked delivery can never outlive Close.
+// backends — and enqueues the frame into the rank's inbox, then rings the
+// bell if anyone who drains the inbox is parked on it. A full inbox
+// applies backpressure by pausing, bounded by rank death and cluster
+// shutdown so a blocked delivery can never outlive Close.
 func (r *Rank) deliver(f transport.Frame) {
 	if f.Kind != transport.KindData || r.failed.Load() {
 		return
 	}
+	m := message{src: f.Src, tag: f.Tag, data: f.Data, pooled: f.Pooled()}
 	var sp spin
-	for !r.inbox.TryEnqueue(message{src: f.Src, tag: f.Tag, data: f.Data}) {
+	for !r.inbox.TryEnqueue(m) {
 		if r.failed.Load() || r.stop.Load() {
 			return
 		}
 		sp.pause()
 	}
-	if r.napping.Load() {
+	if r.napping.Load() > 0 {
 		ring(r.bell)
-	}
-	if r.mode == Direct && r.waiters.Load() > 0 {
-		// Direct mode has no agent: a parked waiter is the only one who
-		// will drain this delivery.
-		ring(r.doneBell)
 	}
 }
 
 // doRecv runs in engine context.
 func (r *Rank) doRecv(slot, src, tag int, buf []byte) {
 	k := matchKey{src, tag}
-	if q := r.unexpected[k]; len(q) > 0 {
-		m := q[0]
-		if len(q) == 1 {
-			delete(r.unexpected, k)
-		} else {
-			r.unexpected[k] = q[1:]
-		}
+	if m, ok := r.unexpected.pop(k); ok {
 		r.landMessage(slot, buf, m)
 		return
 	}
-	r.posted[k] = append(r.posted[k], pending{slot: slot, buf: buf})
+	r.posted.push(k, pending{slot: slot, buf: buf})
 }
 
 // landMessage completes a receive. A message longer than the posted buffer
 // fails the request with the truncation sentinel (payload dropped, like
 // MPI_ERR_TRUNCATE) instead of crashing the whole process: the waiter sees
-// a negative count and WaitErr turns it into ErrTruncate.
+// a negative count and WaitErr turns it into ErrTruncate. Either way the
+// payload is dead afterwards, so a pooled one goes back to the transport.
 func (r *Rank) landMessage(slot int, buf []byte, m message) {
-	if len(m.data) > len(buf) {
-		atomic.StoreInt32(&r.count[slot], truncSentinel)
-		r.pool.SetDone(slot)
-		r.wakeWaiters()
-		return
+	n := int32(truncSentinel)
+	if len(m.data) <= len(buf) {
+		n = int32(copy(buf, m.data))
 	}
-	copy(buf, m.data)
-	atomic.StoreInt32(&r.count[slot], int32(len(m.data)))
-	r.pool.SetDone(slot)
-	r.wakeWaiters()
+	if m.pooled {
+		transport.Recycle(m.data)
+	}
+	r.slots[slot].count.Store(n)
+	r.complete(slot)
 }
 
 // drain processes every delivered message (engine context).
@@ -916,17 +1006,11 @@ func (r *Rank) drain() {
 		}
 		r.Progress.Add(1)
 		k := matchKey{m.src, m.tag}
-		if q := r.posted[k]; len(q) > 0 {
-			p := q[0]
-			if len(q) == 1 {
-				delete(r.posted, k)
-			} else {
-				r.posted[k] = q[1:]
-			}
+		if p, ok := r.posted.pop(k); ok {
 			r.landMessage(p.slot, p.buf, m)
 			continue
 		}
-		r.unexpected[k] = append(r.unexpected[k], m)
+		r.unexpected.push(k, m)
 	}
 }
 

@@ -242,6 +242,88 @@ func TestNetBackendLossyReliable(t *testing.T) {
 	}
 }
 
+// TestNetBackendLossyReliableLargePayloads: the same chaos stack over both
+// backends with payloads of 4 KiB and up, every byte checked at both ends.
+// Each side posts a burst of sends before it receives, so messages also
+// wait in the unexpected queue. Over sockets these payloads come from the
+// reader's pool and go back to it once landed, so a buffer recycled while
+// a frame still referenced it (a queued message, a retransmit, a
+// duplicate) shows up here as corrupted bytes. Over Loopback the
+// delivered payload is the sender's copy, which Reliable keeps for
+// retransmission and must never be recycled.
+func TestNetBackendLossyReliableLargePayloads(t *testing.T) {
+	sizes := []int{4 << 10, 9000, 64 << 10}
+	fill := func(b []byte, th, i int) []byte {
+		for j := range b {
+			b[j] = byte(th*131 + i*7 + j*13 + j>>8)
+		}
+		return b
+	}
+	for name, mk := range netMeshes(t, 2) {
+		t.Run(name, func(t *testing.T) {
+			mesh := transport.WrapMesh(mk(), func(ep transport.Endpoint) transport.Endpoint {
+				return transport.NewReliable(transport.NewLossy(ep, chaosNetPlan()))
+			})
+			c := NewClusterOpts(2, Offload, Options{Transport: mesh})
+			defer c.Close()
+			const threads = 2
+			const bursts = 10
+			check := func(th, i int, got []byte, n int, where string) {
+				want := fill(make([]byte, sizes[i%len(sizes)]), th, i)
+				if !bytes.Equal(got[:max(n, 0)], want) {
+					t.Errorf("%s: thread %d message %d: %d bytes corrupted (%d arrived)", where, th, i, len(want), n)
+				}
+			}
+			// burst sends messages i..i+len(sizes)-1 of a stream, all
+			// posted before the first is waited for.
+			burst := func(me *Thread, dst, tag int, msg func(i int) []byte, i int) {
+				hs := make([]Handle, len(sizes))
+				for k := range hs {
+					hs[k] = me.Isend(msg(i+k), dst, tag)
+				}
+				for _, h := range hs {
+					me.Rank().Wait(h)
+				}
+			}
+			var wg sync.WaitGroup
+			for th := 0; th < threads; th++ {
+				wg.Add(2)
+				go func() { // rank 0: a burst out, the echoes back
+					defer wg.Done()
+					me := c.Rank(0).RegisterThread()
+					in := make([]byte, 64<<10)
+					for b := 0; b < bursts; b++ {
+						i := b * len(sizes)
+						burst(me, 1, 10+th, func(i int) []byte { return fill(make([]byte, sizes[i%len(sizes)]), th, i) }, i)
+						for k := range sizes {
+							n := me.Recv(in, 1, 50+th)
+							check(th, i+k, in, n, "echo")
+						}
+					}
+				}()
+				go func() { // rank 1: a burst in, checked, echoed
+					defer wg.Done()
+					me := c.Rank(1).RegisterThread()
+					in := make([][]byte, len(sizes))
+					for k := range in {
+						in[k] = make([]byte, 64<<10)
+					}
+					n := make([]int, len(sizes))
+					for b := 0; b < bursts; b++ {
+						i := b * len(sizes)
+						for k := range sizes {
+							n[k] = me.Recv(in[k], 0, 10+th)
+							check(th, i+k, in[k], n[k], "delivery")
+						}
+						burst(me, 0, 50+th, func(j int) []byte { return in[j-i][:max(n[j-i], 0)] }, i)
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
 // TestCloseWithInFlightSocketOps pins the close-ordering contract: a
 // cluster whose offload agent is blocked mid-write into a full kernel
 // socket buffer (the peer accepted the connection but never drains) must
