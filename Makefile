@@ -10,10 +10,10 @@
 #                     rt layers — the fuzz seeds for the lock-free queues and
 #                     request pool run as unit tests here, so real-goroutine
 #                     interleavings are probed under -race on every CI pass.
-#                     The reliable-channel, socket-batch and rt wake-up tests
-#                     then run 20 times more: one race-detector pass seldom
-#                     catches a timer/ack race, two batches racing for one
-#                     peer's header arena, or a lost completion wakeup.
+#                     The socket-batch and rt wake-up tests then run 20
+#                     times more: one race-detector pass seldom catches two
+#                     batches racing for one peer's header arena or a lost
+#                     completion wakeup.
 #   make smoke        one pattern for every BENCH document (mtscale, topo,
 #                     chaos, net): a -quick sweep through cmd/paper into /tmp,
 #                     the validator on that file and on the committed file
@@ -68,7 +68,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/... ./sim ./rt/... ./mpi ./bench
-	$(GO) test -race -count=20 -run 'Reliable|Lossy|Batch|Wake' ./internal/transport ./rt
+	$(GO) test -race -count=20 -run 'Batch|Wake' ./internal/transport ./rt
 
 smoke: $(DOCS:%=%-smoke)
 

@@ -98,13 +98,6 @@ type Plan struct {
 	DropRate float64
 	// DupRate is the probability an eligible packet is delivered twice.
 	DupRate float64
-	// ReorderRate is the probability an eligible packet is held back and
-	// released behind its successor. Only the real transport's lossy
-	// wrapper (internal/transport.Lossy) can reorder — the virtual-time
-	// fabric delivers in timestamp order by construction — but the field
-	// lives on the shared Plan so one seeded document drives chaos in
-	// both worlds.
-	ReorderRate float64
 	// Stalls are NIC outage windows.
 	Stalls []Stall
 	// Crashes are whole-rank failures.
@@ -127,7 +120,7 @@ type Plan struct {
 // Link and switch outages count: a failed link eats in-flight packets
 // during the detection window, so recovery needs retransmission.
 func (p *Plan) Lossy() bool {
-	return p != nil && (p.DropRate > 0 || p.DupRate > 0 || p.ReorderRate > 0 ||
+	return p != nil && (p.DropRate > 0 || p.DupRate > 0 ||
 		len(p.Links) > 0 || len(p.Switches) > 0)
 }
 
@@ -135,7 +128,6 @@ func (p *Plan) Lossy() bool {
 type Stats struct {
 	Dropped      int64 // packets lost to DropRate
 	Duplicated   int64 // packets delivered twice
-	Reordered    int64 // packets held back past a successor (real transport)
 	Stalled      int64 // packets delayed by a stall window
 	BlackoutDrop int64 // packets lost to a permanent blackout or partition
 	CrashDrop    int64 // packets silenced by a rank crash
@@ -343,23 +335,6 @@ func (in *Injector) DrawPacket() (drop, dup bool) {
 		in.stats.Duplicated++
 	}
 	return false, dup
-}
-
-// DrawReorder decides whether an eligible packet is held back and
-// released behind its successor. Only the real transport consumes this —
-// the virtual-time fabric cannot reorder — and the draw comes from the
-// packet-fate PRNG stream, after DrawPacket's two draws for the same
-// packet, so a given (plan, traffic) pair replays the identical fate
-// sequence on every run.
-func (in *Injector) DrawReorder() bool {
-	if in == nil || in.plan.ReorderRate <= 0 {
-		return false
-	}
-	if in.rng.Float64() < in.plan.ReorderRate {
-		in.stats.Reordered++
-		return true
-	}
-	return false
 }
 
 // Crashed reports whether the rank is dead at virtual time at.

@@ -1,25 +1,25 @@
 package proto
 
-// The reliable-delivery protocol, written once. Both clocks run this
-// exact state machine: the simulated engine (rel.go, NIC timer context,
-// virtual time) and the real transport's wall-clock wrapper
-// (internal/transport.Reliable, socket reader and timer goroutines). The
-// adapters own only a clock, a wire and — wall-clock only — the locks;
-// every protocol decision (sequencing, ack bookkeeping, the resend /
-// backoff / abandon policy, cancellation, dedup and reordering, and the
-// RelStats counters) lives here. Neither half locks or reads a clock;
-// callers serialize per peer.
+// The reliable-delivery protocol's state machine, kept apart from its
+// one adapter, the simulated engine (rel.go, NIC timer context, virtual
+// time), which owns the clock and the wire. Every protocol decision
+// (sequencing, ack bookkeeping, the resend / backoff / abandon policy,
+// cancellation, dedup and reordering, and the RelStats counters) lives
+// here, so it is tested against a reference model without a fabric.
+// Neither half locks or reads a clock; callers serialize per peer. Loss
+// is modelled in virtual time only: the real engine's streams never drop,
+// duplicate or reorder a frame (DESIGN.md §16).
 //
-// RelTx and RelRx are generic over the buffered value: the engine keeps
-// fabric packets, the transport keeps wire frames.
+// RelTx and RelRx are generic over the buffered value; the engine keeps
+// fabric packets.
 
 // The retry policy. Each expiry of a pending value's timer resends it and
 // re-arms the timer at the base timeout rto times 2^min(1+2+…+tries,
 // relMaxShift), where tries counts resends so far: the timeout grows
 // rto·(2, 8, 16, 16, …) and is capped at 16·rto, so the resends go out
-// after rto·(1, 3, 11, 27, 43, …) — 2, 6, 22, 54 and 86 ms, then every
-// 32 ms, at the wall-clock 2 ms base. The expiry after relMaxRetries
-// resends abandons the value, leaving the failure to the layer's watchdog.
+// after rto·(1, 3, 11, 27, 43, …), then every 16·rto. The expiry after
+// relMaxRetries resends abandons the value, leaving the failure to the
+// layer's watchdog.
 const (
 	relMaxRetries = 20
 	relMaxShift   = 4

@@ -68,8 +68,7 @@ func TestRelRxDuplicates(t *testing.T) {
 
 // TestRelRxRandomPermutations: any delivery order of 1..n — with every
 // frame also duplicated — comes out exactly once each, in order. This is
-// the property both the simulated NIC and the socket Reliable wrapper
-// lean on.
+// the property the simulated NIC leans on.
 func TestRelRxRandomPermutations(t *testing.T) {
 	const n = 200
 	rng := rand.New(rand.NewSource(42))

@@ -26,7 +26,8 @@ func pattern(stream, i, n int) []byte {
 // TestSocketBatchMixedSizes: one batch mixing a zero-length frame, 64 B
 // frames and a 1 MiB frame — frames that straddle the reader's buffer and
 // one far larger than it — goes out in one write call and every frame
-// arrives intact and in order.
+// arrives intact and in order. A batch with two destinations, or to no
+// rank of the mesh, is refused.
 func TestSocketBatchMixedSizes(t *testing.T) {
 	m, err := NewSocketMesh("unix", 2)
 	if err != nil {
@@ -39,7 +40,7 @@ func TestSocketBatchMixedSizes(t *testing.T) {
 	sizes := []int{0, 64, 64, 1 << 20, 64, 0, 5000, 64, readBuf - HeaderLen, 64}
 	fs := make([]Frame, len(sizes))
 	for i, n := range sizes {
-		fs[i] = Frame{Kind: KindData, Src: 0, Dst: 1, Tag: i, Seq: uint64(i), Flow: int64(100 + i), Data: pattern(0, i, n)}
+		fs[i] = Frame{Kind: KindData, Src: 0, Dst: 1, Tag: i, Flow: int64(100 + i), Data: pattern(0, i, n)}
 	}
 	want := append([]Frame(nil), fs...)
 	if _, ok := m.Endpoint(0).(Batcher); !ok {
@@ -50,9 +51,9 @@ func TestSocketBatchMixedSizes(t *testing.T) {
 	}
 	for i, w := range want {
 		f := recvFrame(t, got)
-		if f.Src != 0 || f.Dst != 1 || f.Tag != i || f.Seq != w.Seq || f.Flow != w.Flow || !bytes.Equal(f.Data, w.Data) {
-			t.Fatalf("frame %d: got tag %d seq %d flow %d len %d, want tag %d len %d",
-				i, f.Tag, f.Seq, f.Flow, len(f.Data), i, len(w.Data))
+		if f.Src != 0 || f.Dst != 1 || f.Tag != i || f.Flow != w.Flow || !bytes.Equal(f.Data, w.Data) {
+			t.Fatalf("frame %d: got tag %d flow %d len %d, want tag %d flow %d len %d",
+				i, f.Tag, f.Flow, len(f.Data), i, w.Flow, len(w.Data))
 		}
 	}
 	s := m.Endpoint(0).Stats()
@@ -71,11 +72,15 @@ func TestSocketBatchMixedSizes(t *testing.T) {
 	if err := SendBatch(m.Endpoint(0), mixed); err == nil {
 		t.Error("a batch with two destinations was accepted")
 	}
+	if err := SendBatch(m.Endpoint(0), []Frame{{Src: 0, Dst: 2}}); err == nil {
+		t.Error("a batch to rank 2 of 2 was accepted")
+	}
 }
 
 // TestSocketBatchConcurrent: several goroutines share one peer's header
 // arena and write vector; batches of every size interleave on the stream
-// without tearing, each sender's frames in order.
+// without tearing, each sender's frames in order. Tag names the sender and
+// Flow carries the frame's index in that sender's sequence.
 func TestSocketBatchConcurrent(t *testing.T) {
 	m, err := NewSocketMesh("unix", 2)
 	if err != nil {
@@ -93,7 +98,7 @@ func TestSocketBatchConcurrent(t *testing.T) {
 			for i := 0; i < per; {
 				var fs []Frame
 				for k := 0; k <= (i+s)%7 && i < per; k++ {
-					fs = append(fs, Frame{Kind: KindData, Src: 0, Dst: 1, Tag: s, Seq: uint64(i), Data: pattern(s, i, (i*37)%300)})
+					fs = append(fs, Frame{Kind: KindData, Src: 0, Dst: 1, Tag: s, Flow: int64(i), Data: pattern(s, i, (i*37)%300)})
 					i++
 				}
 				if err := SendBatch(m.Endpoint(0), fs); err != nil {
@@ -108,8 +113,8 @@ func TestSocketBatchConcurrent(t *testing.T) {
 	for n := 0; n < senders*per; n++ {
 		f := recvFrame(t, got)
 		i := next[f.Tag]
-		if f.Seq != uint64(i) || !bytes.Equal(f.Data, pattern(f.Tag, i, (i*37)%300)) {
-			t.Fatalf("sender %d: frame seq %d arrived where %d was due, or torn", f.Tag, f.Seq, i)
+		if f.Flow != int64(i) || !bytes.Equal(f.Data, pattern(f.Tag, i, (i*37)%300)) {
+			t.Fatalf("sender %d: frame %d arrived where %d was due, or torn", f.Tag, f.Flow, i)
 		}
 		next[f.Tag]++
 	}
@@ -232,11 +237,11 @@ func TestBatchReaderAllocs(t *testing.T) {
 // TestBatchHeaderCodec: the shared encoder and decoder round-trip every
 // field, and the decoder refuses a corrupt magic and an oversized length.
 func TestBatchHeaderCodec(t *testing.T) {
-	f := Frame{Kind: KindAck, Src: 3, Dst: -1, Tag: -7, Seq: 1 << 40, Flow: -5, Data: make([]byte, 9)}
+	f := Frame{Kind: KindData, Src: 3, Dst: -1, Tag: -7, Flow: -5, Data: make([]byte, 9)}
 	var h [HeaderLen]byte
 	putHeader(h[:], &f)
 	g, n, err := decodeHeader(h[:])
-	if err != nil || n != 9 || g.Kind != f.Kind || g.Src != f.Src || g.Dst != f.Dst || g.Tag != f.Tag || g.Seq != f.Seq || g.Flow != f.Flow {
+	if err != nil || n != 9 || g.Kind != f.Kind || g.Src != f.Src || g.Dst != f.Dst || g.Tag != f.Tag || g.Flow != f.Flow {
 		t.Fatalf("round trip: %+v n=%d err=%v", g, n, err)
 	}
 	bad := h
@@ -245,7 +250,7 @@ func TestBatchHeaderCodec(t *testing.T) {
 		t.Errorf("corrupt magic: %v", err)
 	}
 	big := h
-	binary.LittleEndian.PutUint32(big[32:36], MaxFrameData+1)
+	binary.LittleEndian.PutUint32(big[24:28], MaxFrameData+1)
 	if _, _, err := decodeHeader(big[:]); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("oversized payload length: %v", err)
 	}

@@ -1,19 +1,18 @@
 package transport
 
-// Wire framing. Every frame is a fixed 36-byte little-endian header
+// Wire framing. Every frame is a fixed 28-byte little-endian header
 // followed by the payload:
 //
 //	offset  size  field
 //	     0     2  magic 0x6D6F ("mo")
-//	     2     1  version (1)
-//	     3     1  kind (Data / Seq / Ack)
+//	     2     1  version (2)
+//	     3     1  kind (Data)
 //	     4     4  src rank (int32)
 //	     8     4  dst rank (int32)
 //	    12     4  tag (int32)
-//	    16     8  seq (uint64; reliable-delivery sequence, 0 otherwise)
-//	    24     8  flow (int64; causal flow stamp, 0 = unstamped)
-//	    32     4  payload length (uint32)
-//	    36     …  payload
+//	    16     8  flow (int64; causal flow stamp, 0 = unstamped)
+//	    24     4  payload length (uint32)
+//	    28     …  payload
 //
 // The format is deliberately self-describing per frame (src/dst in every
 // header) so connections need no handshake: a socket backend identifies
@@ -27,7 +26,7 @@ import (
 )
 
 // HeaderLen is the fixed frame-header size in bytes.
-const HeaderLen = 36
+const HeaderLen = 28
 
 // MaxFrameData caps a single frame's payload (1 GiB): a corrupt length
 // field must not drive a multi-gigabyte allocation in the reader.
@@ -35,7 +34,7 @@ const MaxFrameData = 1 << 30
 
 const (
 	frameMagic   = 0x6D6F // "mo"
-	frameVersion = 1
+	frameVersion = 2
 )
 
 // ErrBadFrame reports a corrupt or incompatible frame header.
@@ -60,9 +59,8 @@ func putHeader(h []byte, f *Frame) {
 	binary.LittleEndian.PutUint32(h[4:8], uint32(int32(f.Src)))
 	binary.LittleEndian.PutUint32(h[8:12], uint32(int32(f.Dst)))
 	binary.LittleEndian.PutUint32(h[12:16], uint32(int32(f.Tag)))
-	binary.LittleEndian.PutUint64(h[16:24], f.Seq)
-	binary.LittleEndian.PutUint64(h[24:32], uint64(f.Flow))
-	binary.LittleEndian.PutUint32(h[32:36], uint32(len(f.Data)))
+	binary.LittleEndian.PutUint64(h[16:24], uint64(f.Flow))
+	binary.LittleEndian.PutUint32(h[24:28], uint32(len(f.Data)))
 }
 
 // decodeHeader parses the header in h[:HeaderLen] and returns the frame
@@ -74,7 +72,7 @@ func decodeHeader(h []byte) (Frame, int, error) {
 		return Frame{}, 0, fmt.Errorf("%w: magic %#x version %d", ErrBadFrame,
 			binary.LittleEndian.Uint16(h[0:2]), h[2])
 	}
-	n := binary.LittleEndian.Uint32(h[32:36])
+	n := binary.LittleEndian.Uint32(h[24:28])
 	if n > MaxFrameData {
 		return Frame{}, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, n, MaxFrameData)
 	}
@@ -83,8 +81,7 @@ func decodeHeader(h []byte) (Frame, int, error) {
 		Src:  int(int32(binary.LittleEndian.Uint32(h[4:8]))),
 		Dst:  int(int32(binary.LittleEndian.Uint32(h[8:12]))),
 		Tag:  int(int32(binary.LittleEndian.Uint32(h[12:16]))),
-		Seq:  binary.LittleEndian.Uint64(h[16:24]),
-		Flow: int64(binary.LittleEndian.Uint64(h[24:32])),
+		Flow: int64(binary.LittleEndian.Uint64(h[16:24])),
 	}, int(n), nil
 }
 

@@ -172,15 +172,12 @@ func (c countedReader) Read(p []byte) (int, error) {
 // and the pool hands out only buffers that the delivered frame alone
 // references:
 //
-//   - the reader draws a buffer, fills it, marks the frame pooled and
-//     forgets it once the handler returns;
-//   - Reliable's receiver holds it only in its reorder window until it
-//     delivers it, and drops a duplicate undelivered (the GC takes that
-//     one: it never reaches a handler, so it is never recycled);
+//   - the reader draws a buffer, fills it, marks the frame pooled, hands
+//     it to the handler and forgets it once the handler returns; the
+//     stream delivers each frame once, so no second frame shares it;
 //   - every other payload a handler sees stays unmarked: Loopback delivers
-//     the sender's own slice, which Reliable's sender keeps for
-//     retransmission and Lossy may deliver twice, and ReadFrame's
-//     payloads belong to its caller.
+//     the sender's own slice, which the pool never handed out, and
+//     ReadFrame's payloads belong to its caller.
 //
 // So the handler that receives a pooled frame is its only owner, and
 // Recycle after its last use cannot pull bytes from under anyone.

@@ -15,16 +15,12 @@
 //     frames out of a buffer, so a flood costs a few system calls per
 //     hundred frames instead of three per frame.
 //
-// Two composable wrappers turn a well-behaved backend into a hostile one
-// and back:
-//
-//   - Lossy drops, duplicates and reorders the recoverable frame classes
-//     according to a seeded internal/fault plan — deterministic fate
-//     draws, real-network chaos.
-//   - Reliable runs the simulator's reliable-delivery protocol
-//     (proto.RelTx / proto.RelRx — sequencing, acks, the retry policy and
-//     exactly-once in-order delivery, written once) on the wall clock;
-//     it adds only framing, locks and timers.
+// Both backends are reliable FIFO streams: neither drops, duplicates or
+// reorders a frame in transit. Their one failure is a dead peer (a closed
+// endpoint or connection), and the rt layer above fails the requests that
+// wait on one. Loss, duplication and reordering are modelled in virtual
+// time only (internal/proto's reliable sublayer under internal/fault
+// plans), as on the reliable fabrics the paper runs over.
 //
 // Frames carry the repo-wide causal flow stamp (obs.FlowID) so
 // cross-process traffic remains traceable with the same tooling as
@@ -35,23 +31,17 @@ import (
 	"sync/atomic"
 )
 
-// Frame kinds. Data is an application payload; Seq/Ack belong to the
-// Reliable wrapper (a sequenced payload and its acknowledgement). The
-// Lossy wrapper only mangles Seq and Ack frames — exactly the classes the
-// reliable sublayer knows how to recover, mirroring fabric.Faultable.
-const (
-	KindData uint8 = iota
-	KindSeq
-	KindAck
-)
+// KindData is the only frame kind: an application payload. The header
+// still carries the kind byte, and a receiver drops any frame whose kind
+// it does not know.
+const KindData uint8 = 0
 
 // Frame is one wire message: routing header, causal flow stamp, payload.
 type Frame struct {
 	Kind     uint8
 	Src, Dst int
 	Tag      int
-	Seq      uint64 // reliable-delivery sequence number (Seq/Ack frames)
-	Flow     int64  // causal flow id, (src+1)<<32 | seq; 0 = unstamped
+	Flow     int64 // causal flow id, (src+1)<<32 | seq; 0 = unstamped
 	Data     []byte
 	pooled   bool // Data came from the socket reader's payload pool
 }
@@ -66,8 +56,8 @@ func (f *Frame) Pooled() bool { return f.pooled }
 // the sender's goroutine for Loopback, a per-connection reader goroutine
 // for Socket. A handler may keep f.Data past the call: Socket gives every
 // frame its own buffer, and Loopback passes the sender's slice through,
-// which the sender no longer touches (but Reliable may still resend). It
-// may recycle f.Data only if f.Pooled().
+// which the sender gave up with Send. It may recycle f.Data only if
+// f.Pooled().
 type Handler func(f Frame)
 
 // Stats is a point-in-time snapshot of an endpoint's traffic counters.
@@ -185,10 +175,10 @@ type Mesh interface {
 }
 
 // WrapMesh derives a mesh whose endpoints are wrap(original endpoint) —
-// how tests compose Lossy and Reliable over a base backend. The wrapper
-// is applied once per rank, lazily at first Endpoint call, so per-rank
-// wrapper state (sequence numbers, reorder buffers) is created exactly
-// once. Close closes the wrapped endpoints (which close the originals).
+// how a harness puts a timing or frame-mangling Send over a base backend.
+// The wrapper is applied once per rank, lazily at first Endpoint call, so
+// per-rank wrapper state is created exactly once. Close closes the
+// wrapped endpoints (which close the originals).
 func WrapMesh(m Mesh, wrap func(Endpoint) Endpoint) Mesh {
 	return &wrappedMesh{inner: m, wrap: wrap, eps: make([]Endpoint, m.Size())}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -11,8 +12,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Kind: KindData, Src: 0, Dst: 1, Tag: 7, Flow: obs.FlowID(0, 1), Data: []byte("payload")},
-		{Kind: KindSeq, Src: 3, Dst: 2, Tag: -1, Seq: 1 << 40, Flow: obs.FlowID(3, 99)},
-		{Kind: KindAck, Src: 15, Dst: 0, Seq: 12345},
+		{Kind: KindData, Src: 3, Dst: -2, Tag: -1, Flow: -obs.FlowID(3, 99)},
 		{Kind: KindData, Src: 1, Dst: 0, Tag: 1 << 20, Data: make([]byte, 64<<10)},
 	}
 	var wire []byte
@@ -26,7 +26,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got.Kind != want.Kind || got.Src != want.Src || got.Dst != want.Dst ||
-			got.Tag != want.Tag || got.Seq != want.Seq || got.Flow != want.Flow {
+			got.Tag != want.Tag || got.Flow != want.Flow {
 			t.Errorf("frame %d header mismatch: got %+v want %+v", i, got, want)
 		}
 		if !bytes.Equal(got.Data, want.Data) {
@@ -46,13 +46,22 @@ func TestFrameRejectsCorruptHeader(t *testing.T) {
 	for name, mutate := range map[string]func([]byte){
 		"magic":   func(b []byte) { b[0] ^= 0xFF },
 		"version": func(b []byte) { b[2] = 99 },
-		"length":  func(b []byte) { b[32], b[33], b[34], b[35] = 0xFF, 0xFF, 0xFF, 0xFF },
+		"length":  func(b []byte) { b[24], b[25], b[26], b[27] = 0xFF, 0xFF, 0xFF, 0xFF },
 	} {
 		bad := append([]byte(nil), good...)
 		mutate(bad)
 		if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s corruption: err = %v, want ErrBadFrame", name, err)
 		}
+	}
+	// A version-1 header was 36 B (it carried an 8 B sequence number before
+	// the flow stamp); a reader of the 28 B format must refuse it, not
+	// misread its fields.
+	v1 := make([]byte, 36)
+	binary.LittleEndian.PutUint16(v1[0:2], frameMagic)
+	v1[2] = 1
+	if _, err := ReadFrame(bytes.NewReader(v1)); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("version-1 header: err = %v, want ErrBadFrame", err)
 	}
 }
 

@@ -267,10 +267,9 @@ type Options struct {
 	// Transport selects the wire backend for an in-process cluster: nil
 	// runs the default Loopback (direct in-process delivery, the
 	// historical behavior); a socket mesh (transport.NewSocketMesh) moves
-	// every payload through real Unix-domain sockets, optionally
-	// wrapped in Lossy/Reliable chaos layers (transport.WrapMesh). The
-	// cluster takes ownership: Close closes the mesh. Its Size must match
-	// the rank count. Multi-process runs use NewWorkerCluster instead.
+	// every payload through real Unix-domain sockets. The cluster takes
+	// ownership: Close closes the mesh. Its Size must match the rank
+	// count. Multi-process runs use NewWorkerCluster instead.
 	Transport transport.Mesh
 }
 
