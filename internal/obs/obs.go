@@ -386,7 +386,12 @@ func (r *Recorder) push(ev Event) {
 // ---- hooks -------------------------------------------------------------
 //
 // Every hook self-gates on Enabled; callers just call them. Hooks that
-// record both an event and counters still pay only one atomic load.
+// record both an event and counters still pay only one atomic load. A hook
+// that also observes a histogram is too large for the inliner, so its gate
+// is a separate one-line method and the recording body is outlined
+// (go:noinline, or the inliner folds it back in and the gate grows past the
+// budget again): the disabled call stays an inlined nil check at the call
+// site.
 
 // CmdEnqueued records a command entering the offload queue.
 func (r *Recorder) CmdEnqueued(ts int64, tid uint8, id int64, depth int) {
@@ -401,9 +406,13 @@ func (r *Recorder) CmdEnqueued(ts int64, tid uint8, id int64, depth int) {
 // command's queue wait (enqueue→dequeue), observed into the queue-wait
 // histogram.
 func (r *Recorder) CmdDequeued(ts int64, id int64, depth int, waitNs int64) {
-	if !r.Enabled() {
-		return
+	if r.Enabled() {
+		r.cmdDequeued(ts, id, depth, waitNs)
 	}
+}
+
+//go:noinline
+func (r *Recorder) cmdDequeued(ts int64, id int64, depth int, waitNs int64) {
 	r.M.CmdDeq++
 	r.M.QueueWaitH.Observe(waitNs)
 	r.push(Event{TS: ts, Kind: EvCmdDequeue, TID: TAgent, A: id, B: int64(depth)})
@@ -414,9 +423,13 @@ func (r *Recorder) CmdDequeued(ts int64, id int64, depth int, waitNs int64) {
 // did not post a flow-stamped op); serviceNs is the dequeue→complete
 // offload service time, observed into the service histogram.
 func (r *Recorder) CmdCompleted(ts int64, id int64, flow int64, serviceNs int64) {
-	if !r.Enabled() {
-		return
+	if r.Enabled() {
+		r.cmdCompleted(ts, id, flow, serviceNs)
 	}
+}
+
+//go:noinline
+func (r *Recorder) cmdCompleted(ts int64, id int64, flow int64, serviceNs int64) {
 	r.M.CmdDone++
 	r.M.ServiceH.Observe(serviceNs)
 	r.push(Event{TS: ts, Kind: EvCmdComplete, TID: TAgent, A: id, Flow: flow})
@@ -500,9 +513,13 @@ func (r *Recorder) RdvDone(ts int64, tid uint8, bytes, peer int, flow int64) {
 // (delivery callback context); transitNs is the wire transit time since
 // the packet was sent, observed into the network-transit histogram.
 func (r *Recorder) Delivered(ts int64, bytes, src int, flow int64, transitNs int64) {
-	if !r.Enabled() {
-		return
+	if r.Enabled() {
+		r.delivered(ts, bytes, src, flow, transitNs)
 	}
+}
+
+//go:noinline
+func (r *Recorder) delivered(ts int64, bytes, src int, flow int64, transitNs int64) {
 	r.M.TransitH.Observe(transitNs)
 	r.push(Event{TS: ts, Kind: EvDeliver, TID: TNIC, A: int64(bytes), B: int64(src), Flow: flow})
 }
@@ -523,9 +540,13 @@ func (r *Recorder) EagerLanded(ts int64, tid uint8, bytes, src int, flow int64) 
 // starts); rttNs is the rendezvous-handshake round trip since the RTS was
 // posted, observed into the handshake-RTT histogram.
 func (r *Recorder) RdvStarted(ts int64, tid uint8, bytes, peer int, flow int64, rttNs int64) {
-	if !r.Enabled() {
-		return
+	if r.Enabled() {
+		r.rdvStarted(ts, tid, bytes, peer, flow, rttNs)
 	}
+}
+
+//go:noinline
+func (r *Recorder) rdvStarted(ts int64, tid uint8, bytes, peer int, flow int64, rttNs int64) {
 	r.M.RdvRttH.Observe(rttNs)
 	r.push(Event{TS: ts, Kind: EvRdvStart, TID: tid, A: int64(bytes), B: int64(peer), Flow: flow})
 }
