@@ -558,30 +558,45 @@ func (th *Thread) Recv(buf []byte, src, tag int) int { return th.r.Wait(th.Irecv
 func (th *Thread) WaitErr(h Handle) (int, error) { return th.r.WaitErr(h) }
 
 // spin is the offload agent's idle wait and the back-pressure wait of a
-// full command ring or inbox: hot Gosched yields for the first spinHot
-// rounds, then the caller parks. Parking is what keeps a socket backend
-// fast on saturated GOMAXPROCS: pure Gosched spinners keep every P
-// permanently runnable, the Go scheduler then never blocks on netpoll, and
-// socket readiness is only noticed on sysmon's 10 ms retake tick — a 20 ms
-// ping-pong on a 1-CPU host. An idle P lets the scheduler block on netpoll
-// and wire wakeups return to microseconds.
+// full command ring, inbox or request pool: a few Gosched yields, then the
+// caller parks or sleeps. The idle agent yields idleSpin times and parks
+// on the rank's bell, which submitters and the delivery upcall ring
+// (napAgent). Back-pressure, whose end nobody signals (a full queue
+// draining, a Wait freeing a slot), yields spinHot times and then sleeps
+// backoffSleep per round (pause). Waiters do not spin at all: a blocked
+// Wait parks at once on its slot's wake channel, which the completion
+// rings (see park).
 //
-// Waiters do not spin at all: a blocked Wait parks at once on its slot's
-// wake channel, which the completion rings (see park). The idle agent
-// parks on the rank's bell, which submitters and the delivery upcall ring
-// (napAgent). Only back-pressure, whose end nobody signals (a full queue
-// draining), sleeps: pause yields, then sleeps backoffSleep per round.
+// The idle budget is small because a Gosched spinner delays netpoll.
+// Gosched puts the goroutine on the global run queue, and the scheduler
+// runs queued goroutines before it polls the network, so while an agent
+// spins, a socket's readiness waits until the spin ends (or sysmon's
+// 10 ms poll); an idle P blocks in netpoll and sees it at once. A budget
+// of 0 is worse again: the application posts the Irecv that follows its
+// Isend a yield or two later, so an agent that naps at once pays a park
+// and a ring on every hop. idleSpin comes from a sweep of the four rt_*
+// workloads of benchmark/ on a 2-vCPU host: 3 s runs, medians of 4,
+// msgs/s, and agent polls per message on the 8 B ping-pong (traced pass):
+//
+//	budget  unix_8b  unix_64k  flood_loopback  flood_unix  polls/msg
+//	0        99 k    13.6 k    1.36 M          1.37 M       6.1
+//	1       102 k    13.5 k    1.64 M          1.19 M       7.1
+//	2       105 k    12.8 k    1.61 M          1.17 M       8.1
+//	4       102 k    12.0 k    1.49 M          1.17 M      10.1
+//	8        91 k    12.3 k    1.47 M          1.21 M      14.2
+//	64       48 k    10.5 k    1.41 M          1.06 M      63.3
 type spin struct{ n int }
 
 const (
+	idleSpin     = 2
 	spinHot      = 64
 	backoffSleep = time.Millisecond
 )
 
-// yield burns one hot round; false means the budget is spent and the
-// caller should park.
-func (s *spin) yield() bool {
-	if s.n < spinHot {
+// yield burns one hot round of a budget of rounds; false means the
+// budget is spent and the caller should park.
+func (s *spin) yield(budget int) bool {
+	if s.n < budget {
 		s.n++
 		runtime.Gosched()
 		return true
@@ -589,10 +604,10 @@ func (s *spin) yield() bool {
 	return false
 }
 
-// pause is one round of back-pressure wait: a yield, or once the budget
-// is spent a backoffSleep sleep.
+// pause is one round of back-pressure wait: one of spinHot yields, or once
+// they are spent a backoffSleep sleep.
 func (s *spin) pause() {
-	if !s.yield() {
+	if !s.yield(spinHot) {
 		time.Sleep(backoffSleep)
 	}
 }
@@ -830,14 +845,16 @@ func (r *Rank) expire(slot int, d time.Duration) error {
 // getSlot allocates a request-pool slot with its byte count cleared: slots
 // recycle, and a send completion never writes the count, so a stale value
 // from the slot's previous receive would otherwise leak into the next
-// operation's Wait.
+// operation's Wait. When every slot is live it waits on back-pressure
+// (pause) until some Wait frees one.
 func (r *Rank) getSlot() int {
+	var sp spin
 	for {
 		if s := r.pool.Get(); s != reqpool.None {
 			r.slots[s].count.Store(0)
 			return s
 		}
-		runtime.Gosched()
+		sp.pause()
 	}
 }
 
@@ -1036,7 +1053,7 @@ func (r *Rank) offloadLoop() {
 		}
 		if worked {
 			idle.reset()
-		} else if !idle.yield() {
+		} else if !idle.yield(idleSpin) {
 			r.napAgent()
 		}
 	}

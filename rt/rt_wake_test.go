@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mpioffload/internal/transport"
 )
 
 // The completion path has no timer behind it: a blocked Wait parks on its
@@ -82,6 +84,94 @@ func TestWakeStressPingPong(t *testing.T) {
 				})
 			})
 		}
+	}
+}
+
+// TestWakeAgentIdlePolls: the idle agent yields idleSpin times and then
+// parks, so a closed-loop 8 B ping-pong costs each message a few agent
+// polls, not the ~60 a 64-yield spin burns. It runs over Unix sockets
+// because that is where the spin costs: the socket reader waits on
+// netpoll, which a Gosched spinner delays. Over Loopback the sender's own
+// goroutine delivers, and the count stays low whatever the budget.
+func TestWakeAgentIdlePolls(t *testing.T) {
+	iters := 20_000
+	if raceBuild {
+		iters = 2_000
+	}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			mesh, err := transport.NewSocketMesh("unix", 2)
+			if err != nil {
+				t.Fatalf("socket mesh: %v", err)
+			}
+			c := NewClusterOpts(2, Offload, Options{Transport: mesh})
+			defer c.Close()
+			finishWithin(t, time.Minute, "ping-pong", func() {
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					me := c.Rank(0).RegisterThread()
+					out, in := make([]byte, 8), make([]byte, 8)
+					for i := 0; i < iters; i++ {
+						me.Send(out, 1, 0)
+						if me.Recv(in, 1, 0) != len(out) {
+							t.Errorf("iter %d: short echo", i)
+							return
+						}
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					me := c.Rank(1).RegisterThread()
+					in := make([]byte, 8)
+					for i := 0; i < iters; i++ {
+						me.Send(in[:me.Recv(in, 0, 0)], 0, 0)
+					}
+				}()
+				wg.Wait()
+			})
+			polls := c.Rank(0).Polls.Load() + c.Rank(1).Polls.Load()
+			perMsg := float64(polls) / float64(2*iters)
+			t.Logf("%.1f agent polls per message over %d round trips", perMsg, iters)
+			if perMsg > 16 {
+				t.Errorf("%.1f agent polls per message, want <= 16: the idle agent spins instead of parking", perMsg)
+			}
+		})
+	}
+}
+
+// TestExhaustedPoolPostWaits: with every request-pool slot held by a
+// receive that nothing matches, one more post waits on back-pressure
+// (getSlot pauses) and returns once a Wait frees a slot.
+func TestExhaustedPoolPostWaits(t *testing.T) {
+	for _, m := range modes() {
+		t.Run(m.String(), func(t *testing.T) {
+			c := NewCluster(2, m)
+			defer c.Close()
+			r0, r1 := c.Rank(0), c.Rank(1)
+			held := make([]Handle, len(r0.slots))
+			for i := range held {
+				held[i] = r0.Irecv(nil, 1, i)
+			}
+			posted := make(chan Handle, 1)
+			go func() { posted <- r0.Irecv(nil, 1, len(held)) }()
+			select {
+			case h := <-posted:
+				t.Fatalf("a post returned slot %d with all %d slots live", h, len(held))
+			case <-time.After(20 * time.Millisecond):
+			}
+			finishWithin(t, 10*time.Second, "the post after a freed slot", func() {
+				r1.Send(nil, 0, 0)
+				if n := r0.Wait(held[0]); n != 0 {
+					t.Errorf("received %d bytes, want 0", n)
+				}
+				if h := <-posted; h != held[0] {
+					t.Errorf("the waiting post got slot %d, want the freed slot %d", h, held[0])
+				}
+			})
+		})
 	}
 }
 
