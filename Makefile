@@ -14,12 +14,11 @@
 #                     times more: one race-detector pass seldom catches two
 #                     batches racing for one peer's header arena or a lost
 #                     completion wakeup.
-#   make smoke        one pattern for every BENCH document (mtscale, topo,
-#                     chaos, net): a -quick sweep through cmd/paper into /tmp,
+#   make smoke        one pattern for every BENCH document (mtscale, chaos,
+#                     net): a -quick sweep through cmd/paper into /tmp,
 #                     the validator on that file and on the committed file
 #                     (whose full-size rows carry the gates: sharded <= shared
-#                     at 16 threads; hier < ring at >= 1 MiB on the 2:1
-#                     fat-tree; zero chaos violations and trace drops;
+#                     at 16 threads; zero chaos violations and trace drops;
 #                     offload >= direct at 16 threads on every backend),
 #                     then a benchdiff self-diff of the committed
 #                     file. `make mtscale-smoke` etc. run one document.
@@ -41,14 +40,14 @@
 #   make host-bench   the host-time benchmark (benchmark/README.md): every
 #                     workload of BENCHMARK.json end to end, two sets, compared
 #                     against the bounds. Minutes of wall time; not part of ci.
-#   make mtscale | topo | chaos | net
+#   make mtscale | chaos | net
 #                     full-size sweep, regenerates the committed BENCH_<doc>.json
 #                     in place (the only way those files are ever written).
 #   make results      regenerate results.txt (paper -exp=all -quick; minutes).
 #   make loc          the two non-test line counts the harness-diet PRs track.
 
 GO ?= go
-DOCS := mtscale topo chaos net
+DOCS := mtscale chaos net
 PAPER := $(GO) run ./cmd/paper
 
 .PHONY: ci vet build test race smoke $(DOCS:%=%-smoke) critpath-smoke mpirun-smoke leak-check benchdiff host-bench $(DOCS) results loc

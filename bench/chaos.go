@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"mpioffload/internal/fault"
 	"mpioffload/internal/obs"
@@ -12,22 +11,14 @@ import (
 )
 
 // ChaosSpec is one cell of the chaos sweep: a fault plan against one
-// topology and approach. What each plan must provoke (retransmissions,
-// rerouting, stalls, detection) is the document validator's business
-// (ChaosReport.Validate), keyed by Plan.
+// approach. What each plan must provoke (retransmissions, detection) is
+// the document validator's business (ChaosReport.Validate), keyed by Plan.
 type ChaosSpec struct {
-	Topo string // axis label, e.g. "fattree:arity=4,oversub=2,trunks=2"
-	Plan string // "drop" | "trunkdown" | "flap" | "crash"
+	Plan string // "drop" | "crash"
 
 	Fault   *fault.Plan
 	FaultAt float64 // virtual time of the injected failure (0 = from start)
 	Crash   bool    // the plan kills the last rank: survivors must shrink
-}
-
-// ChaosLinkDrops is one link's count of packets lost while it was failed.
-type ChaosLinkDrops struct {
-	Link  string `json:"link"`
-	Drops int64  `json:"drops"`
 }
 
 // ChaosCellResult is one cell's outcome. Violations is empty when every
@@ -35,7 +26,6 @@ type ChaosLinkDrops struct {
 // exactly-once stream arrived intact, the post-fault reduction was correct
 // (over the shrunk group for crash cells).
 type ChaosCellResult struct {
-	Topo     string `json:"topo"`
 	Plan     string `json:"plan"`
 	Approach string `json:"approach"`
 	Ranks    int    `json:"ranks"`
@@ -44,38 +34,31 @@ type ChaosCellResult struct {
 	DetectNs  float64 `json:"detect_ns"`  // crash cells: fault → first surfaced error
 	RecoverNs float64 `json:"recover_ns"` // fault → post-fault reduction complete
 
-	Dropped        int64            `json:"dropped"`
-	LinkDrops      int64            `json:"link_drops"`
-	LinkStalls     int64            `json:"link_stalls"`
-	Rerouted       int64            `json:"rerouted"`
-	Retransmits    int64            `json:"retransmits"`
-	WatchdogTrips  int64            `json:"watchdog_trips"`
-	RecoveryPathNs int64            `json:"recovery_path_ns"` // critpath recovery category
-	TraceDrops     int64            `json:"trace_drops"`      // obs ring-buffer events overwritten
-	FailDropLinks  []ChaosLinkDrops `json:"fail_drop_links,omitempty"`
+	Dropped        int64 `json:"dropped"`
+	Retransmits    int64 `json:"retransmits"`
+	WatchdogTrips  int64 `json:"watchdog_trips"`
+	RecoveryPathNs int64 `json:"recovery_path_ns"` // critpath recovery category
+	TraceDrops     int64 `json:"trace_drops"`      // obs ring-buffer events overwritten
 
 	Violations []string `json:"violations,omitempty"`
 }
 
 // Chaos stream shape: each rank sends streamMsgs stamped eager messages to
-// the rank two ahead (an offset chosen so the flows cross the link the
-// trunkdown/flap plans kill on both swept topologies), paced to straddle
-// the fault instant.
+// the rank two ahead, paced across the lossy run.
 const (
 	chaosStreamMsgs  = 30
 	chaosStreamBytes = 1024
-	chaosReduceElems = 16 << 10 // 128 KiB of int64: the hierarchical regime
+	chaosReduceElems = 16 << 10 // 128 KiB of int64: the ring regime
 )
 
 // ChaosCell runs one chaos cell: an exactly-once eager stream and a large
 // allreduce straddle the injected fault, crash cells detect the dead rank
 // and recover by shrinking, and every invariant breach is recorded rather
 // than asserted so a sweep always completes. cfg must carry the profile
-// (with topology) and approach; the fault plan and a trace are attached
-// here.
+// and approach; the fault plan and a trace are attached here.
 func ChaosCell(cfg sim.Config, ranks int, spec ChaosSpec) ChaosCellResult {
 	out := ChaosCellResult{
-		Topo: spec.Topo, Plan: spec.Plan, Approach: cfg.Approach.String(),
+		Plan: spec.Plan, Approach: cfg.Approach.String(),
 		Ranks: ranks,
 	}
 	bad := func(format string, args ...any) {
@@ -186,21 +169,9 @@ func ChaosCell(cfg sim.Config, ranks int, spec ChaosSpec) ChaosCellResult {
 	out.ElapsedNs = int64(res.Elapsed)
 	r := res.Resilience
 	out.Dropped = r.Dropped
-	out.LinkDrops = r.LinkDrops
-	out.LinkStalls = r.LinkStalls
-	out.Rerouted = r.Rerouted
 	out.Retransmits = r.Retransmits
 	out.WatchdogTrips = r.WatchdogTrips
 	out.TraceDrops = res.Metrics.EventsDropped
-
-	for _, l := range res.Metrics.Links {
-		if l.FailDrops > 0 {
-			out.FailDropLinks = append(out.FailDropLinks, ChaosLinkDrops{Link: l.Name, Drops: l.FailDrops})
-		}
-	}
-	sort.Slice(out.FailDropLinks, func(i, j int) bool {
-		return out.FailDropLinks[i].Link < out.FailDropLinks[j].Link
-	})
 
 	rep := critpath.Analyze(tr)[0]
 	out.RecoveryPathNs = rep.Ns[critpath.Recovery]

@@ -63,7 +63,6 @@ type DocKind struct {
 // Docs is the schema registry, in the order the documents are generated.
 var Docs = []DocKind{
 	{MTScaleSchema, "BENCH_mtscale.json", func() Doc { return new(MTScaleReport) }},
-	{TopoSchema, "BENCH_topo.json", func() Doc { return new(TopoReport) }},
 	{ChaosSchema, "BENCH_chaos.json", func() Doc { return new(ChaosReport) }},
 	{NetSchema, "BENCH_net.json", func() Doc { return new(NetReport) }},
 }
@@ -203,111 +202,21 @@ func (r *MTScaleReport) Metrics() []Metric {
 	return l
 }
 
-// ---- topo/v1 ----
+// ---- chaos/v2 ----
 
-// TopoSchema versions BENCH_topo.json; bump on incompatible change.
-const TopoSchema = "topo/v1"
+// ChaosSchema versions BENCH_chaos.json; bump on incompatible change. v2
+// records one cell per (plan, approach) of the flat-fabric sweep.
+const ChaosSchema = "chaos/v2"
 
-// TopoReport is the BENCH_topo.json document: one row per
-// (topology, algorithm, size) cell of the sweep.
-type TopoReport struct {
-	Schema       string           `json:"schema"`
-	Profile      string           `json:"profile"`
-	Nodes        int              `json:"nodes"`
-	RanksPerNode int              `json:"ranks_per_node"`
-	Rows         []TopoCollResult `json:"rows"`
-}
-
-func (r *TopoReport) Tag() string { return r.Schema }
-
-// Validate checks the report's structure and its headline claim. The
-// structural checks are machine-independent; the performance assertion
-// (hier beats ring for >= 1 MiB on any >= 2:1-oversubscribed fat-tree) is
-// safe to enforce because virtual time is deterministic.
-func (r *TopoReport) Validate() error {
-	if r.Schema != TopoSchema {
-		return fmt.Errorf("schema %q, want %q", r.Schema, TopoSchema)
-	}
-	if r.Profile == "" {
-		return fmt.Errorf("missing profile")
-	}
-	if r.Nodes < 2 || r.RanksPerNode < 1 {
-		return fmt.Errorf("bad cluster shape: %d nodes x %d ranks", r.Nodes, r.RanksPerNode)
-	}
-	if len(r.Rows) == 0 {
-		return fmt.Errorf("empty sweep")
-	}
-	mean := make(map[string]float64) // "topo|algo|bytes" → MeanNs
-	for _, row := range r.Rows {
-		if row.Topo == "" || row.Bytes <= 0 || row.MeanNs <= 0 {
-			return fmt.Errorf("bad row %+v", row)
-		}
-		switch row.Algo {
-		case "ring", "hier", "auto":
-		default:
-			return fmt.Errorf("unknown algorithm %q", row.Algo)
-		}
-		if row.Topo == "flat" && (row.MaxLinkUtil != 0 || row.MaxLinkWaitNs != 0 || row.MaxQueue != 0) {
-			return fmt.Errorf("flat row carries link contention: %+v", row)
-		}
-		mean[fmt.Sprintf("%s|%s|%d", row.Topo, row.Algo, row.Bytes)] = row.MeanNs
-	}
-	// Headline claim: on every swept fat-tree oversubscribed >= 2:1, the
-	// hierarchical allreduce must beat the flat ring at >= 1 MiB.
-	checked := 0
-	for _, row := range r.Rows {
-		if row.Algo != "hier" || row.Bytes < 1<<20 || !oversubscribedFatTree(row.Topo) {
-			continue
-		}
-		ring, ok := mean[fmt.Sprintf("%s|ring|%d", row.Topo, row.Bytes)]
-		if !ok {
-			return fmt.Errorf("no ring row to compare against %+v", row)
-		}
-		if row.MeanNs >= ring {
-			return fmt.Errorf("hier (%.0f ns) not faster than ring (%.0f ns) on %s at %d bytes",
-				row.MeanNs, ring, row.Topo, row.Bytes)
-		}
-		checked++
-	}
-	if checked == 0 {
-		return fmt.Errorf("sweep has no >= 1 MiB hier rows on an oversubscribed fat-tree")
-	}
-	return nil
-}
-
-// oversubscribedFatTree reports whether a topology-axis string names a
-// fat-tree with oversubscription factor >= 2.
-func oversubscribedFatTree(s string) bool {
-	if !strings.HasPrefix(s, "fattree") {
-		return false
-	}
-	i := strings.Index(s, "oversub=")
-	if i < 0 {
-		return false
-	}
-	var f float64
-	if _, err := fmt.Sscanf(s[i+len("oversub="):], "%g", &f); err != nil {
-		return false
-	}
-	return f >= 2
-}
-
-func (r *TopoReport) Metrics() []Metric {
-	var l metricList
-	for _, row := range r.Rows {
-		l.add(Virtual, LowerBetter, row.MeanNs, "topo.mean_ns{topo=%s,algo=%s,bytes=%d}", row.Topo, row.Algo, row.Bytes)
-		l.add(Info, LowerBetter, row.MaxLinkUtil, "topo.max_link_util{topo=%s,algo=%s,bytes=%d}", row.Topo, row.Algo, row.Bytes)
-	}
-	return l
-}
-
-// ---- chaos/v1 ----
-
-// ChaosSchema versions BENCH_chaos.json; bump on incompatible change.
-const ChaosSchema = "chaos/v1"
+// ChaosPlans and ChaosApproaches are the sweep's grid: every document
+// carries each (plan, approach) cell exactly once.
+var (
+	ChaosPlans      = []string{"drop", "crash"}
+	ChaosApproaches = []string{"baseline", "offload"}
+)
 
 // ChaosReport is the BENCH_chaos.json document: one cell per
-// (topology, plan, approach) of the sweep.
+// (plan, approach) of the sweep.
 type ChaosReport struct {
 	Schema     string            `json:"schema"`
 	Profile    string            `json:"profile"`
@@ -320,9 +229,9 @@ type ChaosReport struct {
 func (r *ChaosReport) Tag() string { return r.Schema }
 
 // Validate checks the report's structure and the sweep's headline claims.
-// Virtual time is deterministic, so the behavioural assertions (rerouting
-// happened, crashes were detected, the offload path detects no later than
-// the baseline) are safe to enforce on any machine.
+// Virtual time is deterministic, so the behavioural assertions (losses
+// were retransmitted, crashes were detected, the offload path detects no
+// later than the baseline) are safe to enforce on any machine.
 func (r *ChaosReport) Validate() error {
 	if r.Schema != ChaosSchema {
 		return fmt.Errorf("schema %q, want %q", r.Schema, ChaosSchema)
@@ -333,14 +242,26 @@ func (r *ChaosReport) Validate() error {
 	if r.Ranks < 4 {
 		return fmt.Errorf("sweep needs >= 4 ranks, has %d", r.Ranks)
 	}
-	if len(r.Cells) < 12 {
-		return fmt.Errorf("sweep has %d cells, want >= 12", len(r.Cells))
+	seen := make(map[string]int)
+	for _, c := range r.Cells {
+		seen[c.Plan+"/"+c.Approach]++
+	}
+	for _, plan := range ChaosPlans {
+		for _, a := range ChaosApproaches {
+			if n := seen[plan+"/"+a]; n != 1 {
+				return fmt.Errorf("sweep has %d %s/%s cells, want exactly 1", n, plan, a)
+			}
+		}
+	}
+	if len(r.Cells) != len(ChaosPlans)*len(ChaosApproaches) {
+		return fmt.Errorf("sweep has %d cells outside the %v x %v grid",
+			len(r.Cells)-len(ChaosPlans)*len(ChaosApproaches), ChaosPlans, ChaosApproaches)
 	}
 
-	detect := make(map[string]float64) // "topo|approach" → crash DetectNs
+	detect := make(map[string]float64) // approach → crash DetectNs
 	var recoveryAttributed bool
 	for _, c := range r.Cells {
-		id := fmt.Sprintf("%s/%s/%s", c.Topo, c.Plan, c.Approach)
+		id := c.Plan + "/" + c.Approach
 		if len(c.Violations) != 0 {
 			return fmt.Errorf("%s: %d invariant violations, first: %s", id, len(c.Violations), c.Violations[0])
 		}
@@ -358,17 +279,6 @@ func (r *ChaosReport) Validate() error {
 			if c.Retransmits == 0 {
 				return fmt.Errorf("%s: lossy cell recovered nothing", id)
 			}
-		case "trunkdown":
-			if c.Rerouted == 0 {
-				return fmt.Errorf("%s: dead link was never rerouted around", id)
-			}
-			if len(c.FailDropLinks) == 0 && c.LinkDrops > 0 {
-				return fmt.Errorf("%s: link drops unattributed to a link", id)
-			}
-		case "flap":
-			if c.LinkStalls == 0 {
-				return fmt.Errorf("%s: flap window stalled no packets", id)
-			}
 		case "crash":
 			if c.DetectNs <= 0 {
 				return fmt.Errorf("%s: crash never detected", id)
@@ -376,9 +286,7 @@ func (r *ChaosReport) Validate() error {
 			if c.RecoverNs < c.DetectNs {
 				return fmt.Errorf("%s: recovered (%f) before detecting (%f)", id, c.RecoverNs, c.DetectNs)
 			}
-			detect[c.Topo+"|"+c.Approach] = c.DetectNs
-		default:
-			return fmt.Errorf("%s: unknown plan", id)
+			detect[c.Approach] = c.DetectNs
 		}
 		if c.RecoveryPathNs > 0 {
 			recoveryAttributed = true
@@ -388,23 +296,8 @@ func (r *ChaosReport) Validate() error {
 	// Headline: offloading the communication must not delay failure
 	// detection — the offload thread's watchdog fires no later than the
 	// baseline's (small slack for schedule skew around the deadline).
-	checked := 0
-	for key, off := range detect {
-		topo, isOffload := strings.CutSuffix(key, "|offload")
-		if !isOffload {
-			continue
-		}
-		base, ok := detect[topo+"|baseline"]
-		if !ok {
-			return fmt.Errorf("crash cell %s has no baseline counterpart", key)
-		}
-		if off > base*1.10+50_000 {
-			return fmt.Errorf("offload detected the crash in %.0f ns, baseline in %.0f ns — offloading delayed detection", off, base)
-		}
-		checked++
-	}
-	if checked == 0 {
-		return fmt.Errorf("sweep has no offload/baseline crash pair to compare")
+	if off, base := detect["offload"], detect["baseline"]; off > base*1.10+50_000 {
+		return fmt.Errorf("offload detected the crash in %.0f ns, baseline in %.0f ns — offloading delayed detection", off, base)
 	}
 	if !recoveryAttributed {
 		return fmt.Errorf("no cell attributed critical-path time to recovery")
@@ -415,7 +308,7 @@ func (r *ChaosReport) Validate() error {
 func (r *ChaosReport) Metrics() []Metric {
 	var l metricList
 	for _, c := range r.Cells {
-		cell := fmt.Sprintf("{topo=%s,plan=%s,approach=%s}", c.Topo, c.Plan, c.Approach)
+		cell := fmt.Sprintf("{plan=%s,approach=%s}", c.Plan, c.Approach)
 		l.add(Virtual, LowerBetter, float64(c.ElapsedNs), "chaos.elapsed_ns%s", cell)
 		l.add(Virtual, LowerBetter, c.RecoverNs, "chaos.recover_ns%s", cell)
 		if c.Plan == "crash" {

@@ -37,29 +37,22 @@ var docCases = map[string]docCase{
 			r.RT[1].ShardedNsPerPost = r.RT[1].SharedNsPerPost + 1
 		}),
 	}},
-	TopoSchema: {goodTopo, map[string]func(Doc){
-		"wrong schema":     on(func(r *TopoReport) { r.Schema = "topo/v0" }),
-		"missing profile":  on(func(r *TopoReport) { r.Profile = "" }),
-		"bad shape":        on(func(r *TopoReport) { r.Nodes = 1 }),
-		"empty sweep":      on(func(r *TopoReport) { r.Rows = nil }),
-		"zero mean":        on(func(r *TopoReport) { r.Rows[0].MeanNs = 0 }),
-		"unknown algo":     on(func(r *TopoReport) { r.Rows[0].Algo = "bcast" }),
-		"flat contention":  on(func(r *TopoReport) { r.Rows[0].MaxLinkUtil = 0.3 }),
-		"hier regression":  on(func(r *TopoReport) { r.Rows[2].MeanNs = 700_000 }),
-		"ring row missing": on(func(r *TopoReport) { r.Rows = r.Rows[2:] }),
-		"no hier evidence": on(func(r *TopoReport) { r.Rows = r.Rows[:2] }),
-	}},
 	ChaosSchema: {goodChaos, map[string]func(Doc){
-		"wrong schema":      on(func(r *ChaosReport) { r.Schema = "chaos/v0" }),
-		"missing profile":   on(func(r *ChaosReport) { r.Profile = "" }),
-		"too few cells":     on(func(r *ChaosReport) { r.Cells = r.Cells[:8] }),
-		"violation":         on(func(r *ChaosReport) { r.Cells[0].Violations = []string{"boom"} }),
-		"trace drops":       on(func(r *ChaosReport) { r.Cells[0].TraceDrops = 3 }),
-		"no retransmits":    on(func(r *ChaosReport) { r.Cells[0].Retransmits = 0 }),
-		"no reroute":        on(func(r *ChaosReport) { r.Cells[2].Rerouted = 0 }),
-		"unattributed drop": on(func(r *ChaosReport) { r.Cells[2].FailDropLinks = nil }),
-		"no stalls":         on(func(r *ChaosReport) { r.Cells[4].LinkStalls = 0 }),
-		"undetected crash":  on(func(r *ChaosReport) { r.Cells[6].DetectNs = 0 }),
+		"wrong schema":    on(func(r *ChaosReport) { r.Schema = "chaos/v1" }),
+		"missing profile": on(func(r *ChaosReport) { r.Profile = "" }),
+		"too few ranks":   on(func(r *ChaosReport) { r.Ranks = 2 }),
+		"missing cell":    on(func(r *ChaosReport) { r.Cells = r.Cells[:3] }),
+		"duplicate cell":  on(func(r *ChaosReport) { r.Cells = append(r.Cells, r.Cells[0]) }),
+		"cell off the grid": on(func(r *ChaosReport) {
+			c := r.Cells[0]
+			c.Plan = "trunkdown"
+			r.Cells = append(r.Cells, c)
+		}),
+		"violation":                  on(func(r *ChaosReport) { r.Cells[0].Violations = []string{"boom"} }),
+		"trace drops":                on(func(r *ChaosReport) { r.Cells[0].TraceDrops = 3 }),
+		"no retransmits":             on(func(r *ChaosReport) { r.Cells[0].Retransmits = 0 }),
+		"undetected crash":           on(func(r *ChaosReport) { r.Cells[2].DetectNs = 0 }),
+		"recovered before detecting": on(func(r *ChaosReport) { r.Cells[2].RecoverNs = 1 }),
 		"slow offload detection": on(func(r *ChaosReport) {
 			for i := range r.Cells {
 				if r.Cells[i].Plan == "crash" && r.Cells[i].Approach == "offload" {
@@ -100,43 +93,23 @@ func goodMTScale() Doc {
 	}
 }
 
-func goodTopo() Doc {
-	const ft2 = "fattree:arity=4,oversub=2"
-	return &TopoReport{
-		Schema: TopoSchema, Profile: "endeavor-xeon", Nodes: 16, RanksPerNode: 2,
-		Rows: []TopoCollResult{
-			{Topo: "flat", Algo: "ring", Bytes: 1 << 20, MeanNs: 700_000},
-			{Topo: ft2, Algo: "ring", Bytes: 1 << 20, MeanNs: 660_000, MaxLinkUtil: 0.4, MaxQueue: 3},
-			{Topo: ft2, Algo: "hier", Bytes: 1 << 20, MeanNs: 560_000, MaxLinkUtil: 0.5, MaxQueue: 4},
-		},
-	}
-}
-
 func goodChaos() Doc {
 	rep := &ChaosReport{Schema: ChaosSchema, Profile: "endeavor-xeon", Ranks: 8, Seed: 1, WatchdogNs: 600_000}
-	for _, ts := range []string{"fattree:arity=4,oversub=2,trunks=2", "dragonfly:group=2"} {
-		for _, plan := range []string{"drop", "trunkdown", "flap", "crash"} {
-			for _, a := range []string{"baseline", "offload"} {
-				c := ChaosCellResult{Topo: ts, Plan: plan, Approach: a, Ranks: 8, ElapsedNs: 1_000_000}
-				switch plan {
-				case "drop":
-					c.Retransmits = 10
-					c.RecoveryPathNs = 5000
-				case "trunkdown":
-					c.Rerouted = 40
-					c.LinkDrops = 3
-					c.FailDropLinks = []ChaosLinkDrops{{Link: "leaf0.up0", Drops: 3}}
-				case "flap":
-					c.LinkStalls = 20
-				case "crash":
-					c.DetectNs = 650_000
-					c.RecoverNs = 730_000
-					if a == "offload" {
-						c.DetectNs = 655_000
-					}
+	for _, plan := range ChaosPlans {
+		for _, a := range ChaosApproaches {
+			c := ChaosCellResult{Plan: plan, Approach: a, Ranks: 8, ElapsedNs: 1_000_000}
+			switch plan {
+			case "drop":
+				c.Retransmits = 10
+				c.RecoveryPathNs = 5000
+			case "crash":
+				c.DetectNs = 650_000
+				c.RecoverNs = 730_000
+				if a == "offload" {
+					c.DetectNs = 655_000
 				}
-				rep.Cells = append(rep.Cells, c)
 			}
+			rep.Cells = append(rep.Cells, c)
 		}
 	}
 	return rep
@@ -246,8 +219,8 @@ func firstDiff(got, want []string) string {
 func TestLoadDocRejects(t *testing.T) {
 	for name, body := range map[string]string{
 		"unknown schema": `{"schema":"mystery/v9"}`,
-		"empty document": `{"schema":"topo/v1","rows":[]}`,
-		"not json":       `schema: topo/v1`,
+		"empty document": `{"schema":"chaos/v2","cells":[]}`,
+		"not json":       `schema: chaos/v2`,
 	} {
 		p := filepath.Join(t.TempDir(), "doc.json")
 		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
@@ -255,22 +228,6 @@ func TestLoadDocRejects(t *testing.T) {
 		}
 		if _, err := LoadDoc(p); err == nil {
 			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-// TestOversubscribedFatTree pins the topology-axis string matcher.
-func TestOversubscribedFatTree(t *testing.T) {
-	for s, want := range map[string]bool{
-		"fattree:arity=4,oversub=2":   true,
-		"fattree:arity=8,oversub=2.5": true,
-		"fattree:arity=4,oversub=1":   false,
-		"fattree":                     false,
-		"flat":                        false,
-		"dragonfly:group=4":           false,
-	} {
-		if got := oversubscribedFatTree(s); got != want {
-			t.Errorf("oversubscribedFatTree(%q) = %v, want %v", s, got, want)
 		}
 	}
 }

@@ -36,9 +36,6 @@ func ResilienceTable(r sim.Resilience) *Table {
 	t.Add("packets stalled", r.Stalled)
 	t.Add("blackout drops", r.BlackoutDrop)
 	t.Add("crash drops", r.CrashDrop)
-	t.Add("link-outage stalls", r.LinkStalls)
-	t.Add("failed-link drops", r.LinkDrops)
-	t.Add("packets rerouted", r.Rerouted)
 	t.Add("reliable sends", r.RelSends)
 	t.Add("retransmits", r.Retransmits)
 	t.Add("acks", r.Acks)

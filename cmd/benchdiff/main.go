@@ -1,8 +1,7 @@
 // Command benchdiff compares two generations of a benchmark document —
-// BENCH_mtscale.json, BENCH_topo.json, BENCH_chaos.json or
-// BENCH_net.json — and reports per-metric deltas as a markdown trend
-// table, exiting nonzero when any metric regressed past its tolerance
-// band.
+// BENCH_mtscale.json, BENCH_chaos.json or BENCH_net.json — and reports
+// per-metric deltas as a markdown trend table, exiting nonzero when any
+// metric regressed past its tolerance band.
 //
 // Usage:
 //

@@ -9,11 +9,9 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"mpioffload/bench"
 	"mpioffload/internal/fault"
-	"mpioffload/internal/topo"
 	"mpioffload/rt"
 	"mpioffload/sim"
 )
@@ -60,95 +58,32 @@ func gates(c *ctx) error {
 	return nil
 }
 
-// topoSweep sweeps allreduce algorithms across network topologies: the
-// flat analytic fabric, fat-trees at 1:1 and 2:1 oversubscription, and a
-// dragonfly, each running the flat ring, the topology-aware hierarchical
-// schedule, and Iallreduce's automatic selection over message sizes from
-// 64 KiB to 4 MiB on 16 nodes × 2 ranks.
-func topoSweep(c *ctx) error {
-	const nodes, rpn = 16, 2
-	topoAxis := []string{"flat", "fattree:arity=4,oversub=1", "fattree:arity=4,oversub=2", "dragonfly:group=4"}
-	algoAxis := []string{"ring", "hier", "auto"}
-	sizeAxis := []int{64 << 10, 256 << 10, 1 << 20, 4 << 20}
-	iters := c.n(3, 2)
-
-	rep := &bench.TopoReport{Schema: bench.TopoSchema, Profile: c.prof("endeavor").Name, Nodes: nodes, RanksPerNode: rpn}
-	for _, ts := range topoAxis {
-		spec, err := topo.Parse(ts)
-		if err != nil {
-			return fmt.Errorf("topology %q: %w", ts, err)
-		}
-		for _, algo := range algoAxis {
-			for _, size := range sizeAxis {
-				p := c.prof("endeavor")
-				p.RanksPerNode = rpn
-				p.Topo = spec
-				row := bench.TopoAllreduce(c.cfg(sim.Baseline, p), nodes*rpn, algo, size, iters)
-				row.Topo = ts
-				rep.Rows = append(rep.Rows, row)
-			}
-		}
-	}
-	for _, ts := range topoAxis {
-		t := bench.NewTable(
-			fmt.Sprintf("Allreduce on %s (%d nodes x %d ranks, %s; mean µs/op)", ts, nodes, rpn, rep.Profile),
-			"size", "ring", "hier", "auto", "max link util", "max link wait µs")
-		for _, size := range sizeAxis {
-			cells := make(map[string]bench.TopoCollResult)
-			util, wait := 0.0, 0.0
-			for _, r := range rep.Rows {
-				if r.Topo == ts && r.Bytes == size {
-					cells[r.Algo] = r
-					util, wait = max(util, r.MaxLinkUtil), max(wait, r.MaxLinkWaitNs)
-				}
-			}
-			t.Add(bench.SizeLabel(size),
-				bench.Us(cells["ring"].MeanNs), bench.Us(cells["hier"].MeanNs), bench.Us(cells["auto"].MeanNs),
-				fmt.Sprintf("%.3f", util), bench.Us(wait))
-		}
-		c.emit(t)
-	}
-	return c.writeDoc("BENCH_topo.json", rep)
-}
-
-// chaosFaultAt is the chaos sweep's fault instant, ns: mid-stream, so the
-// workload straddles the detection and reroute windows.
+// chaosFaultAt is the chaos sweep's crash instant, ns: mid-stream, so the
+// workload straddles the failure.
 const chaosFaultAt = 150_000
 
-// chaosSpec builds one chaos cell's fault plan. The
-// trunkdown/flap plans kill a leaf uplink trunk on the fat-tree (its twin
-// survives) and one directed global link on the dragonfly (rerouting
-// detours via an intermediate group); the crash plan kills the last rank.
-func chaosSpec(topoSpec, plan string, seed int64, ranks int) bench.ChaosSpec {
-	deadLink := "leaf0.up0"
-	if strings.HasPrefix(topoSpec, "dragonfly") {
-		deadLink = "grp0-grp1"
-	}
-	s := bench.ChaosSpec{Topo: topoSpec, Plan: plan, FaultAt: chaosFaultAt, Fault: &fault.Plan{Seed: seed}}
+// chaosSpec builds one chaos cell's fault plan: seeded packet loss and
+// duplication from the start, or the crash of the last rank.
+func chaosSpec(plan string, seed int64, ranks int) bench.ChaosSpec {
+	s := bench.ChaosSpec{Plan: plan, Fault: &fault.Plan{Seed: seed}}
 	switch plan {
 	case "drop":
 		s.Fault.DropRate, s.Fault.DupRate = 0.03, 0.01
-		s.FaultAt = 0
-	case "trunkdown":
-		s.Fault.Links = []fault.LinkDown{{Link: deadLink, Start: chaosFaultAt}}
-	case "flap":
-		s.Fault.Links = []fault.LinkDown{{Link: deadLink, Start: chaosFaultAt, End: chaosFaultAt + 100_000}}
 	case "crash":
+		s.FaultAt = chaosFaultAt
 		s.Fault.Crashes = []fault.Crash{{Rank: ranks - 1, At: chaosFaultAt}}
 		s.Crash = true
 	}
 	return s
 }
 
-// chaosSweep is the self-healing-fabric sweep: seeded fault plans (packet
-// loss, a permanent trunk failure, a transient link flap, a rank crash)
-// crossed with multi-path topologies (a 2-trunk fat-tree and a dragonfly)
-// and both the Baseline and Offload approaches. Every cell runs an
-// exactly-once eager stream and a large allreduce across the fault and
-// records invariant violations instead of asserting, so a sweep always
-// completes; the validator then demands zero of them.
+// chaosSweep is the fault-tolerance sweep on the flat fabric: seeded fault
+// plans (packet loss, a rank crash) crossed with the Baseline and Offload
+// approaches. Every cell runs an exactly-once eager stream and a large
+// allreduce across the fault and records invariant violations instead of
+// asserting, so a sweep always completes; the validator then demands zero
+// of them.
 func chaosSweep(c *ctx) error {
-	topoAxis := []string{"fattree:arity=4,oversub=2,trunks=2", "dragonfly:group=2"}
 	const ranks = 8
 	watchdog := 600_000.0
 	if c.watchdogUs > 0 {
@@ -158,36 +93,28 @@ func chaosSweep(c *ctx) error {
 		Schema: bench.ChaosSchema, Profile: c.prof("endeavor").Name,
 		Ranks: ranks, Seed: c.faultSeed, WatchdogNs: watchdog,
 	}
-	for _, ts := range topoAxis {
-		spec, err := topo.Parse(ts)
-		if err != nil {
-			return fmt.Errorf("topology %q: %w", ts, err)
-		}
-		for _, plan := range []string{"drop", "trunkdown", "flap", "crash"} {
-			for _, a := range c.apps(sim.Baseline, sim.Offload) {
-				p := c.prof("endeavor")
-				p.RanksPerNode = 1
-				p.Topo = spec
-				cfg := c.cfg(a, p)
-				cfg.Watchdog = watchdog
-				rep.Cells = append(rep.Cells, bench.ChaosCell(cfg, ranks, chaosSpec(ts, plan, c.faultSeed, ranks)))
-			}
+	for _, plan := range bench.ChaosPlans {
+		for _, a := range c.apps(sim.Baseline, sim.Offload) {
+			p := c.prof("endeavor")
+			p.RanksPerNode = 1
+			cfg := c.cfg(a, p)
+			cfg.Watchdog = watchdog
+			rep.Cells = append(rep.Cells, bench.ChaosCell(cfg, ranks, chaosSpec(plan, c.faultSeed, ranks)))
 		}
 	}
 	t := bench.NewTable(
 		fmt.Sprintf("Chaos sweep (%d ranks, %s; watchdog %s)", ranks, rep.Profile, bench.Us(watchdog)),
-		"topology", "plan", "approach", "detect µs", "recover µs",
-		"rerouted", "retransmits", "recovery path µs", "violations")
+		"plan", "approach", "detect µs", "recover µs", "retransmits", "recovery path µs", "violations")
 	for _, cell := range rep.Cells {
-		t.Add(cell.Topo, cell.Plan, cell.Approach,
+		t.Add(cell.Plan, cell.Approach,
 			bench.Us(cell.DetectNs), bench.Us(cell.RecoverNs),
-			cell.Rerouted, cell.Retransmits, bench.Us(float64(cell.RecoveryPathNs)),
+			cell.Retransmits, bench.Us(float64(cell.RecoveryPathNs)),
 			len(cell.Violations))
 	}
 	c.emit(t)
 	for _, cell := range rep.Cells {
 		for _, v := range cell.Violations {
-			fmt.Fprintf(c.w, "VIOLATION %s/%s/%s: %s\n", cell.Topo, cell.Plan, cell.Approach, v)
+			fmt.Fprintf(c.w, "VIOLATION %s/%s: %s\n", cell.Plan, cell.Approach, v)
 		}
 	}
 	return c.writeDoc("BENCH_chaos.json", rep)

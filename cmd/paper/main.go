@@ -10,7 +10,7 @@
 //	                           structure plus the gates its sweep carries
 //
 // The flags are defined once and mean the same thing for every
-// experiment. -profile, -approaches, -iters and -topo override an
+// experiment. -profile, -approaches and -iters override an
 // experiment's own defaults; -drop/-dup/-fault-seed perturb the
 // simulated interconnect with a deterministic seeded plan and
 // -watchdog-us bounds every request (either prints a fault/recovery
@@ -20,7 +20,7 @@
 // -critpath prints each traced run's attribution, -metrics one per-layer
 // offload metrics table per approach.
 //
-// The document experiments (mtscale, topo, chaos, net) write the committed
+// The document experiments (mtscale, chaos, net) write the committed
 // BENCH_*.json name only at full size with no sweep-shaping flag; a
 // reduced sweep (-quick or any override) goes to the temp directory unless
 // -out names a path, so a smoke run can never overwrite a committed gate.
@@ -43,7 +43,6 @@ import (
 	"mpioffload/internal/model"
 	"mpioffload/internal/obs"
 	"mpioffload/internal/obs/critpath"
-	"mpioffload/internal/topo"
 	"mpioffload/internal/transport"
 	"mpioffload/sim"
 )
@@ -57,7 +56,6 @@ type ctx struct {
 	iters      int
 	profile    string
 	approaches []sim.Approach
-	topo       *topo.Spec
 	csv        bool
 	out        string
 	faultSeed  int64
@@ -91,8 +89,6 @@ func main() {
 	flag.IntVar(&c.iters, "iters", 0, "measured iterations (0 = the experiment's own)")
 	flag.StringVar(&c.profile, "profile", "", "endeavor | phi | edison (default: the experiment's own)")
 	approaches := flag.String("approaches", "", "comma-separated approach list (default: the experiment's own)")
-	topoFlag := flag.String("topo", "",
-		"network topology (flat, fattree[:arity=A,oversub=O], dragonfly[:group=G], custom:map=N.N...)")
 	flag.BoolVar(&c.csv, "csv", false, "emit CSV instead of aligned text tables")
 	flag.StringVar(&c.out, "out", "", "output path of a document experiment (default: the committed name at full size, a temp file otherwise)")
 	drop := flag.Float64("drop", 0, "packet drop probability (0-1) for fault injection")
@@ -117,14 +113,14 @@ func main() {
 	if c.traceFile != "" {
 		c.trace = obs.NewTrace(obs.Options{})
 	}
-	if err := c.drive(*exp, *validate, *approaches, *topoFlag); err != nil {
+	if err := c.drive(*exp, *validate, *approaches); err != nil {
 		fmt.Fprintln(os.Stderr, "paper:", err)
 		os.Exit(1)
 	}
 }
 
 // drive resolves the flags into the context and runs what was asked.
-func (c *ctx) drive(exp, validate, approaches, topoSpec string) error {
+func (c *ctx) drive(exp, validate, approaches string) error {
 	if validate != "" {
 		return validateDoc(c.w, validate)
 	}
@@ -134,11 +130,6 @@ func (c *ctx) drive(exp, validate, approaches, topoSpec string) error {
 	}
 	if c.profile != "" {
 		if _, err := model.ByName(c.profile); err != nil {
-			return err
-		}
-	}
-	if topoSpec != "" {
-		if c.topo, err = topo.Parse(topoSpec); err != nil {
 			return err
 		}
 	}
@@ -260,7 +251,7 @@ func (c *ctx) n(full, quick int) int {
 }
 
 // profs returns fresh copies of the experiment's platform profiles — or
-// of the one -profile names — with the -topo override applied.
+// of the one -profile names.
 func (c *ctx) profs(defaults ...string) []*model.Profile {
 	if c.profile != "" {
 		defaults = []string{c.profile}
@@ -270,9 +261,6 @@ func (c *ctx) profs(defaults ...string) []*model.Profile {
 		p, err := model.ByName(name)
 		if err != nil {
 			panic(err) // -profile was checked in drive; defaults are literals
-		}
-		if c.topo != nil {
-			p.Topo = c.topo
 		}
 		out[i] = p
 	}

@@ -16,16 +16,26 @@ import (
 )
 
 // docFiles are the documents whose code references must name things that
-// exist: a deletion that leaves one of them behind fails here.
-var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmark/README.md"}
+// exist: a deletion that leaves one of them behind fails here. All but
+// benchmarkDoc describe cmd/paper, whose bare flag spans and -exp names
+// are checked too; benchmarkDoc documents the benchmark program's flags.
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", benchmarkDoc}
+
+const benchmarkDoc = "benchmark/README.md"
+
+// goToolFlags are the go tool flags prose may name as a bare span.
+var goToolFlags = map[string]bool{"race": true, "run": true, "count": true, "short": true, "v": true}
 
 // TestDocsNameOnlyWhatExists checks every code span and fenced code line
 // of docFiles: each `.go` path is a file of the repo, each `pkg.Name`
 // (and `pkg.Type.Member`) whose pkg is a package of this module resolves
 // to a declaration, each flag on a `paper` command line is a flag
-// cmd/paper registers, and each `make` target is one the Makefile defines. Line numbers after a path are not checked, and
-// qualifiers that are not module packages (the standard library's) are
-// left alone.
+// cmd/paper registers, and each `make` target is one the Makefile defines.
+// In the documents of cmd/paper, a span that is one bare `-flag` token
+// must also be a cmd/paper flag or a go tool flag, and every `-exp=NAME`
+// must name an experiment of cmd/paper's table. Line numbers after a path
+// are not checked, and qualifiers that are not module packages (the
+// standard library's) are left alone.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	idx := loadRepoIndex(t)
 	for _, doc := range docFiles {
@@ -33,24 +43,25 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range idx.check(string(data)) {
+		for _, p := range idx.check(string(data), doc != benchmarkDoc) {
 			t.Errorf("%s:%s", doc, p)
 		}
 	}
 }
 
 // TestDocCheckCatchesDeletedNames feeds the checker a document that names
-// a deleted flag, field, file and make target, so a checker that silently
-// accepts everything cannot pass.
+// a deleted flag, field, file, make target and experiment, so a checker
+// that silently accepts everything cannot pass.
 func TestDocCheckCatchesDeletedNames(t *testing.T) {
 	idx := loadRepoIndex(t)
 	doc := "Set `model.Profile.NumAgents`, or pass `-exp=fig6 -agents 2`.\n" +
 		"See `internal/core/agents.go` and `core.NoSuchThing`.\n" +
 		"```sh\ngo run ./cmd/paper -exp=fig6 -agents 2 -quick   # -agents\n```\n" +
 		"`model.Profile.RequestPoolSize`, `sim.Run`, `time.AfterFunc`, `proto/relcore.go:99–111`.\n" +
-		"Run `make agents-smoke`, then `make ci` and `make mtscale|topo`.\n" +
-		"```sh\nmake topo-smoke   # make sure it passes\n```\n"
-	got := idx.check(doc)
+		"Run `make agents-smoke`, then `make ci` and `make mtscale|chaos`.\n" +
+		"```sh\nmake chaos-smoke   # make sure it passes\n```\n" +
+		"Pass `-topo`, `-race` or `-exp=all`; run `paper -exp=topo` or `-exp=mtscale|chaos`.\n"
+	got := idx.check(doc, true)
 	want := []string{
 		"1: model.Profile.NumAgents: Profile has no field or method NumAgents",
 		"1: paper flag -agents is not registered by cmd/paper",
@@ -58,6 +69,8 @@ func TestDocCheckCatchesDeletedNames(t *testing.T) {
 		"2: core.NoSuchThing: package core declares no NoSuchThing",
 		"4: paper flag -agents is not registered by cmd/paper",
 		"7: make target agents-smoke is not defined in the Makefile",
+		"11: bare flag -topo is neither a cmd/paper flag nor a go tool flag",
+		"11: -exp=topo names no experiment of cmd/paper",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -77,12 +90,14 @@ type repoIndex struct {
 	goFiles []string // slash paths relative to the repo root
 	pkgs    map[string]*pkgDecls
 	flags   map[string]bool // cmd/paper's registered flags
+	exps    map[string]bool // cmd/paper's experiment names, plus all and list
 	targets map[string]bool // the Makefile's targets, patterns expanded
 }
 
 func loadRepoIndex(t *testing.T) *repoIndex {
 	t.Helper()
-	idx := &repoIndex{pkgs: map[string]*pkgDecls{}, flags: map[string]bool{}, targets: map[string]bool{}}
+	idx := &repoIndex{pkgs: map[string]*pkgDecls{}, flags: map[string]bool{}, targets: map[string]bool{},
+		exps: map[string]bool{"all": true, "list": true}}
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -114,6 +129,7 @@ func loadRepoIndex(t *testing.T) *repoIndex {
 		if f.Name.Name == "main" || strings.HasSuffix(f.Name.Name, "_test") {
 			if strings.HasPrefix(path, "cmd/paper/") && !strings.HasSuffix(path, "_test.go") {
 				idx.addFlags(f)
+				idx.addExperiments(f)
 			}
 			return nil
 		}
@@ -123,8 +139,8 @@ func loadRepoIndex(t *testing.T) *repoIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx.pkgs["core"].top) == 0 || len(idx.flags) == 0 || !idx.targets["mtscale-smoke"] {
-		t.Fatal("index found no declarations of package core, no cmd/paper flags or no mtscale-smoke target")
+	if len(idx.pkgs["core"].top) == 0 || len(idx.flags) == 0 || !idx.exps["fig7a"] || !idx.targets["mtscale-smoke"] {
+		t.Fatal("index found no declarations of package core, no cmd/paper flags, no fig7a experiment or no mtscale-smoke target")
 	}
 	return idx
 }
@@ -224,6 +240,31 @@ func (idx *repoIndex) addFlags(f *ast.File) {
 	})
 }
 
+// addExperiments records the name (the first field) of every entry of
+// the composite literal cmd/paper assigns to its experiments table.
+func (idx *repoIndex) addExperiments(f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "experiments" || len(vs.Values) != 1 {
+			return true
+		}
+		table, ok := vs.Values[0].(*ast.CompositeLit)
+		if !ok {
+			return false
+		}
+		for _, e := range table.Elts {
+			if row, ok := e.(*ast.CompositeLit); ok && len(row.Elts) > 0 {
+				if lit, ok := row.Elts[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil {
+						idx.exps[s] = true
+					}
+				}
+			}
+		}
+		return false
+	})
+}
+
 // addTargets records every target a rule of the Makefile defines, with
 // $(DOCS) and its %-smoke pattern expanded over the DOCS list.
 func (idx *repoIndex) addTargets(makefile string) {
@@ -267,13 +308,16 @@ func (p *pkgDecls) anyMember(name string) bool {
 
 var (
 	codeSpan = regexp.MustCompile("`([^`\n]+)`")
+	bareFlag = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(=\S*)?$`)
+	expName  = regexp.MustCompile(`-exp=([a-z0-9|]+)`)
 	pkgRef   = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 	lineNum  = regexp.MustCompile(`:\d+([–-]\d+)?$`)
 )
 
 // check returns one "line: problem" string per reference in doc that
-// names nothing, in document order.
-func (idx *repoIndex) check(doc string) []string {
+// names nothing, in document order. paperDoc adds the checks that only
+// hold in a document of cmd/paper: bare flag spans and -exp names.
+func (idx *repoIndex) check(doc string, paperDoc bool) []string {
 	var out []string
 	fenced := false
 	sc := bufio.NewScanner(strings.NewReader(doc))
@@ -292,7 +336,11 @@ func (idx *repoIndex) check(doc string) []string {
 			}
 		}
 		for _, fr := range frags {
-			for _, msg := range idx.checkFragment(fr) {
+			msgs := idx.checkFragment(fr)
+			if paperDoc {
+				msgs = append(msgs, idx.checkPaperFragment(fr, fenced)...)
+			}
+			for _, msg := range msgs {
 				out = append(out, fmt.Sprintf("%d: %s", ln, msg))
 			}
 		}
@@ -330,6 +378,24 @@ func (idx *repoIndex) checkFragment(fr string) []string {
 	for _, tgt := range makeTargets(fr) {
 		if !idx.targets[tgt] {
 			out = append(out, fmt.Sprintf("make target %s is not defined in the Makefile", tgt))
+		}
+	}
+	return out
+}
+
+// checkPaperFragment checks what only a document of cmd/paper promises: a
+// span that is one bare -flag token names a cmd/paper or go tool flag, and
+// every -exp=NAME (or -exp=a|b) names experiments of the table.
+func (idx *repoIndex) checkPaperFragment(fr string, fenced bool) []string {
+	var out []string
+	if m := bareFlag.FindStringSubmatch(fr); m != nil && !fenced && !idx.flags[m[1]] && !goToolFlags[m[1]] {
+		out = append(out, fmt.Sprintf("bare flag -%s is neither a cmd/paper flag nor a go tool flag", m[1]))
+	}
+	for _, m := range expName.FindAllStringSubmatch(fr, -1) {
+		for _, name := range strings.Split(m[1], "|") {
+			if name != "" && !idx.exps[name] {
+				out = append(out, fmt.Sprintf("-exp=%s names no experiment of cmd/paper", name))
+			}
 		}
 	}
 	return out

@@ -14,8 +14,7 @@
 //	Allreduce       — recursive doubling (non-power-of-two folded onto
 //	                  the nearest power of two, MPICH-style); ring
 //	                  (reduce-scatter + allgather) at or above
-//	                  RingThreshold; hierarchical (hier.go) under an
-//	                  explicit topology
+//	                  RingThreshold
 //	ReduceScatter   — shifted ring (n-1 rounds)
 //	Scan            — linear chain
 //	Gather, Scatter — linear to / from root
@@ -283,11 +282,9 @@ func (c ctx) reducePhase(p payload, op Combine, peer int, swap bool) Phase {
 }
 
 // bwDiv resolves the per-send bandwidth divisor for all-to-all style
-// traffic — the one seam between collectives and congestion modelling.
-// Under the flat topology it is the profile's analytic CongestionFactor;
-// under an explicit topology it is 1, because contention emerges from the
-// fabric's per-link busy clocks instead of a closed form.
-func (c ctx) bwDiv() float64 { return c.e.F.CollBwDiv(c.g.Nodes) }
+// traffic — the one seam between collectives and congestion modelling:
+// the profile's closed-form CongestionFactor over the group's node count.
+func (c ctx) bwDiv() float64 { return c.e.P.CongestionFactor(c.g.Nodes) }
 
 // copyPhase is a local-only phase: src copied into dst, charged as a
 // memcpy.
@@ -497,9 +494,9 @@ func IalltoallN(t *vclock.Task, e *proto.Engine, g Group, bs, tag int) *Sched {
 
 // ---- phase builders ----------------------------------------------------
 //
-// One builder per algorithm, shared by every collective (and every
-// hierarchical leg) that runs it. Builders append to phases and address
-// peers by group rank; mi is my position among them.
+// One builder per algorithm, shared by every collective that runs it.
+// Builders append to phases and address peers by group rank; mi is my
+// position among them.
 
 // binomialBcastPhases appends a binomial-tree broadcast of p from
 // peers[0], highest bit first.

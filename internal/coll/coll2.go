@@ -16,8 +16,7 @@ const RingThreshold = 64 << 10
 // package mpi work on 8-byte words; complex128 is two of them).
 const reduceElem = 8
 
-// IallreduceAuto picks the allreduce algorithm by message size and — when
-// the fabric carries an explicit topology — by the group's node layout.
+// IallreduceAuto picks the allreduce algorithm by message size.
 func IallreduceAuto(t *vclock.Task, e *proto.Engine, g Group, buf []byte, op Combine, tag int) *Sched {
 	return iallreduceAuto(t, e, g, pay(buf), op, tag)
 }
@@ -28,18 +27,12 @@ func IallreduceAutoN(t *vclock.Task, e *proto.Engine, g Group, n, tag int) *Sche
 	return iallreduceAuto(t, e, g, payload{n: n}, nil, tag)
 }
 
-// iallreduceAuto: the hierarchical schedule when hierEligible, else the
-// ring for large aligned data, else recursive doubling. Phantom splits are
-// bytewise, so phantoms skip the alignment check — and they never take the
-// flat ring: a phantom at or above RingThreshold on a flat fabric runs
-// recursive doubling, the choice the workload-model figures were recorded
-// with.
+// iallreduceAuto: the ring for large aligned data, else recursive
+// doubling. Phantoms never take the ring: a phantom at or above
+// RingThreshold runs recursive doubling, the choice the workload-model
+// figures were recorded with.
 func iallreduceAuto(t *vclock.Task, e *proto.Engine, g Group, p payload, op Combine, tag int) *Sched {
-	aligned := p.data == nil || p.n%reduceElem == 0
-	if aligned && hierEligible(e, g, p.n) {
-		return iallreduceHier(t, e, g, p, op, tag)
-	}
-	if p.data != nil && aligned && p.n >= RingThreshold && g.Size() > 2 {
+	if p.data != nil && p.n%reduceElem == 0 && p.n >= RingThreshold && g.Size() > 2 {
 		return IallreduceRing(t, e, g, p.data, op, tag)
 	}
 	return iallreduce(t, e, g, p, op, tag)

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"reflect"
 	"testing"
 
 	"mpioffload/internal/model"
@@ -219,6 +220,87 @@ func TestJitterIsDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("jitter nondeterministic at %d: %d vs %d", i, a[i], b[i])
+		}
+	}
+}
+
+// TestShmBusySerialization is the dedicated regression for the intra-node
+// shared-memory busy channel: concurrent sends converging on one
+// destination must serialize deterministically in virtual time, each
+// arrival exactly one transfer time after the previous one.
+func TestShmBusySerialization(t *testing.T) {
+	p := testProfile()
+	p.RanksPerNode = 3 // ranks 0,1,2 share node 0
+	k := vclock.NewKernel()
+	f := New(k, p, 3)
+	var got []arrival
+	f.Bind(0, func(*Packet) {})
+	f.Bind(1, func(*Packet) {})
+	collect(f, 2, &got, k)
+	// Two distinct senders post at the same virtual instant.
+	k.Go("s0", func(tk *vclock.Task) {
+		f.Send(0, 2, 1000, 1, "a")
+		tk.Sleep(10_000)
+	})
+	k.Go("s1", func(tk *vclock.Task) {
+		f.Send(1, 2, 1000, 1, "b")
+		tk.Sleep(10_000)
+	})
+	k.Run()
+	if len(got) != 2 {
+		t.Fatalf("arrivals: %d", len(got))
+	}
+	// First: max(0+100, 0) + 1000/10 = 200. Second queues on the busy
+	// channel: max(0+100, 200) + 100 = 300.
+	if got[0].at != 200 || got[1].at != 300 {
+		t.Fatalf("arrivals at %d,%d want 200,300 (shm channel must serialize)",
+			got[0].at, got[1].at)
+	}
+	if got[0].pkt.Payload.(string) != "a" || got[1].pkt.Payload.(string) != "b" {
+		t.Fatal("shm serialization reordered same-destination sends")
+	}
+}
+
+// TestShmBusySerializationDeterminism re-runs the converging-senders
+// scenario and demands identical virtual timelines.
+func TestShmBusySerializationDeterminism(t *testing.T) {
+	run := func() []vclock.Time {
+		p := testProfile()
+		p.RanksPerNode = 4
+		k := vclock.NewKernel()
+		f := New(k, p, 4)
+		var got []arrival
+		for r := 0; r < 3; r++ {
+			f.Bind(r, func(*Packet) {})
+		}
+		collect(f, 3, &got, k)
+		for r := 0; r < 3; r++ {
+			r := r
+			k.Go("s", func(tk *vclock.Task) {
+				for i := 0; i < 5; i++ {
+					f.Send(r, 3, 500, 1, nil)
+					tk.Sleep(50)
+				}
+				tk.Sleep(10_000)
+			})
+		}
+		k.Run()
+		times := make([]vclock.Time, len(got))
+		for i, a := range got {
+			times[i] = a.at
+		}
+		return times
+	}
+	a, b := run(), run()
+	if len(a) != 15 {
+		t.Fatalf("arrivals: %d", len(a))
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("shm serialization nondeterministic:\n%v\n%v", a, b)
+	}
+	for i := 1; i < len(a); i++ {
+		if a[i] <= a[i-1] {
+			t.Fatalf("arrival %d not strictly after %d (%d <= %d)", i, i-1, a[i], a[i-1])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package fault defines deterministic fault-injection plans for the
 // simulated cluster: seeded packet drop and duplication, NIC stall and
-// blackout windows, whole-rank crashes at fixed virtual times, and
-// topology-aware outages of named links and switches.
+// blackout windows, and whole-rank crashes at fixed virtual times.
 //
 // A Plan is pure configuration; an Injector is its per-run instantiation,
 // owned by the fabric. All randomness comes from a single PRNG seeded from
@@ -23,29 +22,9 @@
 //     delivered and nothing sent to it arrives, on any transport. The rank's
 //     software keeps executing (it cannot know it is dead), which is exactly
 //     the survivor's-eye view the watchdog layer must diagnose.
-//   - A LinkDown takes one named topology link out of service, transiently
-//     (traffic waits out the window) or permanently (the fabric detects the
-//     failure after Detect+Flap ns and reroutes over surviving paths; a
-//     destination with no surviving path degrades to blackout semantics).
-//     A SwitchDown fails every link incident to a named switch at once.
-//     These require an explicit topology and are validated by Bind.
 package fault
 
-import (
-	"fmt"
-	"math/rand"
-
-	"mpioffload/internal/topo"
-)
-
-// Default reroute-latency model: a permanently failed link keeps eating
-// in-flight traffic for DefaultDetect ns (failure detection) plus
-// DefaultFlap ns (route recomputation / flap damping) before survivors'
-// routes actually avoid it.
-const (
-	DefaultDetect = 2_000.0
-	DefaultFlap   = 3_000.0
-)
+import "math/rand"
 
 // Stall is a NIC outage window for one rank: packets entering or leaving
 // the rank's NIC between Start and End (virtual ns) are delayed until End.
@@ -66,28 +45,6 @@ type Crash struct {
 	At   float64
 }
 
-// LinkDown is an outage of one named topology link (e.g. "leaf0.up0",
-// "grp0-grp1"). With End > Start the link is transiently down: traffic
-// routed over it during the window waits until End. With End <= Start the
-// link fails permanently at Start: after the detection + route-flap delay
-// the fabric reroutes around it; until then recoverable packets on the
-// link are lost (the retransmit layer recovers them) and hardware-reliable
-// RDMA traffic is held back, as with InfiniBand automatic path migration.
-type LinkDown struct {
-	Link       string
-	Start, End float64
-}
-
-// SwitchDown fails every link incident to a named switch ("leaf1" for a
-// fat-tree leaf, "grp2" for a dragonfly group, "sw0" for a custom switch)
-// with LinkDown window semantics. A permanent switch failure partitions
-// the switch's member nodes: traffic to them degrades to blackout drops
-// and the watchdog layer diagnoses the peers as unreachable.
-type SwitchDown struct {
-	Switch     string
-	Start, End float64
-}
-
 // Plan is a deterministic fault schedule for one simulation run.
 // The zero value injects nothing.
 type Plan struct {
@@ -102,26 +59,12 @@ type Plan struct {
 	Stalls []Stall
 	// Crashes are whole-rank failures.
 	Crashes []Crash
-	// Links are named-link outages. They require an explicit topology;
-	// Injector.Bind validates the names against the active graph.
-	Links []LinkDown
-	// Switches fail every link incident to a named switch at once.
-	Switches []SwitchDown
-	// Detect is the failure-detection delay (ns) before the fabric starts
-	// rerouting around a permanently failed link (<= 0: DefaultDetect).
-	Detect float64
-	// Flap is the route-recomputation window (ns) after detection during
-	// which routes are still settling (<= 0: DefaultFlap).
-	Flap float64
 }
 
 // Lossy reports whether the plan can lose or duplicate packets, i.e.
 // whether the protocol layer must run its reliable-delivery sublayer.
-// Link and switch outages count: a failed link eats in-flight packets
-// during the detection window, so recovery needs retransmission.
 func (p *Plan) Lossy() bool {
-	return p != nil && (p.DropRate > 0 || p.DupRate > 0 ||
-		len(p.Links) > 0 || len(p.Switches) > 0)
+	return p != nil && (p.DropRate > 0 || p.DupRate > 0)
 }
 
 // Stats counts injected faults.
@@ -129,15 +72,9 @@ type Stats struct {
 	Dropped      int64 // packets lost to DropRate
 	Duplicated   int64 // packets delivered twice
 	Stalled      int64 // packets delayed by a stall window
-	BlackoutDrop int64 // packets lost to a permanent blackout or partition
+	BlackoutDrop int64 // packets lost to a permanent blackout
 	CrashDrop    int64 // packets silenced by a rank crash
-	LinkStalled  int64 // packets delayed by a transient link outage
-	LinkDrop     int64 // packets eaten by a failed link pre-detection
-	Rerouted     int64 // packets carried by a recomputed alternate route
 }
-
-// linkWindow is one resolved transient outage of a link.
-type linkWindow struct{ start, end float64 }
 
 // Injector is a Plan bound to one simulation run: it owns the seeded PRNG
 // and the fault counters. It must only be used from the owning kernel's
@@ -153,10 +90,6 @@ type Injector struct {
 	crashAt    map[int]float64 // rank → earliest crash time
 	stallByRnk map[int][]Stall // rank → its stall windows (blackouts first)
 	stallAll   []Stall         // rank -1 windows, applying to everyone
-
-	// Link-fault tables, resolved against the topology graph by Bind.
-	linkWin    map[int][]linkWindow // link id → transient outage windows
-	linkFailAt map[int]float64      // link id → earliest permanent failure
 }
 
 // NewInjector instantiates a plan. A nil plan yields a nil injector, which
@@ -204,114 +137,9 @@ func (in *Injector) Stats() Stats {
 // Lossy reports whether drop or duplication is configured.
 func (in *Injector) Lossy() bool { return in != nil && in.plan.Lossy() }
 
-// Bind resolves the plan's named link and switch faults against the
-// active topology graph, expanding switch outages into their incident
-// links. It is an error to carry link or switch faults without an
-// explicit topology, or to name a link or switch the graph does not have
-// — validated here, before any traffic flows.
-func (in *Injector) Bind(g *topo.Graph) error {
-	if in == nil || (len(in.plan.Links) == 0 && len(in.plan.Switches) == 0) {
-		return nil
-	}
-	if g == nil {
-		return fmt.Errorf("fault: plan has link/switch faults but the run has no explicit topology")
-	}
-	in.linkWin = make(map[int][]linkWindow)
-	in.linkFailAt = make(map[int]float64)
-	add := func(li int, start, end float64) {
-		if end <= start { // permanent failure
-			if t, ok := in.linkFailAt[li]; !ok || start < t {
-				in.linkFailAt[li] = start
-			}
-			return
-		}
-		in.linkWin[li] = append(in.linkWin[li], linkWindow{start, end})
-	}
-	for _, ld := range in.plan.Links {
-		li, ok := g.LinkID(ld.Link)
-		if !ok {
-			return fmt.Errorf("fault: plan names unknown link %q", ld.Link)
-		}
-		add(li, ld.Start, ld.End)
-	}
-	for _, sd := range in.plan.Switches {
-		links, ok := g.SwitchLinks(sd.Switch)
-		if !ok {
-			return fmt.Errorf("fault: plan names unknown switch %q", sd.Switch)
-		}
-		for _, li := range links {
-			add(li, sd.Start, sd.End)
-		}
-	}
-	return nil
-}
-
-// HasLinkFaults reports whether any link or switch outage is planned.
-func (in *Injector) HasLinkFaults() bool {
-	return in != nil && (len(in.plan.Links) > 0 || len(in.plan.Switches) > 0)
-}
-
-// LinkOutage resolves the transient outage windows covering link li at
-// virtual time at: a packet serializing then waits until the returned
-// time before the link carries it.
-func (in *Injector) LinkOutage(li int, at float64) (until float64, stalled bool) {
-	if in == nil || in.linkWin == nil {
-		return at, false
-	}
-	until = at
-	for _, w := range in.linkWin[li] {
-		if at >= w.start && at < w.end && w.end > until {
-			until = w.end
-		}
-	}
-	return until, until > at
-}
-
-// LinkFailedAt returns the link's permanent failure time, if it has one.
-func (in *Injector) LinkFailedAt(li int) (float64, bool) {
-	if in == nil || in.linkFailAt == nil {
-		return 0, false
-	}
-	t, ok := in.linkFailAt[li]
-	return t, ok
-}
-
-// LinkDead reports whether the link has permanently failed by time at.
-func (in *Injector) LinkDead(li int, at float64) bool {
-	t, ok := in.LinkFailedAt(li)
-	return ok && at >= t
-}
-
-// DetectDelay is the failure-detection delay before rerouting begins.
-func (in *Injector) DetectDelay() float64 {
-	if in == nil || in.plan.Detect <= 0 {
-		return DefaultDetect
-	}
-	return in.plan.Detect
-}
-
-// FlapWindow is the route-recomputation window after detection.
-func (in *Injector) FlapWindow() float64 {
-	if in == nil || in.plan.Flap <= 0 {
-		return DefaultFlap
-	}
-	return in.plan.Flap
-}
-
-// RerouteReadyAt returns the virtual time rerouting around a permanently
-// failed link becomes effective: failure + detection + route flap.
-// ok is false when the link never fails.
-func (in *Injector) RerouteReadyAt(li int) (float64, bool) {
-	t, ok := in.LinkFailedAt(li)
-	if !ok {
-		return 0, false
-	}
-	return t + in.DetectDelay() + in.FlapWindow(), true
-}
-
 // BackoffJitter returns a deterministic jitter fraction in [0, 0.25) for
 // one retransmission backoff, de-synchronizing senders that lost packets
-// on the same failed link. It draws from a PRNG separate from the
+// at the same moment. It draws from a PRNG separate from the
 // packet-fate stream, so enabling jitter never changes which packets drop
 // or duplicate. Nil-safe: no plan, no jitter.
 func (in *Injector) BackoffJitter() float64 {
@@ -379,13 +207,3 @@ func (in *Injector) NoteBlackout() { in.stats.BlackoutDrop++ }
 
 // NoteCrashDrop records a packet silenced by a rank crash.
 func (in *Injector) NoteCrashDrop() { in.stats.CrashDrop++ }
-
-// NoteLinkStalled records a packet delayed by a transient link outage.
-func (in *Injector) NoteLinkStalled() { in.stats.LinkStalled++ }
-
-// NoteLinkDrop records a packet eaten by a permanently failed link before
-// rerouting took effect.
-func (in *Injector) NoteLinkDrop() { in.stats.LinkDrop++ }
-
-// NoteRerouted records a packet carried by a recomputed alternate route.
-func (in *Injector) NoteRerouted() { in.stats.Rerouted++ }

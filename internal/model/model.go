@@ -21,8 +21,6 @@ package model
 import (
 	"fmt"
 	"math"
-
-	"mpioffload/internal/topo"
 )
 
 // Profile is a set of calibration constants for one platform.
@@ -130,16 +128,8 @@ type Profile struct {
 	// style traffic across n nodes the effective per-flow bandwidth is
 	// LinkBW / max(1, (n/BisectNodes))^BisectAlpha. Point-to-point halo
 	// traffic is unaffected (n treated as concurrency within the op).
-	// The closed form only applies under the flat topology; an explicit
-	// Topo replaces it with per-link contention.
 	BisectNodes float64
 	BisectAlpha float64
-	// Topo selects an explicit network topology (internal/topo). Nil (or
-	// a flat spec) keeps the historical single-link fabric with the
-	// analytic CongestionFactor, reproducing existing results exactly;
-	// anything else routes every inter-node message over the topology's
-	// link graph with per-link bandwidth sharing.
-	Topo *topo.Spec
 
 	// ---- Compute ----
 

@@ -18,11 +18,7 @@ import (
 // enqueue→issue→complete path of each offloaded message renders as two
 // stacked slices; protocol events (eager/RTS issue, CTS, rendezvous FIN,
 // delivery, retransmit, watchdog, conversion) are instants, and the
-// command-queue depth is a counter track. Runs that recorded topology
-// link samples additionally get one "network" pseudo-process (pid slot
-// 999) holding a per-link occupancy counter track; flat runs record no
-// samples and their exports are byte-identical to the pre-topology
-// format.
+// command-queue depth is a counter track.
 //
 // Causal message flows are exported as flow events: each flow-stamped
 // message emits ph:"s" at its sender-side issue instant, ph:"t" at every
@@ -85,22 +81,6 @@ func WriteChromeStats(w io.Writer, tr *Trace) (ChromeStats, error) {
 				ec.event(pid, ev, rm, &st)
 			}
 		}
-		// Per-link occupancy counter tracks, grouped under one "network"
-		// pseudo-process per run (pid slot 999, above any real rank). Only
-		// emitted when the run recorded link samples, so flat-topology
-		// exports stay byte-identical to the pre-topology format.
-		if len(run.LinkSamples) > 0 {
-			netPid := ri*1000 + 999
-			ec.meta(netPid, 0, "process_name", fmt.Sprintf("%s network", run.Label))
-			for _, s := range run.LinkSamples {
-				name := fmt.Sprintf("link%d", s.Link)
-				if int(s.Link) < len(run.LinkNames) {
-					name = run.LinkNames[s.Link]
-				}
-				ec.emit(`{"name":%q,"ph":"C","pid":%d,"tid":0,"ts":%s,"args":{"depth":%d}}`,
-					name, netPid, ts(s.TS), s.Depth)
-			}
-		}
 	}
 	if _, err := bw.WriteString("\n],\n\"metadata\":{\"runs\":["); err != nil {
 		return st, err
@@ -127,18 +107,7 @@ func WriteChromeStats(w io.Writer, tr *Trace) (ChromeStats, error) {
 			}
 			fmt.Fprintf(bw, "%d", rec.Metrics().EventsDropped)
 		}
-		bw.WriteString("]")
-		if len(run.LinkNames) > 0 {
-			bw.WriteString(`,"links":[`)
-			for i, name := range run.LinkNames {
-				if i > 0 {
-					bw.WriteString(",")
-				}
-				fmt.Fprintf(bw, "%q", name)
-			}
-			bw.WriteString("]")
-		}
-		bw.WriteString("}")
+		bw.WriteString("]}")
 	}
 	fmt.Fprintf(bw, `],"flow_pairs":%d,"flow_events_dropped":%d,"orphan_span_ends":%d`,
 		st.FlowPairs, st.FlowEventsDropped, st.OrphanSpanEnds)

@@ -17,12 +17,6 @@
 // to the standing event's thread class: app = compute, agent = offload
 // service, NIC = progress-gap).
 //
-// When the input carries a route resolver (RunData.PathOf, wired by the
-// sim layer under an explicit topology), each network segment is further
-// split across the links of its hop's route, so the report also shows
-// which physical links the critical path actually crossed
-// (network.link/<name> rows summing exactly to the network category).
-//
 // Determinism: ranks are scanned in index order, per-rank events in ring
 // (chronological) order, flow chains are sorted by (timestamp, collection
 // order) with a stable sort, and no Go map is ever iterated — so the same
@@ -100,13 +94,6 @@ type RunData struct {
 	Elapsed int64   // total virtual time of the run
 	RankEnd []int64 // per-rank finish times
 	Events  [][]obs.Event
-
-	// PathOf, when set, resolves the routed link names between two ranks
-	// (fabric.PathNames under an explicit topology). Network segments are
-	// then refined per link into Report.NetLinks; nil (the flat topology,
-	// or traces reconstructed from a Chrome export) leaves network time
-	// unrefined and the report identical to the historical format.
-	PathOf func(src, dst int) []string
 }
 
 // Report is the critical path of one run, attributed by category.
@@ -116,19 +103,6 @@ type Report struct {
 	EndRank  int   // rank the backward walk started from
 	Segments int   // walk steps taken
 	Ns       [NumCategories]int64
-
-	// NetLinks refines Ns[Network] per routed link (sorted by name; nil
-	// without RunData.PathOf). Each network segment is split evenly across
-	// the links of its hop's route, so the entries sum exactly to
-	// Ns[Network] and the Sum()==Total partition invariant is untouched.
-	NetLinks []LinkNs
-}
-
-// LinkNs is one link's share of the critical path's network time,
-// rendered as network.link/<name> in tables and metadata.
-type LinkNs struct {
-	Name string
-	Ns   int64
 }
 
 // Sum returns the total attributed time; it equals Total by construction.
@@ -151,15 +125,6 @@ func (r *Report) Table() string {
 			pct = 100 * float64(r.Ns[c]) / float64(r.Total)
 		}
 		fmt.Fprintf(&sb, "  %-18s %14d ns %6.1f%%\n", c.String(), r.Ns[c], pct)
-		if c == Network {
-			for _, l := range r.NetLinks {
-				pct := 0.0
-				if r.Total > 0 {
-					pct = 100 * float64(l.Ns) / float64(r.Total)
-				}
-				fmt.Fprintf(&sb, "    network.link/%-12s %8d ns %6.1f%%\n", l.Name, l.Ns, pct)
-			}
-		}
 	}
 	return sb.String()
 }
@@ -172,16 +137,6 @@ func (r *Report) MetaJSON() []byte {
 		r.Label, r.Total, r.EndRank, r.Segments)
 	for c := Category(0); c < NumCategories; c++ {
 		fmt.Fprintf(&sb, `,%q:%d`, c.metaKey(), r.Ns[c])
-	}
-	if len(r.NetLinks) > 0 {
-		sb.WriteString(`,"network_links":[`)
-		for i, l := range r.NetLinks {
-			if i > 0 {
-				sb.WriteString(",")
-			}
-			fmt.Fprintf(&sb, `{"link":%q,"ns":%d}`, l.Name, l.Ns)
-		}
-		sb.WriteString("]")
 	}
 	sb.WriteString("}")
 	return []byte(sb.String())
@@ -210,7 +165,6 @@ func Analyze(tr *obs.Trace) []*Report {
 			Elapsed: run.ElapsedNs,
 			RankEnd: run.RankEndNs,
 			Events:  make([][]obs.Event, len(run.Ranks)),
-			PathOf:  run.PathOf,
 		}
 		for r, rec := range run.Ranks {
 			rd.Events[r] = rec.Events()
@@ -239,9 +193,6 @@ type analyzer struct {
 	// avail[r] is the highest not-yet-consumed event index on rank r; the
 	// walk only moves it down, which bounds it and guarantees termination.
 	avail []int
-	// netLinks accumulates the per-link shares of Network segments (only
-	// when rd.PathOf is set); sorted into Report.NetLinks after the walk.
-	netLinks map[string]int64
 }
 
 func (a *analyzer) ev(n node) obs.Event { return a.rd.Events[n.rank][n.idx] }
@@ -268,7 +219,6 @@ func AnalyzeRun(rd RunData) *Report {
 		chains:   make(map[int64][]node),
 		chainPos: make(map[node]int),
 		avail:    make([]int, len(rd.Events)),
-		netLinks: make(map[string]int64),
 	}
 	for r, evs := range rd.Events {
 		a.cmdEnq[r] = make(map[int64]int)
@@ -305,37 +255,7 @@ func AnalyzeRun(rd RunData) *Report {
 		}
 	}
 	a.walk(rep)
-	if len(a.netLinks) > 0 {
-		names := make([]string, 0, len(a.netLinks))
-		for name := range a.netLinks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			rep.NetLinks = append(rep.NetLinks, LinkNs{Name: name, Ns: a.netLinks[name]})
-		}
-	}
 	return rep
-}
-
-// chargeLinks refines one Network segment of ns across the links routed
-// between src and dst: an even split, with the integer remainder on the
-// first link so the shares sum exactly to the segment. Hops with no
-// resolvable route (the flat topology) are charged to "wire".
-func (a *analyzer) chargeLinks(src, dst int, ns int64) {
-	names := a.rd.PathOf(src, dst)
-	if len(names) == 0 {
-		names = []string{"wire"}
-	}
-	share := ns / int64(len(names))
-	rem := ns - share*int64(len(names))
-	for i, name := range names {
-		v := share
-		if i == 0 {
-			v += rem
-		}
-		a.netLinks[name] += v
-	}
 }
 
 // ctxCat is the category of a generic (same-rank) gap, by the thread
@@ -457,9 +377,6 @@ func (a *analyzer) walk(rep *Report) {
 		}
 		nts := a.ev(next).TS
 		rep.Ns[cat] += T - nts
-		if cat == Network && a.rd.PathOf != nil {
-			a.chargeLinks(next.rank, cur.rank, T-nts)
-		}
 		rep.Segments++
 		T = nts
 		a.avail[next.rank] = next.idx - 1

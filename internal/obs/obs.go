@@ -265,40 +265,6 @@ type RunTrace struct {
 	// anchors its backward walk here.
 	ElapsedNs int64
 	RankEndNs []int64
-
-	// LinkNames names the fabric's topology links and LinkSamples holds the
-	// per-link occupancy-depth changes in virtual-time order (filled by
-	// sim.Run from the fabric's link sampler). Both stay nil under the flat
-	// topology, which keeps flat exports byte-identical to the
-	// pre-topology format.
-	LinkNames   []string
-	LinkSamples []LinkSample
-
-	// PathOf, when set, resolves the routed link names between two ranks
-	// (the fabric's PathNames). The critical-path analyzer uses it to
-	// refine network attribution per link; nil leaves network time
-	// unrefined.
-	PathOf func(src, dst int) []string
-}
-
-// LinkSample is one change of a topology link's in-flight depth.
-type LinkSample struct {
-	TS    int64
-	Link  int32
-	Depth int32
-}
-
-// SetLinks declares the run's topology link names (index-aligned with the
-// fabric's link ids).
-func (run *RunTrace) SetLinks(names []string) {
-	run.LinkNames = append(run.LinkNames[:0], names...)
-}
-
-// LinkSample records one link-depth change. Called from the fabric's
-// sampler in timer context, so samples arrive in virtual-time order and
-// the record is deterministic.
-func (run *RunTrace) LinkSample(ts int64, link, depth int) {
-	run.LinkSamples = append(run.LinkSamples, LinkSample{TS: ts, Link: int32(link), Depth: int32(depth)})
 }
 
 // SetEnd records the run's elapsed virtual time and per-rank finish times.

@@ -47,9 +47,7 @@ func (c *Comm) Ireduce(buf []byte, op ReduceOp, root int) Request {
 
 // Iallreduce starts a nonblocking all-reduce of buf (in place on all
 // ranks). Small payloads use recursive doubling; payloads above
-// coll.RingThreshold use the bandwidth-optimal ring algorithm, or the
-// node-aware hierarchical schedule when the fabric carries an explicit
-// topology.
+// coll.RingThreshold use the bandwidth-optimal ring algorithm.
 func (c *Comm) Iallreduce(buf []byte, op ReduceOp) Request {
 	g, tag := c.group(), c.nextCollTag()
 	return c.icoll(func(t *vclock.Task) proto.Req {
@@ -61,27 +59,6 @@ func (c *Comm) Iallreduce(buf []byte, op ReduceOp) Request {
 func (c *Comm) Allreduce(buf []byte, op ReduceOp) {
 	r := c.Iallreduce(buf, op)
 	c.Wait(&r)
-}
-
-// IallreduceRing starts the bandwidth-optimal ring allreduce explicitly
-// (Iallreduce selects it automatically above coll.RingThreshold).
-func (c *Comm) IallreduceRing(buf []byte, op ReduceOp) Request {
-	g, tag := c.group(), c.nextCollTag()
-	return c.icoll(func(t *vclock.Task) proto.Req {
-		return coll.IallreduceRing(t, c.st.eng, g, buf, op, tag)
-	})
-}
-
-// IallreduceHier starts the topology-aware hierarchical allreduce
-// explicitly: intra-node reduce-scatter over shared memory, concurrent
-// inter-node rings, intra-node allgather (Iallreduce selects it
-// automatically for large payloads when the fabric has an explicit
-// topology). len(buf) must be a multiple of 8.
-func (c *Comm) IallreduceHier(buf []byte, op ReduceOp) Request {
-	g, tag := c.group(), c.nextCollTag()
-	return c.icoll(func(t *vclock.Task) proto.Req {
-		return coll.IallreduceHier(t, c.st.eng, g, buf, op, tag)
-	})
 }
 
 // Igather starts a nonblocking gather of equal-sized blocks to root.
@@ -141,11 +118,9 @@ func (c *Comm) AlltoallBytes(bs int) {
 	c.Wait(&r)
 }
 
-// IallreduceBytes starts a phantom nonblocking allreduce of n bytes. It
-// takes the topology-aware hierarchical schedule where Iallreduce would
-// (without Iallreduce's 8-byte alignment requirement) and recursive
-// doubling otherwise: unlike Iallreduce, it never takes the flat ring,
-// even at or above coll.RingThreshold.
+// IallreduceBytes starts a phantom nonblocking allreduce of n bytes by
+// recursive doubling: unlike Iallreduce, it never takes the ring, even at
+// or above coll.RingThreshold.
 func (c *Comm) IallreduceBytes(n int) Request {
 	g, tag := c.group(), c.nextCollTag()
 	return c.icoll(func(t *vclock.Task) proto.Req {

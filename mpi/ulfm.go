@@ -36,8 +36,7 @@ func (c *Comm) AckFailed() []int {
 // communicator; if the agreement round reveals additional failures (a crash
 // that landed mid-shrink), the round repeats on the further-shrunk group
 // until the set is stable. Collectives on the returned communicator rebuild
-// their schedules — including the node-aware hierarchical allreduce rings —
-// around the shrunk membership.
+// their schedules around the shrunk membership.
 func (c *Comm) Shrink() *Comm {
 	st := c.st
 	n := c.Size()

@@ -4,12 +4,10 @@ import (
 	"testing"
 
 	"mpioffload/internal/fault"
-	"mpioffload/internal/model"
-	"mpioffload/internal/topo"
 )
 
 // FuzzChaosPlans throws randomized fault plans — drop/dup rates, a rank
-// crash, a link failure (transient or permanent) — at a small halo-exchange
+// crash, a NIC outage (transient or permanent) — at a small halo-exchange
 // workload and checks the chaos invariant: the run terminates within the
 // watchdog regime and every operation either completes or carries a
 // non-nil Status.Err. A hang would trip the kernel's deadlock detection or
@@ -21,7 +19,7 @@ func FuzzChaosPlans(f *testing.F) {
 	f.Add(int64(9), uint8(5), uint8(0), false, true, uint32(80_000), uint32(40_000))
 	f.Add(int64(1234), uint8(20), uint8(10), true, true, uint32(60_000), uint32(0))
 
-	f.Fuzz(func(t *testing.T, seed int64, dropPct, dupPct uint8, crash, linkDown bool, faultAt, faultLen uint32) {
+	f.Fuzz(func(t *testing.T, seed int64, dropPct, dupPct uint8, crash, stall bool, faultAt, faultLen uint32) {
 		const n = 4
 		plan := &fault.Plan{
 			Seed:     seed,
@@ -32,22 +30,19 @@ func FuzzChaosPlans(f *testing.F) {
 		if crash {
 			plan.Crashes = []fault.Crash{{Rank: n - 1, At: at}}
 		}
-		p := model.Endeavor()
-		p.RanksPerNode = 1
-		if linkDown {
-			// 4 ranks at 1 per node on an arity-2 fat-tree: 2 leaves, 2
-			// trunks each; kill one, transiently when faultLen is set.
-			p.Topo = &topo.Spec{Kind: topo.FatTree, Arity: 2, Oversub: 1, Trunks: 2}
-			ld := fault.LinkDown{Link: "leaf0.up0", Start: at}
+		if stall {
+			// Rank 0's NIC goes down at faultAt: for faultLen ns, or for
+			// good (a blackout) when the window is empty.
+			s := fault.Stall{Rank: 0, Start: at}
 			if faultLen != 0 {
-				ld.End = at + float64(faultLen%500_000)
+				s.End = at + float64(faultLen%500_000)
 			}
-			plan.Links = []fault.LinkDown{ld}
+			plan.Stalls = []fault.Stall{s}
 		}
 
 		errs := make([][]error, n)
 		Run(Config{
-			Ranks: n, Approach: Baseline, Profile: p,
+			Ranks: n, Approach: Baseline, Profile: interNodeProfile(),
 			Fault:    plan,
 			Watchdog: 300_000,
 		}, func(env *Env) {

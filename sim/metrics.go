@@ -2,7 +2,6 @@ package sim
 
 import (
 	"mpioffload/internal/core"
-	"mpioffload/internal/fabric"
 	"mpioffload/internal/obs"
 	"mpioffload/internal/proto"
 )
@@ -63,45 +62,6 @@ type Metrics struct {
 	// on): command-queue depth at each consumer drain, and request-pool
 	// occupancy at each Get.
 	CmdQDepthH, PoolOccH obs.Hist
-
-	// Links holds the per-topology-link traffic and contention counters
-	// when the run's profile carried an explicit topology (nil under flat;
-	// always on — no Config.Trace needed). Add merges entries by link name.
-	Links []LinkMetrics
-}
-
-// LinkMetrics is one topology link's traffic and contention summary:
-// BusyNs is the serialization the link performed (utilization =
-// BusyNs/elapsed), WaitNs and WaitH the queueing delay behind earlier
-// tails, MaxQueue the peak in-flight depth.
-type LinkMetrics struct {
-	Name        string
-	Msgs, Bytes int64
-	BusyNs      float64
-	WaitNs      float64
-	MaxQueue    int
-	FailDrops   int64 // packets lost on this link while it was failed
-	WaitH       obs.Hist
-}
-
-// addLink merges one link's counters into m.Links by name (appending a
-// new entry for an unseen link, preserving first-seen order).
-func (m *Metrics) addLink(l LinkMetrics) {
-	for i := range m.Links {
-		if m.Links[i].Name == l.Name {
-			m.Links[i].Msgs += l.Msgs
-			m.Links[i].Bytes += l.Bytes
-			m.Links[i].BusyNs += l.BusyNs
-			m.Links[i].WaitNs += l.WaitNs
-			if l.MaxQueue > m.Links[i].MaxQueue {
-				m.Links[i].MaxQueue = l.MaxQueue
-			}
-			m.Links[i].FailDrops += l.FailDrops
-			m.Links[i].WaitH.Add(l.WaitH)
-			return
-		}
-	}
-	m.Links = append(m.Links, l)
 }
 
 // Add accumulates o into m (high-water marks take the max, everything else
@@ -145,9 +105,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.RdvRttH.Add(o.RdvRttH)
 	m.CmdQDepthH.Add(o.CmdQDepthH)
 	m.PoolOccH.Add(o.PoolOccH)
-	for _, l := range o.Links {
-		m.addLink(l)
-	}
 }
 
 // DutyCycle splits the offload thread's time into issue/progress/idle
@@ -234,30 +191,6 @@ func metricsOf(engs []*proto.Engine, offs []*core.Offloader) Metrics {
 	return m
 }
 
-// linkMetricsOf converts the fabric's per-link counters (nil under the
-// flat topology).
-func linkMetricsOf(fab *fabric.Fabric) []LinkMetrics {
-	stats := fab.LinkStats()
-	if stats == nil {
-		return nil
-	}
-	out := make([]LinkMetrics, len(stats))
-	for i, s := range stats {
-		out[i] = LinkMetrics{
-			Name: s.Name, Msgs: s.Msgs, Bytes: s.Bytes,
-			BusyNs: s.BusyNs, WaitNs: s.WaitNs, MaxQueue: s.MaxQueue,
-			FailDrops: s.FailDrops,
-			WaitH:     s.WaitH,
-		}
-	}
-	return out
-}
-
 // Metrics returns this rank's per-layer counters — live, at the current
-// virtual time (the per-run aggregate is in Result.Metrics). Links are
-// cluster-wide (the fabric is shared) and included once.
-func (e *Env) Metrics() Metrics {
-	m := rankMetricsOf(e.eng, e.off)
-	m.Links = linkMetricsOf(e.fab)
-	return m
-}
+// virtual time (the per-run aggregate is in Result.Metrics).
+func (e *Env) Metrics() Metrics { return rankMetricsOf(e.eng, e.off) }

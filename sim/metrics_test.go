@@ -273,6 +273,25 @@ func TestChromeExportGolden(t *testing.T) {
 	}
 }
 
+// TestFlatGoldenTraceGuard is the flat-fabric preservation guard: the
+// 2-rank offload ping-pong must export the checked-in golden trace byte
+// for byte, with no -update escape hatch.
+func TestFlatGoldenTraceGuard(t *testing.T) {
+	tr := obs.NewTrace(obs.Options{})
+	latencyRun(Offload, 512, 2, tr)
+	var out bytes.Buffer
+	if err := obs.WriteChrome(&out, tr); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "pingpong_trace.json"))
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("flat export differs from golden (%d vs %d bytes)", out.Len(), len(want))
+	}
+}
+
 // TestTraceSpansCoverEveryMessage checks the acceptance criterion directly:
 // every offloaded command appears in the export as a full
 // enqueue→issue→complete span pair on its rank's timeline.

@@ -158,9 +158,6 @@ type Resilience struct {
 	Stalled      int64 // packets delayed by a NIC stall window
 	BlackoutDrop int64 // packets lost to a permanent blackout
 	CrashDrop    int64 // packets silenced by a rank crash
-	LinkStalls   int64 // packets delayed by a transient link/switch outage
-	LinkDrops    int64 // packets lost on a failed link before reroute
-	Rerouted     int64 // packets steered around a failed link
 	// Recovery (protocol side).
 	RelSends    int64 // sequenced packets first-sent
 	Retransmits int64 // timer-driven resends
@@ -179,9 +176,6 @@ func (r *Resilience) Add(o Resilience) {
 	r.Stalled += o.Stalled
 	r.BlackoutDrop += o.BlackoutDrop
 	r.CrashDrop += o.CrashDrop
-	r.LinkStalls += o.LinkStalls
-	r.LinkDrops += o.LinkDrops
-	r.Rerouted += o.Rerouted
 	r.RelSends += o.RelSends
 	r.Retransmits += o.Retransmits
 	r.Acks += o.Acks
@@ -201,9 +195,6 @@ func resilienceOf(fab *fabric.Fabric, engs []*proto.Engine) Resilience {
 		Stalled:      fs.Stalled,
 		BlackoutDrop: fs.BlackoutDrop,
 		CrashDrop:    fs.CrashDrop,
-		LinkStalls:   fs.LinkStalled,
-		LinkDrops:    fs.LinkDrop,
-		Rerouted:     fs.Rerouted,
 	}
 	for _, e := range engs {
 		rs := e.RelStats()
@@ -227,7 +218,6 @@ type Env struct {
 	t        *vclock.Task
 	eng      *proto.Engine
 	off      *core.Offloader
-	fab      *fabric.Fabric
 	prof     *model.Profile
 	approach Approach
 	probes   bool // Env.Progress issues an MPI_Iprobe
@@ -375,19 +365,6 @@ func Run(cfg Config, program func(env *Env)) Result {
 	var runTrace *obs.RunTrace
 	if cfg.Trace != nil {
 		runTrace = cfg.Trace.StartRun(fmt.Sprintf("%s x%d", cfg.Approach, n), n)
-		if fab.Hierarchical() {
-			// Feed the fabric's per-link occupancy samples into the run
-			// trace (Chrome counter tracks) and let the critical-path
-			// analyzer attribute network time to routed links. Flat runs
-			// record nothing, keeping their exports byte-identical.
-			names := make([]string, 0)
-			for _, l := range fab.LinkStats() {
-				names = append(names, l.Name)
-			}
-			runTrace.SetLinks(names)
-			fab.SetLinkSampler(runTrace.LinkSample)
-			runTrace.PathOf = fab.PathNames
-		}
 	}
 
 	for r := 0; r < n; r++ {
@@ -421,7 +398,7 @@ func Run(cfg Config, program func(env *Env)) Result {
 		eff := max(float64(prof.ThreadsPerRank)-float64(dedicated)*prof.OffloadThreadCost, 1)
 		k.Go(fmt.Sprintf("rank%d", r), func(t *vclock.Task) {
 			env := &Env{
-				k: k, t: t, eng: eng, off: off, fab: fab, prof: prof,
+				k: k, t: t, eng: eng, off: off, prof: prof,
 				approach: cfg.Approach, probes: ap.probes, rank: r, size: n,
 				hwThr: hw, effThr: eff,
 			}
@@ -434,7 +411,6 @@ func Run(cfg Config, program func(env *Env)) Result {
 	res.Net = fab.Stats()
 	res.Resilience = resilienceOf(fab, engs)
 	res.Metrics = metricsOf(engs, offs)
-	res.Metrics.Links = linkMetricsOf(fab)
 	if runTrace != nil {
 		ends := make([]int64, n)
 		for r, t := range res.RankElapsed {
