@@ -50,8 +50,8 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 }
 
 // TestDocCheckCatchesDeletedNames feeds the checker a document that names
-// a deleted flag, field, file, make target and experiment, so a checker
-// that silently accepts everything cannot pass.
+// a deleted flag, field, method, file, make target and experiment, so a
+// checker that silently accepts everything cannot pass.
 func TestDocCheckCatchesDeletedNames(t *testing.T) {
 	idx := loadRepoIndex(t)
 	doc := "Set `model.Profile.NumAgents`, or pass `-exp=fig6 -agents 2`.\n" +
@@ -60,7 +60,8 @@ func TestDocCheckCatchesDeletedNames(t *testing.T) {
 		"`model.Profile.RequestPoolSize`, `sim.Run`, `time.AfterFunc`, `proto/relcore.go:99–111`.\n" +
 		"Run `make agents-smoke`, then `make ci` and `make mtscale|chaos`.\n" +
 		"```sh\nmake chaos-smoke   # make sure it passes\n```\n" +
-		"Pass `-topo`, `-race` or `-exp=all`; run `paper -exp=topo` or `-exp=mtscale|chaos`.\n"
+		"Pass `-topo`, `-race` or `-exp=all`; run `paper -exp=topo` or `-exp=mtscale|chaos`.\n" +
+		"Run `examples/rma/main.go`: `mpi.Comm.WinCreate`, then `proto.Engine.Accumulate`.\n"
 	got := idx.check(doc, true)
 	want := []string{
 		"1: model.Profile.NumAgents: Profile has no field or method NumAgents",
@@ -71,6 +72,9 @@ func TestDocCheckCatchesDeletedNames(t *testing.T) {
 		"7: make target agents-smoke is not defined in the Makefile",
 		"11: bare flag -topo is neither a cmd/paper flag nor a go tool flag",
 		"11: -exp=topo names no experiment of cmd/paper",
+		"12: examples/rma/main.go: no such Go file",
+		"12: mpi.Comm.WinCreate: Comm has no field or method WinCreate",
+		"12: proto.Engine.Accumulate: Engine has no field or method Accumulate",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

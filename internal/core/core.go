@@ -176,8 +176,7 @@ func (o *Offloader) run(t *vclock.Task) {
 
 		// 2. Queue empty: drive progress over in-flight requests
 		//    (MPI_Testany, §3.2) — and over anything the NIC delivered
-		//    even with no local request pending (unexpected messages,
-		//    one-sided accumulates needing target-side software).
+		//    even with no local request pending (unexpected messages).
 		if len(o.inflight) > 0 || o.Eng.PendingInbox() > 0 {
 			t0 := t.Now()
 			o.Eng.Progress(t)

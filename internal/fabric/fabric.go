@@ -73,7 +73,6 @@ type Fabric struct {
 	sink    []func(*Packet)
 	nodeOf  []int
 	stats   Stats
-	wins    map[[2]int]any
 	jitter  *rand.Rand
 	inj     *fault.Injector
 }
@@ -235,20 +234,4 @@ func (f *Fabric) deliverAt(dst int, rxEnd, now float64, pkt *Packet) {
 		}
 		f.sink[dst](pkt)
 	})
-}
-
-// RegisterWin records an RMA window buffer exposed by a rank; LookupWin
-// retrieves it for one-sided access from any rank (the fabric is the one
-// cluster-wide structure, standing in for registered/pinned memory).
-func (f *Fabric) RegisterWin(winID, rank int, win any) {
-	if f.wins == nil {
-		f.wins = make(map[[2]int]any)
-	}
-	f.wins[[2]int{winID, rank}] = win
-}
-
-// LookupWin returns the window registered by rank under winID (nil if
-// absent).
-func (f *Fabric) LookupWin(winID, rank int) any {
-	return f.wins[[2]int{winID, rank}]
 }

@@ -284,7 +284,7 @@ func (e *Engine) newFlow() int64 {
 }
 
 // flowOfPayload extracts the flow stamp (and wire-entry time) from a
-// protocol payload; (0, 0) for unstamped payload classes (acks, RMA).
+// protocol payload; (0, 0) for unstamped payload classes (acks).
 func flowOfPayload(p any) (flow, sentAt int64) {
 	switch m := p.(type) {
 	case *eagerMsg:
@@ -336,9 +336,6 @@ func (e *Engine) deliver(pkt *fabric.Packet) {
 			se.Obs.RdvDone(se.K.Now(), obs.TNIC, pkt.Bytes, pkt.Dst, d.sendOp.Flow)
 		}
 		d.sendOp.Eng.completeOp(d.sendOp, Status{})
-	}
-	if needsSW, handled := e.deliverRMA(pkt.Payload); handled && !needsSW {
-		return // pure RDMA: no software involvement at this rank
 	}
 	e.noteDelivered(pkt)
 	e.inbox = append(e.inbox, pkt)
@@ -709,9 +706,6 @@ func (e *Engine) handle(pkt *fabric.Packet) float64 {
 		e.completeOp(m.recvOp, Status{Source: pkt.Src, Tag: m.recvOp.Tag, Count: pkt.Bytes})
 		return e.P.MatchCost
 	default:
-		if cost, ok := e.handleRMA(pkt.Payload); ok {
-			return cost
-		}
 		panic(fmt.Sprintf("proto: unknown payload %T", pkt.Payload))
 	}
 }
@@ -899,7 +893,10 @@ func (e *Engine) AddProgressor(p Progressor) {
 	e.bump()
 }
 
-// PendingInbox reports undrained arrivals (diagnostics).
+// PendingInbox reports undrained arrivals. It is on the offload agent's hot
+// path, not a diagnostic: the agent's loop (core.Offloader's run) reads it
+// whenever its queue is empty, to drive progress over arrivals that no
+// in-flight request of its own is waiting for.
 func (e *Engine) PendingInbox() int { return len(e.inbox) }
 
 // UnexpectedLen reports the unexpected-queue depth (diagnostics).

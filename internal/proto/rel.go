@@ -21,8 +21,8 @@ import (
 // under drop and duplication. The sublayer runs in NIC (timer-callback) context, like the
 // reliable-connection state machines of InfiniBand hardware: it costs no
 // simulated software time, but its counters are visible to software.
-// Rendezvous bulk data (RDMA) and one-sided packets already model a
-// hardware-reliable channel and bypass the sublayer.
+// Rendezvous bulk data (RDMA) already models a hardware-reliable channel
+// and bypasses the sublayer.
 //
 // The watchdog is orthogonal and covers what retransmission cannot fix:
 // a request still in flight Deadline ns after posting is failed with

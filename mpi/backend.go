@@ -15,10 +15,6 @@ type Backend interface {
 	// post issues one operation and returns its request. A nil operation
 	// means the issue completed inline.
 	post(t *vclock.Task, issue func(*vclock.Task) proto.Req) Request
-	// call runs fn to completion on the thread that drives the engine and
-	// returns when it has finished. fn receives that thread and its direct
-	// path into the engine, through which it may issue or wait.
-	call(t *vclock.Task, fn func(*vclock.Task, *direct))
 	// wait blocks until every request in rs has completed.
 	wait(t *vclock.Task, rs []*Request)
 	// blocking notes that a blocking point-to-point call is about to run
@@ -50,18 +46,11 @@ func (d *direct) post(t *vclock.Task, issue func(*vclock.Task) proto.Req) Reques
 	return Request{}
 }
 
-func (d *direct) call(t *vclock.Task, fn func(*vclock.Task, *direct)) { fn(t, d) }
-
 func (d *direct) wait(t *vclock.Task, rs []*Request) {
 	reqs := make([]proto.Req, len(rs))
 	for i, r := range rs {
 		reqs[i] = *r.req
 	}
-	d.await(t, reqs)
-}
-
-// await drives progress until every one of reqs has completed.
-func (d *direct) await(t *vclock.Task, reqs []proto.Req) {
 	switch {
 	case len(reqs) == 0:
 	case d.locked:
@@ -74,16 +63,15 @@ func (d *direct) await(t *vclock.Task, reqs []proto.Req) {
 func (d *direct) blocking(*vclock.Task) {}
 
 // offload is the paper's backend (§3): every call is serialized into the
-// lock-free command queue of the rank's offload thread, which drives the
-// engine through its own unlocked direct path. The caller pays only the
-// enqueue cost, and blocking calls become post + done-flag wait.
+// lock-free command queue of the rank's offload thread, which alone drives
+// the engine, unlocked. The caller pays only the enqueue cost, and blocking
+// calls become post + done-flag wait.
 type offload struct {
-	off   *core.Offloader
-	agent direct
+	off *core.Offloader
 }
 
 // Offload returns the backend that routes every call through off.
-func Offload(off *core.Offloader) Backend { return &offload{off: off, agent: direct{eng: off.Eng}} }
+func Offload(off *core.Offloader) Backend { return &offload{off: off} }
 
 func (o *offload) post(t *vclock.Task, issue func(*vclock.Task) proto.Req) Request {
 	req := new(proto.Req)
@@ -94,14 +82,6 @@ func (o *offload) post(t *vclock.Task, issue func(*vclock.Task) proto.Req) Reque
 	return Request{h: h, req: req}
 }
 
-func (o *offload) call(t *vclock.Task, fn func(*vclock.Task, *direct)) {
-	h := o.off.Submit(t, func(ot *vclock.Task) proto.Req {
-		fn(ot, &o.agent)
-		return nil
-	})
-	o.off.Wait(t, h)
-}
-
 func (o *offload) wait(t *vclock.Task, rs []*Request) {
 	for _, r := range rs {
 		o.off.Wait(t, r.h)
@@ -109,7 +89,7 @@ func (o *offload) wait(t *vclock.Task, rs []*Request) {
 }
 
 func (o *offload) blocking(t *vclock.Task) {
-	if o.agent.eng.Obs.Enabled() {
-		o.agent.eng.Obs.Converted(t.Now(), obs.TaskClass(t.Name))
+	if eng := o.off.Eng; eng.Obs.Enabled() {
+		eng.Obs.Converted(t.Now(), obs.TaskClass(t.Name))
 	}
 }

@@ -3,13 +3,12 @@
 // A Comm is a communicator handle bound to one application thread of one
 // rank (threads obtain their own bound handles; see package sim). The API
 // mirrors the MPI operations the paper's applications use: nonblocking and
-// blocking point-to-point, Wait/Waitall/Iprobe, the common collectives in
-// blocking and nonblocking form, and one-sided windows.
+// blocking point-to-point, Wait/Waitall/Iprobe, and the common collectives
+// in blocking and nonblocking form.
 //
 // The API sits on a Backend, chosen when the rank is built, and never asks
-// which one it has: every entry point posts an issue closure, runs a
-// synchronous closure, or waits on a request through it. There are two
-// backends:
+// which one it has: every entry point posts an issue closure or waits on a
+// request through it (a synchronous call is both). There are two backends:
 //
 //   - Direct — the calling thread enters the protocol engine itself, with
 //     no locking (MPI_THREAD_FUNNELED) or under the implementation's global

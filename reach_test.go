@@ -40,6 +40,9 @@ func TestEverythingReachable(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("the analysis found nothing unreachable: it lost the module's packages")
 	}
+	if testing.Verbose() {
+		logPerMain(t, fset, pkgs, got)
+	}
 	want := readUnreachableList(t)
 	for _, e := range got {
 		if _, ok := want[e]; !ok {
@@ -162,7 +165,8 @@ func goList(t *testing.T, patterns ...string) []*goPkg {
 type reachPkg struct {
 	rel   string // import path without the module prefix: the entry prefix
 	main  bool
-	runs  bool // in the import closure of a main package: its init code runs
+	runs  bool        // a main, or in the import closure of one: its roots run
+	deps  []*reachPkg // the module packages it imports
 	scope *types.Scope
 	files []*ast.File
 	info  *types.Info
@@ -193,7 +197,7 @@ func checkPackages(t *testing.T, fset *token.FileSet, pkgs []*goPkg) []*reachPkg
 		return std.Import(path)
 	})
 	var out []*reachPkg
-	byPath := map[string]*goPkg{}
+	byPath := map[string]*reachPkg{}
 	module := ""
 	for _, p := range pkgs {
 		if p.Standard {
@@ -202,8 +206,13 @@ func checkPackages(t *testing.T, fset *token.FileSet, pkgs []*goPkg) []*reachPkg
 		if module == "" || !strings.HasPrefix(p.ImportPath, module+"/") {
 			module, _, _ = strings.Cut(p.ImportPath, "/")
 		}
-		byPath[p.ImportPath] = p
 		rp := &reachPkg{rel: strings.TrimPrefix(p.ImportPath, module+"/"), main: p.Name == "main"}
+		byPath[p.ImportPath] = rp
+		for _, dep := range p.Imports {
+			if d := byPath[dep]; d != nil {
+				rp.deps = append(rp.deps, d)
+			}
+		}
 		if p.src != "" {
 			f, err := parser.ParseFile(fset, p.ImportPath+".go", p.src, 0)
 			if err != nil {
@@ -232,26 +241,30 @@ func checkPackages(t *testing.T, fset *token.FileSet, pkgs []*goPkg) []*reachPkg
 		rp.scope = tp.Scope()
 		out = append(out, rp)
 	}
-	// Mark the import closure of the main packages.
-	runs := map[string]bool{}
-	var visit func(path string)
-	visit = func(path string) {
-		if p := byPath[path]; p != nil && !runs[path] {
-			runs[path] = true
-			for _, dep := range p.Imports {
-				visit(dep)
+	markRuns(out, nil)
+	return out
+}
+
+// markRuns sets runs on the import closure of every main package but
+// skip, the main packages themselves included.
+func markRuns(pkgs []*reachPkg, skip *reachPkg) {
+	for _, p := range pkgs {
+		p.runs = false
+	}
+	var visit func(p *reachPkg)
+	visit = func(p *reachPkg) {
+		if !p.runs {
+			p.runs = true
+			for _, d := range p.deps {
+				visit(d)
 			}
 		}
 	}
-	for path, p := range byPath {
-		if p.Name == "main" {
-			visit(path)
+	for _, p := range pkgs {
+		if p.main && p != skip {
+			visit(p)
 		}
 	}
-	for _, rp := range out {
-		rp.runs = runs[module+"/"+rp.rel]
-	}
-	return out
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -259,8 +272,8 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // reach is Rapid Type Analysis over the module's declarations. The roots
-// are every main, and the init functions and package-level var
-// initializers of the packages a main imports. A function, type, const or
+// are the main function, init functions and package-level var initializers
+// of every package whose runs is set. A function, type, const or
 // var is live when live code refers to it (generic instances count as
 // their origin). A method is live when it is referred to, or when its
 // receiver type is live and a method of that name is callable through an
@@ -286,6 +299,17 @@ type reachDecl struct {
 // unreachable returns the sorted entry names of every declaration of
 // pkgs that no main package reaches.
 func unreachable(pkgs []*reachPkg) []string {
+	var out []string
+	for e := range unreachableDecls(pkgs) {
+		out = append(out, e)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// unreachableDecls maps the entry name of every declaration of pkgs that
+// no main package reaches to the declaration.
+func unreachableDecls(pkgs []*reachPkg) map[string]*reachDecl {
 	r := &reach{
 		decls:    map[types.Object]*reachDecl{},
 		live:     map[types.Object]bool{},
@@ -306,7 +330,7 @@ func unreachable(pkgs []*reachPkg) []string {
 						continue
 					}
 					r.declare(obj, p, d.Name.Name, nil, d)
-					if p.runs && d.Name.Name == "init" || p.main && d.Name.Name == "main" {
+					if p.runs && (d.Name.Name == "init" || p.main && d.Name.Name == "main") {
 						roots = append(roots, func() { r.use(obj) })
 					}
 				case *ast.GenDecl:
@@ -352,14 +376,77 @@ func unreachable(pkgs []*reachPkg) []string {
 			r.walk(d.info, n)
 		}
 	}
-	var out []string
+	out := map[string]*reachDecl{}
 	for obj, d := range r.decls {
 		if !r.live[obj] {
-			out = append(out, d.entry)
+			out[d.entry] = d
 		}
 	}
-	sort.Strings(out)
 	return out
+}
+
+// logPerMain logs, for each main package, the declarations of other
+// packages that only it reaches, and their non-comment, non-blank lines:
+// what the analysis finds unreachable with that main's roots switched off,
+// less what it finds unreachable with every root on (dead).
+func logPerMain(t *testing.T, fset *token.FileSet, pkgs []*reachPkg, dead []string) {
+	t.Helper()
+	defer markRuns(pkgs, nil)
+	isDead := map[string]bool{}
+	for _, e := range dead {
+		isDead[e] = true
+	}
+	src := map[string][]string{} // file name → its lines
+	type row struct {
+		main  string
+		decls []string
+		lines int
+	}
+	var rows []row
+	for _, m := range pkgs {
+		if !m.main {
+			continue
+		}
+		markRuns(pkgs, m)
+		r := row{main: m.rel}
+		lines := map[token.Position]bool{}
+		for e, d := range unreachableDecls(pkgs) {
+			if isDead[e] || strings.HasPrefix(e, m.rel+".") {
+				continue
+			}
+			r.decls = append(r.decls, e)
+			for _, n := range d.nodes {
+				from, to := fset.Position(n.Pos()), fset.Position(n.End())
+				if src[from.Filename] == nil {
+					b, err := os.ReadFile(from.Filename)
+					if err != nil {
+						t.Fatal(err)
+					}
+					src[from.Filename] = strings.Split(string(b), "\n")
+				}
+				for ln := from.Line; ln <= to.Line; ln++ {
+					if s := strings.TrimSpace(src[from.Filename][ln-1]); s != "" && !strings.HasPrefix(s, "//") {
+						lines[token.Position{Filename: from.Filename, Line: ln}] = true
+					}
+				}
+			}
+		}
+		sort.Strings(r.decls)
+		r.lines = len(lines)
+		rows = append(rows, r)
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if len(rows[i].decls) != len(rows[j].decls) {
+			return len(rows[i].decls) > len(rows[j].decls)
+		}
+		return rows[i].main < rows[j].main
+	})
+	var b strings.Builder
+	fmt.Fprintf(&b, "declarations only one main reaches:\n%-24s %5s %5s\n", "main", "decls", "lines")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-24s %5d %5d  %s\n", r.main, len(r.decls), r.lines, strings.Join(r.decls, " "))
+	}
+	t.Log(b.String())
 }
 
 func (r *reach) declare(obj types.Object, p *reachPkg, name string, recv types.Object, node ast.Node) {

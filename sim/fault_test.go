@@ -26,11 +26,10 @@ type suiteResult struct {
 	RdvOK     bool // rendezvous payload from the partner arrived intact
 	Allreduce byte // sum over ranks of (rank+1)
 	Bcast     byte // value broadcast from rank 0
-	AccSum    byte // rank 0 only: result of everyone's RMA accumulate
 }
 
 // protocolSuite exercises every protocol class: eager ring exchange,
-// rendezvous pairwise exchange, collectives, and one-sided accumulate.
+// rendezvous pairwise exchange and collectives.
 func protocolSuite(env *Env, out []suiteResult) {
 	c := env.World
 	me, n := env.Rank(), env.Size()
@@ -69,15 +68,6 @@ func protocolSuite(env *Env, out []suiteResult) {
 	rb := c.Ibcast(b, 0)
 	c.Wait(&rb)
 	res.Bcast = b[0]
-
-	// One-sided: everyone accumulates 1 into rank 0's window.
-	winBuf := make([]byte, 8)
-	w := c.WinCreate(winBuf)
-	w.Accumulate([]byte{1}, 0, 0, sum)
-	w.Fence()
-	if me == 0 {
-		res.AccSum = winBuf[0]
-	}
 	out[me] = res
 }
 
@@ -95,7 +85,6 @@ func wantSuite(n int) []suiteResult {
 			Bcast:     42,
 		}
 	}
-	out[0].AccSum = byte(n)
 	return out
 }
 

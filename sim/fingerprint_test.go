@@ -13,9 +13,8 @@ import (
 
 // fingerprintProgram touches every mpi entry point a communicator routes
 // through its backend: eager and rendezvous point-to-point (real and
-// phantom), Wait and Waitall, Iprobe(AnySource), collectives, and a window
-// with Accumulate and Fence. Under Multiple a two-thread team adds
-// concurrent traffic.
+// phantom), Wait and Waitall, Iprobe(AnySource), and collectives. Under
+// Multiple a two-thread team adds concurrent traffic.
 func fingerprintProgram(level ThreadLevel) func(env *Env) {
 	return func(env *Env) {
 		c := env.World
@@ -44,11 +43,6 @@ func fingerprintProgram(level ThreadLevel) func(env *Env) {
 		v := []float64{float64(me)}
 		c.Allreduce(mpi.Float64Bytes(v), mpi.SumFloat64)
 
-		win := make([]float64, n)
-		w := c.WinCreate(mpi.Float64Bytes(win))
-		w.Accumulate(mpi.Float64Bytes([]float64{2}), left, 0, mpi.SumFloat64)
-		w.Fence()
-
 		c.Barrier()
 
 		if level == Multiple {
@@ -74,16 +68,16 @@ func TestCrossApproachFingerprint(t *testing.T) {
 		events  int64
 	}
 	want := map[string]print{
-		"baseline/funneled":  {50574, [4]vclock.Time{50574, 49729, 50144, 50214}, 295},
-		"baseline/multiple":  {70344, [4]vclock.Time{69644, 69758, 69963, 70344}, 462},
-		"iprobe/funneled":    {51494, [4]vclock.Time{51494, 50649, 51064, 51134}, 339},
-		"iprobe/multiple":    {73664, [4]vclock.Time{72964, 73078, 73283, 73664}, 522},
-		"comm-self/funneled": {109855, [4]vclock.Time{106367, 109855, 108596, 107419}, 885},
-		"comm-self/multiple": {126437, [4]vclock.Time{122949, 126437, 125178, 124001}, 1048},
-		"offload/funneled":   {37273, [4]vclock.Time{37273, 36527, 36988, 36982}, 710},
-		"offload/multiple":   {40045, [4]vclock.Time{40045, 39713, 39590, 39584}, 896},
-		"core-spec/funneled": {42471, [4]vclock.Time{42471, 41626, 42041, 42111}, 409},
-		"core-spec/multiple": {61835, [4]vclock.Time{61500, 61259, 61835, 61539}, 638},
+		"baseline/funneled":  {46443, [4]vclock.Time{45958, 46083, 46443, 45598}, 173},
+		"baseline/multiple":  {62251, [4]vclock.Time{61262, 61376, 62251, 61292}, 326},
+		"iprobe/funneled":    {47363, [4]vclock.Time{46878, 47003, 47363, 46518}, 217},
+		"iprobe/multiple":    {65571, [4]vclock.Time{64582, 64696, 65571, 64612}, 386},
+		"comm-self/funneled": {81403, [4]vclock.Time{77915, 81403, 80144, 78967}, 597},
+		"comm-self/multiple": {97985, [4]vclock.Time{94497, 97985, 96726, 95549}, 760},
+		"offload/funneled":   {31591, [4]vclock.Time{31136, 31231, 31591, 30776}, 387},
+		"offload/multiple":   {34193, [4]vclock.Time{33738, 33663, 34193, 34031}, 569},
+		"core-spec/funneled": {38340, [4]vclock.Time{37855, 37980, 38340, 37495}, 275},
+		"core-spec/multiple": {54123, [4]vclock.Time{53096, 53273, 54123, 53149}, 478},
 	}
 	levels := []struct {
 		name  string
