@@ -3,7 +3,9 @@
 # last step (leak-check) fails if a process of anything it ran survives.
 #
 #   make ci           vet + build + full test suite + race subset + every smoke
-#   make vet          gofmt -l . (fails on any output) and go vet ./...
+#   make vet          gofmt -l . (fails on any output), go vet ./..., and the
+#                     compiler's -m report must call all eight disabled obs
+#                     hooks that TestDisabledHookOverhead times inlinable.
 #   make build        go build ./...
 #   make test         go test ./...
 #   make race         race detector on every internal package plus the sim and
@@ -14,14 +16,16 @@
 #                     times more: one race-detector pass seldom catches two
 #                     batches racing for one peer's header arena or a lost
 #                     completion wakeup.
-#   make smoke        one pattern for every BENCH document (mtscale, chaos,
-#                     net): a -quick sweep through cmd/paper into /tmp,
-#                     the validator on that file and on the committed file
+#   make smoke        one pattern for every BENCH document (mtscale, net):
+#                     a -quick sweep through cmd/paper into /tmp, the
+#                     validator on that file and on the committed file
 #                     (whose full-size rows carry the gates: sharded <= shared
-#                     at 16 threads; zero chaos violations and trace drops;
-#                     offload >= direct at 16 threads on every backend),
-#                     then a benchdiff self-diff of the committed
+#                     at 16 threads; offload >= direct at 16 threads on every
+#                     backend), then a benchdiff self-diff of the committed
 #                     file. `make mtscale-smoke` etc. run one document.
+#                     (The chaos sweep writes no document: `go test
+#                     ./cmd/paper` checks its results.txt step byte for
+#                     byte and asserts its claims.)
 #   make critpath-smoke  tiny traced Fig 7a run piped through cmd/tracetool
 #                     -check: fails unless every run's critical-path
 #                     attribution sums exactly to its elapsed virtual time.
@@ -40,14 +44,14 @@
 #   make host-bench   the host-time benchmark (benchmark/README.md): every
 #                     workload of BENCHMARK.json end to end, two sets, compared
 #                     against the bounds. Minutes of wall time; not part of ci.
-#   make mtscale | chaos | net
+#   make mtscale | net
 #                     full-size sweep, regenerates the committed BENCH_<doc>.json
 #                     in place (the only way those files are ever written).
 #   make results      regenerate results.txt (paper -exp=all -quick; minutes).
 #   make loc          the two non-test line counts the harness-diet PRs track.
 
 GO ?= go
-DOCS := mtscale chaos net
+DOCS := mtscale net
 PAPER := $(GO) run ./cmd/paper
 
 .PHONY: ci vet build test race smoke $(DOCS:%=%-smoke) critpath-smoke mpirun-smoke leak-check benchdiff host-bench $(DOCS) results loc
@@ -58,6 +62,7 @@ ci: vet build test race smoke critpath-smoke mpirun-smoke
 vet:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
+	@out=$$($(GO) build -gcflags=-m ./internal/obs 2>&1); for h in Progressed CmdEnqueued CmdDequeued CmdCompleted Issued Delivered EagerLanded RdvStarted; do echo "$$out" | grep -q "can inline (\*Recorder)\.$$h$$" || { echo "vet: obs hook (*Recorder).$$h is not inlinable" >&2; exit 1; }; done
 
 build:
 	$(GO) build ./...

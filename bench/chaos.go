@@ -12,7 +12,7 @@ import (
 
 // ChaosSpec is one cell of the chaos sweep: a fault plan against one
 // approach. What each plan must provoke (retransmissions, detection) is
-// the document validator's business (ChaosReport.Validate), keyed by Plan.
+// asserted by cmd/paper's chaos tests, keyed by Plan.
 type ChaosSpec struct {
 	Plan string // "drop" | "crash"
 
@@ -26,21 +26,18 @@ type ChaosSpec struct {
 // exactly-once stream arrived intact, the post-fault reduction was correct
 // (over the shrunk group for crash cells).
 type ChaosCellResult struct {
-	Plan     string `json:"plan"`
-	Approach string `json:"approach"`
-	Ranks    int    `json:"ranks"`
+	Plan, Approach string
 
-	ElapsedNs int64   `json:"elapsed_ns"`
-	DetectNs  float64 `json:"detect_ns"`  // crash cells: fault → first surfaced error
-	RecoverNs float64 `json:"recover_ns"` // fault → post-fault reduction complete
+	ElapsedNs int64
+	DetectNs  float64 // crash cells: fault → first surfaced error
+	RecoverNs float64 // fault → post-fault reduction complete
 
-	Dropped        int64 `json:"dropped"`
-	Retransmits    int64 `json:"retransmits"`
-	WatchdogTrips  int64 `json:"watchdog_trips"`
-	RecoveryPathNs int64 `json:"recovery_path_ns"` // critpath recovery category
-	TraceDrops     int64 `json:"trace_drops"`      // obs ring-buffer events overwritten
+	Dropped        int64
+	Retransmits    int64
+	RecoveryPathNs int64 // critpath recovery category
+	TraceDrops     int64 // obs ring-buffer events overwritten
 
-	Violations []string `json:"violations,omitempty"`
+	Violations []string
 }
 
 // Chaos stream shape: each rank sends streamMsgs stamped eager messages to
@@ -57,10 +54,7 @@ const (
 // than asserted so a sweep always completes. cfg must carry the profile
 // and approach; the fault plan and a trace are attached here.
 func ChaosCell(cfg sim.Config, ranks int, spec ChaosSpec) ChaosCellResult {
-	out := ChaosCellResult{
-		Plan: spec.Plan, Approach: cfg.Approach.String(),
-		Ranks: ranks,
-	}
+	out := ChaosCellResult{Plan: spec.Plan, Approach: cfg.Approach.String()}
 	bad := func(format string, args ...any) {
 		out.Violations = append(out.Violations, fmt.Sprintf(format, args...))
 	}
@@ -170,7 +164,6 @@ func ChaosCell(cfg sim.Config, ranks int, spec ChaosSpec) ChaosCellResult {
 	r := res.Resilience
 	out.Dropped = r.Dropped
 	out.Retransmits = r.Retransmits
-	out.WatchdogTrips = r.WatchdogTrips
 	out.TraceDrops = res.Metrics.EventsDropped
 
 	rep := critpath.Analyze(tr)[0]

@@ -24,8 +24,7 @@ type Class string
 const (
 	Virtual Class = "virtual" // deterministic virtual-time result; tight band
 	Wall    Class = "wall"    // wall-clock measurement; wide band
-	Hard    Class = "hard"    // correctness tripwire; any growth past zero regresses
-	Info    Class = "info"    // reported, never gates (duty fractions, batch sizes)
+	Info    Class = "info"    // reported, never gates (batch sizes, residual ratios)
 )
 
 // Direction says which way is an improvement.
@@ -63,7 +62,6 @@ type DocKind struct {
 // Docs is the schema registry, in the order the documents are generated.
 var Docs = []DocKind{
 	{MTScaleSchema, "BENCH_mtscale.json", func() Doc { return new(MTScaleReport) }},
-	{ChaosSchema, "BENCH_chaos.json", func() Doc { return new(ChaosReport) }},
 	{NetSchema, "BENCH_net.json", func() Doc { return new(NetReport) }},
 }
 
@@ -198,126 +196,6 @@ func (r *MTScaleReport) Metrics() []Metric {
 	for _, w := range r.RT {
 		l.add(Wall, LowerBetter, w.ShardedNsPerPost, "rt.sharded_ns_per_post{threads=%d}", w.Threads)
 		l.add(Wall, LowerBetter, w.SharedNsPerPost, "rt.shared_ns_per_post{threads=%d}", w.Threads)
-	}
-	return l
-}
-
-// ---- chaos/v2 ----
-
-// ChaosSchema versions BENCH_chaos.json; bump on incompatible change. v2
-// records one cell per (plan, approach) of the flat-fabric sweep.
-const ChaosSchema = "chaos/v2"
-
-// ChaosPlans and ChaosApproaches are the sweep's grid: every document
-// carries each (plan, approach) cell exactly once.
-var (
-	ChaosPlans      = []string{"drop", "crash"}
-	ChaosApproaches = []string{"baseline", "offload"}
-)
-
-// ChaosReport is the BENCH_chaos.json document: one cell per
-// (plan, approach) of the sweep.
-type ChaosReport struct {
-	Schema     string            `json:"schema"`
-	Profile    string            `json:"profile"`
-	Ranks      int               `json:"ranks"`
-	Seed       int64             `json:"seed"`
-	WatchdogNs float64           `json:"watchdog_ns"`
-	Cells      []ChaosCellResult `json:"cells"`
-}
-
-func (r *ChaosReport) Tag() string { return r.Schema }
-
-// Validate checks the report's structure and the sweep's headline claims.
-// Virtual time is deterministic, so the behavioural assertions (losses
-// were retransmitted, crashes were detected, the offload path detects no
-// later than the baseline) are safe to enforce on any machine.
-func (r *ChaosReport) Validate() error {
-	if r.Schema != ChaosSchema {
-		return fmt.Errorf("schema %q, want %q", r.Schema, ChaosSchema)
-	}
-	if r.Profile == "" {
-		return fmt.Errorf("missing profile")
-	}
-	if r.Ranks < 4 {
-		return fmt.Errorf("sweep needs >= 4 ranks, has %d", r.Ranks)
-	}
-	seen := make(map[string]int)
-	for _, c := range r.Cells {
-		seen[c.Plan+"/"+c.Approach]++
-	}
-	for _, plan := range ChaosPlans {
-		for _, a := range ChaosApproaches {
-			if n := seen[plan+"/"+a]; n != 1 {
-				return fmt.Errorf("sweep has %d %s/%s cells, want exactly 1", n, plan, a)
-			}
-		}
-	}
-	if len(r.Cells) != len(ChaosPlans)*len(ChaosApproaches) {
-		return fmt.Errorf("sweep has %d cells outside the %v x %v grid",
-			len(r.Cells)-len(ChaosPlans)*len(ChaosApproaches), ChaosPlans, ChaosApproaches)
-	}
-
-	detect := make(map[string]float64) // approach → crash DetectNs
-	var recoveryAttributed bool
-	for _, c := range r.Cells {
-		id := c.Plan + "/" + c.Approach
-		if len(c.Violations) != 0 {
-			return fmt.Errorf("%s: %d invariant violations, first: %s", id, len(c.Violations), c.Violations[0])
-		}
-		if c.ElapsedNs <= 0 {
-			return fmt.Errorf("%s: empty cell", id)
-		}
-		// A chaos cell that wraps the observability ring has silently lost
-		// the events its own violations analysis depends on — the trace no
-		// longer shows what happened around the fault.
-		if c.TraceDrops != 0 {
-			return fmt.Errorf("%s: obs ring dropped %d events; the post-fault trace is incomplete (raise obs RingCap)", id, c.TraceDrops)
-		}
-		switch c.Plan {
-		case "drop":
-			if c.Retransmits == 0 {
-				return fmt.Errorf("%s: lossy cell recovered nothing", id)
-			}
-		case "crash":
-			if c.DetectNs <= 0 {
-				return fmt.Errorf("%s: crash never detected", id)
-			}
-			if c.RecoverNs < c.DetectNs {
-				return fmt.Errorf("%s: recovered (%f) before detecting (%f)", id, c.RecoverNs, c.DetectNs)
-			}
-			detect[c.Approach] = c.DetectNs
-		}
-		if c.RecoveryPathNs > 0 {
-			recoveryAttributed = true
-		}
-	}
-
-	// Headline: offloading the communication must not delay failure
-	// detection — the offload thread's watchdog fires no later than the
-	// baseline's (small slack for schedule skew around the deadline).
-	if off, base := detect["offload"], detect["baseline"]; off > base*1.10+50_000 {
-		return fmt.Errorf("offload detected the crash in %.0f ns, baseline in %.0f ns — offloading delayed detection", off, base)
-	}
-	if !recoveryAttributed {
-		return fmt.Errorf("no cell attributed critical-path time to recovery")
-	}
-	return nil
-}
-
-func (r *ChaosReport) Metrics() []Metric {
-	var l metricList
-	for _, c := range r.Cells {
-		cell := fmt.Sprintf("{plan=%s,approach=%s}", c.Plan, c.Approach)
-		l.add(Virtual, LowerBetter, float64(c.ElapsedNs), "chaos.elapsed_ns%s", cell)
-		l.add(Virtual, LowerBetter, c.RecoverNs, "chaos.recover_ns%s", cell)
-		if c.Plan == "crash" {
-			l.add(Virtual, LowerBetter, c.DetectNs, "chaos.detect_ns%s", cell)
-		}
-		l.add(Hard, LowerBetter, float64(len(c.Violations)), "chaos.violations%s", cell)
-		l.add(Hard, LowerBetter, float64(c.TraceDrops), "chaos.trace_drops%s", cell)
-		l.add(Info, LowerBetter, float64(c.Retransmits), "chaos.retransmits%s", cell)
-		l.add(Info, LowerBetter, float64(c.WatchdogTrips), "chaos.watchdog_trips%s", cell)
 	}
 	return l
 }

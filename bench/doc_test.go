@@ -37,35 +37,6 @@ var docCases = map[string]docCase{
 			r.RT[1].ShardedNsPerPost = r.RT[1].SharedNsPerPost + 1
 		}),
 	}},
-	ChaosSchema: {goodChaos, map[string]func(Doc){
-		"wrong schema":    on(func(r *ChaosReport) { r.Schema = "chaos/v1" }),
-		"missing profile": on(func(r *ChaosReport) { r.Profile = "" }),
-		"too few ranks":   on(func(r *ChaosReport) { r.Ranks = 2 }),
-		"missing cell":    on(func(r *ChaosReport) { r.Cells = r.Cells[:3] }),
-		"duplicate cell":  on(func(r *ChaosReport) { r.Cells = append(r.Cells, r.Cells[0]) }),
-		"cell off the grid": on(func(r *ChaosReport) {
-			c := r.Cells[0]
-			c.Plan = "trunkdown"
-			r.Cells = append(r.Cells, c)
-		}),
-		"violation":                  on(func(r *ChaosReport) { r.Cells[0].Violations = []string{"boom"} }),
-		"trace drops":                on(func(r *ChaosReport) { r.Cells[0].TraceDrops = 3 }),
-		"no retransmits":             on(func(r *ChaosReport) { r.Cells[0].Retransmits = 0 }),
-		"undetected crash":           on(func(r *ChaosReport) { r.Cells[2].DetectNs = 0 }),
-		"recovered before detecting": on(func(r *ChaosReport) { r.Cells[2].RecoverNs = 1 }),
-		"slow offload detection": on(func(r *ChaosReport) {
-			for i := range r.Cells {
-				if r.Cells[i].Plan == "crash" && r.Cells[i].Approach == "offload" {
-					r.Cells[i].DetectNs = 2_000_000
-				}
-			}
-		}),
-		"no recovery attribution": on(func(r *ChaosReport) {
-			for i := range r.Cells {
-				r.Cells[i].RecoveryPathNs = 0
-			}
-		}),
-	}},
 	NetSchema: {goodNet, map[string]func(Doc){
 		"wrong schema":       on(func(r *NetReport) { r.Schema = "net/v0" }),
 		"no backends":        on(func(r *NetReport) { r.Backends = nil }),
@@ -91,28 +62,6 @@ func goodMTScale() Doc {
 			{Threads: 16, ShardedNsPerPost: 120, SharedNsPerPost: 400},
 		},
 	}
-}
-
-func goodChaos() Doc {
-	rep := &ChaosReport{Schema: ChaosSchema, Profile: "endeavor-xeon", Ranks: 8, Seed: 1, WatchdogNs: 600_000}
-	for _, plan := range ChaosPlans {
-		for _, a := range ChaosApproaches {
-			c := ChaosCellResult{Plan: plan, Approach: a, Ranks: 8, ElapsedNs: 1_000_000}
-			switch plan {
-			case "drop":
-				c.Retransmits = 10
-				c.RecoveryPathNs = 5000
-			case "crash":
-				c.DetectNs = 650_000
-				c.RecoverNs = 730_000
-				if a == "offload" {
-					c.DetectNs = 655_000
-				}
-			}
-			rep.Cells = append(rep.Cells, c)
-		}
-	}
-	return rep
 }
 
 func goodNet() Doc {
@@ -219,8 +168,8 @@ func firstDiff(got, want []string) string {
 func TestLoadDocRejects(t *testing.T) {
 	for name, body := range map[string]string{
 		"unknown schema": `{"schema":"mystery/v9"}`,
-		"empty document": `{"schema":"chaos/v2","cells":[]}`,
-		"not json":       `schema: chaos/v2`,
+		"empty document": `{"schema":"net/v1","backends":[]}`,
+		"not json":       `schema: net/v1`,
 	} {
 		p := filepath.Join(t.TempDir(), "doc.json")
 		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {

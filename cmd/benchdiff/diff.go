@@ -71,21 +71,8 @@ func compare(om, nm bench.Metric, tol tolerances) diffRow {
 	}
 	row.delta = rel
 
-	switch om.Class {
-	case bench.Info:
+	if om.Class == bench.Info {
 		row.verdict = vInfo
-		return row
-	case bench.Hard:
-		// Tripwires gate on growth, bands be damned; 0 → 0 is the healthy
-		// steady state.
-		switch {
-		case nm.Val > om.Val:
-			row.verdict = vRegression
-		case nm.Val < om.Val:
-			row.verdict = vBetter
-		default:
-			row.verdict = vOK
-		}
 		return row
 	}
 

@@ -1,7 +1,7 @@
 // Command benchdiff compares two generations of a benchmark document —
-// BENCH_mtscale.json, BENCH_chaos.json or BENCH_net.json — and reports
-// per-metric deltas as a markdown trend table, exiting nonzero when any
-// metric regressed past its tolerance band.
+// BENCH_mtscale.json or BENCH_net.json — and reports per-metric deltas as
+// a markdown trend table, exiting nonzero when any metric regressed past
+// its tolerance band.
 //
 // Usage:
 //
@@ -9,15 +9,14 @@
 //
 // The schema is detected from the documents' "schema" field (both files
 // must agree); package bench owns the document model and says which
-// metrics a document flattens to. Metrics fall into three gating classes:
+// metrics a document flattens to. Metrics fall into three classes:
 //
 //   - virtual: simulator results; deterministic given the code, so the
 //     band (default 10%) only absorbs legitimate model drift between
 //     generations, not machine noise.
 //   - wall: wall-clock measurements from the rt layer; noisy across hosts
 //     and loads, so the band is wide (default 35%).
-//   - hard: correctness tripwires (chaos violations, obs ring drops).
-//     Any nonzero growth is a regression regardless of bands.
+//   - info: reported, never gates (batch sizes, sim-vs-real residuals).
 //
 // Rows whose metric only exists in one generation (a sweep point added or
 // removed) are reported informationally and never gate.

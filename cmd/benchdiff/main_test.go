@@ -131,35 +131,6 @@ func TestCommittedBaselinesSelfDiff(t *testing.T) {
 	}
 }
 
-// TestChaosHardGates: violations and trace drops regress on ANY growth,
-// even within a 10% band; improvements count as better.
-func TestChaosHardGates(t *testing.T) {
-	mk := func(drops int) []bench.Metric {
-		return []bench.Metric{
-			{Key: "chaos.violations{x}", Val: 0, Class: bench.Hard},
-			{Key: "chaos.trace_drops{x}", Val: float64(drops), Class: bench.Hard},
-		}
-	}
-	rows := diffMetrics(mk(0), mk(3), tolerances{virtual: 0.10, wall: 0.35})
-	found := false
-	for _, r := range rows {
-		if r.key == "chaos.trace_drops{x}" {
-			found = true
-			if r.verdict != vRegression {
-				t.Errorf("trace_drops 0→3 got verdict %s, want REGRESSION", r.verdict)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("trace_drops metric missing from diff")
-	}
-	for _, r := range diffMetrics(mk(3), mk(0), tolerances{}) {
-		if r.key == "chaos.trace_drops{x}" && r.verdict != vBetter {
-			t.Errorf("trace_drops 3→0 got verdict %s, want better", r.verdict)
-		}
-	}
-}
-
 // TestSweepPointChurn: metrics present in only one generation are reported
 // but never gate.
 func TestSweepPointChurn(t *testing.T) {

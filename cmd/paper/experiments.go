@@ -55,7 +55,7 @@ var experiments = []experiment{
 	{"fig14", "Fig 14 (CNN training)", fig14},
 	{"mtscale", "Enqueue scaling (BENCH_mtscale.json)", mtscale},
 	{"gates", "Committed gates (every BENCH_*.json through its validator)", gates},
-	{"chaos", "Chaos sweep (BENCH_chaos.json)", chaosSweep},
+	{"chaos", "Chaos sweep", chaosSweep},
 	{"net", "Real-wire sweep (BENCH_net.json)", netSweep},
 }
 

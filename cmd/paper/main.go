@@ -1,6 +1,7 @@
 // Command paper is the one experiment driver: every table and figure of
-// the paper, every BENCH_*.json document and the smoke checks around them
-// are rows of one experiment table (experiments.go), run by name.
+// the paper, the chaos sweep, every BENCH_*.json document and the smoke
+// checks around them are rows of one experiment table (experiments.go),
+// run by name.
 //
 //	paper                      list the experiments (same as -exp=list)
 //	paper -exp=fig7a           one experiment; tables on stdout
@@ -20,7 +21,7 @@
 // -critpath prints each traced run's attribution, -metrics one per-layer
 // offload metrics table per approach.
 //
-// The document experiments (mtscale, chaos, net) write the committed
+// The document experiments (mtscale, net) write the committed
 // BENCH_*.json name only at full size with no sweep-shaping flag; a
 // reduced sweep (-quick or any override) goes to the temp directory unless
 // -out names a path, so a smoke run can never overwrite a committed gate.

@@ -42,13 +42,13 @@ func resultsSections(t *testing.T) (headings []string, body map[string]string) {
 
 // TestResultsTxtIsReproduced makes results.txt a checked artifact: virtual
 // time is deterministic, so the sub-second figures, plus Fig 14 (the one
-// figure that runs the phantom allreduce), run through the experiment
-// table with -quick as results.txt was recorded, must print their recorded
-// sections byte for byte.
+// figure that runs the phantom allreduce) and the chaos sweep, run through
+// the experiment table with -quick as results.txt was recorded, must print
+// their recorded sections byte for byte.
 func TestResultsTxtIsReproduced(t *testing.T) {
 	_, recorded := resultsSections(t)
 	for _, name := range []string{"fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6",
-		"fig7a", "fig8a", "table1", "fig10", "table2", "fig14"} {
+		"fig7a", "fig8a", "table1", "fig10", "table2", "fig14", "chaos"} {
 		e := lookup(name)
 		if e == nil {
 			t.Fatalf("experiment %s missing from the table", name)
@@ -100,7 +100,7 @@ func TestTableCoversTheRecord(t *testing.T) {
 }
 
 // TestQuickSweepsLeaveCommittedGates runs -exp=all -quick with the
-// figures stubbed out: the three document sweeps must write to the temp
+// figures stubbed out: the two document sweeps must write to the temp
 // directory, never to the committed BENCH_*.json names, and what they
 // write must pass the same validators and carry the end-to-end evidence
 // the gates stand on.
@@ -164,28 +164,110 @@ func TestQuickSweepsLeaveCommittedGates(t *testing.T) {
 			t.Errorf("sim post at %d threads = %v ns, want flat %v", r.Threads, r.PostNs, want)
 		}
 	}
-	// A drop cell's retransmissions must answer losses the plan really
-	// injected on the wire.
-	for _, cell := range load("BENCH_chaos.json").(*bench.ChaosReport).Cells {
-		if cell.Plan == "drop" && cell.Dropped == 0 {
-			t.Errorf("%s/%s: the drop plan injected no losses", cell.Plan, cell.Approach)
+	load("BENCH_net.json")
+}
+
+// TestChaosSweepHoldsItsClaims asserts what the chaos sweep must show at
+// its own configuration (8 ranks, the endeavor profile, a 600 µs watchdog,
+// fault seed 1): every (plan, approach) cell ran once, no invariant broke
+// and no trace wrapped, losses were injected and retransmitted, crashes
+// were detected and then recovered from, and offloading did not delay
+// detection.
+func TestChaosSweepHoldsItsClaims(t *testing.T) {
+	c := newCtx(nil)
+	if c.faultSeed != 1 || chaosWatchdog(c) != 600_000 || c.prof("endeavor").Name != "endeavor-xeon" || chaosRanks < 4 {
+		t.Fatalf("chaos configuration moved: seed %d, watchdog %v ns, profile %s, %d ranks",
+			c.faultSeed, chaosWatchdog(c), c.prof("endeavor").Name, chaosRanks)
+	}
+	cells := chaosCells(c)
+	seen := map[string]int{}
+	detect := map[string]float64{} // approach → crash DetectNs
+	recoveryAttributed := false
+	for _, cell := range cells {
+		id := cell.Plan + "/" + cell.Approach
+		seen[id]++
+		if len(cell.Violations) != 0 {
+			t.Errorf("%s: %d invariant violations, first: %s", id, len(cell.Violations), cell.Violations[0])
+		}
+		if cell.ElapsedNs <= 0 {
+			t.Errorf("%s: empty cell", id)
+		}
+		// A cell that wraps the obs ring has lost the events around the
+		// fault that its own violation analysis depends on.
+		if cell.TraceDrops != 0 {
+			t.Errorf("%s: obs ring dropped %d events; the post-fault trace is incomplete", id, cell.TraceDrops)
+		}
+		switch cell.Plan {
+		case "drop":
+			if cell.Dropped == 0 {
+				t.Errorf("%s: the drop plan injected no losses", id)
+			}
+			if cell.Retransmits == 0 {
+				t.Errorf("%s: lossy cell recovered nothing", id)
+			}
+		case "crash":
+			if cell.DetectNs <= 0 {
+				t.Errorf("%s: crash never detected", id)
+			}
+			if cell.RecoverNs < cell.DetectNs {
+				t.Errorf("%s: recovered (%f) before detecting (%f)", id, cell.RecoverNs, cell.DetectNs)
+			}
+			detect[cell.Approach] = cell.DetectNs
+		}
+		if cell.RecoveryPathNs > 0 {
+			recoveryAttributed = true
 		}
 	}
-	load("BENCH_net.json")
+	for _, plan := range chaosPlans {
+		for _, a := range []string{"baseline", "offload"} {
+			if n := seen[plan+"/"+a]; n != 1 {
+				t.Errorf("sweep has %d %s/%s cells, want exactly 1", n, plan, a)
+			}
+		}
+	}
+	if len(cells) != 2*len(chaosPlans) {
+		t.Errorf("sweep has %d cells, want %d", len(cells), 2*len(chaosPlans))
+	}
+	// The headline: offloading the communication does not delay failure
+	// detection (small slack for schedule skew around the deadline).
+	if off, base := detect["offload"], detect["baseline"]; off > base*1.10+50_000 {
+		t.Errorf("offload detected the crash in %.0f ns, baseline in %.0f ns: offloading delayed detection", off, base)
+	}
+	if !recoveryAttributed {
+		t.Error("no cell attributed critical-path time to recovery")
+	}
+}
+
+// TestChaosStepIgnoresQuick: the chaos sweep has no reduced size, so the
+// -quick run that results.txt records is the full-size sweep.
+func TestChaosStepIgnoresQuick(t *testing.T) {
+	_, recorded := resultsSections(t)
+	e := lookup("chaos")
+	for _, quick := range []bool{false, true} {
+		var out bytes.Buffer
+		c := newCtx(&out)
+		c.quick = quick
+		if err := c.runOne(e); err != nil {
+			t.Fatalf("quick=%v: %v", quick, err)
+		}
+		if out.String() != recorded[e.heading] {
+			t.Errorf("quick=%v prints\n%s--- recorded ---\n%s", quick, out.String(), recorded[e.heading])
+		}
+	}
 }
 
 // TestDocPath pins the rule that keeps smoke runs off the committed gates.
 func TestDocPath(t *testing.T) {
 	c := newCtx(nil)
-	if got := c.docPath("BENCH_chaos.json"); got != "BENCH_chaos.json" {
+	if got := c.docPath("BENCH_net.json"); got != "BENCH_net.json" {
 		t.Errorf("full-size sweep writes %s, want the committed name", got)
 	}
 	c.reduced = true
-	if got := c.docPath("BENCH_chaos.json"); filepath.Dir(got) != filepath.Clean(os.TempDir()) {
+	if got := c.docPath("BENCH_net.json"); filepath.Dir(got) != filepath.Clean(os.TempDir()) {
 		t.Errorf("reduced sweep writes %s, want a temp file", got)
 	}
 	c.out = "x.json"
-	if got := c.docPath("BENCH_chaos.json"); got != "x.json" {
+	if got := c.docPath("BENCH_net.json"); got != "x.json" {
 		t.Errorf("-out ignored: %s", got)
 	}
 }

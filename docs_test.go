@@ -27,10 +27,12 @@ const benchmarkDoc = "benchmark/README.md"
 var goToolFlags = map[string]bool{"race": true, "run": true, "count": true, "short": true, "v": true}
 
 // TestDocsNameOnlyWhatExists checks every code span and fenced code line
-// of docFiles: each `.go` path is a file of the repo, each `pkg.Name`
-// (and `pkg.Type.Member`) whose pkg is a package of this module resolves
-// to a declaration, each flag on a `paper` command line is a flag
-// cmd/paper registers, and each `make` target is one the Makefile defines.
+// of docFiles: each `.go` path is a file of the repo, each `BENCH_x.json`
+// a document at the repo root, each `pkg.Name` (and `pkg.Type.Member`,
+// and every `/Name` joined to either) whose pkg is a package of this
+// module resolves to a declaration, each flag on a `paper` command line is
+// a flag cmd/paper registers, and each `make` target is one the Makefile
+// defines.
 // In the documents of cmd/paper, a span that is one bare `-flag` token
 // must also be a cmd/paper flag or a go tool flag, and every `-exp=NAME`
 // must name an experiment of cmd/paper's table. Line numbers after a path
@@ -50,8 +52,8 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 }
 
 // TestDocCheckCatchesDeletedNames feeds the checker a document that names
-// a deleted flag, field, method, file, make target and experiment, so a
-// checker that silently accepts everything cannot pass.
+// a deleted flag, field, method, file, document, make target and
+// experiment, so a checker that silently accepts everything cannot pass.
 func TestDocCheckCatchesDeletedNames(t *testing.T) {
 	idx := loadRepoIndex(t)
 	doc := "Set `model.Profile.NumAgents`, or pass `-exp=fig6 -agents 2`.\n" +
@@ -61,7 +63,9 @@ func TestDocCheckCatchesDeletedNames(t *testing.T) {
 		"Run `make agents-smoke`, then `make ci` and `make mtscale|chaos`.\n" +
 		"```sh\nmake chaos-smoke   # make sure it passes\n```\n" +
 		"Pass `-topo`, `-race` or `-exp=all`; run `paper -exp=topo` or `-exp=mtscale|chaos`.\n" +
-		"Run `examples/rma/main.go`: `mpi.Comm.WinCreate`, then `proto.Engine.Accumulate`.\n"
+		"Run `examples/rma/main.go`: `mpi.Comm.WinCreate`, then `proto.Engine.Accumulate`.\n" +
+		"Call `core.Offloader.Submit/NoSuch` or `sim.Run/NoRun`; `core.Offloader.Submit/Wait` is fine.\n" +
+		"Diff `BENCH_topo.json` against `BENCH_net.json`, not `BENCH_*.json`.\n"
 	got := idx.check(doc, true)
 	want := []string{
 		"1: model.Profile.NumAgents: Profile has no field or method NumAgents",
@@ -70,11 +74,16 @@ func TestDocCheckCatchesDeletedNames(t *testing.T) {
 		"2: core.NoSuchThing: package core declares no NoSuchThing",
 		"4: paper flag -agents is not registered by cmd/paper",
 		"7: make target agents-smoke is not defined in the Makefile",
+		"7: make target chaos is not defined in the Makefile",
+		"9: make target chaos-smoke is not defined in the Makefile",
 		"11: bare flag -topo is neither a cmd/paper flag nor a go tool flag",
 		"11: -exp=topo names no experiment of cmd/paper",
 		"12: examples/rma/main.go: no such Go file",
 		"12: mpi.Comm.WinCreate: Comm has no field or method WinCreate",
 		"12: proto.Engine.Accumulate: Engine has no field or method Accumulate",
+		"13: core.Offloader.Submit/NoSuch: Offloader has no field or method NoSuch",
+		"13: sim.Run/NoRun: package sim declares no NoRun",
+		"14: BENCH_topo.json: no such document at the repo root",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -91,7 +100,8 @@ type pkgDecls struct {
 }
 
 type repoIndex struct {
-	goFiles []string // slash paths relative to the repo root
+	goFiles []string        // slash paths relative to the repo root
+	docs    map[string]bool // the BENCH_*.json documents at the repo root
 	pkgs    map[string]*pkgDecls
 	flags   map[string]bool // cmd/paper's registered flags
 	exps    map[string]bool // cmd/paper's experiment names, plus all and list
@@ -107,6 +117,14 @@ func loadRepoIndex(t *testing.T) *repoIndex {
 		t.Fatal(err)
 	}
 	idx.addTargets(string(makefile))
+	docs, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.docs = map[string]bool{}
+	for _, d := range docs {
+		idx.docs[d] = true
+	}
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -314,7 +332,8 @@ var (
 	codeSpan = regexp.MustCompile("`([^`\n]+)`")
 	bareFlag = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(=\S*)?$`)
 	expName  = regexp.MustCompile(`-exp=([a-z0-9|]+)`)
-	pkgRef   = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+	pkgRef   = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?((?:/[A-Z]\w*)*)`)
+	benchDoc = regexp.MustCompile(`^BENCH_\w+\.json$`)
 	lineNum  = regexp.MustCompile(`:\d+([–-]\d+)?$`)
 )
 
@@ -361,6 +380,9 @@ func (idx *repoIndex) checkFragment(fr string) []string {
 		if strings.HasSuffix(tok, ".go") && !strings.ContainsAny(tok, "*$") && !idx.goFileExists(tok) {
 			out = append(out, tok+": no such Go file")
 		}
+		if benchDoc.MatchString(tok) && !idx.docs[tok] {
+			out = append(out, tok+": no such document at the repo root")
+		}
 	}
 	for _, m := range pkgRef.FindAllStringSubmatch(fr, -1) {
 		p := idx.pkgs[m[1]]
@@ -370,8 +392,22 @@ func (idx *repoIndex) checkFragment(fr string) []string {
 		ref := strings.TrimLeft(m[0], "/ \t`(")
 		if !p.top[m[2]] && !p.anyMember(m[2]) {
 			out = append(out, fmt.Sprintf("%s: package %s declares no %s", ref, m[1], m[2]))
-		} else if m[3] != "" && p.members[m[2]] != nil && !p.embeds[m[2]] && !p.members[m[2]][m[3]] {
-			out = append(out, fmt.Sprintf("%s: %s has no field or method %s", ref, m[2], m[3]))
+			continue
+		}
+		// pkg.Type.A/B/C names members of Type; pkg.A/B/C names more of pkg.
+		joined := strings.Split(m[4], "/")[1:]
+		if m[3] == "" {
+			for _, name := range joined {
+				if !p.top[name] && !p.anyMember(name) {
+					out = append(out, fmt.Sprintf("%s: package %s declares no %s", ref, m[1], name))
+				}
+			}
+		} else if p.members[m[2]] != nil && !p.embeds[m[2]] {
+			for _, name := range append([]string{m[3]}, joined...) {
+				if !p.members[m[2]][name] {
+					out = append(out, fmt.Sprintf("%s: %s has no field or method %s", ref, m[2], name))
+				}
+			}
 		}
 	}
 	for _, f := range paperFlags(fr) {
