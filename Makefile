@@ -3,9 +3,10 @@
 # last step (leak-check) fails if a process of anything it ran survives.
 #
 #   make ci           vet + build + full test suite + race subset + every smoke
-#   make vet          gofmt -l . (fails on any output), go vet ./..., and the
-#                     compiler's -m report must call all eight disabled obs
-#                     hooks that TestDisabledHookOverhead times inlinable.
+#   make vet          go vet ./..., and the compiler's -m report must call all
+#                     eight disabled obs hooks that TestDisabledHookOverhead
+#                     times inlinable. (Formatting is a test: TestGofmt in
+#                     gofmt_test.go fails on any file gofmt would rewrite.)
 #   make build        go build ./...
 #   make test         go test ./...
 #   make race         race detector on every internal package plus the sim and
@@ -60,7 +61,6 @@ ci: vet build test race smoke critpath-smoke mpirun-smoke
 	$(MAKE) leak-check
 
 vet:
-	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	@out=$$($(GO) build -gcflags=-m ./internal/obs 2>&1); for h in Progressed CmdEnqueued CmdDequeued CmdCompleted Issued Delivered EagerLanded RdvStarted; do echo "$$out" | grep -q "can inline (\*Recorder)\.$$h$$" || { echo "vet: obs hook (*Recorder).$$h is not inlinable" >&2; exit 1; }; done
 

@@ -9,8 +9,8 @@ import (
 
 // The benchmarks also accumulate each run's per-layer observability
 // counters, keyed by approach, so drivers can print one metrics summary
-// per approach for a whole sweep (Run in fault.go folds them in) and
-// latency decompositions can be compared across approaches.
+// per approach for a whole sweep (Run folds them in) and latency
+// decompositions can be compared across approaches.
 var (
 	metByApp    map[sim.Approach]*sim.Metrics
 	metAppOrder []sim.Approach
@@ -32,6 +32,14 @@ func TakeMetricsPerApproach() []ApproachMetrics {
 	metByApp = nil
 	metAppOrder = nil
 	return out
+}
+
+// Run executes one simulation, folding its observability counters into the
+// package accumulator. All benchmark entry points go through it.
+func Run(cfg sim.Config, program func(env *Env)) sim.Result {
+	res := sim.Run(cfg, program)
+	accumulateMetrics(cfg.Approach, res.Metrics)
+	return res
 }
 
 func accumulateMetrics(a sim.Approach, m sim.Metrics) {
@@ -81,8 +89,8 @@ func MetricsTable(title string, m sim.Metrics) *Table {
 	t.Add("progress calls", m.ProgressCalls)
 	t.Add("unexpected-queue hits", m.UnexpectedHits)
 	t.Add("posted-queue hits", m.PostedHits)
-	t.Add("retransmits", m.Retransmits)
 	t.Add("watchdog trips", m.WatchdogTrips)
+	t.Add("crash drops", m.CrashDrops)
 	t.Add("trace events", m.Events)
 	t.Add("trace events dropped", m.EventsDropped)
 	t.Add("flows sent/landed", fmt.Sprintf("%d / %d", m.FlowsSent, m.FlowsLanded))

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"mpioffload/bench"
-	"mpioffload/internal/fault"
 	"mpioffload/rt"
 	"mpioffload/sim"
 )
@@ -60,30 +59,15 @@ func gates(c *ctx) error {
 	return nil
 }
 
-// chaosFaultAt is the chaos sweep's crash instant, ns: mid-stream, so the
-// workload straddles the failure.
+// chaosFaultAt is the chaos sweep's crash instant, ns.
 const chaosFaultAt = 150_000
 
 // chaosRanks is the chaos sweep's job size, and chaosPlans its fault
-// plans: the grid is every plan crossed with every approach.
+// plans: the grid is every plan crossed with every approach. The wire is
+// reliable, so the one plan is the crash of the last rank.
 const chaosRanks = 8
 
-var chaosPlans = []string{"drop", "crash"}
-
-// chaosSpec builds one chaos cell's fault plan: seeded packet loss and
-// duplication from the start, or the crash of the last rank.
-func chaosSpec(plan string, seed int64) bench.ChaosSpec {
-	s := bench.ChaosSpec{Plan: plan, Fault: &fault.Plan{Seed: seed}}
-	switch plan {
-	case "drop":
-		s.Fault.DropRate, s.Fault.DupRate = 0.03, 0.01
-	case "crash":
-		s.FaultAt = chaosFaultAt
-		s.Fault.Crashes = []fault.Crash{{Rank: chaosRanks - 1, At: chaosFaultAt}}
-		s.Crash = true
-	}
-	return s
-}
+var chaosPlans = []string{"crash"}
 
 // chaosWatchdog is the sweep's per-request deadline, ns: -watchdog-us, or
 // 600 µs.
@@ -104,29 +88,28 @@ func chaosCells(c *ctx) []bench.ChaosCellResult {
 			p.RanksPerNode = 1
 			cfg := c.cfg(a, p)
 			cfg.Watchdog = chaosWatchdog(c)
-			cells = append(cells, bench.ChaosCell(cfg, chaosRanks, chaosSpec(plan, c.faultSeed)))
+			cells = append(cells, bench.ChaosCell(cfg, chaosRanks, bench.ChaosSpec{Plan: plan, FaultAt: chaosFaultAt}))
 		}
 	}
 	return cells
 }
 
-// chaosSweep is the fault-tolerance sweep: seeded fault plans (packet
-// loss, a rank crash) crossed with the Baseline and Offload approaches.
-// Every cell runs an exactly-once eager stream and a large allreduce
-// across the fault and records invariant violations instead of
-// asserting, so a sweep always completes; the sweep then prints each
-// violation and fails if there was any. What the cells must show beyond
-// that (retransmissions, detection, recovery) is asserted by
+// chaosSweep is the fault-tolerance sweep: a rank crash crossed with the
+// Baseline and Offload approaches. Every cell detects the crash, shrinks
+// and runs a large allreduce over the survivors, and records invariant
+// violations instead of asserting, so a sweep always completes; the sweep
+// then prints each violation and fails if there was any. What the cells
+// must show beyond that (detection, recovery) is asserted by
 // TestChaosSweepHoldsItsClaims.
 func chaosSweep(c *ctx) error {
 	cells := chaosCells(c)
 	t := bench.NewTable(
 		fmt.Sprintf("Chaos sweep (%d ranks, %s; watchdog %s)", chaosRanks, c.prof("endeavor").Name, bench.Us(chaosWatchdog(c))),
-		"plan", "approach", "detect µs", "recover µs", "retransmits", "recovery path µs", "violations")
+		"plan", "approach", "detect µs", "recover µs", "recovery path µs", "violations")
 	for _, cell := range cells {
 		t.Add(cell.Plan, cell.Approach,
 			bench.Us(cell.DetectNs), bench.Us(cell.RecoverNs),
-			cell.Retransmits, bench.Us(float64(cell.RecoveryPathNs)),
+			bench.Us(float64(cell.RecoveryPathNs)),
 			len(cell.Violations))
 	}
 	c.emit(t)

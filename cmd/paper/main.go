@@ -12,14 +12,12 @@
 //
 // The flags are defined once and mean the same thing for every
 // experiment. -profile, -approaches and -iters override an
-// experiment's own defaults; -drop/-dup/-fault-seed perturb the
-// simulated interconnect with a deterministic seeded plan and
-// -watchdog-us bounds every request (either prints a fault/recovery
-// counter table after the results); -trace=FILE writes a Chrome
-// trace_event JSON of every simulated run (chrome://tracing or Perfetto;
-// cmd/tracetool re-derives the critical path from the file alone),
-// -critpath prints each traced run's attribution, -metrics one per-layer
-// offload metrics table per approach.
+// experiment's own defaults; -watchdog-us bounds every request in
+// virtual time (its trips are a row of the -metrics table); -trace=FILE
+// writes a Chrome trace_event JSON of every simulated run
+// (chrome://tracing or Perfetto; cmd/tracetool re-derives the critical
+// path from the file alone), -critpath prints each traced run's
+// attribution, -metrics one per-layer offload metrics table per approach.
 //
 // The document experiments (mtscale, net) write the committed
 // BENCH_*.json name only at full size with no sweep-shaping flag; a
@@ -40,7 +38,6 @@ import (
 	"time"
 
 	"mpioffload/bench"
-	"mpioffload/internal/fault"
 	"mpioffload/internal/model"
 	"mpioffload/internal/obs"
 	"mpioffload/internal/obs/critpath"
@@ -49,7 +46,7 @@ import (
 )
 
 // ctx is what every experiment runs against: where to print, the flag
-// overrides, and the shared trace and fault wiring.
+// overrides, and the shared trace and watchdog wiring.
 type ctx struct {
 	w io.Writer
 
@@ -59,20 +56,18 @@ type ctx struct {
 	approaches []sim.Approach
 	csv        bool
 	out        string
-	faultSeed  int64
 	watchdogUs float64
 	metrics    bool
 	critPath   bool
 
 	reduced   bool // -quick or a sweep-shaping override: documents go to temp
-	fault     *fault.Plan
 	trace     *obs.Trace
 	traceFile string
 }
 
 // newCtx returns a context with the flag defaults.
 func newCtx(w io.Writer) *ctx {
-	return &ctx{w: w, faultSeed: 1}
+	return &ctx{w: w}
 }
 
 func main() {
@@ -92,9 +87,6 @@ func main() {
 	approaches := flag.String("approaches", "", "comma-separated approach list (default: the experiment's own)")
 	flag.BoolVar(&c.csv, "csv", false, "emit CSV instead of aligned text tables")
 	flag.StringVar(&c.out, "out", "", "output path of a document experiment (default: the committed name at full size, a temp file otherwise)")
-	drop := flag.Float64("drop", 0, "packet drop probability (0-1) for fault injection")
-	dup := flag.Float64("dup", 0, "packet duplication probability (0-1) for fault injection")
-	flag.Int64Var(&c.faultSeed, "fault-seed", c.faultSeed, "seed of every fault plan (injection and the chaos sweep)")
 	flag.Float64Var(&c.watchdogUs, "watchdog-us", 0, "per-request watchdog deadline in virtual µs (0 = off; the chaos sweep defaults to 600)")
 	flag.StringVar(&c.traceFile, "trace", "", "write a Chrome trace_event JSON of the simulated runs to FILE")
 	flag.BoolVar(&c.metrics, "metrics", false, "print the per-layer offload metrics table per approach")
@@ -108,9 +100,6 @@ func main() {
 			c.reduced = true
 		}
 	})
-	if *drop > 0 || *dup > 0 {
-		c.fault = &fault.Plan{Seed: c.faultSeed, DropRate: *drop, DupRate: *dup}
-	}
 	if c.traceFile != "" {
 		c.trace = obs.NewTrace(obs.Options{})
 	}
@@ -177,14 +166,10 @@ func (c *ctx) runAll(table []experiment) error {
 }
 
 // runOne runs one experiment and prints the per-experiment appendices the
-// flags ask for: fault/recovery counters and per-approach metrics.
+// flags ask for: per-approach metrics.
 func (c *ctx) runOne(e *experiment) error {
 	if err := e.run(c); err != nil {
 		return err
-	}
-	resilience := bench.TakeResilience()
-	if c.fault != nil || c.watchdogUs > 0 {
-		c.emit(bench.ResilienceTable(resilience))
 	}
 	perApproach := bench.TakeMetricsPerApproach()
 	if c.metrics {
@@ -279,14 +264,10 @@ func (c *ctx) apps(defaults ...sim.Approach) []sim.Approach {
 	return defaults
 }
 
-// cfg builds a simulation config carrying the shared fault, watchdog and
-// trace wiring.
+// cfg builds a simulation config carrying the shared watchdog and trace
+// wiring.
 func (c *ctx) cfg(a sim.Approach, p *model.Profile) sim.Config {
-	return sim.Config{
-		Approach: a, Profile: p,
-		Fault: c.fault, Watchdog: c.watchdogUs * 1000,
-		Trace: c.trace,
-	}
+	return sim.Config{Approach: a, Profile: p, Watchdog: c.watchdogUs * 1000, Trace: c.trace}
 }
 
 func (c *ctx) emit(t *bench.Table) {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -44,11 +45,12 @@ func resultsSections(t *testing.T) (headings []string, body map[string]string) {
 // time is deterministic, so the sub-second figures, plus Fig 14 (the one
 // figure that runs the phantom allreduce) and the chaos sweep, run through
 // the experiment table with -quick as results.txt was recorded, must print
-// their recorded sections byte for byte.
+// their recorded sections byte for byte. Fig 14 runs once more on a single
+// OS thread: the output must not depend on how the Go scheduler interleaves
+// the simulation's goroutines.
 func TestResultsTxtIsReproduced(t *testing.T) {
 	_, recorded := resultsSections(t)
-	for _, name := range []string{"fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6",
-		"fig7a", "fig8a", "table1", "fig10", "table2", "fig14", "chaos"} {
+	check := func(t *testing.T, name string) {
 		e := lookup(name)
 		if e == nil {
 			t.Fatalf("experiment %s missing from the table", name)
@@ -65,6 +67,14 @@ func TestResultsTxtIsReproduced(t *testing.T) {
 			t.Errorf("%s differs from its results.txt section\n--- got ---\n%s--- recorded ---\n%s", name, out.String(), want)
 		}
 	}
+	for _, name := range []string{"fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6",
+		"fig7a", "fig8a", "table1", "fig10", "table2", "fig14", "chaos"} {
+		check(t, name)
+	}
+	t.Run("fig14_GOMAXPROCS_1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		check(t, "fig14")
+	})
 }
 
 // TestTableCoversTheRecord: the experiment table, results.txt and
@@ -168,16 +178,15 @@ func TestQuickSweepsLeaveCommittedGates(t *testing.T) {
 }
 
 // TestChaosSweepHoldsItsClaims asserts what the chaos sweep must show at
-// its own configuration (8 ranks, the endeavor profile, a 600 µs watchdog,
-// fault seed 1): every (plan, approach) cell ran once, no invariant broke
-// and no trace wrapped, losses were injected and retransmitted, crashes
-// were detected and then recovered from, and offloading did not delay
-// detection.
+// its own configuration (8 ranks, the endeavor profile, a 600 µs
+// watchdog): every (plan, approach) cell ran once, no invariant broke and
+// no trace wrapped, crashes were detected and then recovered from, and
+// offloading did not delay detection.
 func TestChaosSweepHoldsItsClaims(t *testing.T) {
 	c := newCtx(nil)
-	if c.faultSeed != 1 || chaosWatchdog(c) != 600_000 || c.prof("endeavor").Name != "endeavor-xeon" || chaosRanks < 4 {
-		t.Fatalf("chaos configuration moved: seed %d, watchdog %v ns, profile %s, %d ranks",
-			c.faultSeed, chaosWatchdog(c), c.prof("endeavor").Name, chaosRanks)
+	if chaosWatchdog(c) != 600_000 || c.prof("endeavor").Name != "endeavor-xeon" || chaosRanks < 4 {
+		t.Fatalf("chaos configuration moved: watchdog %v ns, profile %s, %d ranks",
+			chaosWatchdog(c), c.prof("endeavor").Name, chaosRanks)
 	}
 	cells := chaosCells(c)
 	seen := map[string]int{}
@@ -198,13 +207,6 @@ func TestChaosSweepHoldsItsClaims(t *testing.T) {
 			t.Errorf("%s: obs ring dropped %d events; the post-fault trace is incomplete", id, cell.TraceDrops)
 		}
 		switch cell.Plan {
-		case "drop":
-			if cell.Dropped == 0 {
-				t.Errorf("%s: the drop plan injected no losses", id)
-			}
-			if cell.Retransmits == 0 {
-				t.Errorf("%s: lossy cell recovered nothing", id)
-			}
 		case "crash":
 			if cell.DetectNs <= 0 {
 				t.Errorf("%s: crash never detected", id)

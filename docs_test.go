@@ -59,7 +59,7 @@ func TestDocCheckCatchesDeletedNames(t *testing.T) {
 	doc := "Set `model.Profile.NumAgents`, or pass `-exp=fig6 -agents 2`.\n" +
 		"See `internal/core/agents.go` and `core.NoSuchThing`.\n" +
 		"```sh\ngo run ./cmd/paper -exp=fig6 -agents 2 -quick   # -agents\n```\n" +
-		"`model.Profile.RequestPoolSize`, `sim.Run`, `time.AfterFunc`, `proto/relcore.go:99–111`.\n" +
+		"`model.Profile.RequestPoolSize`, `sim.Run`, `time.AfterFunc`, `proto/watchdog.go:25–40`.\n" +
 		"Run `make agents-smoke`, then `make ci` and `make mtscale|chaos`.\n" +
 		"```sh\nmake chaos-smoke   # make sure it passes\n```\n" +
 		"Pass `-topo`, `-race` or `-exp=all`; run `paper -exp=topo` or `-exp=mtscale|chaos`.\n" +

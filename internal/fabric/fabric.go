@@ -24,18 +24,19 @@
 // Payloads carry real bytes: the simulation moves actual data between rank
 // address spaces so that applications compute real answers.
 //
-// A fault.Plan installed with SetFault perturbs the wire deterministically:
-// eligible packets (see Faultable) can be dropped or duplicated, NIC stall
-// windows delay traffic, blackouts and rank crashes silence it. The
-// protocol layer's reliable-delivery sublayer recovers from loss; the
-// watchdog layer diagnoses what cannot be recovered.
+// The wire is reliable, as InfiniBand and Aries fabrics are in hardware:
+// nothing is lost, duplicated or reordered within a pair. The one failure
+// is a rank crash, installed with SetCrashes at a fixed virtual time: a
+// dead rank sends nothing and receives nothing, on any transport, while
+// its software keeps executing (it cannot know it is dead). The protocol
+// layer's watchdog diagnoses the requests a crash leaves hanging.
 package fabric
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
-	"mpioffload/internal/fault"
 	"mpioffload/internal/model"
 	"mpioffload/internal/vclock"
 )
@@ -48,17 +49,19 @@ type Packet struct {
 	Payload  any
 }
 
-// Faultable marks payloads eligible for injected drop and duplication
-// (the software-recoverable classes: the protocol layer's sequenced
-// eager/control packets and their acks). Payloads without the marker model
-// hardware-reliable RDMA traffic: they can be stalled or silenced by a
-// crash, but never silently lost on a healthy link.
-type Faultable interface{ Faultable() }
+// Crash kills a rank at virtual time At: from then on the fabric delivers
+// nothing to it and nothing from it.
+type Crash struct {
+	Rank int
+	At   float64
+}
 
 // Stats accumulates per-fabric traffic counters.
 type Stats struct {
 	Msgs  int64
 	Bytes int64
+	// CrashDrops counts packets silenced by a rank crash.
+	CrashDrops int64
 }
 
 // Fabric connects n ranks. It is not safe for use outside the owning
@@ -74,7 +77,7 @@ type Fabric struct {
 	nodeOf  []int
 	stats   Stats
 	jitter  *rand.Rand
-	inj     *fault.Injector
+	crashAt []float64 // rank → crash time; nil when no rank crashes
 }
 
 // New builds a fabric for n ranks using profile p. Ranks are assigned to
@@ -103,22 +106,32 @@ func New(k *vclock.Kernel, p *model.Profile, n int) *Fabric {
 	return f
 }
 
-// SetFault instates a fault-injection plan. Call before any traffic flows
-// (the protocol engines read the injector at construction to decide whether
-// to run reliable delivery). A nil plan is a no-op.
-func (f *Fabric) SetFault(p *fault.Plan) { f.inj = fault.NewInjector(p) }
+// SetCrashes installs the run's crash table; a rank listed twice dies at
+// its earliest time. Call before any traffic flows. An empty list is a
+// no-op.
+func (f *Fabric) SetCrashes(cs []Crash) {
+	if len(cs) == 0 {
+		return
+	}
+	f.crashAt = make([]float64, f.n)
+	for r := range f.crashAt {
+		f.crashAt[r] = math.Inf(1)
+	}
+	for _, c := range cs {
+		f.crashAt[c.Rank] = min(f.crashAt[c.Rank], c.At)
+	}
+}
 
-// Fault returns the active fault injector (nil when no plan is set).
-func (f *Fabric) Fault() *fault.Injector { return f.inj }
-
-// FaultStats returns the injected-fault counters.
-func (f *Fabric) FaultStats() fault.Stats { return f.inj.Stats() }
+// Crashed reports whether the rank is dead at virtual time at.
+func (f *Fabric) Crashed(rank int, at float64) bool {
+	return f.crashAt != nil && at >= f.crashAt[rank]
+}
 
 // RankFailed reports whether the rank has crashed by the current virtual
 // time — the simulation's perfect failure detector, used by the watchdog
 // layer to distinguish ErrRankFailed from a plain timeout.
 func (f *Fabric) RankFailed(rank int) bool {
-	return f.inj.Crashed(rank, float64(f.k.Now()))
+	return f.Crashed(rank, float64(f.k.Now()))
 }
 
 // Size reports the number of ranks.
@@ -126,9 +139,6 @@ func (f *Fabric) Size() int { return f.n }
 
 // Nodes reports the number of distinct nodes.
 func (f *Fabric) Nodes() int { return (f.n + f.prof.RanksPerNode - 1) / f.prof.RanksPerNode }
-
-// NodeOf reports the node hosting a rank.
-func (f *Fabric) NodeOf(rank int) int { return f.nodeOf[rank] }
 
 // Bind registers the delivery sink for a rank (called once by the protocol
 // engine). The sink runs in timer-callback context: it must not block.
@@ -155,9 +165,9 @@ func (f *Fabric) Send(src, dst, bytes int, bwDiv float64, payload any) {
 		bwDiv = 1
 	}
 	now := float64(f.k.Now())
-	if f.inj != nil && (f.inj.Crashed(src, now) || f.inj.Crashed(dst, now)) {
+	if f.Crashed(src, now) || f.Crashed(dst, now) {
 		// A dead rank sends nothing and absorbs nothing, on any transport.
-		f.inj.NoteCrashDrop()
+		f.stats.CrashDrops++
 		return
 	}
 	pkt := &Packet{Src: src, Dst: dst, Bytes: bytes, Payload: payload}
@@ -165,33 +175,16 @@ func (f *Fabric) Send(src, dst, bytes int, bwDiv float64, payload any) {
 	f.stats.Bytes += int64(bytes)
 
 	if f.nodeOf[src] == f.nodeOf[dst] {
-		// Intra-node: shared-memory transport, no NIC involvement (and no
-		// wire faults — memory does not drop packets). The destination's
-		// shm channel serializes so that per-pair delivery order matches
-		// send order (MPI non-overtaking relies on it).
+		// Intra-node: shared-memory transport, no NIC involvement. The
+		// destination's shm channel serializes so that per-pair delivery
+		// order matches send order (MPI non-overtaking relies on it).
 		rxEnd := max(now+f.prof.ShmLatency, f.shmBusy[dst]) + float64(bytes)/f.prof.ShmBW
 		f.shmBusy[dst] = rxEnd
 		f.deliverAt(dst, rxEnd, now, pkt)
 		return
 	}
 
-	// Inter-node: decide the packet's fate before it touches the wire.
-	drop, dup := false, false
-	if _, ok := payload.(Faultable); ok && f.inj.Lossy() {
-		drop, dup = f.inj.DrawPacket()
-	}
 	txStart := max(now, f.txBusy[src])
-	if f.inj != nil {
-		until, stalled, blackout := f.inj.StallUntil(src, txStart)
-		if blackout {
-			f.inj.NoteBlackout()
-			return
-		}
-		if stalled {
-			f.inj.NoteStalled()
-			txStart = until
-		}
-	}
 	bw := f.prof.LinkBW / bwDiv
 	lat := f.prof.LinkLatency
 	if f.jitter != nil {
@@ -199,37 +192,17 @@ func (f *Fabric) Send(src, dst, bytes int, bwDiv float64, payload any) {
 	}
 	txEnd := txStart + float64(bytes)/bw
 	f.txBusy[src] = txEnd
-	if drop {
-		return // lost on the wire: the injection port was still occupied
-	}
-	deliver := func() {
-		rxEnd := max(txEnd+lat, f.rxBusy[dst]+float64(bytes)/bw)
-		if f.inj != nil {
-			until, stalled, blackout := f.inj.StallUntil(dst, rxEnd)
-			if blackout {
-				f.inj.NoteBlackout()
-				return
-			}
-			if stalled {
-				f.inj.NoteStalled()
-				rxEnd = until
-			}
-		}
-		f.rxBusy[dst] = rxEnd
-		f.deliverAt(dst, rxEnd, now, pkt)
-	}
-	deliver()
-	if dup {
-		deliver() // second copy re-serializes through the ejection port
-	}
+	rxEnd := max(txEnd+lat, f.rxBusy[dst]+float64(bytes)/bw)
+	f.rxBusy[dst] = rxEnd
+	f.deliverAt(dst, rxEnd, now, pkt)
 }
 
 // deliverAt schedules the packet's arrival, re-checking at delivery time
 // that the destination is still alive (a rank can crash mid-flight).
 func (f *Fabric) deliverAt(dst int, rxEnd, now float64, pkt *Packet) {
 	f.k.AfterF(rxEnd-now, func() {
-		if f.inj != nil && f.inj.Crashed(dst, float64(f.k.Now())) {
-			f.inj.NoteCrashDrop()
+		if f.RankFailed(dst) {
+			f.stats.CrashDrops++
 			return
 		}
 		f.sink[dst](pkt)

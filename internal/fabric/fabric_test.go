@@ -118,7 +118,7 @@ func TestIntraNodeUsesSharedMemory(t *testing.T) {
 	if f.Nodes() != 2 {
 		t.Fatalf("nodes=%d", f.Nodes())
 	}
-	if f.NodeOf(0) != 0 || f.NodeOf(1) != 0 || f.NodeOf(2) != 1 {
+	if f.nodeOf[0] != 0 || f.nodeOf[1] != 0 || f.nodeOf[2] != 1 {
 		t.Fatal("bad node mapping")
 	}
 	var got []arrival

@@ -257,9 +257,6 @@ func ByName(name string) (*Profile, error) {
 // CopyTime is the internal memcpy time for n bytes.
 func (p *Profile) CopyTime(n int) float64 { return float64(n) / p.MemcpyBW }
 
-// WireTime is the serialization time of n bytes at full link bandwidth.
-func (p *Profile) WireTime(n int) float64 { return float64(n) / p.LinkBW }
-
 // Eager reports whether an n-byte message uses the eager protocol.
 func (p *Profile) Eager(n int) bool { return n <= p.EagerThreshold }
 

@@ -55,9 +55,6 @@ func TestHelpers(t *testing.T) {
 	if got := p.CopyTime(8000); got != 1000 {
 		t.Errorf("CopyTime = %v, want 1000", got)
 	}
-	if got := p.WireTime(6000); got != 1000 {
-		t.Errorf("WireTime = %v, want 1000", got)
-	}
 	if !p.Eager(128 << 10) {
 		t.Error("128 KiB should still be eager")
 	}

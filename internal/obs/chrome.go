@@ -17,8 +17,8 @@ import (
 // enqueue and dequeue, "mpi" between dequeue and completion — so the
 // enqueue→issue→complete path of each offloaded message renders as two
 // stacked slices; protocol events (eager/RTS issue, CTS, rendezvous FIN,
-// delivery, retransmit, watchdog, conversion) are instants, and the
-// command-queue depth is a counter track.
+// delivery, watchdog, conversion) are instants, and the command-queue
+// depth is a counter track.
 //
 // Causal message flows are exported as flow events: each flow-stamped
 // message emits ph:"s" at its sender-side issue instant, ph:"t" at every
@@ -278,9 +278,6 @@ func (e *eventWriter) event(pid int, ev Event, rm *runMatch, st *ChromeStats) {
 	case EvIssueEager, EvIssueRdv, EvIssueRecv, EvCTS, EvRdvFin, EvDeliver, EvEagerLand, EvRdvStart:
 		e.instant(pid, ev.TID, ev.Kind.String(), ev.TS,
 			fmt.Sprintf(`,"args":{"bytes":%d,"peer":%d%s}`, ev.A, ev.B, flowArg(ev.Flow)))
-	case EvRetransmit:
-		e.instant(pid, ev.TID, "retransmit", ev.TS,
-			fmt.Sprintf(`,"args":{"seq":%d,"peer":%d%s}`, ev.A, ev.B, flowArg(ev.Flow)))
 	case EvWatchdog:
 		e.instant(pid, ev.TID, "watchdog", ev.TS,
 			fmt.Sprintf(`,"args":{"peer":%d}`, ev.A))
@@ -311,12 +308,12 @@ func Summary(tr *Trace) string {
 		}
 		fmt.Fprintf(&sb,
 			"run %d [%s]: ranks=%d events=%d dropped=%d cmds=%d/%d/%d "+
-				"duty(issue/progress/idle)=%d/%d/%d ns polls=%d conv=%d rexmit=%d wd=%d "+
+				"duty(issue/progress/idle)=%d/%d/%d ns polls=%d conv=%d wd=%d "+
 				"flows=%d/%d qwait(p50/p99)=%d/%d ns\n",
 			ri, run.Label, len(run.Ranks), m.Events, m.EventsDropped,
 			m.CmdEnq, m.CmdDeq, m.CmdDone,
 			m.IssueNs, m.ProgressNs, m.IdleNs,
-			m.TestanyPolls, m.Conversions, m.Retransmits, m.WatchdogTrips,
+			m.TestanyPolls, m.Conversions, m.WatchdogTrips,
 			m.FlowsSent, m.FlowsLanded, m.QueueWaitH.P50(), m.QueueWaitH.P99())
 		for _, rec := range run.Ranks {
 			rm := rec.Metrics()

@@ -1,7 +1,7 @@
 // Package critpath extracts the critical path of a traced run: the
 // backward happens-before chain from the run's end to virtual time zero,
-// with every nanosecond attributed to one of five categories — compute,
-// queue-wait, offload service, network, idle/progress-gap.
+// with every nanosecond attributed to one of six categories — compute,
+// queue-wait, offload service, network, idle/progress-gap, recovery.
 //
 // The happens-before DAG comes from two edge families the observability
 // layer records: command-lifecycle edges (cmd.enqueue → cmd.dequeue →
@@ -43,7 +43,7 @@ const (
 	Service                     // offload-thread servicing (dequeue → issue → complete)
 	Network                     // wire hops between flow events on different ranks
 	ProgressGap                 // delivered data waiting for a progress call; NIC gaps
-	Recovery                    // loss recovery: retransmission waits, watchdog diagnosis
+	Recovery                    // watchdog diagnosis: the wait before a request is failed
 	NumCategories
 )
 
@@ -197,13 +197,10 @@ type analyzer struct {
 
 func (a *analyzer) ev(n node) obs.Event { return a.rd.Events[n.rank][n.idx] }
 
-// chainKinds reports whether the event participates in its flow's chain.
-// Retransmissions carry their payload's flow stamp, so a flow that lost a
-// packet routes its chain through the retries — the RTO waits become
-// walkable (and chargeable to Recovery) instead of invisible.
+// chainKind reports whether the event participates in its flow's chain.
 func chainKind(k obs.Kind) bool {
 	switch k {
-	case obs.EvIssueEager, obs.EvIssueRdv, obs.EvIssueRecv, obs.EvRetransmit,
+	case obs.EvIssueEager, obs.EvIssueRdv, obs.EvIssueRecv,
 		obs.EvDeliver, obs.EvCTS, obs.EvRdvStart, obs.EvRdvFin, obs.EvEagerLand:
 		return true
 	}
@@ -259,11 +256,10 @@ func AnalyzeRun(rd RunData) *Report {
 }
 
 // ctxCat is the category of a generic (same-rank) gap, by the thread
-// class and kind of the event the walk stands on: loss-recovery events
-// (retransmissions, watchdog trips) pin the context to Recovery, anything
-// else attributes by thread class.
+// class and kind of the event the walk stands on: a watchdog trip pins the
+// context to Recovery, anything else attributes by thread class.
 func ctxCat(tid uint8, kind obs.Kind) Category {
-	if kind == obs.EvRetransmit || kind == obs.EvWatchdog {
+	if kind == obs.EvWatchdog {
 		return Recovery
 	}
 	switch tid {
@@ -322,12 +318,7 @@ func (a *analyzer) dependency(cur node, T int64) (node, Category, bool) {
 				n := a.chains[ev.Flow][pos-1]
 				if a.usable(n, T) {
 					cat := Network
-					switch {
-					case ev.Kind == obs.EvRetransmit:
-						// The gap before a retransmission is the RTO the
-						// flow sat out waiting for a lost packet's ack.
-						cat = Recovery
-					case n.rank == cur.rank:
+					if n.rank == cur.rank {
 						// Same-rank hop: a delivered packet waited in the
 						// inbox for a progress call.
 						cat = ProgressGap

@@ -109,7 +109,6 @@ func TestReadChromeRoundTrip(t *testing.T) {
 	r0.RdvStarted(2350, obs.TAgent, 1<<20, 1, F, 2140)
 	r0.RdvDone(3400, obs.TNIC, 1<<20, 1, F)
 	r0.CmdCompleted(3500, 1, F, 3300)
-	r0.Retransmitted(3600, 3, 1, 0)
 	r0.Converted(3700, obs.TApp)
 	r1 := run.Ranks[1]
 	r1.CmdEnqueued(50, obs.TApp, 7, 1)

@@ -131,10 +131,6 @@ func decodeEvent(ce chromeEvent) (obs.Event, bool, error) {
 	}
 	ev.Kind = k
 	switch k {
-	case obs.EvRetransmit:
-		ev.A = argInt(ce.Args, "seq")
-		ev.B = argInt(ce.Args, "peer")
-		ev.Flow = argInt(ce.Args, "flow")
 	case obs.EvWatchdog:
 		ev.A = argInt(ce.Args, "peer")
 	case obs.EvConvert:

@@ -5,7 +5,7 @@
 // sim.Config.Trace; each sim.Run registers one RunTrace holding a Recorder
 // per rank. Instrumentation hooks in internal/core (offload loop),
 // internal/queue, internal/reqpool, internal/proto (eager/rendezvous/
-// reliable delivery/watchdog) and package mpi call Recorder methods; every
+// watchdog) and package mpi call Recorder methods; every
 // hook is nil-safe, so the cost of a hook on a run without a trace is a
 // nil check (see TestDisabledHookOverhead).
 //
@@ -34,7 +34,6 @@ const (
 	EvIssueRecv                   // A=declared bytes, B=peer (AnySource = -1)
 	EvCTS                         // A=bytes, B=peer (CTS answered to an RTS)
 	EvRdvFin                      // A=bytes, B=peer (rendezvous data landed)
-	EvRetransmit                  // A=seq, B=peer
 	EvWatchdog                    // A=peer (request failed by the watchdog)
 	EvConvert                     // blocking call converted to nonblocking
 	EvDeliver                     // A=bytes, B=src (flow-stamped packet hit the NIC)
@@ -61,8 +60,6 @@ func (k Kind) String() string {
 		return "cts"
 	case EvRdvFin:
 		return "rdv.fin"
-	case EvRetransmit:
-		return "retransmit"
 	case EvWatchdog:
 		return "watchdog"
 	case EvConvert:
@@ -175,7 +172,6 @@ type RankMetrics struct {
 
 	// Protocol-path counts observed by the tracer.
 	Conversions   int64 // blocking→nonblocking conversions (offload §3.3)
-	Retransmits   int64
 	WatchdogTrips int64
 
 	// Causal-flow accounting: messages stamped with a flow id on issue, and
@@ -214,7 +210,6 @@ func (m *RankMetrics) Add(o RankMetrics) {
 		m.ProgressByTID[i] += o.ProgressByTID[i]
 	}
 	m.Conversions += o.Conversions
-	m.Retransmits += o.Retransmits
 	m.WatchdogTrips += o.WatchdogTrips
 	m.FlowsSent += o.FlowsSent
 	m.FlowsLanded += o.FlowsLanded
@@ -515,18 +510,6 @@ func (r *Recorder) RdvStarted(ts int64, tid uint8, bytes, peer int, flow int64, 
 func (r *Recorder) rdvStarted(ts int64, tid uint8, bytes, peer int, flow int64, rttNs int64) {
 	r.M.RdvRttH.Observe(rttNs)
 	r.push(Event{TS: ts, Kind: EvRdvStart, TID: tid, A: int64(bytes), B: int64(peer), Flow: flow})
-}
-
-// Retransmitted records a reliable-delivery retransmission (NIC context).
-// flow is the retried payload's causal-flow stamp (0 for unstamped
-// classes); carrying it lets the critical-path walk attribute loss
-// recovery to the flows that actually suffered it.
-func (r *Recorder) Retransmitted(ts int64, seq int64, peer int, flow int64) {
-	if !r.Enabled() {
-		return
-	}
-	r.M.Retransmits++
-	r.push(Event{TS: ts, Kind: EvRetransmit, TID: TNIC, A: seq, B: int64(peer), Flow: flow})
 }
 
 // WatchdogTripped records the watchdog failing a request (timer context).

@@ -26,7 +26,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Delivered(1, 8, 1, 42, 5)
 	r.EagerLanded(1, TApp, 8, 1, 42)
 	r.RdvStarted(1, TApp, 8, 1, 42, 5)
-	r.Retransmitted(1, 1, 1, 0)
 	r.WatchdogTripped(1, 1)
 	r.Converted(1, TApp)
 	if got := r.Metrics(); got != (RankMetrics{}) {
@@ -168,7 +167,6 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 	r0.CmdCompleted(500, 1, flow, 300)
 	r0.Issued(600, TAgent, EvIssueEager, 8, 1, 0)
 	r0.Issued(610, TAgent, EvIssueRecv, 8, -1, 0)
-	r0.Retransmitted(700, 3, 1, 0)
 	r0.WatchdogTripped(800, 1)
 	r0.Converted(900, TApp)
 	r1 := run.Ranks[1]
@@ -222,7 +220,7 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 		t.Fatalf("metadata flow_pairs = %v, want 1", doc.Metadata["flow_pairs"])
 	}
 	for _, name := range []string{"queued", "mpi", "issue.rdv", "cts", "rdv.fin",
-		"issue.eager", "issue.recv", "deliver", "rdv.start", "retransmit",
+		"issue.eager", "issue.recv", "deliver", "rdv.start",
 		"watchdog", "convert", "cmdq", "msg"} {
 		if !strings.Contains(buf.String(), `"name":"`+name+`"`) {
 			t.Errorf("exported trace missing %q events", name)

@@ -239,12 +239,6 @@ type Engine struct {
 	stepping    bool
 	stats       Stats
 
-	// Reliable-delivery sublayer (active only under a lossy fault plan;
-	// see rel.go). relTx/relRx are keyed by peer global rank.
-	rel   bool
-	relTx map[int]*RelTx[*relMsg]
-	relRx map[int]*RelRx[*fabric.Packet]
-
 	// Watchdog: requests in flight longer than Deadline ns are failed with
 	// ErrTimeout/ErrRankFailed instead of hanging (0 disables). Set before
 	// traffic flows.
@@ -265,11 +259,6 @@ func NewEngine(k *vclock.Kernel, f *fabric.Fabric, p *model.Profile, rank int) *
 		postedX:  make(map[matchKey][]*Op),
 		uxX:      make(map[matchKey][]*uxEntry),
 	}
-	if f.Fault().Lossy() {
-		e.rel = true
-		e.relTx = make(map[int]*RelTx[*relMsg])
-		e.relRx = make(map[int]*RelRx[*fabric.Packet])
-	}
 	f.Bind(rank, e.deliver)
 	return e
 }
@@ -284,7 +273,7 @@ func (e *Engine) newFlow() int64 {
 }
 
 // flowOfPayload extracts the flow stamp (and wire-entry time) from a
-// protocol payload; (0, 0) for unstamped payload classes (acks).
+// protocol payload; (0, 0) for unstamped payloads.
 func flowOfPayload(p any) (flow, sentAt int64) {
 	switch m := p.(type) {
 	case *eagerMsg:
@@ -319,14 +308,6 @@ func (e *Engine) noteDelivered(pkt *fabric.Packet) {
 // receiver software involvement; the receiver still needs a progress call
 // to notice its own completion.
 func (e *Engine) deliver(pkt *fabric.Packet) {
-	switch m := pkt.Payload.(type) {
-	case *relMsg:
-		e.relDeliver(pkt.Src, m) // sequenced packet: ack/dedup/reorder
-		return
-	case *ackMsg:
-		e.relAck(m.from, m.seq)
-		return
-	}
 	if d, ok := pkt.Payload.(rdvData); ok {
 		if d.recvOp.Err == nil {
 			copy(d.recvOp.Buf, d.sendOp.Buf)
@@ -437,7 +418,7 @@ func (e *Engine) IsendNCost(buf []byte, n, dst, tag, comm int, bwDiv float64) (*
 		}
 		data := make([]byte, len(buf))
 		copy(data, buf)
-		e.sendRel(dst, n, bwDiv, &eagerMsg{op: op, tag: tag, comm: comm, bytes: n, data: data,
+		e.F.Send(e.Rank, dst, n, bwDiv, &eagerMsg{op: op, tag: tag, comm: comm, bytes: n, data: data,
 			flow: op.Flow, sentAt: now})
 		e.completeOp(op, Status{})
 		return op, e.P.CallOverhead + e.P.CopyTime(n)
@@ -447,7 +428,7 @@ func (e *Engine) IsendNCost(buf []byte, n, dst, tag, comm int, bwDiv float64) (*
 	if e.Obs.Enabled() {
 		e.Obs.Issued(now, e.obsTID, obs.EvIssueRdv, n, dst, op.Flow)
 	}
-	e.sendRel(dst, ctlBytes, 1, &rtsMsg{op: op, tag: tag, comm: comm, bytes: n, bwDiv: bwDiv,
+	e.F.Send(e.Rank, dst, ctlBytes, 1, &rtsMsg{op: op, tag: tag, comm: comm, bytes: n, bwDiv: bwDiv,
 		flow: op.Flow, sentAt: now})
 	e.watchOp(op)
 	return op, e.P.CallOverhead + e.P.RTSCost
@@ -498,7 +479,7 @@ func (e *Engine) IrecvNCost(buf []byte, n, src, tag, comm int) (*Op, float64) {
 		}
 		// RTS waiting: answer CTS; data will arrive asynchronously.
 		op.Flow = ux.flow
-		e.sendRel(ux.src, ctlBytes, 1, &ctsMsg{sendOp: ux.sendOp, recvOp: op, bwDiv: ux.bwDiv,
+		e.F.Send(e.Rank, ux.src, ctlBytes, 1, &ctsMsg{sendOp: ux.sendOp, recvOp: op, bwDiv: ux.bwDiv,
 			sentAt: e.K.Now()})
 		if e.Obs.Enabled() {
 			e.Obs.CtsAnswered(e.K.Now(), e.obsTID, ux.bytes, ux.src, ux.flow)
@@ -669,7 +650,7 @@ func (e *Engine) handle(pkt *fabric.Packet) float64 {
 		if op != nil {
 			cost += e.P.RTSCost
 			op.Flow = m.flow
-			e.sendRel(pkt.Src, ctlBytes, 1, &ctsMsg{sendOp: m.op, recvOp: op, bwDiv: m.bwDiv,
+			e.F.Send(e.Rank, pkt.Src, ctlBytes, 1, &ctsMsg{sendOp: m.op, recvOp: op, bwDiv: m.bwDiv,
 				sentAt: e.K.Now()})
 			if e.Obs.Enabled() {
 				e.Obs.CtsAnswered(e.K.Now(), e.obsTID, m.bytes, pkt.Src, m.flow)

@@ -18,9 +18,9 @@
 // Both backends are reliable FIFO streams: neither drops, duplicates or
 // reorders a frame in transit. Their one failure is a dead peer (a closed
 // endpoint or connection), and the rt layer above fails the requests that
-// wait on one. Loss, duplication and reordering are modelled in virtual
-// time only (internal/proto's reliable sublayer under internal/fault
-// plans), as on the reliable fabrics the paper runs over.
+// wait on one. The simulated fabric is reliable in the same way: its one
+// failure is a crashed rank, as on the reliable fabrics the paper runs
+// over.
 //
 // Frames carry the repo-wide causal flow stamp (obs.FlowID) so
 // cross-process traffic remains traceable with the same tooling as

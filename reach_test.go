@@ -483,8 +483,8 @@ func (r *reach) walk(info *types.Info, n ast.Node) {
 }
 
 // assert records a type assertion or type switch case: one to an
-// interface depends on every method of it (a marker method like
-// fabric.Faultable's is never called, only asserted).
+// interface depends on every method of it (a marker method is never
+// called, only asserted).
 func (r *reach) assert(t types.Type) {
 	if it, ok := t.Underlying().(*types.Interface); ok {
 		for i := 0; i < it.NumMethods(); i++ {

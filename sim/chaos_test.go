@@ -5,92 +5,85 @@ import (
 	"errors"
 	"testing"
 
-	"mpioffload/internal/fault"
+	"mpioffload/internal/fabric"
 	"mpioffload/internal/model"
 	"mpioffload/internal/obs"
 	"mpioffload/mpi"
 )
 
-// lossyStreamRun is the chaos replay scenario on the flat fabric: 8 ranks
-// at 2 per node, under seeded drop and duplication, run an eager stream
-// between nodes and then ring allreduces (above RingThreshold). Lost
-// packets retransmit after a jittered backoff, so a replay is only exact
-// if the jitter stream is seeded too. It returns the run, every rank's
+// crashRun is the chaos replay scenario on the flat fabric: 8 ranks at 2
+// per node, the last of which crashes at 150 µs. The survivors run an eager
+// stream to the dead rank (silenced by the fabric), time out a receive from
+// it under the watchdog, shrink the world and ring-allreduce over the
+// survivors (above RingThreshold). It returns the run, every survivor's
 // reduced value, and the Chrome export of the trace.
-func lossyStreamRun(t *testing.T) (Result, []int64, []byte) {
+func crashRun(t *testing.T) (Result, []int64, []byte) {
 	const n = 8
 	const elems = 32 << 10 // 256 KiB of int64 — well above RingThreshold
+	const victim = n - 1
 	p := model.Endeavor()
 	p.RanksPerNode = 2
 	tr := obs.NewTrace(obs.Options{})
 	sums := make([]int64, n)
 	res := Run(Config{
 		Ranks: n, Approach: Baseline, Profile: p,
-		Fault:    &fault.Plan{Seed: 7, DropRate: 0.05, DupRate: 0.02},
-		Watchdog: 5_000_000,
+		Crashes:  []fabric.Crash{{Rank: victim, At: 150_000}},
+		Watchdog: 400_000,
 		Trace:    tr,
 	}, func(env *Env) {
 		c := env.World
 		me := env.Rank()
-
-		// Phase A: an eager stream from rank 0 (node 0) to rank 4 (node 2).
-		const streamMsgs = 50
-		if me == 0 {
-			buf := make([]byte, 1024)
-			for i := 0; i < streamMsgs; i++ {
-				r := c.Isend(buf, 4, 100+i)
-				c.Wait(&r)
-				env.ComputeTime(300)
-			}
+		if me == victim {
+			return // the victim's program ends at the crash
 		}
-		if me == 4 {
-			reqs := make([]*mpi.Request, streamMsgs)
-			for i := range reqs {
-				r := c.Irecv(make([]byte, 1024), 0, 100+i)
-				reqs[i] = &r
-			}
-			c.Waitall(reqs...)
+		env.ComputeTime(200_000)
+		for i := 0; i < 4; i++ {
+			r := c.Isend(make([]byte, 1024), victim, 100+i)
+			c.Wait(&r)
 		}
-
-		// Phase B: ring allreduces across the lossy wire.
+		if st := c.Recv(make([]byte, 64), victim, 99); st.Err == nil {
+			panic("a receive from the dead rank completed cleanly")
+		}
+		c.AckFailed()
+		nc := c.Shrink()
 		v := make([]int64, elems)
-		for it := 0; it < 2; it++ {
-			// Reset the inputs so every iteration reduces the same values.
-			for i := range v {
-				v[i] = int64(me + 1)
-			}
-			c.Allreduce(mpi.Int64Bytes(v), mpi.SumInt64)
+		for i := range v {
+			v[i] = int64(me + 1)
 		}
+		nc.Allreduce(mpi.Int64Bytes(v), mpi.SumInt64)
 		sums[me] = v[0]
 	})
 	var out bytes.Buffer
 	if err := obs.WriteChrome(&out, tr); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
-	return res, sums, out.Bytes()
+	return res, sums[:victim], out.Bytes()
 }
 
-// TestChaosRunIsDeterministic: the lossy scenario — drops, duplicates,
-// retransmit backoff jitter and all — must replay identically under the
-// same seed, down to the exported trace bytes, and still reduce correctly.
+// TestChaosRunIsDeterministic: the crash scenario — silenced packets,
+// watchdog trips, the shrink and the recovery allreduce — must replay
+// identically, down to the exported trace bytes, and still reduce
+// correctly over the survivors.
 func TestChaosRunIsDeterministic(t *testing.T) {
-	r1, s1, tr1 := lossyStreamRun(t)
-	r2, s2, tr2 := lossyStreamRun(t)
-	if r1.Resilience.Retransmits == 0 {
-		t.Fatalf("the plan provoked no retransmissions, so no backoff jitter: %+v", r1.Resilience)
+	r1, s1, tr1 := crashRun(t)
+	r2, s2, tr2 := crashRun(t)
+	if r1.Metrics.WatchdogTrips == 0 || r1.Metrics.CrashDrops == 0 {
+		t.Fatalf("the crash provoked no watchdog trip or silenced no packet: %d trips, %d drops",
+			r1.Metrics.WatchdogTrips, r1.Metrics.CrashDrops)
 	}
 	if r1.Elapsed != r2.Elapsed {
 		t.Fatalf("elapsed diverged: %d vs %d", r1.Elapsed, r2.Elapsed)
 	}
-	if r1.Resilience != r2.Resilience {
-		t.Fatalf("resilience counters diverged:\n%+v\n%+v", r1.Resilience, r2.Resilience)
+	if r1.Metrics.WatchdogTrips != r2.Metrics.WatchdogTrips || r1.Metrics.CrashDrops != r2.Metrics.CrashDrops {
+		t.Fatalf("crash counters diverged: %d/%d trips, %d/%d drops", r1.Metrics.WatchdogTrips,
+			r2.Metrics.WatchdogTrips, r1.Metrics.CrashDrops, r2.Metrics.CrashDrops)
 	}
 	if !bytes.Equal(tr1, tr2) {
-		t.Fatal("same seed exported different trace bytes")
+		t.Fatal("a replay exported different trace bytes")
 	}
 	for me, got := range s1 {
-		if got != 36 || s2[me] != got { // 1+2+…+8
-			t.Fatalf("rank %d allreduce = %d then %d, want 36", me, got, s2[me])
+		if got != 28 || s2[me] != got { // 1+2+…+7
+			t.Fatalf("rank %d allreduce = %d then %d, want 28", me, got, s2[me])
 		}
 	}
 }
@@ -111,7 +104,7 @@ func TestAllreduceShrinkAfterCrash(t *testing.T) {
 			sums := make([]int64, n)
 			res := Run(Config{
 				Ranks: n, Approach: a, Profile: interNodeProfile(),
-				Fault:    &fault.Plan{Crashes: []fault.Crash{{Rank: n - 1, At: 150_000}}},
+				Crashes:  []fabric.Crash{{Rank: n - 1, At: 150_000}},
 				Watchdog: 400_000,
 			}, func(env *Env) {
 				me := env.Rank()
@@ -163,7 +156,7 @@ func TestAllreduceShrinkAfterCrash(t *testing.T) {
 					t.Fatalf("rank %d survivor allreduce = %d, want %d", me, sums[me], want)
 				}
 			}
-			if res.Resilience.WatchdogTrips == 0 {
+			if res.Metrics.WatchdogTrips == 0 {
 				t.Fatal("the failed collective should have tripped the watchdog")
 			}
 			// The shrunk allreduce must complete promptly — recovery, not

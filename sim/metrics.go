@@ -43,7 +43,10 @@ type Metrics struct {
 	EagerSends, RdvSends, Recvs int64
 	ProgressCalls               int64
 	UnexpectedHits, PostedHits  int64
-	Retransmits, WatchdogTrips  int64
+	WatchdogTrips               int64
+	// CrashDrops counts the packets the fabric silenced because their
+	// source or destination had crashed (cluster-wide: Result.Metrics only).
+	CrashDrops int64
 
 	// Tracer accounting.
 	Events, EventsDropped int64
@@ -93,8 +96,8 @@ func (m *Metrics) Add(o Metrics) {
 	m.ProgressCalls += o.ProgressCalls
 	m.UnexpectedHits += o.UnexpectedHits
 	m.PostedHits += o.PostedHits
-	m.Retransmits += o.Retransmits
 	m.WatchdogTrips += o.WatchdogTrips
+	m.CrashDrops += o.CrashDrops
 	m.Events += o.Events
 	m.EventsDropped += o.EventsDropped
 	m.FlowsSent += o.FlowsSent
@@ -148,7 +151,6 @@ func rankMetricsOf(eng *proto.Engine, off *core.Offloader) Metrics {
 		UnexpectedHits: int64(s.UnexpectedHit),
 		PostedHits:     int64(s.PostedHit),
 		WatchdogTrips:  int64(s.WatchdogTrips),
-		Retransmits:    eng.RelStats().Retransmits,
 	}
 	if off != nil {
 		m.Submitted = off.Submitted.Load()

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mpioffload/internal/fault"
 	"mpioffload/internal/obs"
 	"mpioffload/internal/obs/critpath"
 )
@@ -179,10 +178,10 @@ func TestEnvMetricsAccessor(t *testing.T) {
 	}
 }
 
-// jitteryLossyRun executes an eager-size ping-pong over a jittery, lossy
-// inter-node fabric and returns the exported trace bytes plus a checksum of
+// jitteryRun executes an eager-size ping-pong over a jittery inter-node
+// fabric and returns the exported trace bytes plus a checksum of
 // every payload received at rank 0.
-func jitteryLossyRun(t *testing.T, jitterSeed int64) ([]byte, [32]byte) {
+func jitteryRun(t *testing.T, jitterSeed int64) ([]byte, [32]byte) {
 	t.Helper()
 	p := interNodeProfile()
 	p.LinkJitter = 0.05
@@ -191,7 +190,6 @@ func jitteryLossyRun(t *testing.T, jitterSeed int64) ([]byte, [32]byte) {
 	var sum [32]byte
 	Run(Config{
 		Ranks: 2, Approach: Offload, Profile: p,
-		Fault: &fault.Plan{Seed: 7, DropRate: 0.05},
 		Trace: tr,
 	}, func(env *Env) {
 		c := env.World
@@ -225,9 +223,9 @@ func jitteryLossyRun(t *testing.T, jitterSeed int64) ([]byte, [32]byte) {
 // determinism: the same seeds yield byte-identical exports, a different
 // jitter seed yields a different trace but identical application results.
 func TestTraceDeterminism(t *testing.T) {
-	trace1a, sum1a := jitteryLossyRun(t, 1)
-	trace1b, sum1b := jitteryLossyRun(t, 1)
-	trace2, sum2 := jitteryLossyRun(t, 2)
+	trace1a, sum1a := jitteryRun(t, 1)
+	trace1b, sum1b := jitteryRun(t, 1)
+	trace2, sum2 := jitteryRun(t, 2)
 
 	if !bytes.Equal(trace1a, trace1b) {
 		t.Fatal("same seeds produced different trace bytes")

@@ -35,7 +35,6 @@ import (
 
 	"mpioffload/internal/core"
 	"mpioffload/internal/fabric"
-	"mpioffload/internal/fault"
 	"mpioffload/internal/model"
 	"mpioffload/internal/obs"
 	"mpioffload/internal/obs/telemetry"
@@ -111,9 +110,9 @@ type Config struct {
 	ThreadLevel ThreadLevel
 	// Profile is the platform cost profile (default model.Endeavor()).
 	Profile *model.Profile
-	// Fault is an optional deterministic fault-injection plan applied to
-	// the interconnect (nil = a perfect network).
-	Fault *fault.Plan
+	// Crashes kill ranks at fixed virtual times (nil = no rank fails). The
+	// wire itself never loses a packet.
+	Crashes []fabric.Crash
 	// Watchdog, when > 0, is the per-request deadline in virtual ns: a
 	// request still in flight that long after posting completes with
 	// mpi.ErrTimeout (or mpi.ErrRankFailed when the peer crashed) instead
@@ -138,75 +137,12 @@ type Result struct {
 	RankElapsed []vclock.Time
 	// Net is the fabric traffic summary.
 	Net fabric.Stats
-	// Resilience aggregates fault-injection and recovery counters across
-	// the cluster (all zero when no fault plan or watchdog is configured).
-	Resilience Resilience
 	// Metrics aggregates the per-layer observability counters across the
 	// cluster. The always-on counters (command path, queue/pool high-water
 	// marks, protocol stats) are filled on every run; the tracer-derived
 	// counters (thread-class attribution, duty cycle, conversions) are
 	// filled only when Config.Trace was attached.
 	Metrics Metrics
-}
-
-// Resilience aggregates the fault, reliable-delivery and watchdog counters
-// of one run (or, via Add, several).
-type Resilience struct {
-	// Injected faults (fabric side).
-	Dropped      int64 // packets lost to the plan's DropRate
-	Duplicated   int64 // packets delivered twice
-	Stalled      int64 // packets delayed by a NIC stall window
-	BlackoutDrop int64 // packets lost to a permanent blackout
-	CrashDrop    int64 // packets silenced by a rank crash
-	// Recovery (protocol side).
-	RelSends    int64 // sequenced packets first-sent
-	Retransmits int64 // timer-driven resends
-	Acks        int64 // acknowledgements sent
-	DupDropped  int64 // duplicate deliveries suppressed
-	OutOfOrder  int64 // arrivals held for reordering
-	Abandoned   int64 // packets given up after the retry budget
-	// Diagnosis (watchdog side).
-	WatchdogTrips int64 // requests failed with ErrTimeout/ErrRankFailed
-}
-
-// Add accumulates o into r.
-func (r *Resilience) Add(o Resilience) {
-	r.Dropped += o.Dropped
-	r.Duplicated += o.Duplicated
-	r.Stalled += o.Stalled
-	r.BlackoutDrop += o.BlackoutDrop
-	r.CrashDrop += o.CrashDrop
-	r.RelSends += o.RelSends
-	r.Retransmits += o.Retransmits
-	r.Acks += o.Acks
-	r.DupDropped += o.DupDropped
-	r.OutOfOrder += o.OutOfOrder
-	r.Abandoned += o.Abandoned
-	r.WatchdogTrips += o.WatchdogTrips
-}
-
-// resilienceOf collects the cluster-wide counters: fabric fault stats once,
-// plus every engine's reliable-delivery and watchdog counters.
-func resilienceOf(fab *fabric.Fabric, engs []*proto.Engine) Resilience {
-	fs := fab.FaultStats()
-	r := Resilience{
-		Dropped:      fs.Dropped,
-		Duplicated:   fs.Duplicated,
-		Stalled:      fs.Stalled,
-		BlackoutDrop: fs.BlackoutDrop,
-		CrashDrop:    fs.CrashDrop,
-	}
-	for _, e := range engs {
-		rs := e.RelStats()
-		r.RelSends += rs.RelSends
-		r.Retransmits += rs.Retransmits
-		r.Acks += rs.Acks
-		r.DupDropped += rs.DupDropped
-		r.OutOfOrder += rs.OutOfOrder
-		r.Abandoned += rs.Abandoned
-		r.WatchdogTrips += int64(e.Stats().WatchdogTrips)
-	}
-	return r
 }
 
 // Env is one rank's execution environment (its master thread).
@@ -352,7 +288,7 @@ func Run(cfg Config, program func(env *Env)) Result {
 		cfg.Telemetry.CounterFunc("sim_kernel_events_total", func() float64 { return float64(k.Stats().Events) })
 	}
 	fab := fabric.New(k, prof, n)
-	fab.SetFault(cfg.Fault)
+	fab.SetCrashes(cfg.Crashes)
 	res := Result{RankElapsed: make([]vclock.Time, n)}
 
 	ranks := make([]int, n)
@@ -409,8 +345,8 @@ func Run(cfg Config, program func(env *Env)) Result {
 	}
 	res.Elapsed = k.Run()
 	res.Net = fab.Stats()
-	res.Resilience = resilienceOf(fab, engs)
 	res.Metrics = metricsOf(engs, offs)
+	res.Metrics.CrashDrops = res.Net.CrashDrops
 	if runTrace != nil {
 		ends := make([]int64, n)
 		for r, t := range res.RankElapsed {
