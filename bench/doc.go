@@ -6,7 +6,7 @@ package bench
 // into the named metrics cmd/benchdiff compares across generations. The
 // Docs registry, keyed by the "schema" tag, is the only place that maps a
 // tag to a type: LoadDoc and WriteDoc are the one way in and the one way
-// out, so the generators (cmd/paper), the -validate gate and the differ
+// out, so the generators and the gates check (cmd/paper) and the differ
 // cannot drift apart.
 
 import (

@@ -115,8 +115,8 @@ func TestSelfDiffIsClean(t *testing.T) {
 	}
 }
 
-// TestCommittedBaselinesSelfDiff runs the exact comparison the ci target
-// performs: every committed BENCH document self-diffs clean.
+// TestCommittedBaselinesSelfDiff: every committed BENCH document
+// self-diffs clean, as `benchdiff BENCH_<doc>.json BENCH_<doc>.json` does.
 func TestCommittedBaselinesSelfDiff(t *testing.T) {
 	for _, k := range bench.Docs {
 		d, err := bench.LoadDoc(filepath.Join("..", "..", k.File))

@@ -52,9 +52,14 @@ func mtscale(c *ctx) error {
 // invariant gates of the full-size sweeps, checked without re-measuring.
 func gates(c *ctx) error {
 	for _, k := range bench.Docs {
-		if err := validateDoc(c.w, k.File); err != nil {
-			return err
+		d, err := bench.LoadDoc(k.File)
+		if err == nil {
+			err = d.Validate()
 		}
+		if err != nil {
+			return fmt.Errorf("invalid %s: %w", k.File, err)
+		}
+		fmt.Fprintf(c.w, "%s: valid %s document\n", k.File, d.Tag())
 	}
 	return nil
 }

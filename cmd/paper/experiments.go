@@ -1,7 +1,7 @@
 package main
 
 // The experiment table and the paper's figures and tables (Fig 2 – Fig 14).
-// The document sweeps and smoke checks at the end of the table live in
+// The document sweeps and the gates check at the end of the table live in
 // docs.go. Iteration counts are the ones results.txt was recorded with:
 // c.n(full, quick).
 

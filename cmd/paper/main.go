@@ -1,13 +1,13 @@
 // Command paper is the one experiment driver: every table and figure of
-// the paper, the chaos sweep, every BENCH_*.json document and the smoke
-// checks around them are rows of one experiment table (experiments.go),
-// run by name.
+// the paper, the chaos sweep, every BENCH_*.json document and the check of
+// the committed ones (-exp=gates) are rows of one experiment table
+// (experiments.go), run by name.
 //
 //	paper                      list the experiments (same as -exp=list)
 //	paper -exp=fig7a           one experiment; tables on stdout
 //	paper -exp=all [-quick]    every experiment in table order, in process —
 //	                           the run recorded in results.txt
-//	paper -validate FILE       check a BENCH_*.json document of any schema:
+//	paper -exp=gates           check every committed BENCH_*.json document:
 //	                           structure plus the gates its sweep carries
 //
 // The flags are defined once and mean the same thing for every
@@ -15,17 +15,17 @@
 // experiment's own defaults; -watchdog-us bounds every request in
 // virtual time (its trips are a row of the -metrics table); -trace=FILE
 // writes a Chrome trace_event JSON of every simulated run
-// (chrome://tracing or Perfetto; cmd/tracetool re-derives the critical
-// path from the file alone), -critpath prints each traced run's
-// attribution, -metrics one per-layer offload metrics table per approach.
+// (chrome://tracing or Perfetto; its metadata carries each run's
+// critical-path attribution), -critpath prints that attribution,
+// -metrics one per-layer offload metrics table per approach.
 //
 // The document experiments (mtscale, net) write the committed
 // BENCH_*.json name only at full size with no sweep-shaping flag; a
 // reduced sweep (-quick or any override) goes to the temp directory unless
-// -out names a path, so a smoke run can never overwrite a committed gate.
+// -out names a path, so a quick run can never overwrite a committed gate.
 //
 // Under a cmd/mpirun launch (MPIOFFLOAD_* set) paper instead runs as one
-// rank of a two-process ping-pong job (worker.go).
+// rank of a two-process ping-pong job (runWorker, measure.go).
 package main
 
 import (
@@ -80,7 +80,6 @@ func main() {
 	}
 	c := newCtx(os.Stdout)
 	exp := flag.String("exp", "list", "experiment to run: a name printed by -exp=list, or all")
-	validate := flag.String("validate", "", "validate a BENCH_*.json document of any schema and exit")
 	flag.BoolVar(&c.quick, "quick", false, "reduced sweeps and iteration counts")
 	flag.IntVar(&c.iters, "iters", 0, "measured iterations (0 = the experiment's own)")
 	flag.StringVar(&c.profile, "profile", "", "endeavor | phi | edison (default: the experiment's own)")
@@ -103,17 +102,14 @@ func main() {
 	if c.traceFile != "" {
 		c.trace = obs.NewTrace(obs.Options{})
 	}
-	if err := c.drive(*exp, *validate, *approaches); err != nil {
+	if err := c.drive(*exp, *approaches); err != nil {
 		fmt.Fprintln(os.Stderr, "paper:", err)
 		os.Exit(1)
 	}
 }
 
 // drive resolves the flags into the context and runs what was asked.
-func (c *ctx) drive(exp, validate, approaches string) error {
-	if validate != "" {
-		return validateDoc(c.w, validate)
-	}
+func (c *ctx) drive(exp, approaches string) error {
 	var err error
 	if c.approaches, err = parseApproaches(approaches); err != nil {
 		return err
@@ -206,19 +202,6 @@ func (c *ctx) writeTrace() error {
 		}
 	}
 	fmt.Fprintf(c.w, "trace written to %s (open in chrome://tracing or Perfetto)\n", c.traceFile)
-	return nil
-}
-
-// validateDoc is -validate: one loader, one validator, any schema.
-func validateDoc(w io.Writer, path string) error {
-	d, err := bench.LoadDoc(path)
-	if err == nil {
-		err = d.Validate()
-	}
-	if err != nil {
-		return fmt.Errorf("invalid %s: %w", path, err)
-	}
-	fmt.Fprintf(w, "%s: valid %s document\n", path, d.Tag())
 	return nil
 }
 

@@ -11,6 +11,9 @@ import (
 
 	"mpioffload/bench"
 	"mpioffload/internal/model"
+	"mpioffload/internal/obs"
+	"mpioffload/internal/obs/critpath"
+	"mpioffload/sim"
 )
 
 var (
@@ -258,7 +261,7 @@ func TestChaosStepIgnoresQuick(t *testing.T) {
 	}
 }
 
-// TestDocPath pins the rule that keeps smoke runs off the committed gates.
+// TestDocPath pins the rule that keeps quick runs off the committed gates.
 func TestDocPath(t *testing.T) {
 	c := newCtx(nil)
 	if got := c.docPath("BENCH_net.json"); got != "BENCH_net.json" {
@@ -271,5 +274,71 @@ func TestDocPath(t *testing.T) {
 	c.out = "x.json"
 	if got := c.docPath("BENCH_net.json"); got != "x.json" {
 		t.Errorf("-out ignored: %s", got)
+	}
+}
+
+// TestTracedRunPartitionsElapsedTime runs a traced Fig 7a (offload, two
+// iterations) and writes its trace as -trace does: every run's critical
+// path must attribute exactly its elapsed virtual time, and the file must
+// carry the same attribution in its metadata.
+func TestTracedRunPartitionsElapsedTime(t *testing.T) {
+	var out bytes.Buffer
+	c := newCtx(&out)
+	c.iters, c.approaches = 2, []sim.Approach{sim.Offload}
+	c.trace = obs.NewTrace(obs.Options{})
+	c.traceFile = filepath.Join(t.TempDir(), "trace.json")
+	if err := c.runOne(lookup("fig7a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.writeTrace(); err != nil {
+		t.Fatal(err)
+	}
+	reports := critpath.Analyze(c.trace)
+	if len(reports) == 0 {
+		t.Fatal("the traced run recorded no runs")
+	}
+	for i, rep := range reports {
+		if elapsed := c.trace.Runs[i].ElapsedNs; rep.Sum() != elapsed || rep.Total != elapsed {
+			t.Errorf("run %q: attribution sums to %d ns (total %d), elapsed is %d ns", rep.Label, rep.Sum(), rep.Total, elapsed)
+		}
+	}
+	file, err := os.ReadFile(c.traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(file, critpath.MetaJSON(reports)) {
+		t.Error("the trace file does not carry the critical-path attribution")
+	}
+}
+
+// TestMetricsTablePerApproach: -metrics prints one table per approach,
+// counting offload commands only under offload, and each experiment starts
+// from zero counts (TakeMetricsPerApproach resets them).
+func TestMetricsTablePerApproach(t *testing.T) {
+	bench.TakeMetricsPerApproach() // drop what earlier tests accumulated
+	run := func() string {
+		var out bytes.Buffer
+		c := newCtx(&out)
+		c.quick, c.metrics = true, true
+		c.approaches = []sim.Approach{sim.Baseline, sim.Offload}
+		if err := c.runOne(lookup("fig7a")); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	first := run()
+	submitted := regexp.MustCompile(`== offload metrics \[(\w+)\] ==\n(?:.*\n){2} *commands submitted +(\d+)\n`)
+	if n := strings.Count(first, "== offload metrics ["); n != 2 {
+		t.Errorf("%d metrics tables for 2 approaches", n)
+	}
+	got := map[string]string{}
+	for _, m := range submitted.FindAllStringSubmatch(first, -1) {
+		got[m[1]] = m[2]
+	}
+	if got["baseline"] != "0" || got["offload"] == "" || got["offload"] == "0" {
+		t.Errorf("commands submitted per approach = %v, want baseline 0 and offload nonzero\n%s", got, first)
+	}
+	if second := run(); second != first {
+		t.Errorf("a second run prints different counts:\n%s--- first ---\n%s", second, first)
 	}
 }

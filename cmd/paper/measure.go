@@ -149,11 +149,17 @@ func newBackendCluster(backend string, mode rt.Mode, o rt.Options) (*rt.Cluster,
 // initiator sends then receives, the echo side the reverse, warmupIters
 // untimed round trips first. It returns the mean one-way latency of the
 // timed part in ns. Every wait is bounded by the cluster's watchdog, if one
-// is set.
+// is set, and a message shorter than size is an error.
 func pingPongSide(th *rt.Thread, peer, sendTag, recvTag, size, iters int, initiator bool) (float64, error) {
 	buf := make([]byte, size)
 	send := func() error { _, err := th.WaitErr(th.Isend(buf, peer, sendTag)); return err }
-	recv := func() error { _, err := th.WaitErr(th.Irecv(buf, peer, recvTag)); return err }
+	recv := func() error {
+		n, err := th.WaitErr(th.Irecv(buf, peer, recvTag))
+		if err == nil && n != size {
+			err = fmt.Errorf("received %d B, want %d", n, size)
+		}
+		return err
+	}
 	steps := []func() error{send, recv}
 	if !initiator {
 		steps = []func() error{recv, send}

@@ -161,8 +161,8 @@ func loadRepoIndex(t *testing.T) *repoIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx.pkgs["core"].top) == 0 || len(idx.flags) == 0 || !idx.exps["fig7a"] || !idx.targets["mtscale-smoke"] {
-		t.Fatal("index found no declarations of package core, no cmd/paper flags, no fig7a experiment or no mtscale-smoke target")
+	if len(idx.pkgs["core"].top) == 0 || len(idx.flags) == 0 || !idx.exps["fig7a"] || !idx.targets["mtscale"] {
+		t.Fatal("index found no declarations of package core, no cmd/paper flags, no fig7a experiment or no mtscale target")
 	}
 	return idx
 }
@@ -288,7 +288,7 @@ func (idx *repoIndex) addExperiments(f *ast.File) {
 }
 
 // addTargets records every target a rule of the Makefile defines, with
-// $(DOCS) and its %-smoke pattern expanded over the DOCS list.
+// $(DOCS) expanded over the DOCS list.
 func (idx *repoIndex) addTargets(makefile string) {
 	var docs []string
 	for _, line := range strings.Split(makefile, "\n") {
@@ -296,15 +296,10 @@ func (idx *repoIndex) addTargets(makefile string) {
 			docs = strings.Fields(v)
 		}
 	}
-	smoke := make([]string, len(docs))
-	for i, d := range docs {
-		smoke[i] = d + "-smoke"
-	}
 	for _, line := range strings.Split(makefile, "\n") {
 		if line == "" || strings.ContainsRune(" \t#.", rune(line[0])) {
 			continue
 		}
-		line = strings.ReplaceAll(line, "$(DOCS:%=%-smoke)", strings.Join(smoke, " "))
 		line = strings.ReplaceAll(line, "$(DOCS)", strings.Join(docs, " "))
 		names, rest, ok := strings.Cut(line, ":")
 		if !ok || strings.HasPrefix(rest, "=") {

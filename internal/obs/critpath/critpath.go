@@ -86,9 +86,8 @@ func (c Category) metaKey() string {
 }
 
 // RunData is the analyzer's neutral input: one run's end-of-time anchors
-// plus per-rank chronological events. Built from an obs.RunTrace in
-// memory (Analyze) or reconstructed from an exported Chrome trace
-// (ReadChrome).
+// plus per-rank chronological events, built from an obs.RunTrace in
+// memory (Analyze).
 type RunData struct {
 	Label   string
 	Elapsed int64   // total virtual time of the run

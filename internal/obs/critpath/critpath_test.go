@@ -1,8 +1,6 @@
 package critpath
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"mpioffload/internal/obs"
@@ -93,58 +91,6 @@ func TestAnalyzeRunPartitionAlwaysExact(t *testing.T) {
 		if rep.Sum() != rd.Elapsed {
 			t.Errorf("%s: sum = %d, want %d", rd.Label, rep.Sum(), rd.Elapsed)
 		}
-	}
-}
-
-// TestReadChromeRoundTrip exports a recorder-built trace and checks the
-// offline analysis of the file equals the in-memory analysis exactly.
-func TestReadChromeRoundTrip(t *testing.T) {
-	tr := obs.NewTrace(obs.Options{RingCap: 64})
-	run := tr.StartRun("rdv x2", 2)
-	const F = int64(1)<<32 | 1
-	r0 := run.Ranks[0]
-	r0.CmdEnqueued(100, obs.TApp, 1, 1)
-	r0.CmdDequeued(200, 1, 0, 100)
-	r0.Issued(210, obs.TAgent, obs.EvIssueRdv, 1<<20, 1, F)
-	r0.RdvStarted(2350, obs.TAgent, 1<<20, 1, F, 2140)
-	r0.RdvDone(3400, obs.TNIC, 1<<20, 1, F)
-	r0.CmdCompleted(3500, 1, F, 3300)
-	r0.Converted(3700, obs.TApp)
-	r1 := run.Ranks[1]
-	r1.CmdEnqueued(50, obs.TApp, 7, 1)
-	r1.CmdDequeued(60, 7, 0, 10)
-	r1.Issued(70, obs.TAgent, obs.EvIssueRecv, 1<<20, 0, 0)
-	r1.Delivered(1250, 64, 0, F, 1040)
-	r1.CtsAnswered(1300, obs.TAgent, 1<<20, 0, F)
-	r1.Delivered(3390, 1<<20, 0, F, 1040)
-	r1.RdvDone(3450, obs.TAgent, 1<<20, 0, F)
-	r1.CmdCompleted(3460, 7, F, 3400)
-	r1.WatchdogTripped(3470, 0)
-	run.SetEnd(4000, []int64{3800, 3900})
-
-	inMem := Analyze(tr)
-
-	var buf bytes.Buffer
-	if err := obs.WriteChrome(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := ReadChrome(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 1 {
-		t.Fatalf("ReadChrome found %d runs, want 1", len(runs))
-	}
-	fromFile := make([]*Report, len(runs))
-	for i, rd := range runs {
-		fromFile[i] = AnalyzeRun(rd)
-	}
-	if !reflect.DeepEqual(inMem, fromFile) {
-		t.Fatalf("offline analysis differs from in-memory:\nmem:  %+v\nfile: %+v",
-			inMem[0], fromFile[0])
-	}
-	if inMem[0].Sum() != 4000 {
-		t.Fatalf("sum = %d, want elapsed 4000", inMem[0].Sum())
 	}
 }
 

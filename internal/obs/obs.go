@@ -74,17 +74,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString inverts String (tools reconstructing events from exported
-// traces). Unknown names map to Kind 0.
-func KindFromString(s string) Kind {
-	for k := EvCmdEnqueue; k <= EvRdvStart; k++ {
-		if k.String() == s {
-			return k
-		}
-	}
-	return 0
-}
-
 // Thread classes: every event is attributed to the class of simulated
 // thread that produced it.
 const (

@@ -72,17 +72,6 @@ func TestTaskClass(t *testing.T) {
 	}
 }
 
-func TestKindStringRoundTrip(t *testing.T) {
-	for k := EvCmdEnqueue; k <= EvRdvStart; k++ {
-		if got := KindFromString(k.String()); got != k {
-			t.Errorf("KindFromString(%q) = %d, want %d", k.String(), got, k)
-		}
-	}
-	if got := KindFromString("nonsense"); got != 0 {
-		t.Errorf("KindFromString(nonsense) = %d, want 0", got)
-	}
-}
-
 func TestFlowID(t *testing.T) {
 	if FlowID(0, 0) == 0 {
 		t.Error("FlowID must never be 0 (0 means unstamped)")

@@ -441,31 +441,3 @@ func TestCriticalPathPartition(t *testing.T) {
 		})
 	}
 }
-
-// TestCriticalPathOfflineMatchesInMemory round-trips a real simulation
-// trace through the Chrome exporter and cmd/tracetool's reader: the offline
-// analysis must equal the in-memory one report-for-report.
-func TestCriticalPathOfflineMatchesInMemory(t *testing.T) {
-	tr := obs.NewTrace(obs.Options{})
-	latencyRun(Offload, 256<<10, 4, tr)
-	inMem := critpath.Analyze(tr)
-
-	var out bytes.Buffer
-	if err := obs.WriteChrome(&out, tr); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := critpath.ReadChrome(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != len(inMem) {
-		t.Fatalf("offline found %d runs, in-memory %d", len(runs), len(inMem))
-	}
-	for i, rd := range runs {
-		off := critpath.AnalyzeRun(rd)
-		if off.Table() != inMem[i].Table() {
-			t.Fatalf("run %d: offline analysis differs\noffline:\n%s\nin-memory:\n%s",
-				i, off.Table(), inMem[i].Table())
-		}
-	}
-}
